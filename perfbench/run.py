@@ -2,7 +2,6 @@
 """Build and run the repository benchmark.
 
     python3 perfbench/run.py --workload NAME --seed N --seconds S --trace 0|1
-    python3 perfbench/run.py --self-test
 
 Builds perfbench/ (and through it the library, from the repository's own
 CMake build) into .bench_build/ in Release mode, then runs one workload.
@@ -47,28 +46,22 @@ def build():
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--workload", choices=WORKLOADS)
+    ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, default=10)
     ap.add_argument("--trace", type=int, choices=[0, 1], default=0)
-    ap.add_argument("--self-test", action="store_true")
     args = ap.parse_args()
-    if not args.self_test and args.workload is None:
-        ap.error("--workload is required")
     if not build():
         print("perfbench: build failed", file=sys.stderr)
         return 2
-    if args.self_test:
-        cmd = [str(BINARY), "--self-test"]
-    else:
-        cmd = [str(BINARY), "--workload", args.workload,
-               "--seed", str(args.seed), "--seconds", str(args.seconds),
-               "--trace", str(args.trace)]
-        if args.trace:
-            traces = (ROOT / ".bench_build" / "traces" /
-                      f"{args.workload}-seed{args.seed}")
-            traces.mkdir(parents=True, exist_ok=True)
-            cmd += ["--trace-dir", str(traces)]
+    cmd = [str(BINARY), "--workload", args.workload,
+           "--seed", str(args.seed), "--seconds", str(args.seconds),
+           "--trace", str(args.trace)]
+    if args.trace:
+        traces = (ROOT / ".bench_build" / "traces" /
+                  f"{args.workload}-seed{args.seed}")
+        traces.mkdir(parents=True, exist_ok=True)
+        cmd += ["--trace-dir", str(traces)]
     sys.stdout.flush()
     try:
         return subprocess.run(cmd, timeout=RUN_TIMEOUT_S).returncode

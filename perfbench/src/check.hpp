@@ -95,32 +95,4 @@ class Ledger {
   u64 bad_ = 0;
 };
 
-// Sojourn stamps for the sampled items (one in kSampleEvery per producer):
-// the producer stores the time just before it enqueues item `seq`, the
-// consumer subtracts it just after the dequeue that returned it. The queue's
-// own release/acquire publication orders the stamp store before the load.
-class Stamps {
- public:
-  static constexpr u64 kSampleEvery = 64;
-  static constexpr std::size_t kSlots = std::size_t{1} << 16;
-
-  explicit Stamps(unsigned producers)
-      : slots_(static_cast<std::size_t>(producers) * kSlots) {}
-
-  static bool sampled(u64 seq) { return seq % kSampleEvery == 0; }
-  void put(unsigned p, u64 seq, u64 t) {
-    slot(p, seq).store(t, std::memory_order_relaxed);
-  }
-  u64 get(unsigned p, u64 seq) const {
-    return slot(p, seq).load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<u64>& slot(unsigned p, u64 seq) const {
-    return slots_[static_cast<std::size_t>(p) * kSlots +
-                  (seq / kSampleEvery) % kSlots];
-  }
-  mutable std::vector<std::atomic<u64>> slots_;
-};
-
 }  // namespace pb

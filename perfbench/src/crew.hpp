@@ -13,17 +13,18 @@
 #include "common/alloc_meter.hpp"
 #include "common/cpu.hpp"
 #include "common/op_counters.hpp"
+#include "runtime/thread_registry.hpp"
 #include "trace.hpp"
 #include "util.hpp"
 
 namespace pb {
 
-// One thread's tallies for one phase of the round clock.
-struct Slice {
+// One thread's tallies for one phase of the round clock, a cache line of
+// its own: the owner bumps it every op.
+struct alignas(64) Slice {
   u64 ops = 0;     // attempted queue ops; a full or empty attempt counts
   u64 items = 0;   // items delivered, counted once at their consumer
   u64 cpu_ns = 0;  // thread CPU time spent in the phase
-  Hist lat;        // sampled sojourn times, ns
 };
 
 // One worker thread's state and results. tick() is called once per loop
@@ -82,46 +83,65 @@ struct Worker {
   bool unpin_ = false;
 };
 
-// Set-up barrier: each worker signals once; the caller sleeps until all
-// have, so it never competes with the warm-up for a CPU.
+// Set-up barrier: each worker signals once, adding the CPU time it has
+// used so far; the caller sleeps until all have, so it never competes with
+// the warm-up for a CPU.
 class Ready {
  public:
   void signal() {
+    cpu_.fetch_add(thread_cpu_ns(), std::memory_order_relaxed);
     n_.fetch_add(1, std::memory_order_release);
     n_.notify_all();
   }
-  void wait(unsigned n) {
+  // Returns the CPU time the signalling threads used up to their signals.
+  u64 wait(unsigned n) {
     for (unsigned v; (v = n_.load(std::memory_order_acquire)) < n;) {
       n_.wait(v, std::memory_order_acquire);
     }
+    return cpu_.load(std::memory_order_relaxed);
   }
 
  private:
   std::atomic<unsigned> n_{0};
+  std::atomic<u64> cpu_{0};
 };
 
 // Runs `n` threads of `body(i, worker, ready)`. Thread i sets up on CPU i
 // and runs the timed window unpinned: a crew as large as the host lets the
 // scheduler move a worker off a CPU another tenant or the round clock
 // needs, which measured steadier than a fixed placement. Every body
-// signals `ready` once its handles are attached and its warm-up is done. Set-up ends when all have; then the
-// round clock runs (timed) or stops at once. Returns the set-up time in
-// seconds, counted from `t0` (taken by the caller before it constructed the
-// queue).
+// signals `ready` once its handles are attached and its warm-up is done;
+// then the round clock runs (timed) or stops at once.
+//
+// Returns the set-up time in seconds as CPU time: the caller's since `t0`
+// (its thread_cpu_ns() before it constructed the queue) plus each worker's
+// up to its signal. Wall time counted whatever else ran on the crew's CPUs:
+// one busy CPU made it five times longer, and the host's other tenants
+// made it vary tenfold from run to run.
 inline double run_crew(unsigned n, Rounds& rounds, std::vector<Worker>& ws,
                        const std::function<void(unsigned, Worker&, Ready&)>& body,
                        u64 t0, bool timed, double round_s) {
   Ready ready;
+  std::atomic<unsigned> turn{0};
   std::vector<std::thread> ts;
   ts.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
     ts.emplace_back([&, i] {
       ws[i].pin_for_setup(i);
+      // Register in index order: thread i then holds the same registry tid,
+      // and with it the same home shard, on every run.
+      for (unsigned t; (t = turn.load(std::memory_order_acquire)) != i;) {
+        turn.wait(t, std::memory_order_acquire);
+      }
+      wcq::ThreadRegistry::tid();
+      turn.fetch_add(1, std::memory_order_release);
+      turn.notify_all();
       body(i, ws[i], ready);
     });
   }
-  ready.wait(n);
-  const double setup = static_cast<double>(now_ns() - t0) * 1e-9;
+  const u64 workers = ready.wait(n);
+  const double setup =
+      static_cast<double>(thread_cpu_ns() - t0 + workers) * 1e-9;
   if (timed) {
     rounds.drive(round_s);
   } else {
@@ -145,7 +165,6 @@ struct CrewStats {
         sum.ops += s.ops;
         sum.items += s.items;
         sum.cpu_ns += s.cpu_ns;
-        sum.lat.merge(s.lat);
       }
       v.push_back(f(sum, r_.seconds(k)));
     }
@@ -161,9 +180,14 @@ struct CrewStats {
       return static_cast<double>(s.items) / sec;
     });
   }
-  double lat_ns(double q) const {
-    return median_per_round(
-        [q](const Slice& s, double) { return s.lat.quantile(q); });
+  // Wall time a consumer spends per item it receives, with `consumers`
+  // threads receiving: consumers / items per second.
+  double ns_per_item(unsigned consumers) const {
+    return median_per_round([consumers](const Slice& s, double sec) {
+      return s.items == 0 ? 0.0
+                          : consumers * sec * 1e9 /
+                                static_cast<double>(s.items);
+    });
   }
   // CPU time of workers [first, end) per item delivered by the crew.
   double cpu_ns_per_item(std::size_t first = 0) const {
@@ -187,7 +211,6 @@ struct CrewStats {
       for (const Worker& w : ws_) {
         sum.ops += w.slices[k].ops;
         sum.items += w.slices[k].items;
-        sum.lat.merge(w.slices[k].lat);
       }
     }
     return sum;

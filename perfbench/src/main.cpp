@@ -3,7 +3,6 @@
 //
 //   perfbench --workload NAME --seed N --seconds S --trace 0|1
 //             [--trace-dir DIR]
-//   perfbench --self-test
 //
 // --trace 0 measures the named workload untraced and reports the
 // end-to-end metrics. --trace 1 reports the per-layer metrics: every
@@ -11,8 +10,9 @@
 // loads it), the layer ladder replays the p5050 mix rung by rung, and the
 // named workload is also run untraced to give the tracing overhead.
 // The exit code is 0 only when every item was delivered exactly once and in
-// order wherever the queue promises FIFO, and the output check's self-test
-// flagged its lossy and reordering adapters.
+// order wherever the queue promises FIFO, the output check's self-test
+// flagged its lossy and reordering adapters, and no run was invalid (an
+// open-loop generator or its receivers that fell behind the schedule).
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -37,7 +37,7 @@ int usage() {
                "usage: perfbench --workload "
                "{mpmc_p5050|sharded_pipeline|channel_openloop|"
                "unbounded_burst} --seed N --seconds S --trace 0|1 "
-               "[--trace-dir DIR]\n       perfbench --self-test\n");
+               "[--trace-dir DIR]\n");
   return 2;
 }
 
@@ -72,14 +72,11 @@ std::vector<Metric> end_to_end(const Pass& p) {
 
 int main(int argc, char** argv) {
   Args a;
-  bool self_test_only = false;
   bool have_workload = false;
   for (int i = 1; i < argc; ++i) {
     const std::string k = argv[i];
     const char* v = i + 1 < argc ? argv[i + 1] : nullptr;
-    if (k == "--self-test") {
-      self_test_only = true;
-    } else if (v == nullptr) {
+    if (v == nullptr) {
       return usage();
     } else if (k == "--workload") {
       a.workload = argv[++i];
@@ -97,21 +94,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  if (!have_workload || !(a.seconds > 0) || a.seconds > 120) return usage();
   std::string detail;
   const bool check_ok = self_test(detail);
   std::printf("self-test: %s\n",
               check_ok ? "the output check flagged the lossy and reordering "
                          "adapters and passed the honest one"
                        : detail.c_str());
-  if (self_test_only) return check_ok ? 0 : 1;
-  if (!have_workload || !(a.seconds > 0) || a.seconds > 120) return usage();
 
   std::vector<Metric> metrics;
   std::vector<std::string> notes;
   u64 attempted = 0, failed = 0;
+  bool valid = true;
   auto tally = [&](const Pass& p) {
     attempted += p.attempted;
     failed += p.failed;
+    valid = valid && p.valid;
     notes.insert(notes.end(), p.notes.begin(), p.notes.end());
   };
 
@@ -119,13 +117,13 @@ int main(int argc, char** argv) {
     const Pass p = run_workload(a.workload, a, a.seconds, kSetups, false);
     tally(p);
     metrics = end_to_end(p);
-    char line[160];
-    std::snprintf(line, sizeof line,
-                  "%s: handoff percentiles from %llu sampled items; setup_s "
-                  "is the median of %d set-ups",
-                  a.workload.c_str(),
-                  static_cast<unsigned long long>(p.handoff_samples), kSetups);
-    notes.emplace_back(line);
+    std::string line = a.workload + ": setup_s is the median of";
+    for (double s : p.setup_s) {
+      char v[32];
+      std::snprintf(v, sizeof v, " %.5f", s);
+      line += v;
+    }
+    notes.push_back(line + " s");
   } else {
     // Shares of --seconds: the named workload untraced (the overhead
     // baseline), each workload traced, and the ladder.
@@ -142,10 +140,6 @@ int main(int argc, char** argv) {
     const Pass ladder = run_ladder(a, a.seconds * 0.25);
     tally(ladder);
     metrics.insert(metrics.end(), ladder.layer.begin(), ladder.layer.end());
-    // The p99 handoff moves by a third from run to run on some workloads
-    // (a tail set by where a shared host preempts a consumer), too far to
-    // gate on; it is reported here, from the untraced pass.
-    metrics.push_back({"bench.handoff_p99_us", base.handoff_p99_us, "us"});
     metrics.push_back(
         {"bench.trace_overhead_frac",
          base.thread_cpu_ns_per_item > 0
@@ -171,7 +165,7 @@ int main(int argc, char** argv) {
               "failed_frac %.6g\n",
               static_cast<unsigned long long>(attempted),
               static_cast<unsigned long long>(failed), frac);
-  const bool correct = check_ok && failed == 0 && attempted > 0;
+  const bool correct = check_ok && failed == 0 && attempted > 0 && valid;
   print_json(correct, attempted, failed, metrics);
   return correct ? 0 : 1;
 }

@@ -22,7 +22,7 @@ namespace pb {
 // a random walk between empty and full that mixes in about capacity^2 ops:
 // a 256-item queue mixes many times within one timed round, where a 2^16
 // ring would drift as sqrt(t) for the whole run and make every
-// depth-dependent figure (sojourn, empty share) a function of the seed.
+// depth-dependent figure (such as the empty share) a function of the seed.
 constexpr unsigned kP5050Order = 8;
 
 // Ladder rung 1: the aq ring alone. Indices name payload slots; each session
@@ -172,8 +172,8 @@ class ReorderAdapter {
 // span; the untraced instantiation carries no tracing code at all.
 template <bool kTraced, typename A>
 void p5050_thread(A& a, unsigned tid, unsigned nthreads, u64 seed,
-                  const Rounds& rounds, Worker& w, Stamps& stamps,
-                  Ready& ready, u64 warm_ops) {
+                  const Rounds& rounds, Worker& w, Ready& ready,
+                  u64 warm_ops) {
   auto s = a.session();
   Rng rng(seed, tid);
   w.ledger = Ledger(nthreads, A::kLanes);
@@ -202,7 +202,6 @@ void p5050_thread(A& a, unsigned tid, unsigned nthreads, u64 seed,
       root = w.spans.begin(kOp, SpanLog::kNone, op, t0, keep);
     }
     if (enq) {
-      if (Stamps::sampled(seq)) stamps.put(tid, seq, now_ns());
       bool ok;
       if constexpr (kTraced) {
         const u64 c0 = ticks();
@@ -226,10 +225,6 @@ void p5050_thread(A& a, unsigned tid, unsigned nthreads, u64 seed,
       if (v) {
         w.ledger.take(*v);
         ++sl.items;
-        const u64 q = item_seq(*v);
-        if (Stamps::sampled(q)) {
-          sl.lat.add(now_ns() - stamps.get(item_producer(*v), q));
-        }
       }
     }
     if constexpr (kTraced) w.spans.end(root, kOp, t0, ticks());
@@ -257,14 +252,13 @@ P5050Result run_p5050(Make make, unsigned nthreads, u64 seed, int rounds,
   res.rounds = std::make_unique<Rounds>(rounds);
   res.workers.reserve(nthreads);
   for (unsigned i = 0; i < nthreads; ++i) res.workers.emplace_back(rounds);
-  Stamps stamps(nthreads);
-  const u64 t0 = now_ns();
+  const u64 t0 = thread_cpu_ns();
   std::unique_ptr<A> a = make();
   res.setup_s = run_crew(
       nthreads, *res.rounds, res.workers,
       [&](unsigned i, Worker& w, Ready& ready) {
-        p5050_thread<kTraced>(*a, i, nthreads, seed, *res.rounds, w, stamps,
-                              ready, warm_ops);
+        p5050_thread<kTraced>(*a, i, nthreads, seed, *res.rounds, w, ready,
+                              warm_ops);
       },
       t0, timed, round_s);
   std::vector<Ledger> ledgers;

@@ -20,7 +20,7 @@ namespace {
 
 // Timed rounds per window: each end-to-end figure is a median over these.
 constexpr int kRounds = 20;
-constexpr u64 kWarmOps = u64{1} << 15;
+constexpr u64 kWarmOps = u64{1} << 12;
 
 double peak_mib() {
   return static_cast<double>(wcq::alloc_meter::peak_bytes()) /
@@ -29,12 +29,14 @@ double peak_mib() {
 
 double per(double num, double den) { return den == 0 ? 0.0 : num / den; }
 
-void closed_e2e(Pass& p, const CrewStats& cs, std::size_t first_consumer) {
+// A closed loop has no arrival schedule to time a handoff from, so its
+// handoff_p50_us is the wall time a consumer spends per item it receives:
+// consumers / items_mps. It repeats items_mps and is reported only because
+// every end-to-end metric is reported on every workload.
+void closed_e2e(Pass& p, const CrewStats& cs, unsigned first_consumer) {
   p.ops_mops = cs.ops_per_s() * 1e-6;
   p.items_mps = cs.items_per_s() * 1e-6;
-  p.handoff_p50_us = cs.lat_ns(0.50) * 1e-3;
-  p.handoff_p99_us = cs.lat_ns(0.99) * 1e-3;
-  p.handoff_samples = cs.total().lat.count();
+  p.handoff_p50_us = cs.ns_per_item(kThreads - first_consumer) * 1e-3;
   p.cpu_ns_per_item = cs.cpu_ns_per_item(first_consumer);
   p.thread_cpu_ns_per_item = cs.cpu_ns_per_item(0);
 }
@@ -123,10 +125,9 @@ Pass run_unbounded_burst(const Args& a, double window_s, int setups,
     Rounds rounds(kRounds);
     std::vector<Worker> ws;
     for (unsigned i = 0; i < kThreads; ++i) ws.emplace_back(kRounds);
-    Stamps stamps(kThreads);
     std::atomic<u64> seg_max{0};
     const TickClock clock;
-    const u64 t0 = now_ns();
+    const u64 t0 = thread_cpu_ns();
     auto q = std::make_unique<Q>();
     auto body = [&](unsigned i, Worker& w, Ready& ready) {
       auto h = q->acquire();
@@ -142,7 +143,6 @@ Pass run_unbounded_burst(const Args& a, double window_s, int setups,
         const u64 n = 2 * kSegment + rng.next() % (4 * kSegment + 1);
         for (u64 j = 0; j < n && (run = w.tick(rounds)); ++j, ++op) {
           ++w.slice().ops;
-          if (Stamps::sampled(seq)) stamps.put(i, seq, now_ns());
           if (traced) {
             const u64 c0 = ticks();
             const u32 id =
@@ -178,10 +178,6 @@ Pass run_unbounded_burst(const Args& a, double window_s, int setups,
           if (!v) continue;
           w.ledger.take(*v);
           ++sl.items;
-          const u64 s = item_seq(*v);
-          if (Stamps::sampled(s)) {
-            sl.lat.add(now_ns() - stamps.get(item_producer(*v), s));
-          }
         }
         if (warm > 0 && --warm == 0) {
           ready.signal();
@@ -236,8 +232,11 @@ Pass run_sharded_pipeline(const Args& a, double window_s, int setups,
   constexpr unsigned kShardsPerConsumer = 2;
   constexpr std::size_t kMaxBatch = 48;
   constexpr std::size_t kDeqBatch = 32;
-  constexpr u64 kWarmBatches = 2048;
-  constexpr u64 kWarmItems = 32768;
+  // Set-up CPU must count work, not waits. The producers' warm-up, about
+  // 256 items each, fits in the queue's 1024 slots, so neither ever spins
+  // on a full shard while a consumer is descheduled; the consumers' warm-up
+  // is their attach, so neither spins waiting for items.
+  constexpr u64 kWarmBatches = 8;
   Pass p;
   for (int k = 0; k < setups; ++k) {
     const bool last = k + 1 == setups;
@@ -245,10 +244,9 @@ Pass run_sharded_pipeline(const Args& a, double window_s, int setups,
     Rounds rounds(kRounds);
     std::vector<Worker> ws;
     for (unsigned i = 0; i < kThreads; ++i) ws.emplace_back(kRounds);
-    Stamps stamps(kProducers);
     std::atomic<unsigned> producers_live{kProducers};
     const TickClock clock;
-    const u64 t0 = now_ns();
+    const u64 t0 = thread_cpu_ns();
     Q::Options opt;
     opt.shards = (kThreads - kProducers) * kShardsPerConsumer;
     opt.shard_order = 8;
@@ -267,9 +265,6 @@ Pass run_sharded_pipeline(const Args& a, double window_s, int setups,
         // Seeded span length, 16..48 (the example's 32 on average).
         const std::size_t n = 16 + rng.next() % 33;
         for (std::size_t j = 0; j < n; ++j) buf[j] = make_item(i, seq + j);
-        for (u64 s = seq; s < seq + n; ++s) {
-          if (Stamps::sampled(s)) stamps.put(i, s, now_ns());
-        }
         const u64 b0 = traced ? ticks() : 0;
         const u32 root =
             traced ? w.spans.begin(kPipelineBatch, SpanLog::kNone, batch, b0,
@@ -319,24 +314,16 @@ Pass run_sharded_pipeline(const Args& a, double window_s, int setups,
                                           q->acquire_consumer(first + 1)};
       w.pin_for_setup(i);  // acquire_consumer re-pinned it to the node
       w.ledger = Ledger(kProducers, opt.shards);
+      ready.signal();
       wcq::Backoff bo;
       u64 buf[kDeqBatch];
-      u64 got_total = 0, op = 0;
-      bool warm = true;
+      u64 op = 0;
       auto take = [&](Slice& sl, u64 v, unsigned shard) {
         w.ledger.take(v, shard);
         ++sl.items;
-        const u64 s = item_seq(v);
-        if (Stamps::sampled(s)) {
-          sl.lat.add(now_ns() - stamps.get(item_producer(v), s));
-        }
       };
       for (;; ++op) {
         w.tick(rounds);
-        if (warm && got_total >= kWarmItems) {
-          warm = false;
-          ready.signal();
-        }
         bool any = false;
         for (unsigned s = 0; s < kShardsPerConsumer; ++s) {
           const u64 c0 = traced ? ticks() : 0;
@@ -356,7 +343,6 @@ Pass run_sharded_pipeline(const Args& a, double window_s, int setups,
           }
           any = true;
           sl.ops += got;
-          got_total += got;
           for (std::size_t j = 0; j < got; ++j) take(sl, buf[j], first + s);
         }
         if (any) {
@@ -455,15 +441,32 @@ class OpenLoop {
   // Warm-up, the reference rounds and at most 13 search probes.
   static constexpr int kMaxSegments = 64;
 
+  // One segment's figures. The receiver-side fields are final once finish()
+  // has joined the receivers.
   struct Seg {
-    double seconds = 0;
-    u64 items = 0;
-    u64 backlog = 0;  // sent minus received when the segment's offer ended
-    Hist lat;         // ns, merged over receivers
-    Hist lag;         // generator lateness, ns
-    u64 cpu_ns = 0;   // receiver CPU, summed
-    u64 nvcsw = 0;    // receiver voluntary context switches, summed
+    u64 start = 0;     // the offer's time origin, ns
+    u64 items = 0;     // sent
+    u64 backlog = 0;   // sent minus received when the segment's offer ended
+    bool drained = false;  // all received within 2 s of the offer's end
+    u64 received = 0;  // summed over receivers
+    u64 end = 0;       // the segment's last receipt, ns
+    Hist lat;          // ns, merged over receivers
+    Hist lag;          // generator lateness, ns
+    u64 cpu_ns = 0;    // receiver CPU, summed
+    u64 nvcsw = 0;     // receiver voluntary context switches, summed
+
+    // Items received per second, from the offer's origin to the last
+    // receipt: the offered rate while the receivers keep up, less once
+    // they fall behind.
+    double received_per_s() const {
+      return end > start ? static_cast<double>(received) * 1e9 /
+                               static_cast<double>(end - start)
+                         : 0.0;
+    }
   };
+
+  // The backlog left when an offer ends that still counts as keeping up.
+  static u64 slack(u64 items) { return std::max<u64>(64, items / 100); }
 
   OpenLoop(const std::vector<float>& gaps, bool traced)
       : gaps_(gaps), traced_(traced), stamps_(kStampSlots),
@@ -474,6 +477,7 @@ class OpenLoop {
       r.cpu.assign(kMaxSegments, 0);
       r.nvcsw.assign(kMaxSegments, 0);
       r.items.assign(kMaxSegments, 0);
+      r.last.assign(kMaxSegments, 0);
       r.ledger = Ledger(1);
     }
   }
@@ -501,11 +505,11 @@ class OpenLoop {
   int segment(double rate, double seconds) {
     const int k = nseg_++;
     Seg& sg = segs_[k];
-    sg.seconds = seconds;
     first_[k].store(seq_, std::memory_order_relaxed);
     const double step = 1e9 / rate;
     const double span = seconds * 1e9;
     const u64 start = now_ns() + 20000;
+    sg.start = start;
     double t = 0;
     for (u64 op = 0;; ++op) {
       t += static_cast<double>(gaps_[gi_++ % gaps_.size()]) * step;
@@ -536,18 +540,21 @@ class OpenLoop {
     sg.backlog = seq_ - received();
     // Drain before the next segment, so one segment's backlog never lands
     // in the next one's latencies. A segment that does not drain within 2 s
-    // keeps its backlog (and fails any sustained-rate probe).
+    // fails any sustained-rate probe and invalidates a reference run; its
+    // late receipts still count, in finish().
     const u64 give_up = now_ns() + 2000000000ull;
     while (received() < seq_ && now_ns() < give_up) std::this_thread::yield();
-    if (received() < seq_) {
-      sg.backlog = seq_ - received();
-    } else {
+    sg.drained = received() >= seq_;
+    // A drained segment's receipts are all recorded: each receiver publishes
+    // its count after recording an item, and no later item is sent yet.
+    if (sg.drained) {
       for (const Rx& r : rx_) sg.lat.merge(r.lat[k]);
     }
     return k;
   }
 
-  // Closes the channel and joins the receivers; idempotent.
+  // Closes the channel, joins the receivers and totals every segment's
+  // receiver-side figures; idempotent.
   void finish() {
     if (!ch_ || closed_) return;
     closed_ = true;
@@ -555,9 +562,14 @@ class OpenLoop {
     for (auto& t : threads_) t.join();
     gen_.reset();
     for (int k = 0; k < nseg_; ++k) {
+      Seg& sg = segs_[k];
+      sg.lat = Hist{};
       for (const Rx& r : rx_) {
-        segs_[k].cpu_ns += r.cpu[k];
-        segs_[k].nvcsw += r.nvcsw[k];
+        sg.lat.merge(r.lat[k]);
+        sg.received += r.items[k];
+        sg.end = std::max(sg.end, r.last[k]);
+        sg.cpu_ns += r.cpu[k];
+        sg.nvcsw += r.nvcsw[k];
       }
     }
   }
@@ -576,13 +588,14 @@ class OpenLoop {
     return v;
   }
 
-  // Tests whether `rate` is sustained: p99 latency within the limit and no
-  // backlog left when the offer ended. A refused or lost item would show as
-  // a backlog (the check counts losses separately).
+  // Tests whether `rate` is sustained: the segment drained, no backlog was
+  // left when the offer ended and p99 latency is within the limit. A
+  // refused or lost item would show as a backlog (the check counts losses
+  // separately).
   bool sustained(double rate, double seconds, double p99_limit_ns) {
     const Seg& s = segs_[segment(rate, seconds)];
-    const u64 slack = std::max<u64>(64, s.items / 100);
-    return s.lat.quantile(0.99) <= p99_limit_ns && s.backlog <= slack;
+    return s.drained && s.backlog <= slack(s.items) &&
+           s.lat.quantile(0.99) <= p99_limit_ns;
   }
 
  private:
@@ -590,6 +603,7 @@ class OpenLoop {
     alignas(64) std::atomic<u64> received{0};
     std::vector<Hist> lat;
     std::vector<u64> cpu, nvcsw, items;
+    std::vector<u64> last;  // time of the segment's last receipt, ns
     Ledger ledger;
     SpanLog spans;
   };
@@ -647,6 +661,7 @@ class OpenLoop {
       rx.lat[seg].add(now - stamps_[s % kStampSlots].load(
                                 std::memory_order_relaxed));
       ++rx.items[seg];
+      rx.last[seg] = now;
       rx.received.store(++n, std::memory_order_release);
     }
     close_seg();
@@ -749,41 +764,63 @@ Pass run_channel_openloop(const Args& a, double window_s, int setups,
     p.attempted = ol.sent();
     p.failed = ol.failures();
 
-    std::vector<double> p50, p99, ips, opsps, cpu, lag;
-    int lagging = 0;
-    u64 samples = 0, items = 0, nvcsw = 0;
+    std::vector<double> p50, p99, ips, cpu, lag, backlog;
+    int lagging = 0, backlogged = 0, undrained = 0;
+    u64 samples = 0, received = 0, nvcsw = 0;
     for (int i : ref) {
       const OpenLoop::Seg& s = ol.seg(i);
       p50.push_back(s.lat.quantile(0.50));
       p99.push_back(s.lat.quantile(0.99));
-      ips.push_back(static_cast<double>(s.items) / s.seconds);
-      // One send and one recv call per item.
-      opsps.push_back(2.0 * static_cast<double>(s.items) / s.seconds);
+      ips.push_back(s.received_per_s());
       cpu.push_back(per(static_cast<double>(s.cpu_ns),
-                        static_cast<double>(s.items)));
+                        static_cast<double>(s.received)));
       lag.push_back(s.lag.quantile(0.99));
-      if (s.lag.quantile(0.99) > kLagLimitNs) ++lagging;
+      backlog.push_back(static_cast<double>(s.backlog));
+      // A generator that cannot keep the schedule is late on the median
+      // item; one preempted by the host is late only in the tail.
+      if (s.lag.quantile(0.50) > kLagLimitNs) ++lagging;
+      if (s.backlog > OpenLoop::slack(s.items)) ++backlogged;
+      if (!s.drained) ++undrained;
       samples += s.lat.count();
-      items += s.items;
+      received += s.received;
       nvcsw += s.nvcsw;
     }
     p.handoff_p50_us = median(p50) * 1e-3;
     p.handoff_p99_us = median(p99) * 1e-3;
-    p.handoff_samples = samples;
     p.items_mps = median(ips) * 1e-6;
-    p.ops_mops = median(opsps) * 1e-6;
+    // One send and one recv call per item.
+    p.ops_mops = 2 * p.items_mps;
     p.cpu_ns_per_item = median(cpu);
     p.thread_cpu_ns_per_item = p.cpu_ns_per_item;
-    char line[256];
+    char line[320];
     std::snprintf(line, sizeof line,
-                  "channel_openloop: reference %.0f items/s, generator lag "
-                  "p99 %.2f us (median of %d rounds)",
-                  kRefRate, median(lag) * 1e-3, kRounds);
+                  "channel_openloop: reference %.0f items/s over %d rounds "
+                  "(medians): handoff p50 %.3f us, p99 %.3f us from %llu "
+                  "items; generator lag p99 %.2f us; backlog at the end of "
+                  "the offer %.0f items (max %.0f)",
+                  kRefRate, kRounds, p.handoff_p50_us, p.handoff_p99_us,
+                  static_cast<unsigned long long>(samples), median(lag) * 1e-3,
+                  median(backlog),
+                  *std::max_element(backlog.begin(), backlog.end()));
     p.notes.emplace_back(line);
-    if (2 * lagging > kRounds) {
-      p.notes.push_back(
-          "channel_openloop: RUN INVALID: the generator fell behind its "
-          "schedule (lag p99 > 50 us) in most reference rounds");
+    // A run whose generator fell behind measured its own schedule, and one
+    // whose receivers fell behind measured a backlog: neither is a figure
+    // for the reference rate.
+    const char* invalid =
+        2 * lagging > kRounds
+            ? "the generator fell behind its schedule (lag p50 > 50 us) in "
+              "most reference rounds"
+        : undrained > 0
+            ? "a reference round's backlog did not drain within 2 s"
+        : 2 * backlogged > kRounds
+            ? "the backlog at the end of the offer exceeded 1% of the "
+              "round's items in most reference rounds"
+        : samples == 0 ? "no item was received"
+                       : nullptr;
+    if (invalid != nullptr) {
+      p.valid = false;
+      p.notes.push_back(std::string("channel_openloop: RUN INVALID: ") +
+                        invalid);
     }
     if (!traced) continue;
     const TraceSummary ts = summarize(p, a, "channel_openloop", ol.logs(), clock);
@@ -803,10 +840,14 @@ Pass run_channel_openloop(const Args& a, double window_s, int setups,
         {"runtime.channel.recv_wait_ns_p50", ts.ns(kChannelRecv, 0.50), "ns"});
     p.layer.push_back(
         {"runtime.channel.ctx_switches_per_item",
-         per(static_cast<double>(nvcsw), static_cast<double>(items)), "count"});
+         per(static_cast<double>(nvcsw), static_cast<double>(received)),
+         "count"});
     p.layer.push_back({"runtime.channel.sustained_kops", found * 1e-3,
                        "kitem/s"});
+    p.layer.push_back(
+        {"runtime.channel.handoff_p99_us", p.handoff_p99_us, "us"});
     p.layer.push_back({"bench.gen_lag_p99_us", median(lag) * 1e-3, "us"});
+    p.layer.push_back({"bench.backlog_items", median(backlog), "count"});
   }
   if (restore) pthread_setaffinity_np(pthread_self(), sizeof saved, &saved);
   return p;

@@ -26,13 +26,13 @@ struct Pass {
   double ops_mops = 0;
   double items_mps = 0;
   double handoff_p50_us = 0;
-  double handoff_p99_us = 0;
-  u64 handoff_samples = 0;
+  double handoff_p99_us = 0;  // channel_openloop only
   double cpu_ns_per_item = 0;         // consumer threads' CPU per item
   double thread_cpu_ns_per_item = 0;  // every worker's CPU per item
   double peak_mib = 0;
   u64 attempted = 0;
   u64 failed = 0;
+  bool valid = true;  // false when the run did not measure what it claims
   std::vector<Metric> layer;
   std::vector<std::string> notes;
 };
