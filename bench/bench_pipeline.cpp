@@ -1,4 +1,4 @@
-// Degree-specialized ring A/B (src/core/{mpsc,spmc}_ring.hpp, DESIGN.md
+// Degree-specialized ring A/B (MpscRing/SpmcRing in src/core/scq.hpp, DESIGN.md
 // §13): what deleting the consumer-side F&A/threshold machinery buys when
 // the workload actually has one consumer (or one producer).
 //

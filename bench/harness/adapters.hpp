@@ -16,9 +16,7 @@
 #include "baselines/ymc_queue.hpp"
 #include "common/env.hpp"
 #include "core/bounded_queue.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"

@@ -26,7 +26,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
-#include "core/mpsc_ring.hpp"
+#include "core/scq.hpp"
 #include "scale/sharded_queue.hpp"
 
 namespace {

@@ -9,9 +9,13 @@
 //
 // Reproduction notes (DESIGN.md §4): the original's wait-free slow path
 // (enqueue/dequeue request descriptors + peer helping) is replaced by
-// lock-free retry, and segment reclamation uses hazard pointers instead of
-// the original's handle-scan scheme. What the wCQ paper's evaluation
-// depends on is preserved:
+// lock-free retry. Segment reclamation keeps the original's handle-scan
+// scheme in its simplest form: each thread publishes the lowest segment id
+// its in-flight operation may touch, and the reclaimer frees unlinked
+// segments only below every published id. (Per-segment hazard pointers are
+// not enough here: a walk that protects `seg->next` validates it against a
+// link that unlinking never clears, so the next segment can already be
+// freed.) What the wCQ paper's evaluation depends on is preserved:
 //   * F&A-class throughput — the fast path is YMC's fast path verbatim;
 //   * segment churn and reclamation lag visible to the Fig 10 memory bench
 //     (segments allocate as indices advance and free only once every
@@ -20,7 +24,7 @@
 //     retired memory indefinitely.
 //
 // Cell states: kBot (vacant) / kTop (poisoned) / value. Segments are
-// allocated via the alloc meter (Fig 10) and retired through HazardDomain.
+// allocated via the alloc meter (Fig 10).
 #pragma once
 
 #include <atomic>
@@ -28,7 +32,6 @@
 
 #include "common/align.hpp"
 #include "common/alloc_meter.hpp"
-#include "reclaim/hazard_pointers.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -42,10 +45,12 @@ class YMCQueue {
     Segment* s = Segment::create(0);
     first_seg_.store(s, std::memory_order_relaxed);
     first_id_.store(0, std::memory_order_relaxed);
+    limbo_ = s;
+    for (auto& r : reserved_) r.value.store(kIdle, std::memory_order_relaxed);
   }
 
   ~YMCQueue() {
-    Segment* s = first_seg_.load(std::memory_order_relaxed);
+    Segment* s = limbo_;
     while (s != nullptr) {
       Segment* next = s->next.load(std::memory_order_relaxed);
       Segment::destroy(s);
@@ -57,16 +62,16 @@ class YMCQueue {
   YMCQueue& operator=(const YMCQueue&) = delete;
 
   bool enqueue(u64 value) {
-    HazardDomain& hp = HazardDomain::global();
-    Segment* seg = acquire_start_segment(hp);
+    std::atomic<u64>& res = reserved_[ThreadRegistry::tid()].value;
+    Segment* seg = begin_op(res);
     for (;;) {
       const u64 i = ei_.value.fetch_add(1, std::memory_order_seq_cst);
-      seg = walk_to(hp, seg, i >> kSegOrder);
+      seg = walk_to(seg, i >> kSegOrder);
       std::atomic<u64>& cell = seg->cells[i & (kSegCells - 1)];
       u64 expected = kBot;
       if (cell.compare_exchange_strong(expected, value,
                                        std::memory_order_seq_cst)) {
-        hp.clear_all();
+        res.store(kIdle, std::memory_order_release);
         return true;
       }
       // Cell poisoned by an overshooting dequeuer; take the next rank.
@@ -74,11 +79,11 @@ class YMCQueue {
   }
 
   std::optional<u64> dequeue() {
-    HazardDomain& hp = HazardDomain::global();
-    Segment* seg = acquire_start_segment(hp);
+    std::atomic<u64>& res = reserved_[ThreadRegistry::tid()].value;
+    Segment* seg = begin_op(res);
     for (;;) {
       const u64 i = di_.value.fetch_add(1, std::memory_order_seq_cst);
-      seg = walk_to(hp, seg, i >> kSegOrder);
+      seg = walk_to(seg, i >> kSegOrder);
       std::atomic<u64>& cell = seg->cells[i & (kSegCells - 1)];
       // Give an in-flight enqueuer of this rank a brief chance, then poison.
       u64 v = cell.load(std::memory_order_acquire);
@@ -95,8 +100,8 @@ class YMCQueue {
         }
       }
       if (v != kTop) {
+        res.store(kIdle, std::memory_order_release);
         maybe_reclaim(i);
-        hp.clear_all();
         return v;
       }
       // Poisoned a vacant cell: if no enqueuer is ahead, report empty and
@@ -107,8 +112,8 @@ class YMCQueue {
         while (e < i + 1 && !ei_.value.compare_exchange_weak(
                                 e, i + 1, std::memory_order_seq_cst)) {
         }
+        res.store(kIdle, std::memory_order_release);
         maybe_reclaim(i);
-        hp.clear_all();
         return std::nullopt;
       }
     }
@@ -129,9 +134,7 @@ class YMCQueue {
   static constexpr u64 kTop = ~u64{0} - 1;
   static constexpr int kSpinBeforePoison = 64;
   static constexpr u64 kReclaimMask = 4 * kSegCells - 1;  // scan cadence
-  // Hazard slots used during an operation (scratch; cleared on exit).
-  static constexpr unsigned kHpSeg = 0;
-  static constexpr unsigned kHpHop = 1;
+  static constexpr u64 kIdle = ~u64{0};  // reservation of a thread not in an op
 
   struct Segment {
     u64 id;
@@ -151,44 +154,45 @@ class YMCQueue {
     static void destroy(Segment* s) {
       alloc_meter::deallocate(s, sizeof(Segment));
     }
-    static void retire_cb(void* p) { destroy(static_cast<Segment*>(p)); }
   };
 
-  // Protect and return the current first segment. protect() validates the
-  // pointer against the source, so once returned the segment cannot be
-  // freed until we clear the slot, and every segment after it is still
-  // linked (only the strict prefix is ever unlinked).
-  Segment* acquire_start_segment(HazardDomain& hp) {
-    return hp.protect(kHpSeg, first_seg_);
+  // Publish this operation's reservation, then return its start segment.
+  // The reservation is first_id_ as read before the start segment, so it
+  // is at most the start segment's id, and the reclaimer frees nothing at
+  // or above it until the operation stores kIdle. The fence pairs with
+  // maybe_reclaim's: either the start-segment load sees that round's
+  // unlink, or that round's scan sees this reservation.
+  Segment* begin_op(std::atomic<u64>& res) {
+    const u64 first = first_id_.load(std::memory_order_acquire);
+    res.store(first, std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return first_seg_.load(std::memory_order_acquire);
   }
 
-  // Hand-over-hand protected walk to segment `want` (allocating missing
-  // segments at the end of the list). On return the result is protected by
-  // kHpSeg, which the caller keeps until its cell access is done.
-  Segment* walk_to(HazardDomain& hp, Segment* seg, u64 want) {
+  // Walk to segment `want`, allocating missing segments at the end of the
+  // list. Every segment from the start segment on stays allocated while the
+  // caller's reservation is published, linked or not.
+  Segment* walk_to(Segment* seg, u64 want) {
     while (seg->id < want) {
-      Segment* next = hp.protect(kHpHop, seg->next);
+      Segment* next = seg->next.load(std::memory_order_acquire);
       if (next == nullptr) {
         Segment* fresh = Segment::create(seg->id + 1);
-        Segment* expected = nullptr;
-        if (seg->next.compare_exchange_strong(expected, fresh,
+        if (seg->next.compare_exchange_strong(next, fresh,
                                               std::memory_order_seq_cst)) {
           next = fresh;
         } else {
-          Segment::destroy(fresh);
-          next = hp.protect(kHpHop, seg->next);
+          Segment::destroy(fresh);  // `next` now holds the winner
         }
       }
-      hp.set(kHpSeg, next);  // next stays protected by kHpHop during the move
       seg = next;
     }
     return seg;
   }
 
-  // Unlink and retire every segment both indices have moved past. Runs at a
-  // coarse cadence under a CAS lock; actual frees are gated by hazard
-  // pointers, so a stalled in-flight operation pins memory — YMC's
-  // documented reclamation weakness.
+  // Unlink every segment both indices have moved past, then free the
+  // unlinked ones below every published reservation. Runs at a coarse
+  // cadence under a CAS lock, so a stalled in-flight operation pins memory
+  // — YMC's documented reclamation weakness.
   void maybe_reclaim(u64 rank) {
     if ((rank & kReclaimMask) != 0) return;
     bool expected = false;
@@ -199,15 +203,25 @@ class YMCQueue {
     u64 min_id = ei_.value.load(std::memory_order_seq_cst) >> kSegOrder;
     const u64 di_id = di_.value.load(std::memory_order_seq_cst) >> kSegOrder;
     if (di_id < min_id) min_id = di_id;
-    HazardDomain& hp = HazardDomain::global();
     Segment* s = first_seg_.load(std::memory_order_acquire);
     while (s->id < min_id) {
       Segment* next = s->next.load(std::memory_order_acquire);
       if (next == nullptr) break;
       first_seg_.store(next, std::memory_order_seq_cst);
       first_id_.store(next->id, std::memory_order_seq_cst);
-      hp.retire(s, &Segment::retire_cb);
       s = next;
+    }
+    std::atomic_thread_fence(std::memory_order_seq_cst);  // see begin_op
+    u64 keep = s->id;
+    const unsigned threads = ThreadRegistry::high_water();
+    for (unsigned t = 0; t < threads; ++t) {
+      const u64 r = reserved_[t].value.load(std::memory_order_acquire);
+      if (r < keep) keep = r;
+    }
+    while (limbo_->id < keep) {
+      Segment* next = limbo_->next.load(std::memory_order_relaxed);
+      Segment::destroy(limbo_);
+      limbo_ = next;
     }
     reclaiming_.value.store(false, std::memory_order_release);
   }
@@ -217,6 +231,11 @@ class YMCQueue {
   alignas(kDestructiveRange) std::atomic<Segment*> first_seg_;
   std::atomic<u64> first_id_;
   CacheAligned<std::atomic<bool>> reclaiming_;
+  // Oldest segment not yet freed: the unlinked prefix runs from here to
+  // first_seg_. Touched only under reclaiming_ and by the ctor/dtor.
+  Segment* limbo_;
+  // Per-thread reservations, indexed by ThreadRegistry tid.
+  CacheAligned<std::atomic<u64>> reserved_[ThreadRegistry::kMaxThreads];
 };
 
 }  // namespace wcq

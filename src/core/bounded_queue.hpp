@@ -60,9 +60,7 @@
 #include <utility>
 
 #include "common/align.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/wcq.hpp"
 #include "runtime/thread_registry.hpp"
 #include "scale/index_magazine.hpp"
@@ -83,12 +81,10 @@ template <typename Ring>
 struct DefaultFreeRing {
   using type = Ring;
 };
-template <>
-struct DefaultFreeRing<MpscRing> {
-  using type = SCQ;
-};
-template <>
-struct DefaultFreeRing<SpmcRing> {
+template <typename Ring>
+  requires std::is_base_of_v<BasicScq<kMulti, kSingle>, Ring> ||
+           std::is_base_of_v<BasicScq<kSingle, kMulti>, Ring>
+struct DefaultFreeRing<Ring> {
   using type = SCQ;
 };
 
@@ -96,16 +92,11 @@ struct DefaultFreeRing<SpmcRing> {
 // exclusive-access paths below (destructor drain, reset) legitimately run
 // on a different thread than the bound owner, so they clear the binding
 // first. Symmetric rings have no such method — compile-time no-op.
-template <typename R, typename = void>
-struct HasReleaseSessions : std::false_type {};
-template <typename R>
-struct HasReleaseSessions<
-    R, std::void_t<decltype(std::declval<R&>().release_sessions())>>
-    : std::true_type {};
-
 template <typename R>
 void release_ring_sessions(R& ring) {
-  if constexpr (HasReleaseSessions<R>::value) ring.release_sessions();
+  if constexpr (requires { ring.release_sessions(); }) {
+    ring.release_sessions();
+  }
 }
 
 }  // namespace detail

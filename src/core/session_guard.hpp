@@ -1,5 +1,5 @@
-// Single-owner session guard for the degree-specialized rings
-// (core/mpsc_ring.hpp, core/spmc_ring.hpp; DESIGN.md §13).
+// Single-owner session guard for the degree-specialized rings, MpscRing and
+// SpmcRing (BasicScq in core/scq.hpp; DESIGN.md §13).
 //
 // MpscRing's consumer side and SpmcRing's producer side are correct only
 // under a single-session discipline: exactly one thread may ever drive the

@@ -43,7 +43,6 @@
 
 #include <atomic>
 #include <cassert>
-#include <cstdio>
 #include <optional>
 
 #include "analysis/sched_point.hpp"
@@ -409,52 +408,6 @@ class BasicWCQ {
   void dbg(int kind, u64 rank, u64 aux = 0) {
     if (debug_hooks.event != nullptr) {
       debug_hooks.event(debug_hooks.ctx, kind, rank, aux);
-    }
-  }
-
-  // Post-mortem diagnostic: dump ring slots and thread records to stderr.
-  // Not synchronized; only meaningful when the queue is quiescent/stuck.
-  // All loads relaxed (DESIGN.md §15 DBG-RELAXED): the dump races by
-  // construction, individual loads stay word-atomic either way, and on a
-  // quiescent queue every committed value is already visible — seq_cst here
-  // bought ordering no reader of the dump could use.
-  void debug_dump() const {
-    using std::memory_order_relaxed;
-    std::fprintf(stderr, "WCQ dump: head=%llu tail=%llu threshold=%lld\n",
-                 (unsigned long long)head_.lo.load(memory_order_relaxed),
-                 (unsigned long long)tail_.lo.load(memory_order_relaxed),
-                 (long long)threshold_.value.load(memory_order_relaxed));
-    std::fprintf(stderr, "  head.ref=%llx tail.ref=%llx\n",
-                 (unsigned long long)head_.hi.load(memory_order_relaxed),
-                 (unsigned long long)tail_.hi.load(memory_order_relaxed));
-    for (u64 pos = 0; pos < codec_.ring_size(); ++pos) {
-      const u64 j = remap_(pos);
-      const Entry e =
-          codec_.unpack(entries_[j].lo.load(memory_order_relaxed));
-      std::fprintf(
-          stderr,
-          "  slot[pos=%llu j=%llu] cycle=%llu safe=%d enq=%d "
-          "idx=%llu note=%llu\n",
-          (unsigned long long)pos, (unsigned long long)j,
-          (unsigned long long)e.cycle, e.safe ? 1 : 0, e.enq ? 1 : 0,
-          (unsigned long long)e.index,
-          (unsigned long long)entries_[j].hi.load(memory_order_relaxed));
-    }
-    for (unsigned i = 0; i < n_records(); ++i) {
-      const ThreadRec& r = records_[i];
-      std::fprintf(
-          stderr,
-          "  rec[%u] pending=%d enq=%d seq1=%llu seq2=%llu "
-          "ltail=%llx itail=%llx lhead=%llx ihead=%llx idx=%llu\n",
-          i, r.pending.load(memory_order_relaxed) ? 1 : 0,
-          r.is_enqueue.load(memory_order_relaxed) ? 1 : 0,
-          (unsigned long long)r.seq1.load(memory_order_relaxed),
-          (unsigned long long)r.seq2.load(memory_order_relaxed),
-          (unsigned long long)r.local_tail.load(memory_order_relaxed),
-          (unsigned long long)r.init_tail.load(memory_order_relaxed),
-          (unsigned long long)r.local_head.load(memory_order_relaxed),
-          (unsigned long long)r.init_head.load(memory_order_relaxed),
-          (unsigned long long)r.index.load(memory_order_relaxed));
     }
   }
 

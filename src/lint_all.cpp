@@ -23,11 +23,9 @@
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/entry.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/remap.hpp"
 #include "core/scq.hpp"
 #include "core/session_guard.hpp"
-#include "core/spmc_ring.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"

@@ -21,9 +21,7 @@
 #include <cstdint>
 #include <memory>
 
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
-#include "core/spmc_ring.hpp"
 #include "explore.hpp"
 
 namespace wcq {

@@ -19,7 +19,7 @@
 #include <iostream>
 #include <memory>
 
-#include "core/mpsc_ring.hpp"
+#include "core/scq.hpp"
 #include "explore.hpp"
 
 #if !defined(WCQ_ANALYSIS_MUTATE_MPSC)

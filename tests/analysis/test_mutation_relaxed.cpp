@@ -21,7 +21,7 @@
 #include <iostream>
 #include <memory>
 
-#include "core/spmc_ring.hpp"
+#include "core/scq.hpp"
 #include "explore.hpp"
 
 #if !defined(WCQ_ANALYSIS_MUTATE_RELAXED)

@@ -3,7 +3,8 @@
 // stores — no Head F&A, no threshold, no consume fetch_or. The counter
 // tests pin the "deleted, not just cheap" claim (the bench gate asserts the
 // same zeros end to end); the death tests pin the session contract.
-#include "core/mpsc_ring.hpp"
+// The round-trip cases every ring degree shares live in test_scq.cpp.
+#include "core/scq.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,45 +30,6 @@ TEST(MpscRing, StartsEmpty) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(MpscRing, SingleElementRoundTrip) {
-  MpscRing q(4);
-  q.enqueue(7);
-  auto v = q.dequeue();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7u);
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(MpscRing, FifoOrderWithinCapacity) {
-  MpscRing q(6);
-  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
-  for (u64 i = 0; i < q.capacity(); ++i) {
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(MpscRing, WraparoundManyCycles) {
-  MpscRing q(3);  // capacity 8, ring 16: many wraps below
-  for (u64 i = 0; i < 10000; ++i) {
-    q.enqueue(i % q.capacity());
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i % q.capacity());
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(MpscRing, FullCapacityIsUsable) {
-  MpscRing q(8);
-  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
-  u64 count = 0;
-  while (q.dequeue().has_value()) ++count;
-  EXPECT_EQ(count, q.capacity());
-}
-
 TEST(MpscRing, EmptyDequeueLeavesHeadAlone) {
   // Without a threshold the empty exit is the tail<=head comparison; it
   // must not burn ranks (the SCQ property the deletion has to preserve).
@@ -81,22 +43,6 @@ TEST(MpscRing, EmptyDequeueLeavesHeadAlone) {
   EXPECT_EQ(q.head(), head_before) << "empty dequeues advanced Head";
   q.enqueue(3);
   EXPECT_EQ(q.dequeue().value(), 3u);
-}
-
-TEST(MpscRing, BulkRoundTripPreservesFifo) {
-  MpscRing q(6);
-  u64 in[48], out[48];
-  for (u64 i = 0; i < 48; ++i) in[i] = i;
-  q.enqueue_bulk(in, 48);
-  std::size_t got = 0;
-  while (got < 48) {
-    const std::size_t k = q.dequeue_bulk(out + got, 48 - got);
-    if (k == 0) break;
-    got += k;
-  }
-  ASSERT_EQ(got, 48u);
-  for (u64 i = 0; i < 48; ++i) ASSERT_EQ(out[i], i);
-  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(MpscRing, ConsumerPathCountsNothing) {

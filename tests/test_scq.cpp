@@ -1,4 +1,6 @@
-// SCQ (paper Fig 3) unit and concurrency tests.
+// SCQ (paper Fig 3) unit and concurrency tests, plus the layout checks and
+// round-trip cases every degree of the BasicScq family (SCQ, MpscRing,
+// SpmcRing; DESIGN.md §13) shares.
 #include "core/scq.hpp"
 
 #include <gtest/gtest.h>
@@ -14,17 +16,23 @@
 namespace wcq {
 namespace {
 
-TEST(Scq, StartsEmpty) {
-  SCQ q(4);
-  EXPECT_EQ(q.capacity(), 16u);
-  EXPECT_EQ(q.ring_size(), 32u);
-  EXPECT_EQ(q.threshold(), -1);
-  EXPECT_FALSE(q.dequeue().has_value());
-  EXPECT_FALSE(q.dequeue().has_value());
-}
+// --- Per-degree layout (DESIGN.md §13 MPSC-THLD) ---------------------------
+// With one consumer the threshold is deleted, member and all: a merge that
+// left a dead threshold cache line in the MPSC ring must fail to build.
+template <class Ring>
+concept HasThreshold = requires(const Ring& r) { r.threshold(); };
+static_assert(!HasThreshold<MpscRing>, "MpscRing must not keep a threshold");
+static_assert(HasThreshold<SCQ> && HasThreshold<SpmcRing>,
+              "multi-consumer rings keep the 3n-1 threshold");
+static_assert(sizeof(MpscRing) < sizeof(SCQ),
+              "MpscRing must not carry the threshold's cache line");
 
-TEST(Scq, SingleElementRoundTrip) {
-  SCQ q(4);
+// --- Cases every degree of the family passes -------------------------------
+// Written once over the ring type; each alias runs them under its own suite
+// name (Scq.*, MpscRing.*, SpmcRing.*).
+template <class Ring>
+void SingleElementRoundTrip() {
+  Ring q(4);
   q.enqueue(7);
   auto v = q.dequeue();
   ASSERT_TRUE(v.has_value());
@@ -32,14 +40,91 @@ TEST(Scq, SingleElementRoundTrip) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(Scq, FifoOrderWithinCapacity) {
-  SCQ q(6);
+template <class Ring>
+void FifoOrderWithinCapacity() {
+  Ring q(6);
   for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
   for (u64 i = 0; i < q.capacity(); ++i) {
     auto v = q.dequeue();
     ASSERT_TRUE(v.has_value());
     EXPECT_EQ(*v, i);
   }
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+template <class Ring>
+void WraparoundManyCycles() {
+  Ring q(3);  // capacity 8, ring 16: many wraps below
+  for (u64 i = 0; i < 10000; ++i) {
+    q.enqueue(i % q.capacity());
+    auto v = q.dequeue();
+    ASSERT_TRUE(v.has_value());
+    ASSERT_EQ(*v, i % q.capacity());
+  }
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+template <class Ring>
+void FullCapacityIsUsable() {
+  // The ring holds 2n slots; all n logical indices may be enqueued at once.
+  Ring q(8);
+  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
+  u64 count = 0;
+  while (q.dequeue().has_value()) ++count;
+  EXPECT_EQ(count, q.capacity());
+}
+
+template <class Ring>
+void BulkRoundTripPreservesFifo() {
+  Ring q(6);
+  u64 in[48], out[48];
+  for (u64 i = 0; i < 48; ++i) in[i] = i;
+  q.enqueue_bulk(in, 48);
+  std::size_t got = 0;
+  while (got < 48) {
+    const std::size_t k = q.dequeue_bulk(out + got, 48 - got);
+    if (k == 0) break;
+    got += k;
+  }
+  ASSERT_EQ(got, 48u);
+  for (u64 i = 0; i < 48; ++i) ASSERT_EQ(out[i], i);
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TEST(Scq, SingleElementRoundTrip) { SingleElementRoundTrip<SCQ>(); }
+TEST(Scq, FifoOrderWithinCapacity) { FifoOrderWithinCapacity<SCQ>(); }
+TEST(Scq, WraparoundManyCycles) { WraparoundManyCycles<SCQ>(); }
+TEST(Scq, FullCapacityIsUsable) { FullCapacityIsUsable<SCQ>(); }
+TEST(Scq, BulkRoundTripPreservesFifo) { BulkRoundTripPreservesFifo<SCQ>(); }
+
+TEST(MpscRing, SingleElementRoundTrip) { SingleElementRoundTrip<MpscRing>(); }
+TEST(MpscRing, FifoOrderWithinCapacity) {
+  FifoOrderWithinCapacity<MpscRing>();
+}
+TEST(MpscRing, WraparoundManyCycles) { WraparoundManyCycles<MpscRing>(); }
+TEST(MpscRing, FullCapacityIsUsable) { FullCapacityIsUsable<MpscRing>(); }
+TEST(MpscRing, BulkRoundTripPreservesFifo) {
+  BulkRoundTripPreservesFifo<MpscRing>();
+}
+
+TEST(SpmcRing, SingleElementRoundTrip) { SingleElementRoundTrip<SpmcRing>(); }
+TEST(SpmcRing, FifoOrderWithinCapacity) {
+  FifoOrderWithinCapacity<SpmcRing>();
+}
+TEST(SpmcRing, WraparoundManyCycles) { WraparoundManyCycles<SpmcRing>(); }
+TEST(SpmcRing, FullCapacityIsUsable) { FullCapacityIsUsable<SpmcRing>(); }
+TEST(SpmcRing, BulkRoundTripPreservesFifo) {
+  BulkRoundTripPreservesFifo<SpmcRing>();
+}
+
+// --- SCQ-specific ----------------------------------------------------------
+
+TEST(Scq, StartsEmpty) {
+  SCQ q(4);
+  EXPECT_EQ(q.capacity(), 16u);
+  EXPECT_EQ(q.ring_size(), 32u);
+  EXPECT_EQ(q.threshold(), -1);
+  EXPECT_FALSE(q.dequeue().has_value());
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
@@ -66,17 +151,6 @@ TEST(Scq, EmptyFastPathAfterDrain) {
   }
 }
 
-TEST(Scq, WraparoundManyCycles) {
-  SCQ q(3);  // capacity 8, ring 16: many wraps below
-  for (u64 i = 0; i < 10000; ++i) {
-    q.enqueue(i % q.capacity());
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i % q.capacity());
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
 TEST(Scq, BurstWraparound) {
   SCQ q(5);
   const u64 cap = q.capacity();
@@ -89,31 +163,6 @@ TEST(Scq, BurstWraparound) {
     }
     ASSERT_FALSE(q.dequeue().has_value());
   }
-}
-
-TEST(Scq, FullCapacityIsUsable) {
-  // The ring holds 2n slots; all n logical indices may be enqueued at once.
-  SCQ q(8);
-  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
-  u64 count = 0;
-  while (q.dequeue().has_value()) ++count;
-  EXPECT_EQ(count, q.capacity());
-}
-
-TEST(Scq, BulkRoundTripPreservesFifo) {
-  SCQ q(6);
-  u64 in[48], out[48];
-  for (u64 i = 0; i < 48; ++i) in[i] = i;
-  q.enqueue_bulk(in, 48);
-  std::size_t got = 0;
-  while (got < 48) {
-    const std::size_t k = q.dequeue_bulk(out + got, 48 - got);
-    if (k == 0) break;
-    got += k;
-  }
-  ASSERT_EQ(got, 48u);
-  for (u64 i = 0; i < 48; ++i) ASSERT_EQ(out[i], i);
-  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(Scq, BulkSpanCostsOneFaa) {

@@ -3,7 +3,8 @@
 // stores (no F&A) and re-arms the threshold with a store instead of a MAX
 // RMW; the multi-consumer dequeue side is SCQ verbatim minus the catchup
 // (the producer pulls Tail up itself).
-#include "core/spmc_ring.hpp"
+// The round-trip cases every ring degree shares live in test_scq.cpp.
+#include "core/scq.hpp"
 
 #include <gtest/gtest.h>
 
@@ -29,45 +30,6 @@ TEST(SpmcRing, StartsEmpty) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-TEST(SpmcRing, SingleElementRoundTrip) {
-  SpmcRing q(4);
-  q.enqueue(7);
-  auto v = q.dequeue();
-  ASSERT_TRUE(v.has_value());
-  EXPECT_EQ(*v, 7u);
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(SpmcRing, FifoOrderWithinCapacity) {
-  SpmcRing q(6);
-  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
-  for (u64 i = 0; i < q.capacity(); ++i) {
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    EXPECT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(SpmcRing, WraparoundManyCycles) {
-  SpmcRing q(3);
-  for (u64 i = 0; i < 10000; ++i) {
-    q.enqueue(i % q.capacity());
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i % q.capacity());
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
-}
-
-TEST(SpmcRing, FullCapacityIsUsable) {
-  SpmcRing q(8);
-  for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
-  u64 count = 0;
-  while (q.dequeue().has_value()) ++count;
-  EXPECT_EQ(count, q.capacity());
-}
-
 TEST(SpmcRing, ThresholdLifecycleKept) {
   // The threshold referees the concurrent consumers, so unlike MpscRing it
   // stays: enqueue re-arms to 3n-1 (by store, not RMW), failed dequeues
@@ -87,22 +49,6 @@ TEST(SpmcRing, ThresholdLifecycleKept) {
   EXPECT_EQ(q.head(), head_before) << "empty dequeues still touched Head";
   q.enqueue(3);
   EXPECT_EQ(q.dequeue().value(), 3u);
-}
-
-TEST(SpmcRing, BulkRoundTripPreservesFifo) {
-  SpmcRing q(6);
-  u64 in[48], out[48];
-  for (u64 i = 0; i < 48; ++i) in[i] = i;
-  q.enqueue_bulk(in, 48);
-  std::size_t got = 0;
-  while (got < 48) {
-    const std::size_t k = q.dequeue_bulk(out + got, 48 - got);
-    if (k == 0) break;
-    got += k;
-  }
-  ASSERT_EQ(got, 48u);
-  for (u64 i = 0; i < 48; ++i) ASSERT_EQ(out[i], i);
-  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 TEST(SpmcRing, ProducerPathCountsNoFaa) {
