@@ -13,11 +13,13 @@
 //    the outer list here is Michael&Scott-style (lock-free) with hazard
 //    pointers, which preserves the appendix's structure and memory behavior
 //    while the inner rings remain wait-free.
-//  * Finalization is implemented with a segment-level gate plus an
-//    in-flight enqueuer counter instead of the appendix's Tail finalize bit
-//    (which lives inside the ring's F&A word): a segment is unlinked only
-//    when it is finalized, drained, and free of in-flight enqueuers, which
-//    makes "help finalize, then append" (Fig 13 lines 21-22) unnecessary.
+//  * Finalization is implemented with a segment-level gate instead of the
+//    appendix's Tail finalize bit (which lives inside the ring's F&A word).
+//    An enqueuer announces itself through the hazard it already publishes
+//    on the tail segment, in a slot reserved for enqueues (kEnqSlot): a
+//    segment is unlinked only when it is finalized, drained, and no
+//    thread's enqueue slot holds it, which makes "help finalize, then
+//    append" (Fig 13 lines 21-22) unnecessary.
 //
 // Segment recycling (DESIGN.md §8): with Options::recycle (the default), a
 // retired segment is reset and parked in a SegmentPool once its hazard
@@ -30,7 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -205,7 +206,11 @@ class UnboundedQueue {
 
   bool enqueue(Handle& h, T value) {
     for (;;) {
-      Segment* ltail = HazardDomain::protect(*h.hp_row_, 0, tail_.value);
+      // The enqueue-slot hazard is also this enqueue's in-flight
+      // announcement: from here until it is cleared, no dequeuer unlinks
+      // ltail (SEG-FIN, DESIGN.md §11).
+      Segment* ltail =
+          HazardDomain::protect(*h.hp_row_, kEnqSlot, tail_.value);
       Segment* next = ltail->next.load(std::memory_order_acquire);
       if (next != nullptr) {
         // Outer tail lags; help swing it (Fig 13 lines 24-27).
@@ -214,21 +219,26 @@ class UnboundedQueue {
         continue;
       }
       if (ltail->enqueue(h.tid_, value)) {
-        HazardDomain::clear(*h.hp_row_, 0);
+        HazardDomain::clear(*h.hp_row_, kEnqSlot);
         return true;
       }
       // Ring full: it is now finalized; append a fresh ring seeded with the
-      // value (Fig 13 lines 7-8, 21-23).
+      // value (Fig 13 lines 7-8, 21-23). The announcement ends here, so a
+      // dequeuer waiting on ltail never waits on the growth path; slot 0
+      // keeps ltail protected for the append CASes.
+      HazardDomain::set(*h.hp_row_, 0, ltail);
+      HazardDomain::clear(*h.hp_row_, kEnqSlot);
       Segment* fresh = acquire_segment(h);
       (void)fresh->enqueue(h.tid_, value);  // empty open ring: cannot fail
       Segment* expected = nullptr;
-      if (ltail->next.compare_exchange_strong(expected, fresh,
-                                              std::memory_order_seq_cst)) {
+      const bool linked = ltail->next.compare_exchange_strong(
+          expected, fresh, std::memory_order_seq_cst);
+      if (linked) {
         tail_.value.compare_exchange_strong(ltail, fresh,
                                             std::memory_order_seq_cst);
-        HazardDomain::clear(*h.hp_row_, 0);
-        return true;
       }
+      HazardDomain::clear(*h.hp_row_, 0);
+      if (linked) return true;
       // Somebody appended first; take the seeded element back (we own fresh
       // exclusively, so this dequeue cannot fail) and retry there. With the
       // moving chain the element lives in fresh now — the old copying chain
@@ -258,10 +268,10 @@ class UnboundedQueue {
       }
       // A successor exists, so lhead is finalized. It may only be unlinked
       // once no enqueuer can still complete on it and it is drained.
-      if (!lhead->quiescent()) {
-        // An in-flight enqueue may still land here; try dequeuing again.
-        // The enqueuer holding in_flight may be descheduled, so this wait
-        // must back off or it livelocks an oversubscribed host.
+      if (!quiescent(lhead)) {
+        // An announced enqueue may still land here; try dequeuing again.
+        // The announcing enqueuer may be descheduled, so this wait must
+        // back off or it livelocks an oversubscribed host.
         bo.pause();
         continue;
       }
@@ -281,21 +291,23 @@ class UnboundedQueue {
   // Diagnostic: number of linked segments, safe to call concurrently with
   // enqueue/dequeue on other threads.
   //
-  // The walk is hazard-protected hand-over-hand (slots 1-3; operations use
-  // slot 0). The liveness argument leans on the list's shape: segments are
-  // unlinked *only at the head*, so every node reachable from the current
-  // head is linked. The walker pins the head it started from in slot 1 for
-  // the whole walk; after publishing a hazard on each `next` it re-reads
-  // head_ — if head_ still equals the pinned start, no unlink (and hence no
-  // retirement) has happened since the walk began, so `next` is linked and
-  // now protected. If head_ moved, `next` may already be retired-and-freed
-  // (our hazard was published too late to be seen by that scan), so the
-  // walk restarts. head_ cannot ABA back to the pinned segment: re-linking
-  // requires recycling, which the slot-1 hazard blocks (DESIGN.md §8).
+  // The walk is hazard-protected hand-over-hand in slots 0, 2 and 3 (slot 0
+  // is free outside an operation; the enqueue slot is never touched, so the
+  // walk is never mistaken for an in-flight enqueue). The liveness argument
+  // leans on the list's shape: segments are unlinked *only at the head*, so
+  // every node reachable from the current head is linked. The walker pins
+  // the head it started from in slot 0 for the whole walk; after publishing
+  // a hazard on each `next` it re-reads head_ — if head_ still equals the
+  // pinned start, no unlink (and hence no retirement) has happened since
+  // the walk began, so `next` is linked and now protected. If head_ moved,
+  // `next` may already be retired-and-freed (our hazard was published too
+  // late to be seen by that scan), so the walk restarts. head_ cannot ABA
+  // back to the pinned segment: re-linking requires recycling, which the
+  // slot-0 hazard blocks (DESIGN.md §8).
   u64 live_segments() const {
     Backoff bo;
     for (;;) {
-      Segment* h0 = hp_.protect(1, head_.value);
+      Segment* h0 = hp_.protect(0, head_.value);
       Segment* s = h0;
       u64 n = 1;
       unsigned slot = 2;
@@ -312,7 +324,7 @@ class UnboundedQueue {
         ++n;
         slot = slot == 2 ? 3 : 2;  // keep the previous hop protected
       }
-      hp_.clear(1);
+      hp_.clear(0);
       hp_.clear(2);
       hp_.clear(3);
       if (!restart) return n;
@@ -351,8 +363,6 @@ class UnboundedQueue {
     // recycler holds the only reference). Ring/bounded resets rewind the
     // Fig 2 state; clearing `next` detaches it from the dead list tail.
     void reset() {
-      assert(in_flight.load(std::memory_order_relaxed) == 0 &&
-             "reset of a segment with in-flight enqueuers");
       queue.reset();
       finalized.store(false, std::memory_order_relaxed);
       next.store(nullptr, std::memory_order_relaxed);
@@ -364,31 +374,22 @@ class UnboundedQueue {
     // enqueue_movable contract), so the caller can retarget it. The caller's
     // session tid threads through: the segment rebuilds its BoundedQueue
     // view from it by arithmetic (DESIGN.md §10), so segment churn costs no
-    // registry lookups.
+    // registry lookups. On a published segment the caller must hold it in
+    // its enqueue slot: that hazard, stored before the gate load below, is
+    // the announcement the dequeuers' quiescence check scans for.
     bool enqueue(unsigned tid, T& v) {
-      in_flight.fetch_add(1, std::memory_order_seq_cst);
-      if (finalized.load(std::memory_order_seq_cst)) {
-        in_flight.fetch_sub(1, std::memory_order_seq_cst);
-        return false;
-      }
+      if (finalized.load(std::memory_order_seq_cst)) return false;
       auto bh = queue.handle_for(tid);
       const bool ok = queue.enqueue_movable(bh, v);
       if (!ok) {
         finalized.store(true, std::memory_order_seq_cst);
       }
-      in_flight.fetch_sub(1, std::memory_order_seq_cst);
       return ok;
     }
 
     std::optional<T> dequeue(unsigned tid) {
       auto bh = queue.handle_for(tid);
       return queue.dequeue(bh);
-    }
-
-    // True when no enqueuer can still add an element to this segment.
-    bool quiescent() const {
-      return finalized.load(std::memory_order_seq_cst) &&
-             in_flight.load(std::memory_order_seq_cst) == 0;
     }
 
     BoundedQueue<T, Ring> queue;
@@ -398,9 +399,27 @@ class UnboundedQueue {
     // through the free list (DESIGN.md §12).
     unsigned home_node = 0;
     alignas(kCacheLine) std::atomic<bool> finalized{false};
-    alignas(kCacheLine) std::atomic<int> in_flight{0};
     alignas(kCacheLine) std::atomic<Segment*> next{nullptr};
   };
+
+  // True when no enqueuer can still add an element to `s`: it is finalized
+  // and no thread announces an enqueue on it. The finalized load and the
+  // scan's fence pair with the enqueuer's announce-then-gate-load (a Dekker):
+  // an enqueuer the scan misses announced after the fence, so its gate load
+  // sees `finalized` and it backs off. The scan's acquire loads make the
+  // ring writes of an enqueue whose announcement they see cleared visible
+  // to the caller's re-dequeue (SEG-FIN, DESIGN.md §11).
+  bool quiescent(const Segment* s) const {
+    if (!s->finalized.load(std::memory_order_seq_cst)) return false;
+#if defined(WCQ_ANALYSIS_MUTATE_SEGFIN)
+    // Mutation self-test (tests/analysis/test_mutation_segfin.cpp): trust
+    // the gate alone, so an enqueuer that passed it before finalization can
+    // still land its element after the segment is unlinked.
+    return true;
+#else
+    return !hp_.held_in_slot(kEnqSlot, s);
+#endif
+  }
 
   // Growth path: reuse a parked segment when one is available. A pooled
   // segment was reset by its recycler; the pool's release/acquire hand-off
@@ -455,6 +474,11 @@ class UnboundedQueue {
   // (which would re-introduce steady-state allocation). Retirement happens
   // once per 2^segment_order operations, so eager scans are negligible.
   static constexpr std::size_t kRetireScanThreshold = 2;
+
+  // Hazard slot held only by an enqueue in progress, on the tail segment it
+  // targets: the in-flight announcement quiescent() scans for. Slot 0
+  // protects segments on every other path; live_segments() walks in 0, 2, 3.
+  static constexpr unsigned kEnqSlot = 1;
 
   Options opt_;
   const Topology* topo_ = nullptr;

@@ -95,6 +95,22 @@ void HazardDomain::clear_all() {
   for (auto& s : row.slots) s.store(nullptr, std::memory_order_release);
 }
 
+bool HazardDomain::held_in_slot(unsigned slot, const void* p) const {
+  // The fence orders the caller's preceding seq_cst load (of the state the
+  // announcers check after publishing) before every slot load; high_water()
+  // is read after it, so every row whose publish precedes the fence is
+  // swept.
+  std::atomic_thread_fence(std::memory_order_seq_cst);
+  const unsigned hw = ThreadRegistry::high_water();
+  for (unsigned t = 0; t < hw; ++t) {
+    WCQ_SCHED_POINT(kHazardScan);
+    if (impl_->rows[t].slots[slot].load(std::memory_order_acquire) == p) {
+      return true;
+    }
+  }
+  return false;
+}
+
 void HazardDomain::retire(void* p, void (*deleter)(void*)) {
   retire_common(ThreadRegistry::tid(), p, deleter, nullptr, nullptr);
 }

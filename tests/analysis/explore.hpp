@@ -56,6 +56,24 @@ inline std::vector<Script> pairs_scripts(unsigned workers, unsigned pairs,
   return scripts;
 }
 
+// Each worker enqueues `burst` values, then dequeues `burst` times. No
+// dequeue runs before the first worker's last enqueue, so on an
+// UnboundedQueue whose segments hold fewer than `burst` elements every
+// schedule finalizes a segment and appends the next. Values encode worker
+// and ordinal.
+inline std::vector<Script> burst_scripts(unsigned workers, unsigned burst) {
+  std::vector<Script> scripts(workers);
+  for (unsigned w = 0; w < workers; ++w) {
+    for (unsigned k = 0; k < burst; ++k) {
+      scripts[w].push_back({OpKind::kEnq, std::uint64_t{w} * 100 + k});
+    }
+    for (unsigned k = 0; k < burst; ++k) {
+      scripts[w].push_back({OpKind::kDeq, 0});
+    }
+  }
+  return scripts;
+}
+
 // Two workers, producer/consumer: w0 enqueues `count` distinct values,
 // w1 dequeues `count` times (empties included — they must linearize).
 // `count` must not exceed the ring capacity.
@@ -69,8 +87,9 @@ inline std::vector<Script> prodcon_scripts(unsigned count) {
 }
 
 // Queue adapters: one shape for the bare rings (void enqueue — the Fig 2
-// contract says they are never full in-contract) and one for BoundedQueue
-// (bool enqueue, spurious full tolerated when magazines are on).
+// contract says they are never full in-contract), one for BoundedQueue
+// (bool enqueue, spurious full tolerated when magazines are on), and
+// UnboundedQueue's, which never reports full (it appends a segment).
 template <typename Ring>
 struct RingAdapter {
   using Queue = Ring;
@@ -89,6 +108,9 @@ struct BoundedAdapter {
   static bool enq(Queue& q, std::uint64_t v) { return q.enqueue(v); }
   static std::optional<std::uint64_t> deq(Queue& q) { return q.dequeue(); }
 };
+
+template <typename Unbounded>
+using UnboundedAdapter = BoundedAdapter<Unbounded, false>;
 
 struct ScheduleResult {
   std::vector<OpRec> history;

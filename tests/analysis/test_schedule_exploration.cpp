@@ -13,6 +13,7 @@
 
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
+#include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"
 #include "explore.hpp"
@@ -23,6 +24,7 @@ namespace {
 using analysis_test::OpKind;
 using analysis_test::PctScheduler;
 using analysis_test::Script;
+using analysis_test::burst_scripts;
 using analysis_test::linearizable_fifo;
 using analysis_test::pairs_scripts;
 using analysis_test::prodcon_scripts;
@@ -36,9 +38,10 @@ constexpr std::size_t kOpBudget = 20000;
 
 constexpr unsigned kSeeds = 48;
 
-template <typename Adapter, typename MakeQueue>
+// `after_run(q)` inspects each queue once its schedule has completed.
+template <typename Adapter, typename MakeQueue, typename AfterRun>
 void explore(MakeQueue make_queue, const std::vector<Script>& scripts,
-             std::size_t capacity) {
+             std::size_t capacity, AfterRun after_run) {
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
     auto q = make_queue();
     PctScheduler::Config cfg;
@@ -51,7 +54,15 @@ void explore(MakeQueue make_queue, const std::vector<Script>& scripts,
     ASSERT_TRUE(linearizable_fifo(r.history, capacity,
                                   Adapter::kAllowSpuriousFull))
         << "non-linearizable history, seed " << seed;
+    after_run(*q);
   }
+}
+
+template <typename Adapter, typename MakeQueue>
+void explore(MakeQueue make_queue, const std::vector<Script>& scripts,
+             std::size_t capacity) {
+  explore<Adapter>(make_queue, scripts, capacity,
+                   [](typename Adapter::Queue&) {});
 }
 
 TEST(SchedExplore, ScqPairs) {
@@ -113,6 +124,29 @@ TEST(SchedExplore, BoundedMagazinesOn) {
             .order = 2, .magazine = {.enabled = true, .capacity = 16}});
       },
       pairs_scripts(3, 2, true), 4);
+}
+
+using UnboundedU64 = UnboundedQueue<std::uint64_t, WCQ>;
+
+// Two-item segments under three-element bursts: every schedule finalizes a
+// segment and appends the next, and dequeues drain and unlink finalized
+// segments — the enqueue-slot announcement (SEG-FIN) under the preemption
+// schedule. The
+// queue is unbounded; occupancy never exceeds the nine scripted elements,
+// so any larger capacity makes the checker's full rule inert. The after-run
+// check confirms the run really crossed segments.
+TEST(SchedExplore, UnboundedTinySegments) {
+  unsigned grew = 0;
+  explore<analysis_test::UnboundedAdapter<UnboundedU64>>(
+      [] {
+        return std::make_unique<UnboundedU64>(
+            UnboundedU64::Options{.segment_order = 1});
+      },
+      burst_scripts(3, 3), 64, [&grew](UnboundedU64& q) {
+        q.reclaim_flush();  // retired segments park in the pool
+        if (q.live_segments() + q.pooled_segments() > 1) ++grew;
+      });
+  EXPECT_EQ(grew, kSeeds) << "a schedule never left the first segment";
 }
 
 }  // namespace
