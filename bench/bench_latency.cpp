@@ -13,7 +13,7 @@
 //         policy), then parks on the eventcount futex.
 //
 // Per series the JSON reports p50/p90/p99/p999/mean/max latency plus the
-// full accounting the CI gate (bench/check_latency.py) verifies: sent ==
+// full accounting the `latency` CI gate (bench/gates.json) verifies: sent ==
 // received, lost == 0, percentiles monotone, and the channel's degraded-
 // mode counters (parks, notifies, timeouts, closed rejects,
 // accepted_after_close, stranded).
@@ -22,7 +22,8 @@
 // measure_point/Series machinery — open-loop latency has its own schema
 // (samples, not Mops) — but it accepts the same smoke flags (--ops, --runs,
 // --json, --no-pin, --threads is accepted and ignored: the open-loop model
-// is one generator + one consumer by construction). Extra knobs:
+// is one generator + one consumer by construction) and rejects the same bad
+// flags. Extra knobs:
 //   --rate=<hz>      mean arrival rate (default 200000)
 //   WCQ_BENCH_ORDER  channel capacity order (default 10 -> 1024 slots)
 #include <algorithm>
@@ -31,7 +32,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <vector>
@@ -208,13 +208,8 @@ void write_series_json(std::FILE* f, const SeriesResult& s,
 }
 
 int run(int argc, char** argv) {
-  BenchParams p = BenchParams::parse(argc, argv);
-  double rate_hz = 200000.0;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rate=", 7) == 0) {
-      rate_hz = std::atof(argv[i] + 7);
-    }
-  }
+  const BenchParams p = BenchParams::parse(argc, argv, {"--rate"});
+  double rate_hz = std::atof(p.extra.at("--rate").c_str());
   if (rate_hz <= 0) rate_hz = 200000.0;
   unsigned order = 10;
   if (const char* e = std::getenv("WCQ_BENCH_ORDER")) {

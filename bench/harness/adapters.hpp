@@ -6,7 +6,10 @@
 // WCQ_BENCH_ORDER overrides the wCQ/SCQ ring order for quick experiments.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
+#include <optional>
+#include <vector>
 
 #include "baselines/cc_queue.hpp"
 #include "baselines/crturn_queue.hpp"
@@ -20,6 +23,7 @@
 #include "core/unbounded_queue.hpp"
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"
+#include "harness/workloads.hpp"
 #include "scale/index_magazine.hpp"
 #include "scale/sharded_queue.hpp"
 
@@ -29,12 +33,7 @@ inline unsigned ring_order() {
   return static_cast<unsigned>(env_u64("WCQ_BENCH_ORDER", 15));
 }
 
-// Sharded front-end parameters. The shard count can be overridden
-// programmatically (bench_sharding's sweep) ahead of the env/default.
-inline unsigned g_sharded_shards = 0;  // 0 = use WCQ_BENCH_SHARDS (default 4)
-
 inline unsigned sharded_shard_count() {
-  if (g_sharded_shards != 0) return g_sharded_shards;
   return static_cast<unsigned>(env_u64("WCQ_BENCH_SHARDS", 4));
 }
 
@@ -44,118 +43,24 @@ inline unsigned sharded_shard_order() {
 
 namespace detail {
 
-// Ring adapters transfer indices < capacity; bulk spans are masked through a
-// fixed chunk so the adapter keeps the harness's "payload is arbitrary"
-// contract without allocating.
-template <typename Queue>
-std::size_t ring_enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-  constexpr std::size_t kChunk = 64;
-  u64 masked[kChunk];
-  const u64 mask = q.capacity() - 1;
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t span = n - done < kChunk ? n - done : kChunk;
-    for (std::size_t i = 0; i < span; ++i) masked[i] = v[done + i] & mask;
-    q.enqueue_bulk(masked, span);
-    done += span;
-  }
-  return n;  // ring bulk enqueue inserts everything
+inline bool take(std::optional<u64> v, u64& out) {
+  if (!v) return false;
+  out = *v;
+  return true;
 }
 
 }  // namespace detail
 
-// Rings transfer indices < capacity; the harness masks payloads (the
-// paper's benchmark does the same — throughput, not payload, is measured).
-struct WcqAdapter {
-  static constexpr const char* kName = "wCQ";
-  using Queue = WCQ;
-  static Queue* create() {
-    WCQ::Options o;
-    o.order = ring_order();
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-struct WcqLlscAdapter {
-  static constexpr const char* kName = "wCQ-LLSC";
-  using Queue = WCQLLSC;
-  static Queue* create() {
-    WCQLLSC::Options o;
-    o.order = ring_order();
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-#if defined(WCQ_HAS_NATIVE_LLSC)
-// Native AArch64 exclusive pairs (DESIGN.md §15, LLSC-NATIVE) — same ring,
-// the granule ops go through ldaxp/stlxp instead of the simulated
-// reservation table. Only exists on aarch64 builds; the harness picks it
-// up automatically there and the panel gains a fourth backend column.
-struct WcqLlscNativeAdapter {
-  static constexpr const char* kName = "wCQ-LLSC-native";
-  using Queue = WCQLLSCNative;
-  static Queue* create() {
-    WCQLLSCNative::Options o;
-    o.order = ring_order();
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-#endif  // WCQ_HAS_NATIVE_LLSC
-
-struct ScqAdapter {
-  static constexpr const char* kName = "SCQ";
-  using Queue = SCQ;
+// Index rings: wCQ and its LL/SC builds, SCQ, and the degree-specialized
+// MPSC/SPMC rings, all at 2^ring_order() slots. Rings transfer indices
+// < capacity; the harness masks payloads (the paper's benchmark does the
+// same — throughput, not payload, is measured). Bulk spans are masked
+// through a fixed chunk so the adapter keeps the harness's "payload is
+// arbitrary" contract without allocating.
+template <typename Ring, const char* Name>
+struct RingAdapter {
+  static constexpr const char* kName = Name;
+  using Queue = Ring;
   static Queue* create() { return new Queue(ring_order()); }
   static void destroy(Queue* q) { delete q; }
   static bool enqueue(Queue& q, u64 v) {
@@ -163,31 +68,72 @@ struct ScqAdapter {
     return true;
   }
   static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
+    return detail::take(q.dequeue(), out);
   }
   static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
+    constexpr std::size_t kChunk = 64;
+    u64 masked[kChunk];
+    const u64 mask = q.capacity() - 1;
+    for (std::size_t done = 0; done < n;) {
+      const std::size_t span = n - done < kChunk ? n - done : kChunk;
+      for (std::size_t i = 0; i < span; ++i) masked[i] = v[done + i] & mask;
+      q.enqueue_bulk(masked, span);
+      done += span;
+    }
+    return n;  // ring bulk enqueue inserts everything
   }
   static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
     return q.dequeue_bulk(out, n);
   }
 };
 
+inline constexpr char kWcqName[] = "wCQ";
+inline constexpr char kWcqLlscName[] = "wCQ-LLSC";
+inline constexpr char kScqName[] = "SCQ";
+inline constexpr char kMpscName[] = "Mpsc";
+inline constexpr char kSpmcName[] = "Spmc";
+
+using WcqAdapter = RingAdapter<WCQ, kWcqName>;
+using WcqLlscAdapter = RingAdapter<WCQLLSC, kWcqLlscName>;
+using ScqAdapter = RingAdapter<SCQ, kScqName>;
+// Degree-specialized rings (DESIGN.md §13). Valid only under workloads that
+// respect the degree restriction — the pipeline panel runs Mpsc on p8to1
+// points with exactly one consumer-role worker and Spmc on p1to8 points with
+// one producer; any other shape trips the rings' SessionGuard by design.
+using MpscAdapter = RingAdapter<MpscRing, kMpscName>;
+using SpmcAdapter = RingAdapter<SpmcRing, kSpmcName>;
+
+#if defined(WCQ_HAS_NATIVE_LLSC)
+// Native AArch64 exclusive pairs (DESIGN.md §15, LLSC-NATIVE) — same ring,
+// the granule ops go through ldaxp/stlxp instead of the simulated
+// reservation table. Only exists on aarch64 builds; the harness picks it
+// up automatically there and the panel gains a fourth backend column.
+inline constexpr char kWcqLlscNativeName[] = "wCQ-LLSC-native";
+using WcqLlscNativeAdapter = RingAdapter<WCQLLSCNative, kWcqLlscNativeName>;
+#endif  // WCQ_HAS_NATIVE_LLSC
+
+// Value queues: no index masking, and full is real backpressure, so
+// enqueue's boolean matters to the workloads. The bulk paths exist only
+// where the queue has them.
 template <typename Q, const char* Name>
-struct SimpleAdapter {
+struct ValueAdapter {
   static constexpr const char* kName = Name;
   using Queue = Q;
   static Queue* create() { return new Queue(); }
   static void destroy(Queue* q) { delete q; }
   static bool enqueue(Queue& q, u64 v) { return q.enqueue(v); }
   static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
+    return detail::take(q.dequeue(), out);
+  }
+  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n)
+    requires requires { q.enqueue_bulk(v, n); }
+  {
+    return q.enqueue_bulk(v, n);
+  }
+  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n)
+    requires requires { q.dequeue_bulk(out, n); }
+  {
+    return q.dequeue_bulk(out, n);
   }
 };
 
@@ -197,6 +143,13 @@ inline constexpr char kCcName[] = "CCQueue";
 inline constexpr char kLcrqName[] = "LCRQ";
 inline constexpr char kYmcName[] = "YMC";
 inline constexpr char kCrTurnName[] = "CRTurn";
+
+using FaaAdapter = ValueAdapter<FAAQueue, kFaaName>;
+using MsAdapter = ValueAdapter<MSQueue, kMsName>;
+using CcAdapter = ValueAdapter<CCQueue, kCcName>;
+using LcrqAdapter = ValueAdapter<LCRQ, kLcrqName>;
+using YmcAdapter = ValueAdapter<YMCQueue, kYmcName>;
+using CrTurnAdapter = ValueAdapter<CRTurnQueue, kCrTurnName>;
 
 // Unbounded (Appendix A) queue, as an A/B pair over the segment pool
 // (DESIGN.md §8): "UwCQ" recycles retired segments, "UwCQ-nopool" is the
@@ -209,27 +162,21 @@ inline unsigned unbounded_segment_order() {
 }
 
 template <bool Recycle, const char* Name>
-struct UnboundedQueueAdapter {
-  static constexpr const char* kName = Name;
-  using Queue = UnboundedQueue<u64>;
-  static Queue* create() {
-    typename Queue::Options o;
+struct UnboundedQueueAdapter : ValueAdapter<UnboundedQueue<u64>, Name> {
+  static UnboundedQueue<u64>* create() {
+    typename UnboundedQueue<u64>::Options o;
     o.segment_order = unbounded_segment_order();
     o.recycle = Recycle;
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) { return q.enqueue(v); }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
+    return new UnboundedQueue<u64>(o);
   }
 };
 
 inline constexpr char kUnboundedName[] = "UwCQ";
 inline constexpr char kUnboundedNoPoolName[] = "UwCQ-nopool";
+
+using UnboundedAdapter = UnboundedQueueAdapter<true, kUnboundedName>;
+using UnboundedNoPoolAdapter =
+    UnboundedQueueAdapter<false, kUnboundedNoPoolName>;
 
 // Fig 2 bounded value queue, as an A/B pair over the per-thread index
 // magazines (DESIGN.md §9): "Bounded" claims/recycles free indices through
@@ -247,34 +194,21 @@ inline std::size_t bounded_magazine_capacity() {
   return static_cast<std::size_t>(env_u64("WCQ_BENCH_MAGAZINE", 16));
 }
 
+using Bounded = BoundedQueue<u64, WCQ>;
+
 template <bool Mag, const char* Name>
-struct BoundedQueueAdapter {
-  static constexpr const char* kName = Name;
-  using Queue = BoundedQueue<u64, WCQ>;
-  static Queue* create() {
-    typename Queue::Options o{bounded_order()};
+struct BoundedQueueAdapter : ValueAdapter<Bounded, Name> {
+  static Bounded* create() {
+    Bounded::Options o{bounded_order()};
     o.magazine.enabled = Mag;
     o.magazine.capacity = bounded_magazine_capacity();
-    return new Queue(o);
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) { return q.enqueue(v); }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return q.enqueue_bulk(v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
+    return new Bounded(o);
   }
 };
 
 inline constexpr char kBoundedName[] = "Bounded";
 inline constexpr char kBoundedNoMagName[] = "Bounded-nomag";
+inline constexpr char kBoundedHandleName[] = "Bounded-handle";
 
 using BoundedAdapter = BoundedQueueAdapter<true, kBoundedName>;
 using BoundedNoMagAdapter = BoundedQueueAdapter<false, kBoundedNoMagName>;
@@ -287,138 +221,62 @@ using BoundedNoMagAdapter = BoundedQueueAdapter<false, kBoundedNoMagName>;
 // only on the amortized help-check refresh — the per-op difference the
 // handle refactor exists to produce, and wall-clock-independent like the
 // magazine counters. CI gates the handle series at ≤1 lookup/op.
-struct BoundedHandleAdapter {
-  static constexpr const char* kName = "Bounded-handle";
-  using Queue = BoundedQueue<u64, WCQ>;
-  using Handle = typename Queue::Handle;
-  static Queue* create() {
-    typename Queue::Options o{bounded_order()};
-    o.magazine.enabled = true;
-    o.magazine.capacity = bounded_magazine_capacity();
-    return new Queue(o);
+struct BoundedHandleAdapter : BoundedQueueAdapter<true, kBoundedHandleName> {
+  using Handle = Bounded::Handle;
+  static Handle attach(Bounded& q) { return q.acquire(); }
+  static bool enqueue(Bounded& q, Handle& h, u64 v) { return q.enqueue(h, v); }
+  static bool dequeue(Bounded& q, Handle& h, u64& out) {
+    return detail::take(q.dequeue(h), out);
   }
-  static void destroy(Queue* q) { delete q; }
-  static Handle attach(Queue& q) { return q.acquire(); }
-  static bool enqueue(Queue& q, Handle& h, u64 v) { return q.enqueue(h, v); }
-  static bool dequeue(Queue& q, Handle& h, u64& out) {
-    auto v = q.dequeue(h);
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, Handle& h, const u64* v,
+  static std::size_t enqueue_bulk(Bounded& q, Handle& h, const u64* v,
                                   std::size_t n) {
     return q.enqueue_bulk(h, v, n);
   }
-  static std::size_t dequeue_bulk(Queue& q, Handle& h, u64* out,
+  static std::size_t dequeue_bulk(Bounded& q, Handle& h, u64* out,
                                   std::size_t n) {
     return q.dequeue_bulk(h, out, n);
   }
 };
 
-// Sharded front-end (src/scale/): a value queue (no index masking), shard
-// count from g_sharded_shards / WCQ_BENCH_SHARDS, per-shard capacity
-// 2^WCQ_BENCH_SHARD_ORDER. Full is real backpressure here, so enqueue's
-// boolean matters to the workloads.
-struct ShardedAdapter {
-  static constexpr const char* kName = "Sharded-wCQ";
-  using Queue = ShardedQueue<u64, WCQ>;
-  static Queue* create() {
-    return new Queue(sharded_shard_count(), sharded_shard_order());
-  }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) { return q.enqueue(v); }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return q.enqueue_bulk(v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
+// Sharded front-end (src/scale/): a value queue, `Shards` shards (0 = the
+// WCQ_BENCH_SHARDS default) of capacity 2^WCQ_BENCH_SHARD_ORDER each.
+inline constexpr char kShardedName[] = "Sharded-wCQ";
+
+template <unsigned Shards = 0>
+struct ShardedAdapter : ValueAdapter<ShardedQueue<u64, WCQ>, kShardedName> {
+  static ShardedQueue<u64, WCQ>* create() {
+    return new ShardedQueue<u64, WCQ>(Shards != 0 ? Shards
+                                                  : sharded_shard_count(),
+                                      sharded_shard_order());
   }
 };
-
-// Degree-specialized rings (DESIGN.md §13). Valid only under workloads that
-// respect the degree restriction — bench_pipeline runs Mpsc on p8to1 points
-// with exactly one consumer-role worker and Spmc on p1to8 points with one
-// producer; any other shape trips the rings' SessionGuard by design.
-struct MpscAdapter {
-  static constexpr const char* kName = "Mpsc";
-  using Queue = MpscRing;
-  static Queue* create() { return new Queue(ring_order()); }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-struct SpmcAdapter {
-  static constexpr const char* kName = "Spmc";
-  using Queue = SpmcRing;
-  static Queue* create() { return new Queue(ring_order()); }
-  static void destroy(Queue* q) { delete q; }
-  static bool enqueue(Queue& q, u64 v) {
-    q.enqueue(v & (q.capacity() - 1));
-    return true;
-  }
-  static bool dequeue(Queue& q, u64& out) {
-    auto v = q.dequeue();
-    if (!v) return false;
-    out = *v;
-    return true;
-  }
-  static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
-    return detail::ring_enqueue_bulk(q, v, n);
-  }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
-  }
-};
-
-// Consumer-role count for the Sharded-pipeline adapter; bench_pipeline sets
-// it per point to the skewed workload's minority size so consumers divide
-// the shards among themselves (consumer c owns shards i ≡ c mod consumers).
-inline unsigned g_pipeline_consumers = 1;
 
 // Mode::kPipeline over MpscRing shards (DESIGN.md §13): producers go
 // through the normal hashing/steal sweep; each dequeuing worker claims a
 // consumer slot on its first dequeue and drains only the shards it owns,
-// through acquire_consumer sessions. The claim is thread_local and the
-// harness spawns fresh workers per measurement run, so each run starts with
-// a clean assignment; the TLS handles are destroyed at worker exit, before
-// the run's Adapter::destroy. A/B against ShardedAdapter at the same shard
-// count measures exactly the MPSC-shard win (the ≥20% BENCH_PR8.json gate).
+// through acquire_consumer sessions. create(threads) sizes the consumer
+// count to the skewed workload's minority at that point, so consumers
+// divide the shards among themselves (consumer c owns shards i ≡ c mod
+// consumers). The claim is thread_local and the harness spawns fresh
+// workers per measurement run, so each run starts with a clean assignment;
+// the TLS handles are destroyed at worker exit, before the run's
+// Adapter::destroy. A/B against ShardedAdapter at the same shard count
+// measures exactly the MPSC-shard win (the ≥20% BENCH_PR8.json gate).
 struct ShardedPipelineAdapter {
   static constexpr const char* kName = "Sharded-pipeline";
   using Shards = ShardedQueue<u64, MpscRing>;
   struct Queue {
     Shards q;
+    unsigned consumers;
     std::atomic<unsigned> next_consumer{0};
-    explicit Queue(typename Shards::Options o) : q(o) {}
+    Queue(typename Shards::Options o, unsigned c) : q(o), consumers(c) {}
   };
-  static Queue* create() {
+  static Queue* create(unsigned threads) {
     typename Shards::Options o;
     o.shards = sharded_shard_count();
     o.shard_order = sharded_shard_order();
     o.mode = Shards::Mode::kPipeline;
-    return new Queue(o);
+    return new Queue(o, skewed_minority(threads));
   }
   static void destroy(Queue* q) { delete q; }
   static bool enqueue(Queue& qq, u64 v) { return qq.q.enqueue(v); }
@@ -427,10 +285,7 @@ struct ShardedPipelineAdapter {
   }
   static bool dequeue(Queue& qq, u64& out) {
     for (auto& h : own(qq)) {
-      if (auto v = qq.q.dequeue(h)) {
-        out = *v;
-        return true;
-      }
+      if (detail::take(qq.q.dequeue(h), out)) return true;
     }
     return false;
   }
@@ -450,12 +305,10 @@ struct ShardedPipelineAdapter {
     thread_local Queue* bound = nullptr;
     if (bound != &qq) {
       handles.clear();
-      const unsigned consumers =
-          g_pipeline_consumers > 0 ? g_pipeline_consumers : 1;
       const unsigned c =
           qq.next_consumer.fetch_add(1, std::memory_order_relaxed) %
-          consumers;
-      for (unsigned i = c; i < qq.q.shard_count(); i += consumers) {
+          qq.consumers;
+      for (unsigned i = c; i < qq.q.shard_count(); i += qq.consumers) {
         handles.push_back(qq.q.acquire_consumer(i));
       }
       bound = &qq;
@@ -463,15 +316,5 @@ struct ShardedPipelineAdapter {
     return handles;
   }
 };
-
-using FaaAdapter = SimpleAdapter<FAAQueue, kFaaName>;
-using MsAdapter = SimpleAdapter<MSQueue, kMsName>;
-using CcAdapter = SimpleAdapter<CCQueue, kCcName>;
-using LcrqAdapter = SimpleAdapter<LCRQ, kLcrqName>;
-using YmcAdapter = SimpleAdapter<YMCQueue, kYmcName>;
-using CrTurnAdapter = SimpleAdapter<CRTurnQueue, kCrTurnName>;
-using UnboundedAdapter = UnboundedQueueAdapter<true, kUnboundedName>;
-using UnboundedNoPoolAdapter =
-    UnboundedQueueAdapter<false, kUnboundedNoPoolName>;
 
 }  // namespace wcq::bench

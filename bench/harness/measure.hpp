@@ -16,6 +16,8 @@
 //     // present every operation takes the handle instead; each worker
 //     // attaches once, outside the measured loop.
 //     static Handle attach(Queue&);
+//     // Optional: create(threads) replaces create() for adapters that size
+//     // themselves to the point (the pipeline's consumer count).
 //     static bool enqueue(Queue&, Handle&, u64);
 //     static bool dequeue(Queue&, Handle&, u64&);
 //   };
@@ -28,12 +30,12 @@
 // sampled per run and summarized across runs like the throughput samples.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -49,36 +51,87 @@ namespace wcq::bench {
 
 using u64 = std::uint64_t;
 
+// One row per scalar metric a point reports. Every metric is sampled once
+// per run and summarized across runs like the throughput samples; the JSON
+// report and the printed tables iterate this table.
+enum class Metric {
+  kMops,       // millions of executed operations per second, per run
+  kLiveBytes,  // allocator-live delta after each run
+  kPeakBytes,  // allocator peak during each run
+  kRssBytes,   // process RSS sampled after each run
+  kAllocs,     // metered allocation events per run (count, not bytes;
+               // includes queue construction — a recycling queue's count
+               // converges to its warm-up allocations while a churning one
+               // keeps growing with ops)
+  kRingFaa,    // shared Head/Tail F&As per executed logical op (opcount; the
+               // magazine amortization metric — wall-clock-independent, so
+               // meaningful on 1-core CI)
+  kRingThld,   // shared Threshold RMWs/stores per executed op
+  kRegistry,   // ThreadRegistry tid()/high_water() lookups per op (the
+               // session-handle metric, DESIGN.md §10; the CI gate holds the
+               // handle path at ≤1 per op)
+  kRemoteSteal,  // ShardedQueue ops completed on a remote node's shard, per
+                 // executed op (DESIGN.md §12; 0 for non-sharded queues, and
+                 // the node-partitioned CI gate holds node:<k> placement at
+                 // exactly 0)
+  // Role-split ring counters for the skewed workloads (p8to1/p1to8): F&As
+  // and threshold RMWs per op *executed by that role's workers*. The
+  // consumer split is the pipeline gate — an MPSC consumer path must report
+  // exactly zero for both — and it is wall-clock-independent, so it holds
+  // on the 1-core runner. Zero for symmetric workloads.
+  kConsFaa,
+  kConsThld,
+  kProdFaa,
+  kProdThld,
+  kCount
+};
+
+inline constexpr std::size_t kMetricCount =
+    static_cast<std::size_t>(Metric::kCount);
+
+struct MetricInfo {
+  const char* key;       // JSON key of the per-point mean
+  const char* json_fmt;  // printf format of that mean in the JSON report
+  const char* caption;   // printed-table caption (units)
+  const char* fmt;       // printf format of a printed-table cell
+  double scale;          // printed cell = mean * scale
+};
+
+inline constexpr MetricInfo kMetrics[kMetricCount] = {
+    {"mops_mean", "%.6f", "Mops/sec", "%.2f", 1.0},
+    {"live_bytes_mean", "%.1f", "live bytes after run", "%.0f", 1.0},
+    {"peak_bytes_mean", "%.1f", "peak MB allocated during run", "%.2f", 1e-6},
+    {"rss_bytes_mean", "%.1f", "RSS bytes after run", "%.0f", 1.0},
+    {"allocs_mean", "%.1f", "allocations per run, count", "%.0f", 1.0},
+    {"ring_faa_per_op_mean", "%.6f", "shared Head/Tail F&As per op", "%.3f",
+     1.0},
+    {"ring_thld_per_op_mean", "%.6f", "shared Threshold RMWs per op", "%.3f",
+     1.0},
+    {"registry_per_op_mean", "%.6f", "registry/thread_local lookups per op",
+     "%.3f", 1.0},
+    {"remote_steal_per_op_mean", "%.6f", "remote steals per op", "%.3f", 1.0},
+    {"cons_faa_per_op_mean", "%.6f", "consumer F&As per op", "%.3f", 1.0},
+    {"cons_thld_per_op_mean", "%.6f", "consumer Threshold RMWs per op",
+     "%.3f", 1.0},
+    {"prod_faa_per_op_mean", "%.6f", "producer F&As per op", "%.3f", 1.0},
+    {"prod_thld_per_op_mean", "%.6f", "producer Threshold RMWs per op",
+     "%.3f", 1.0},
+};
+
+inline const MetricInfo& info(Metric m) {
+  return kMetrics[static_cast<std::size_t>(m)];
+}
+
 struct PointResult {
   unsigned threads = 0;
-  Summary mops;        // millions of executed operations per second, per run
-  Summary live_bytes;  // allocator-live delta after each run
-  Summary peak_bytes;  // allocator peak during each run
-  Summary rss_bytes;   // process RSS sampled after each run
-  Summary allocs;      // metered allocation events per run (count, not bytes;
-                       // includes queue construction — a recycling queue's
-                       // count converges to its warm-up allocations while a
-                       // churning one keeps growing with ops)
-  Summary ring_faa;    // shared Head/Tail F&As per executed logical op
-                       // (opcount; the magazine amortization metric —
-                       // wall-clock-independent, so meaningful on 1-core CI)
-  Summary ring_thld;   // shared Threshold RMWs/stores per executed op
-  Summary registry;    // ThreadRegistry tid()/high_water() lookups per op
-                       // (the session-handle metric, DESIGN.md §10; the CI
-                       // gate holds the handle path at ≤1 per op)
-  Summary remote_steal;  // ShardedQueue ops completed on a remote node's
-                         // shard, per executed op (DESIGN.md §12; 0 for
-                         // non-sharded queues, and the node-partitioned CI
-                         // gate holds node:<k> placement at exactly 0)
+  std::array<Summary, kMetricCount> metrics;
   // Per-node throughput, node_mops[k] = Mops executed by workers placed on
   // node k under the pin policy (empty when unpinned: placement unknown).
   std::vector<Summary> node_mops;
-  // Role-split ring counters for the skewed workloads (p8to1/p1to8): F&As
-  // and threshold RMWs per op *executed by that role's workers*. The
-  // consumer split is the check_pipeline.py gate — an MPSC consumer path
-  // must report exactly zero for both — and it is wall-clock-independent,
-  // so it holds on the 1-core runner. Zero for symmetric workloads.
-  Summary cons_faa, cons_thld, prod_faa, prod_thld;
+
+  const Summary& operator[](Metric m) const {
+    return metrics[static_cast<std::size_t>(m)];
+  }
 };
 
 namespace detail {
@@ -88,49 +141,37 @@ inline void tiny_random_delay(Xoshiro256& rng, unsigned max_spins) {
   for (u64 i = 0; i < spins; ++i) cpu_relax();
 }
 
-template <typename Adapter, typename = void>
-struct AdapterHasBulk : std::false_type {};
 template <typename Adapter>
-struct AdapterHasBulk<
-    Adapter,
-    std::void_t<decltype(Adapter::enqueue_bulk(
-                    std::declval<typename Adapter::Queue&>(),
-                    static_cast<const u64*>(nullptr), std::size_t{0})),
-                decltype(Adapter::dequeue_bulk(
-                    std::declval<typename Adapter::Queue&>(),
-                    static_cast<u64*>(nullptr), std::size_t{0}))>>
-    : std::true_type {};
+concept HasBulk = requires(typename Adapter::Queue& q, const u64* in,
+                           u64* out, std::size_t n) {
+  Adapter::enqueue_bulk(q, in, n);
+  Adapter::dequeue_bulk(q, out, n);
+};
 
 // Explicit-session adapters (DESIGN.md §10) expose `attach(Queue&)` and
 // handle-taking operations; each worker attaches once, outside the measured
 // loop, exactly as a thread-pool worker would hold a session.
-template <typename Adapter, typename = void>
-struct AdapterHasHandle : std::false_type {};
 template <typename Adapter>
-struct AdapterHasHandle<
-    Adapter, std::void_t<decltype(Adapter::attach(
-                 std::declval<typename Adapter::Queue&>()))>>
-    : std::true_type {};
+concept HasHandle =
+    requires(typename Adapter::Queue& q) { Adapter::attach(q); };
 
-template <typename Adapter, typename = void>
-struct AdapterHasHandleBulk : std::false_type {};
 template <typename Adapter>
-struct AdapterHasHandleBulk<
-    Adapter,
-    std::void_t<decltype(Adapter::enqueue_bulk(
-                    std::declval<typename Adapter::Queue&>(),
-                    std::declval<decltype(Adapter::attach(
-                        std::declval<typename Adapter::Queue&>()))&>(),
-                    static_cast<const u64*>(nullptr), std::size_t{0}))>>
-    : std::true_type {};
+concept HasHandleBulk =
+    HasHandle<Adapter> &&
+    requires(typename Adapter::Queue& q,
+             decltype(Adapter::attach(q))& h, const u64* in, u64* out,
+             std::size_t n) {
+      Adapter::enqueue_bulk(q, h, in, n);
+      Adapter::dequeue_bulk(q, h, out, n);
+    };
 
 // One worker's operation surface: the queue plus, for handle adapters, the
 // session attached for this worker's lifetime. The workload loops are
 // written against this so the same code measures both calling conventions.
-template <typename Adapter, bool = AdapterHasHandle<Adapter>::value>
+template <typename Adapter>
 struct OpsCtx {
   typename Adapter::Queue& q;
-  static constexpr bool kBulk = AdapterHasBulk<Adapter>::value;
+  static constexpr bool kBulk = HasBulk<Adapter>;
   explicit OpsCtx(typename Adapter::Queue& queue) : q(queue) {}
   bool enqueue(u64 v) { return Adapter::enqueue(q, v); }
   bool dequeue(u64& out) { return Adapter::dequeue(q, out); }
@@ -142,11 +183,11 @@ struct OpsCtx {
   }
 };
 
-template <typename Adapter>
-struct OpsCtx<Adapter, true> {
+template <HasHandle Adapter>
+struct OpsCtx<Adapter> {
   typename Adapter::Queue& q;
   decltype(Adapter::attach(std::declval<typename Adapter::Queue&>())) h;
-  static constexpr bool kBulk = AdapterHasHandleBulk<Adapter>::value;
+  static constexpr bool kBulk = HasHandleBulk<Adapter>;
   explicit OpsCtx(typename Adapter::Queue& queue)
       : q(queue), h(Adapter::attach(queue)) {}
   bool enqueue(u64 v) { return Adapter::enqueue(q, h, v); }
@@ -386,26 +427,22 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
   const unsigned node_buckets = p.pin ? topo.node_count() : 0;
   PointResult result;
   result.threads = threads;
-  std::vector<double> mops_samples, live_samples, peak_samples, rss_samples,
-      alloc_samples, faa_samples, thld_samples, reg_samples, steal_samples,
-      cons_faa_samples, cons_thld_samples, prod_faa_samples,
-      prod_thld_samples;
+  std::array<std::vector<double>, kMetricCount> samples;
+  auto sample = [&samples](Metric m, double v) {
+    samples[static_cast<std::size_t>(m)].push_back(v);
+  };
   std::vector<std::vector<double>> node_samples(node_buckets);
-  mops_samples.reserve(p.runs);
-  live_samples.reserve(p.runs);
-  peak_samples.reserve(p.runs);
-  rss_samples.reserve(p.runs);
-  alloc_samples.reserve(p.runs);
-  faa_samples.reserve(p.runs);
-  thld_samples.reserve(p.runs);
-  reg_samples.reserve(p.runs);
-  steal_samples.reserve(p.runs);
 
   for (unsigned run = 0; run < p.runs; ++run) {
     alloc_meter::reset_peak();
     const std::int64_t live_before = alloc_meter::live_bytes();
     const std::int64_t allocs_before = alloc_meter::total_allocations();
-    typename Adapter::Queue* q = Adapter::create();
+    typename Adapter::Queue* q = nullptr;
+    if constexpr (requires { Adapter::create(threads); }) {
+      q = Adapter::create(threads);
+    } else {
+      q = Adapter::create();
+    }
 
     std::atomic<unsigned> ready{0};
     std::atomic<bool> go{false};
@@ -414,8 +451,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     const u64 per_thread = p.ops / threads;
     const u64 remainder = p.ops % threads;
     std::vector<u64> executed(threads, 0);
-    std::vector<u64> faa_delta(threads, 0), thld_delta(threads, 0),
-        reg_delta(threads, 0), steal_delta(threads, 0);
+    std::vector<opcount::Counters> delta(threads);
     std::vector<std::thread> ts;
     ts.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
@@ -432,10 +468,10 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
         executed[t] =
             detail::worker_body<Adapter>(ops, p, my_ops, t, threads, run);
         const opcount::Counters after = opcount::snapshot();
-        faa_delta[t] = after.faa - before.faa;
-        thld_delta[t] = after.threshold - before.threshold;
-        reg_delta[t] = after.registry - before.registry;
-        steal_delta[t] = after.remote_steal - before.remote_steal;
+        delta[t] = {after.faa - before.faa,
+                    after.threshold - before.threshold,
+                    after.registry - before.registry,
+                    after.remote_steal - before.remote_steal};
       });
     }
     while (ready.load(std::memory_order_acquire) < threads) cpu_relax();
@@ -443,52 +479,43 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     go.store(true, std::memory_order_release);
     for (auto& t : ts) t.join();
     const auto t1 = std::chrono::steady_clock::now();
-
     const double secs = std::chrono::duration<double>(t1 - t0).count();
-    u64 total_ops = 0;
-    for (const u64 e : executed) total_ops += e;
-    mops_samples.push_back(static_cast<double>(total_ops) / secs / 1e6);
 
-    u64 total_faa = 0, total_thld = 0, total_reg = 0, total_steal = 0;
-    for (const u64 f : faa_delta) total_faa += f;
-    for (const u64 d : thld_delta) total_thld += d;
-    for (const u64 r : reg_delta) total_reg += r;
-    for (const u64 s : steal_delta) total_steal += s;
-    const double ops_norm = total_ops > 0 ? static_cast<double>(total_ops) : 1.0;
-    faa_samples.push_back(static_cast<double>(total_faa) / ops_norm);
-    thld_samples.push_back(static_cast<double>(total_thld) / ops_norm);
-    reg_samples.push_back(static_cast<double>(total_reg) / ops_norm);
-    steal_samples.push_back(static_cast<double>(total_steal) / ops_norm);
-
-    // Role-split counters (p8to1/p1to8): per-worker deltas attributed to the
-    // worker's fixed role, normalized by that role's executed ops. Counter
-    // sums, not wall-clock, so the consumer-side zeros the pipeline gate
-    // asserts are exact on any host.
-    double cons_faa = 0.0, cons_thld = 0.0, prod_faa = 0.0, prod_thld = 0.0;
-    if (workload_skewed(p.workload)) {
-      u64 c_ops = 0, c_faa = 0, c_thld = 0, p_ops = 0, p_faa = 0, p_thld = 0;
-      for (unsigned t = 0; t < threads; ++t) {
-        if (skewed_consumer(p.workload, t, threads)) {
-          c_ops += executed[t];
-          c_faa += faa_delta[t];
-          c_thld += thld_delta[t];
-        } else {
-          p_ops += executed[t];
-          p_faa += faa_delta[t];
-          p_thld += thld_delta[t];
-        }
+    // Counter sums over all workers, and over each role's workers for the
+    // skewed workloads (symmetric workloads leave both roles empty). Each
+    // per-op figure divides by the executed ops of the workers it sums.
+    struct Sum {
+      u64 ops = 0;
+      opcount::Counters c{};
+      void add(u64 n, const opcount::Counters& d) {
+        ops += n;
+        c.faa += d.faa;
+        c.threshold += d.threshold;
+        c.registry += d.registry;
+        c.remote_steal += d.remote_steal;
       }
-      const double cn = c_ops > 0 ? static_cast<double>(c_ops) : 1.0;
-      const double pn = p_ops > 0 ? static_cast<double>(p_ops) : 1.0;
-      cons_faa = static_cast<double>(c_faa) / cn;
-      cons_thld = static_cast<double>(c_thld) / cn;
-      prod_faa = static_cast<double>(p_faa) / pn;
-      prod_thld = static_cast<double>(p_thld) / pn;
+      double per_op(u64 v) const {
+        return static_cast<double>(v) /
+               (ops > 0 ? static_cast<double>(ops) : 1.0);
+      }
+    } all, cons, prod;
+    for (unsigned t = 0; t < threads; ++t) {
+      all.add(executed[t], delta[t]);
+      if (!workload_skewed(p.workload)) continue;
+      (skewed_consumer(p.workload, t, threads) ? cons : prod)
+          .add(executed[t], delta[t]);
     }
-    cons_faa_samples.push_back(cons_faa);
-    cons_thld_samples.push_back(cons_thld);
-    prod_faa_samples.push_back(prod_faa);
-    prod_thld_samples.push_back(prod_thld);
+    sample(Metric::kMops, static_cast<double>(all.ops) / secs / 1e6);
+    sample(Metric::kRingFaa, all.per_op(all.c.faa));
+    sample(Metric::kRingThld, all.per_op(all.c.threshold));
+    sample(Metric::kRegistry, all.per_op(all.c.registry));
+    sample(Metric::kRemoteSteal, all.per_op(all.c.remote_steal));
+    // The role split is counter sums, not wall-clock, so the consumer-side
+    // zeros the pipeline gate asserts are exact on any host.
+    sample(Metric::kConsFaa, cons.per_op(cons.c.faa));
+    sample(Metric::kConsThld, cons.per_op(cons.c.threshold));
+    sample(Metric::kProdFaa, prod.per_op(prod.c.faa));
+    sample(Metric::kProdThld, prod.per_op(prod.c.threshold));
 
     // Per-node throughput: worker t's executed ops are attributed to the
     // node the pin policy placed it on (deterministic by construction).
@@ -503,31 +530,21 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
       }
     }
 
-    live_samples.push_back(
-        static_cast<double>(alloc_meter::live_bytes() - live_before));
-    peak_samples.push_back(
-        static_cast<double>(alloc_meter::peak_bytes() - live_before));
-    rss_samples.push_back(static_cast<double>(current_rss_bytes()));
-    alloc_samples.push_back(
-        static_cast<double>(alloc_meter::total_allocations() - allocs_before));
+    sample(Metric::kLiveBytes,
+           static_cast<double>(alloc_meter::live_bytes() - live_before));
+    sample(Metric::kPeakBytes,
+           static_cast<double>(alloc_meter::peak_bytes() - live_before));
+    sample(Metric::kRssBytes, static_cast<double>(current_rss_bytes()));
+    sample(Metric::kAllocs, static_cast<double>(
+                                alloc_meter::total_allocations() -
+                                allocs_before));
     Adapter::destroy(q);
   }
-  result.mops = summarize(mops_samples);
-  result.live_bytes = summarize(live_samples);
-  result.peak_bytes = summarize(peak_samples);
-  result.rss_bytes = summarize(rss_samples);
-  result.allocs = summarize(alloc_samples);
-  result.ring_faa = summarize(faa_samples);
-  result.ring_thld = summarize(thld_samples);
-  result.registry = summarize(reg_samples);
-  result.remote_steal = summarize(steal_samples);
-  result.cons_faa = summarize(cons_faa_samples);
-  result.cons_thld = summarize(cons_thld_samples);
-  result.prod_faa = summarize(prod_faa_samples);
-  result.prod_thld = summarize(prod_thld_samples);
-  result.node_mops.reserve(node_buckets);
-  for (unsigned k = 0; k < node_buckets; ++k) {
-    result.node_mops.push_back(summarize(node_samples[k]));
+  for (std::size_t m = 0; m < kMetricCount; ++m) {
+    result.metrics[m] = summarize(samples[m]);
+  }
+  for (const auto& node : node_samples) {
+    result.node_mops.push_back(summarize(node));
   }
   return result;
 }

@@ -5,9 +5,9 @@
 
 namespace wcq::bench {
 
-void print_preamble(const char* figure, const char* caption,
+void print_preamble(const std::string& figure, const std::string& caption,
                     const BenchParams& p) {
-  std::printf("# %s — %s\n", figure, caption);
+  std::printf("# %s — %s\n", figure.c_str(), caption.c_str());
   std::printf("# workload=%s ops=%llu runs=%u pin=%d policy=%s\n",
               workload_name(p.workload),
               static_cast<unsigned long long>(p.ops), p.runs, p.pin ? 1 : 0,
@@ -27,93 +27,19 @@ const PointResult* find_point(const Series& s, unsigned threads) {
 
 }  // namespace
 
-void print_throughput_table(const std::vector<Series>& series,
-                            const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (Mops/sec)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.2f", pt->mops.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_memory_table(const std::vector<Series>& series,
+void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads) {
+  const MetricInfo& mi = info(m);
   std::printf("threads");
   for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (peak MB allocated during run)\n");
+  std::printf("   (%s)\n", mi.caption);
   for (unsigned t : threads) {
     std::printf("%7u", t);
     for (const auto& s : series) {
       const PointResult* pt = find_point(s, t);
       if (pt != nullptr) {
-        std::printf(",%.2f", pt->peak_bytes.mean / 1e6);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_allocation_table(const std::vector<Series>& series,
-                            const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (allocations per run, count)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.0f", pt->allocs.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_ringops_table(const std::vector<Series>& series,
-                         const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (shared Head/Tail F&As per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.3f", pt->ring_faa.mean);
-      } else {
-        std::printf(",-");
-      }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_registry_table(const std::vector<Series>& series,
-                          const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) std::printf(",%s", s.name.c_str());
-  std::printf("   (registry/thread_local lookups per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt != nullptr) {
-        std::printf(",%.3f", pt->registry.mean);
+        std::printf(",");
+        std::printf(mi.fmt, (*pt)[m].mean * mi.scale);
       } else {
         std::printf(",-");
       }
@@ -145,7 +71,7 @@ void print_node_table(const std::vector<Series>& series,
           std::printf("%s%.2f", k == 0 ? "" : "/", pt->node_mops[k].mean);
         }
       }
-      std::printf("|%.3f", pt->remote_steal.mean);
+      std::printf("|%.3f", (*pt)[Metric::kRemoteSteal].mean);
     }
     std::printf("\n");
   }
@@ -166,8 +92,9 @@ void print_roles_table(const std::vector<Series>& series,
         std::printf(",-");
         continue;
       }
-      std::printf(",%.3f|%.3f / %.3f|%.3f", pt->cons_faa.mean,
-                  pt->cons_thld.mean, pt->prod_faa.mean, pt->prod_thld.mean);
+      std::printf(",%.3f|%.3f / %.3f|%.3f", (*pt)[Metric::kConsFaa].mean,
+                  (*pt)[Metric::kConsThld].mean, (*pt)[Metric::kProdFaa].mean,
+                  (*pt)[Metric::kProdThld].mean);
     }
     std::printf("\n");
   }
@@ -177,7 +104,7 @@ void print_cv_note(const std::vector<Series>& series) {
   double worst = 0.0;
   for (const auto& s : series) {
     for (const auto& pt : s.points) {
-      if (pt.mops.cv > worst) worst = pt.mops.cv;
+      if (pt[Metric::kMops].cv > worst) worst = pt[Metric::kMops].cv;
     }
   }
   std::printf("# worst coefficient of variation across points: %.4f%s\n",
@@ -186,14 +113,7 @@ void print_cv_note(const std::vector<Series>& series) {
 
 void JsonReport::add_panel(const std::string& caption, const BenchParams& p,
                            const std::vector<Series>& series) {
-  Panel panel;
-  panel.caption = caption;
-  panel.workload = workload_name(p.workload);
-  panel.ops = p.ops;
-  panel.runs = p.runs;
-  panel.batch = p.batch;
-  panel.series = series;
-  panels_.push_back(std::move(panel));
+  panels_.push_back({caption, p, series});
 }
 
 bool JsonReport::write(const std::string& path) const {
@@ -210,32 +130,24 @@ bool JsonReport::write(const std::string& path) const {
                  "    {\"caption\": \"%s\", \"workload\": \"%s\", "
                  "\"ops\": %llu, \"runs\": %u, \"batch\": %u,\n"
                  "     \"series\": [\n",
-                 p.caption.c_str(), p.workload.c_str(),
-                 static_cast<unsigned long long>(p.ops), p.runs, p.batch);
+                 p.caption.c_str(), workload_name(p.params.workload),
+                 static_cast<unsigned long long>(p.params.ops), p.params.runs,
+                 p.params.batch);
     for (std::size_t si = 0; si < p.series.size(); ++si) {
       const Series& s = p.series[si];
       std::fprintf(f, "      {\"name\": \"%s\", \"points\": [\n",
                    s.name.c_str());
       for (std::size_t qi = 0; qi < s.points.size(); ++qi) {
         const PointResult& pt = s.points[qi];
-        std::fprintf(f,
-                     "        {\"threads\": %u, \"mops_mean\": %.6f, "
-                     "\"mops_cv\": %.6f, \"live_bytes_mean\": %.1f, "
-                     "\"peak_bytes_mean\": %.1f, \"rss_bytes_mean\": %.1f, "
-                     "\"allocs_mean\": %.1f, \"ring_faa_per_op_mean\": %.6f, "
-                     "\"ring_thld_per_op_mean\": %.6f, "
-                     "\"registry_per_op_mean\": %.6f, "
-                     "\"remote_steal_per_op_mean\": %.6f, "
-                     "\"cons_faa_per_op_mean\": %.6f, "
-                     "\"cons_thld_per_op_mean\": %.6f, "
-                     "\"prod_faa_per_op_mean\": %.6f, "
-                     "\"prod_thld_per_op_mean\": %.6f, "
-                     "\"node_mops_mean\": [",
-                     pt.threads, pt.mops.mean, pt.mops.cv, pt.live_bytes.mean,
-                     pt.peak_bytes.mean, pt.rss_bytes.mean, pt.allocs.mean,
-                     pt.ring_faa.mean, pt.ring_thld.mean, pt.registry.mean,
-                     pt.remote_steal.mean, pt.cons_faa.mean, pt.cons_thld.mean,
-                     pt.prod_faa.mean, pt.prod_thld.mean);
+        std::fprintf(f, "        {\"threads\": %u", pt.threads);
+        for (std::size_t m = 0; m < kMetricCount; ++m) {
+          std::fprintf(f, ", \"%s\": ", kMetrics[m].key);
+          std::fprintf(f, kMetrics[m].json_fmt, pt.metrics[m].mean);
+          if (static_cast<Metric>(m) == Metric::kMops) {
+            std::fprintf(f, ", \"mops_cv\": %.6f", pt.metrics[m].cv);
+          }
+        }
+        std::fprintf(f, ", \"node_mops_mean\": [");
         for (std::size_t k = 0; k < pt.node_mops.size(); ++k) {
           std::fprintf(f, "%s%.6f", k == 0 ? "" : ", ",
                        pt.node_mops[k].mean);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -16,50 +17,37 @@ struct Series {
   std::vector<PointResult> points;
 };
 
-void print_preamble(const char* figure, const char* caption,
+void print_preamble(const std::string& figure, const std::string& caption,
                     const BenchParams& p);
-void print_throughput_table(const std::vector<Series>& series,
-                            const std::vector<unsigned>& threads);
-void print_memory_table(const std::vector<Series>& series,
+// One table per metric: a row per thread count, a column per series, each
+// cell the metric's per-point mean in the metric table's format ("-" for
+// a skipped point). The counter metrics are wall-clock-independent, so
+// they stay meaningful on the 1-core CI host.
+void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads);
-// Metered allocation events per run (count): the churn metric behind the
-// Fig 10 curve. A recycling queue's count stays at its warm-up value while
-// an allocate-per-segment queue's grows with operations.
-void print_allocation_table(const std::vector<Series>& series,
-                            const std::vector<unsigned>& threads);
-// Shared Head/Tail F&As per executed logical operation: the magazine
-// amortization metric (DESIGN.md §9), wall-clock-independent so it stays
-// meaningful on the 1-core CI host.
-void print_ringops_table(const std::vector<Series>& series,
-                         const std::vector<unsigned>& threads);
-// ThreadRegistry tid()/high_water() lookups per executed operation: the
-// session-handle metric (DESIGN.md §10). Implicit APIs resolve the
-// thread_local tid once per op (~1); explicit handles only pay the
-// amortized help-check refresh (~1/HELP_DELAY).
-void print_registry_table(const std::vector<Series>& series,
-                          const std::vector<unsigned>& threads);
 // Topology placement metrics (DESIGN.md §12): per-node Mops under the pin
 // policy plus ShardedQueue ops that completed on a remote node's shard per
 // executed op (0.000 everywhere under node-confined placement — the
-// bench/check_topology.py CI gate).
+// topology CI gate).
 void print_node_table(const std::vector<Series>& series,
                       const std::vector<unsigned>& threads);
 // Role-split ring counters for the skewed workloads (p8to1/p1to8,
 // DESIGN.md §13): consumer-role and producer-role F&As + threshold RMWs per
 // op executed by that role. The consumer column is the degree-specialization
 // claim — an MPSC consumer path must print 0.000|0.000 — and is gated by
-// bench/check_pipeline.py.
+// the pipeline CI gate.
 void print_roles_table(const std::vector<Series>& series,
                        const std::vector<unsigned>& threads);
 void print_cv_note(const std::vector<Series>& series);
 
-// Machine-readable run report: drivers add one panel per table they print
-// and write the whole thing when BenchParams::json_path is set (CI uploads
-// the smoke-run reports as workflow artifacts).
+// Machine-readable run report: panels add one entry per table they print
+// and the driver writes the whole thing when BenchParams::json_path is set
+// (CI uploads the smoke-run reports as workflow artifacts).
 class JsonReport {
  public:
   void add_panel(const std::string& caption, const BenchParams& p,
                  const std::vector<Series>& series);
+  bool empty() const { return panels_.empty(); }
   // Writes the collected panels; no-op when path is empty. Returns false
   // (with a note on stderr) if the file cannot be opened.
   bool write(const std::string& path) const;
@@ -67,23 +55,31 @@ class JsonReport {
  private:
   struct Panel {
     std::string caption;
-    std::string workload;
-    std::uint64_t ops = 0;
-    unsigned runs = 0;
-    unsigned batch = 1;
+    BenchParams params;  // workload, ops, runs and batch go in the report
     std::vector<Series> series;
   };
   std::vector<Panel> panels_;
 };
 
-// Measure one adapter across the sweep (skipped if filtered out by --only).
+// Why a sweep point is left unmeasured, or "" to measure it.
+using SkipFn = std::function<std::string(unsigned threads)>;
+
+// Measure one adapter across the sweep as series `name` (default: the
+// adapter's name). --only selects by either name. A point `skip` rejects is
+// reported on stderr and left out of the series ("-" in the tables).
 template <typename Adapter>
-void run_series(const BenchParams& p, std::vector<Series>& out) {
-  if (!p.selected(Adapter::kName)) return;
+void run_series(const BenchParams& p, std::vector<Series>& out,
+                std::string name = Adapter::kName, const SkipFn& skip = {}) {
+  if (!p.selected(name) && !p.selected(Adapter::kName)) return;
   Series s;
-  s.name = Adapter::kName;
+  s.name = std::move(name);
   for (unsigned t : p.thread_counts) {
-    std::fprintf(stderr, "  [%s] %u thread(s)...\n", Adapter::kName, t);
+    if (const std::string why = skip ? skip(t) : ""; !why.empty()) {
+      std::fprintf(stderr, "  [%s] %u thread(s): skipped (%s)\n",
+                   s.name.c_str(), t, why.c_str());
+      continue;
+    }
+    std::fprintf(stderr, "  [%s] %u thread(s)...\n", s.name.c_str(), t);
     s.points.push_back(measure_point<Adapter>(p, t));
   }
   out.push_back(std::move(s));

@@ -1,8 +1,11 @@
 #include "harness/workloads.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <limits>
 
 #include "common/cpu.hpp"
 #include "common/env.hpp"
@@ -38,22 +41,7 @@ std::vector<unsigned> default_thread_counts() {
   return out;
 }
 
-namespace {
-
-std::vector<unsigned> parse_list(const std::string& s) {
-  std::vector<unsigned> out;
-  std::size_t pos = 0;
-  while (pos < s.size()) {
-    const std::size_t comma = s.find(',', pos);
-    const std::string tok = s.substr(pos, comma - pos);
-    if (!tok.empty()) out.push_back(static_cast<unsigned>(std::stoul(tok)));
-    if (comma == std::string::npos) break;
-    pos = comma + 1;
-  }
-  return out;
-}
-
-std::vector<std::string> parse_names(const std::string& s) {
+std::vector<std::string> split_list(const std::string& s) {
   std::vector<std::string> out;
   std::size_t pos = 0;
   while (pos < s.size()) {
@@ -66,64 +54,100 @@ std::vector<std::string> parse_names(const std::string& s) {
   return out;
 }
 
-bool flag_value(const char* arg, const char* name, std::string& out) {
-  const std::size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    out = arg + len + 1;
-    return true;
+void BenchParams::usage_error(const std::string& arg,
+                              const std::string& why) const {
+  std::fprintf(stderr,
+               "%s: bad argument '%s': %s\n"
+               "usage: %s [--threads=N,...] [--ops=N] [--runs=N] "
+               "[--batch=N] [--json=PATH] [--only=NAME,...] "
+               "[--pin-policy=rr|compact|scatter|node:<k>] [--no-pin] "
+               "[--full]",
+               prog.c_str(), arg.c_str(), why.c_str(), prog.c_str());
+  for (const auto& [name, value] : extra) {
+    std::fprintf(stderr, " [%s=...]", name.c_str());
   }
-  return false;
+  std::fprintf(stderr, "\n");
+  std::exit(2);
 }
 
-}  // namespace
-
-BenchParams BenchParams::parse(int argc, char** argv) {
+BenchParams BenchParams::parse(int argc, char** argv,
+                               std::initializer_list<const char*> extra_flags) {
   BenchParams p;
+  const char* slash = std::strrchr(argv[0], '/');
+  p.prog = slash != nullptr ? slash + 1 : argv[0];
+  for (const char* name : extra_flags) p.extra[name] = "";
+  // A count is a positive decimal integer that fits its field: 0 would
+  // divide p.ops by zero threads or run nothing, and stoul-style prefixes
+  // ("2x") hide typos.
+  constexpr std::uint64_t kUnsignedMax = std::numeric_limits<unsigned>::max();
+  auto count = [&p](const std::string& arg, const std::string& tok,
+                    std::uint64_t max) {
+    std::uint64_t n = 0;
+    const char* end = tok.data() + tok.size();
+    const auto [ptr, ec] = std::from_chars(tok.data(), end, n);
+    if (ec != std::errc() || ptr != end || n == 0 || n > max) {
+      p.usage_error(arg, "expected a positive integer");
+    }
+    return n;
+  };
+  auto counts = [&](const std::string& arg, const std::string& list) {
+    std::vector<unsigned> out;
+    for (const auto& tok : split_list(list)) {
+      out.push_back(static_cast<unsigned>(count(arg, tok, kUnsignedMax)));
+    }
+    if (out.empty()) p.usage_error(arg, "expected a positive integer");
+    return out;
+  };
+
   p.thread_counts = default_thread_counts();
   p.ops = env_u64("WCQ_BENCH_OPS", p.ops);
   p.runs = static_cast<unsigned>(env_u64("WCQ_BENCH_RUNS", p.runs));
   p.pin = env_flag("WCQ_BENCH_PIN", p.pin);
   p.pin_policy = env_str("WCQ_BENCH_PIN_POLICY", p.pin_policy);
   p.batch = static_cast<unsigned>(env_u64("WCQ_BENCH_BATCH", p.batch));
+  p.batch_set = std::getenv("WCQ_BENCH_BATCH") != nullptr;
   if (env_flag("WCQ_BENCH_FULL", false)) {
     p.ops = 10'000'000;
     p.runs = 10;
   }
   const std::string env_threads = env_str("WCQ_BENCH_THREADS", "");
-  if (!env_threads.empty()) p.thread_counts = parse_list(env_threads);
+  if (!env_threads.empty()) {
+    p.thread_counts = counts("WCQ_BENCH_THREADS=" + env_threads, env_threads);
+  }
 
   for (int i = 1; i < argc; ++i) {
-    std::string v;
-    if (flag_value(argv[i], "--threads", v)) {
-      p.thread_counts = parse_list(v);
-    } else if (flag_value(argv[i], "--ops", v)) {
-      p.ops = std::stoull(v);
-    } else if (flag_value(argv[i], "--runs", v)) {
-      p.runs = static_cast<unsigned>(std::stoul(v));
-    } else if (flag_value(argv[i], "--workload", v)) {
-      if (v == "pairs") p.workload = Workload::kPairs;
-      else if (v == "p5050") p.workload = Workload::kP5050;
-      else if (v == "empty") p.workload = Workload::kEmptyDeq;
-      else if (v == "memory") p.workload = Workload::kMemory;
-      else if (v == "burst") p.workload = Workload::kBurst;
-      else if (v == "p8to1") p.workload = Workload::kP8to1;
-      else if (v == "p1to8") p.workload = Workload::kP1to8;
-    } else if (flag_value(argv[i], "--batch", v)) {
-      p.batch = static_cast<unsigned>(std::stoul(v));
-    } else if (flag_value(argv[i], "--json", v)) {
-      p.json_path = v;
-    } else if (flag_value(argv[i], "--pin-policy", v)) {
-      p.pin_policy = v;
-    } else if (flag_value(argv[i], "--only", v)) {
-      p.only = parse_names(v);
-    } else if (std::strcmp(argv[i], "--no-pin") == 0) {
+    const std::string arg = argv[i];
+    const std::size_t eq = arg.find('=');
+    const std::string name = arg.substr(0, eq);
+    const std::string v = eq == std::string::npos ? "" : arg.substr(eq + 1);
+    if (arg == "--no-pin") {
       p.pin = false;
-    } else if (std::strcmp(argv[i], "--full") == 0) {
+    } else if (arg == "--full") {
       p.ops = 10'000'000;
       p.runs = 10;
+    } else if (eq == std::string::npos) {
+      p.usage_error(arg, "unknown flag");
+    } else if (name == "--threads") {
+      p.thread_counts = counts(arg, v);
+    } else if (name == "--ops") {
+      p.ops = count(arg, v, std::numeric_limits<std::uint64_t>::max());
+    } else if (name == "--runs") {
+      p.runs = static_cast<unsigned>(count(arg, v, kUnsignedMax));
+    } else if (name == "--batch") {
+      p.batch = static_cast<unsigned>(count(arg, v, kUnsignedMax));
+      p.batch_set = true;
+    } else if (name == "--json") {
+      p.json_path = v;
+    } else if (name == "--pin-policy") {
+      p.pin_policy = v;
+    } else if (name == "--only") {
+      p.only = split_list(v);
+    } else if (auto it = p.extra.find(name); it != p.extra.end()) {
+      it->second = v;
+    } else {
+      p.usage_error(arg, "unknown flag");
     }
   }
-  if (p.thread_counts.empty()) p.thread_counts = default_thread_counts();
   if (p.runs == 0) p.runs = 1;
   if (p.batch == 0) p.batch = 1;
   if (p.batch > kMaxBatch) p.batch = kMaxBatch;

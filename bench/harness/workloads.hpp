@@ -32,6 +32,8 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -74,25 +76,38 @@ struct BenchParams {
   // node k — the shape behind the remote_steal==0 gate). Resolved against
   // Topology::instance(), so WCQ_TOPOLOGY simulated shapes apply.
   std::string pin_policy = "rr";
+  // Set by each panel, not by a flag: a panel is one workload.
   Workload workload = Workload::kPairs;
   // memory workload: delay up to this many spin iterations between ops
   unsigned max_delay_spins = 64;
   // span per bulk call (1 = single-op path); also the burst length
   unsigned batch = 1;
+  bool batch_set = false;  // --batch or WCQ_BENCH_BATCH given explicitly
   // when non-empty, drivers append a machine-readable report here
   std::string json_path;
   // queue-name filter; empty = all queues in the binary
   std::vector<std::string> only;
+  // Driver-local `--name=value` flags: parse() accepts exactly the names its
+  // caller lists and stores their values here ("" when not given).
+  std::map<std::string, std::string> extra;
+  std::string prog;  // argv[0] basename, for usage errors
 
-  // Parse --threads=1,2,4 --ops=N --runs=N
-  // --workload=pairs|p5050|empty|memory|burst|p8to1|p1to8 --batch=N
-  // --json=PATH
+  // Parse --threads=1,2,4 --ops=N --runs=N --batch=N --json=PATH
   // --no-pin --pin-policy=rr|compact|scatter|node:<k> --full
-  // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks.
-  static BenchParams parse(int argc, char** argv);
+  // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks. Any other flag, or a
+  // zero or non-numeric count, exits 2 through usage_error().
+  static BenchParams parse(int argc, char** argv,
+                           std::initializer_list<const char*> extra_flags = {});
+
+  // Prints "<prog>: bad argument '<arg>': <why>" and the usage line, exit 2.
+  [[noreturn]] void usage_error(const std::string& arg,
+                                const std::string& why) const;
 
   bool selected(const std::string& queue_name) const;
 };
+
+// The items of a comma-separated list, empty items dropped.
+std::vector<std::string> split_list(const std::string& s);
 
 // Default thread sweep mirroring the paper's 1..144 progression, scaled to
 // this machine: powers of two up to nproc, nproc itself, and 2x nproc (the

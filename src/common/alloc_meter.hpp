@@ -44,7 +44,7 @@ void deallocate_aligned(void* p, std::size_t bytes);
 // total_allocations() counts every metered allocation event (plain and
 // aligned) and never decreases; a steady-state phase is allocation-free
 // exactly when this counter stops moving — the property the segment pool
-// buys for UnboundedQueue and bench_fig10_memory now reports per run.
+// buys for UnboundedQueue and the wcq_bench fig10 panel reports per run.
 std::int64_t live_bytes();
 std::int64_t total_allocations();
 std::int64_t peak_bytes();

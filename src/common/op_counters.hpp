@@ -14,14 +14,14 @@
 //               thread_local/global-registry lookups the per-thread session
 //               handles (DESIGN.md §10) exist to hoist off the hot path.
 //               Counted inside the registry itself so every layer's lookup
-//               is captured; the handle CI gate (bench/check_ringops.py)
+//               is captured; the handle CI gate (bench/gates.json ringops)
 //               requires the explicit-handle path to stay ≤ 1 per op.
 //   remote_steal — ShardedQueue operations that *succeeded* on a shard homed
 //               on a different NUMA node than the calling session
 //               (DESIGN.md §12). Failed probes of remote shards during a
 //               sweep are free of side effects and not counted; a nonzero
 //               count means payload actually crossed the interconnect. The
-//               topology CI gate (bench/check_topology.py) requires exactly
+//               topology CI gate (bench/gates.json topology) requires exactly
 //               0 under node-partitioned placement.
 //
 // The counters are plain thread-local increments (one add on a core-private

@@ -139,7 +139,7 @@ class BasicScq {
       }
     } else {
       // The single consumer's dequeue is a one-element span: zero F&As and
-      // zero threshold RMWs, the property bench/check_pipeline.py gates on.
+      // zero threshold RMWs, the property the bench pipeline gate checks.
       u64 index;
       if (dequeue_bulk(&index, 1) == 0) return std::nullopt;
       return index;

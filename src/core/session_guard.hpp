@@ -13,7 +13,7 @@
 // Cost on the owner's hot path: one thread-local address materialization,
 // one relaxed load and a predicted-taken compare — no RMW, no fence — so
 // the guard does not perturb the zero-F&A/zero-threshold property the
-// bench/check_pipeline.py gate asserts (those gates count shared-ring RMWs,
+// pipeline gate in bench/gates.json asserts (those gates count shared-ring RMWs,
 // which the guard never performs after binding).
 #pragma once
 

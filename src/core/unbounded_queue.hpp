@@ -122,7 +122,7 @@ class UnboundedQueue {
     unsigned segment_order = 10;
     // Recycle retired segments through the pool (false = malloc/free every
     // segment, the pre-recycling behavior; kept as an A/B toggle for
-    // bench_fig10_memory).
+    // the wcq_bench fig10 panel).
     bool recycle = true;
     // Hard ceiling on parked segments; the effective cap also scales with
     // registered threads (SegmentPool::cap).

@@ -57,7 +57,7 @@
 // layer by MpscRing's SessionGuard, so a second consumer on a shard is a
 // diagnosed abort, not silent corruption. The same options minus the mode
 // (and minus the ring substitution) give the full-MPMC baseline the
-// bench_pipeline A/B measures against.
+// wcq_bench pipeline-panel A/B measures against.
 #pragma once
 
 #include <bit>

@@ -9,7 +9,7 @@
 //     residual count;
 //   * the fast-path overhead guard — N non-contended channel ops must cost
 //     exactly the same ring F&As as N raw BoundedQueue ops (counter-based,
-//     deterministic on a 1-core host), the check_ringops.py-style claim
+//     deterministic on a 1-core host), the ringops-gate-style claim
 //     that parking support is free until someone actually parks.
 #include "runtime/channel.hpp"
 

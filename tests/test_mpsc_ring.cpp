@@ -49,7 +49,7 @@ TEST(MpscRing, ConsumerPathCountsNothing) {
   // The deletion argument, as a counter fact: dequeues — hit, miss, and
   // bulk — perform zero shared F&As and zero threshold RMWs. Producers
   // still pay the SCQ span F&A. This is the unit-level twin of the
-  // bench/check_pipeline.py consumer-zeros gate.
+  // consumer-zeros pipeline gate in bench/gates.json.
   MpscRing q(6);
   u64 in[32], out[32];
   for (u64 i = 0; i < 32; ++i) in[i] = i;
