@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Check one gate declared in bench/gates.json against a bench JSON report.
 
-Usage: check_gates.py --gate NAME REPORT.json [--gates FILE]
+Usage: check_gates.py --gate NAME REPORT.json
 
 A gate picks its records in one of two ways:
   "workload": W   wcq_bench reports: in every panel with workload W, a
@@ -27,6 +27,9 @@ import argparse
 import json
 import os
 import sys
+
+
+GATES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "gates.json")
 
 
 class GateError(Exception):
@@ -119,13 +122,10 @@ def main():
     ap = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawTextHelpFormatter)
     ap.add_argument("report", help="bench JSON report (--json=PATH)")
-    ap.add_argument("--gate", required=True, help="gate name in the gate file")
-    ap.add_argument("--gates", default=os.path.join(
-        os.path.dirname(os.path.abspath(__file__)), "gates.json"),
-        help="gate file (default: gates.json next to this script)")
+    ap.add_argument("--gate", required=True, help="gate name in gates.json")
     args = ap.parse_args()
 
-    with open(args.gates) as f:
+    with open(GATES) as f:
         gates = json.load(f)
     if args.gate not in gates:
         ap.error(f"unknown gate {args.gate!r}; gates: {', '.join(gates)}")

@@ -89,33 +89,31 @@ enum class Metric {
 inline constexpr std::size_t kMetricCount =
     static_cast<std::size_t>(Metric::kCount);
 
+// Only the rows some panel prints with print_metric_table carry a caption,
+// cell format and scale; the rest are JSON-only and leave them null.
 struct MetricInfo {
-  const char* key;       // JSON key of the per-point mean
-  const char* json_fmt;  // printf format of that mean in the JSON report
-  const char* caption;   // printed-table caption (units)
-  const char* fmt;       // printf format of a printed-table cell
-  double scale;          // printed cell = mean * scale
+  const char* key;                // JSON key of the per-point mean
+  const char* json_fmt;           // printf format of that mean in the JSON
+  const char* caption = nullptr;  // printed-table caption (units)
+  const char* fmt = nullptr;      // printf format of a printed-table cell
+  double scale = 1.0;             // printed cell = mean * scale
 };
 
 inline constexpr MetricInfo kMetrics[kMetricCount] = {
-    {"mops_mean", "%.6f", "Mops/sec", "%.2f", 1.0},
-    {"live_bytes_mean", "%.1f", "live bytes after run", "%.0f", 1.0},
+    {"mops_mean", "%.6f", "Mops/sec", "%.2f"},
+    {"live_bytes_mean", "%.1f"},
     {"peak_bytes_mean", "%.1f", "peak MB allocated during run", "%.2f", 1e-6},
-    {"rss_bytes_mean", "%.1f", "RSS bytes after run", "%.0f", 1.0},
-    {"allocs_mean", "%.1f", "allocations per run, count", "%.0f", 1.0},
-    {"ring_faa_per_op_mean", "%.6f", "shared Head/Tail F&As per op", "%.3f",
-     1.0},
-    {"ring_thld_per_op_mean", "%.6f", "shared Threshold RMWs per op", "%.3f",
-     1.0},
+    {"rss_bytes_mean", "%.1f"},
+    {"allocs_mean", "%.1f", "allocations per run, count", "%.0f"},
+    {"ring_faa_per_op_mean", "%.6f", "shared Head/Tail F&As per op", "%.3f"},
+    {"ring_thld_per_op_mean", "%.6f"},
     {"registry_per_op_mean", "%.6f", "registry/thread_local lookups per op",
-     "%.3f", 1.0},
-    {"remote_steal_per_op_mean", "%.6f", "remote steals per op", "%.3f", 1.0},
-    {"cons_faa_per_op_mean", "%.6f", "consumer F&As per op", "%.3f", 1.0},
-    {"cons_thld_per_op_mean", "%.6f", "consumer Threshold RMWs per op",
-     "%.3f", 1.0},
-    {"prod_faa_per_op_mean", "%.6f", "producer F&As per op", "%.3f", 1.0},
-    {"prod_thld_per_op_mean", "%.6f", "producer Threshold RMWs per op",
-     "%.3f", 1.0},
+     "%.3f"},
+    {"remote_steal_per_op_mean", "%.6f"},
+    {"cons_faa_per_op_mean", "%.6f"},
+    {"cons_thld_per_op_mean", "%.6f"},
+    {"prod_faa_per_op_mean", "%.6f"},
+    {"prod_thld_per_op_mean", "%.6f"},
 };
 
 inline const MetricInfo& info(Metric m) {

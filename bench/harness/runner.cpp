@@ -1,5 +1,6 @@
 #include "harness/runner.hpp"
 
+#include <cassert>
 #include <cstddef>
 #include <cstdio>
 
@@ -30,6 +31,7 @@ const PointResult* find_point(const Series& s, unsigned threads) {
 void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads) {
   const MetricInfo& mi = info(m);
+  assert(mi.caption != nullptr && mi.fmt != nullptr);  // a printed row
   std::printf("threads");
   for (const auto& s : series) std::printf(",%s", s.name.c_str());
   std::printf("   (%s)\n", mi.caption);

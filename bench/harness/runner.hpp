@@ -21,7 +21,7 @@ void print_preamble(const std::string& figure, const std::string& caption,
                     const BenchParams& p);
 // One table per metric: a row per thread count, a column per series, each
 // cell the metric's per-point mean in the metric table's format ("-" for
-// a skipped point). The counter metrics are wall-clock-independent, so
+// a skipped point). Only metrics whose kMetrics row has a caption print. The counter metrics are wall-clock-independent, so
 // they stay meaningful on the 1-core CI host.
 void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads);
