@@ -11,12 +11,6 @@ std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
   return std::strtoull(v, nullptr, 0);
 }
 
-double env_double(const char* name, double fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return fallback;
-  return std::strtod(v, nullptr);
-}
-
 bool env_flag(const char* name, bool fallback) {
   const char* v = std::getenv(name);
   if (v == nullptr || *v == '\0') return fallback;

@@ -12,7 +12,6 @@
 namespace wcq {
 
 std::uint64_t env_u64(const char* name, std::uint64_t fallback);
-double env_double(const char* name, double fallback);
 bool env_flag(const char* name, bool fallback);
 std::string env_str(const char* name, const std::string& fallback);
 

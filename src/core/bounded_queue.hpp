@@ -2,12 +2,17 @@
 //
 // SCQ/wCQ rings transfer *indices*; real payloads live in a separate data
 // array referenced by those indices. Two rings are used: `fq` holds free
-// indices (initially full: 0..n-1) and `aq` holds allocated ones. Enqueue =
-// take a free index, write the payload, publish the index through aq;
-// Dequeue = take an index from aq, read the payload, recycle the index
-// through fq. Because at most n indices exist, the rings' "Enqueue never
-// checks full" precondition holds by construction, and "queue full" is
-// simply "fq empty".
+// indices and `aq` holds allocated ones. Enqueue = take a free index, write
+// the payload, publish the index through aq; Dequeue = take an index from
+// aq, read the payload, recycle the index through fq. Because at most n
+// indices exist, the rings' "Enqueue never checks full" precondition holds
+// by construction, and "queue full" is simply "no free index left".
+//
+// Fresh indices (DESIGN.md §9): fq starts empty. Indices never issued since
+// construction or reset() come from one counter instead, so neither the
+// constructor nor reset() enqueues 0..n-1, and the first n claims take one
+// relaxed F&A per span rather than a ring dequeue each. Once the counter
+// passes n, free indices exist only in fq and the magazines.
 //
 // Index magazines (DESIGN.md §9): fq is a free list — FIFO order among free
 // indices is unobservable — so with Options::magazine (the default) each
@@ -49,6 +54,7 @@
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cstddef>
 #include <cstdio>
@@ -60,6 +66,7 @@
 #include <utility>
 
 #include "common/align.hpp"
+#include "common/op_counters.hpp"
 #include "core/scq.hpp"
 #include "core/wcq.hpp"
 #include "runtime/thread_registry.hpp"
@@ -70,12 +77,12 @@ namespace wcq {
 namespace detail {
 
 // The fq ring for a given aq ring (DESIGN.md §13). fq's degree profile is
-// NOT aq's: ctor pre-fill, cross-thread magazine exit flushes and owned-
-// handle destruction all enqueue free indices into fq from arbitrary
-// threads, and every enqueuer of the data queue dequeues from fq. So when
-// aq is degree-specialized the free ring falls back to the MPMC SCQ —
-// `BoundedQueue<T, MpscRing>` stays a drop-in instantiation while keeping
-// the index-recycling paths unrestricted. Symmetric rings keep the historic
+// NOT aq's: cross-thread magazine exit flushes and owned-handle destruction
+// enqueue free indices into fq from arbitrary threads, and every enqueuer of
+// the data queue dequeues from fq. So when aq is degree-specialized the
+// free ring falls back to the MPMC SCQ — `BoundedQueue<T, MpscRing>` stays
+// a drop-in instantiation while keeping the index-recycling paths
+// unrestricted. Symmetric rings keep the historic
 // fq == aq choice (wCQ's fq wait-freedom matters for the Fig 2 contract).
 template <typename Ring>
 struct DefaultFreeRing {
@@ -185,9 +192,6 @@ class BoundedQueue {
         data_(aq_.capacity(), kCacheLine),
         mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
               ThreadRegistry::kMaxThreads) {
-    for (u64 i = 0; i < fq_.capacity(); ++i) {
-      fq_.enqueue(i);
-    }
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
       // this an index could only be recovered by a (full-edge) reclaim
@@ -223,7 +227,9 @@ class BoundedQueue {
   }
 
   // Re-initialize to the freshly-constructed state: destroy any payloads
-  // still in flight, rewind both rings, and refill fq with 0..n-1. Same
+  // still in flight, rewind both rings (fq to empty) and the fresh-index
+  // counter to 0, which returns every index — including any retired by
+  // dequeue_retire() — to the unissued state. No ring enqueue runs. Same
   // exclusivity precondition as the rings' reset() — this is the bounded
   // layer of the segment-recycling path (DESIGN.md §8), where the hazard
   // grace period guarantees no thread can still touch this queue... with one
@@ -299,14 +305,15 @@ class BoundedQueue {
     return dequeue(h);
   }
 
-  std::optional<T> dequeue(Handle& h) {
-    const auto idx = aq_.dequeue(h.aq_h_);
-    if (!idx) return std::nullopt;
-    T* p = slot(*idx);
-    std::optional<T> out{std::move(*p)};
-    p->~T();
-    release_index(h, *idx);
-    return out;
+  std::optional<T> dequeue(Handle& h) { return take(h, /*recycle=*/true); }
+
+  // Dequeue without recycling the freed index: it stays out of circulation
+  // until reset() rewinds the fresh-index counter. For a queue that will
+  // take no further enqueue before its reset — UnboundedQueue's finalized
+  // segments (DESIGN.md §8) — this skips the magazine put and fq spill that
+  // would only feed indices nobody claims.
+  std::optional<T> dequeue_retire(Handle& h) {
+    return take(h, /*recycle=*/false);
   }
 
   // Batch insert (DESIGN.md §7): enqueues up to `n` values from `first`,
@@ -395,12 +402,24 @@ class BoundedQueue {
     return std::min(cfg.capacity, by_ring);
   }
 
+  std::optional<T> take(Handle& h, bool recycle) {
+    const auto idx = aq_.dequeue(h.aq_h_);
+    if (!idx) return std::nullopt;
+    T* p = slot(*idx);
+    std::optional<T> out{std::move(*p)};
+    p->~T();
+    if (recycle) release_index(h, *idx);
+    return out;
+  }
+
   // --- free-index claim/release (the fq half of Fig 2) ----------------------
 
-  // Claim one free index: magazine, then fq (refilling the magazine through
-  // one bulk dequeue), then the reclaim sweep. False = queue full.
+  // Claim one free index: magazine, then the fresh-index counter, then fq
+  // (the counter and fq both refill the magazine with one span), then the
+  // reclaim sweep. False = queue full.
   bool claim_index(Handle& h, u64& idx) {
     if (h.mag_ == nullptr) {
+      if (claim_fresh(&idx, 1) == 1) return true;
       const auto i = fq_.dequeue(h.fq_h_);
       if (!i) return false;
       idx = *i;
@@ -411,12 +430,14 @@ class BoundedQueue {
     return mags_.steal_for(h.tid_, idx);
   }
 
-  // One bulk fq dequeue refills the magazine and yields the caller's index:
-  // the Head F&A and threshold decrement amortize across the span.
+  // One span from the fresh counter or, once that is spent, one bulk fq
+  // dequeue refills the magazine and yields the caller's index: the F&A
+  // (and fq's threshold decrement) amortize across the span.
   bool refill_claim(Handle& h, u64& idx) {
     u64 buf[IndexMagazines::kMaxSlots + 1];
     const std::size_t want = 1 + mags_.refill_span();
-    const std::size_t got = fq_.dequeue_bulk(h.fq_h_, buf, want);
+    std::size_t got = claim_fresh(buf, want);
+    if (got == 0) got = fq_.dequeue_bulk(h.fq_h_, buf, want);
     if (got == 0) {
       // The bulk path may cede contended ranks without proving emptiness;
       // the single-op dequeue is the authoritative answer (and is an O(1)
@@ -435,11 +456,31 @@ class BoundedQueue {
     return true;
   }
 
-  // Claim up to `want` indices for a bulk span: magazine first, fq bulk for
-  // the remainder, reclaim sweep before concluding full.
+  // Issue up to `want` never-issued indices through one F&A on the fresh
+  // counter; 0 once all n are issued (then a relaxed load, no RMW). Relaxed
+  // is enough (FQ-FRESH, DESIGN.md §11): the F&A's atomicity alone makes
+  // the ranges disjoint, and a fresh index's slot holds no payload whose
+  // destruction a claimer must observe. Racers past the end over-advance
+  // the counter by at most one span each; reset() rewinds it.
+  std::size_t claim_fresh(u64* idx, std::size_t want) {
+    const u64 n = capacity();
+    if (fresh_.load(std::memory_order_relaxed) >= n) return 0;
+    opcount::count_faa();
+    const u64 base = fresh_.fetch_add(want, std::memory_order_relaxed);
+    if (base >= n) return 0;
+    const std::size_t got =
+        static_cast<std::size_t>(std::min<u64>(want, n - base));
+    for (std::size_t k = 0; k < got; ++k) idx[k] = base + k;
+    return got;
+  }
+
+  // Claim up to `want` indices for a bulk span: magazine first, then the
+  // fresh counter and fq bulk for the remainder, reclaim sweep before
+  // concluding full.
   std::size_t claim_indices(Handle& h, u64* idx, std::size_t want) {
     std::size_t got = 0;
     if (h.mag_ != nullptr) got = mags_.take_some_at(h.mag_, idx, want);
+    if (got < want) got += claim_fresh(idx + got, want - got);
     if (got < want) {
       got += fq_.dequeue_bulk(h.fq_h_, idx + got, want - got);
     }
@@ -527,13 +568,13 @@ class BoundedQueue {
     live_handles_.fetch_sub(1, std::memory_order_acq_rel);
   }
 
-  // Magazine + fq rewind (under the flush lock when magazines are on).
+  // Magazine + fq + fresh-counter rewind (under the flush lock when
+  // magazines are on). The relaxed store is published by the caller's
+  // exclusive-access hand-off, like the rings' own reset stores.
   void reset_free_indices() {
     mags_.clear();
     fq_.reset();
-    for (u64 i = 0; i < fq_.capacity(); ++i) {
-      fq_.enqueue(i);
-    }
+    fresh_.store(0, std::memory_order_relaxed);
   }
 
   // Destroy any payloads still in flight. Single-threaded drain: successful
@@ -561,6 +602,13 @@ class BoundedQueue {
   FreeRing fq_;
   AlignedArray<Storage> data_;
   IndexMagazines mags_;
+  // Next never-issued index; ≥ capacity() once every index has been issued.
+  // It starts the line the cold members below already occupy, so the first
+  // n claims' F&As touch no hot field and the queue keeps its size. A line
+  // of its own grew the queue by 128 bytes, and that growth alone, with no
+  // code touching the member, measured ~10% slower on the sharded pipeline
+  // benchmark (DESIGN.md §9).
+  alignas(kCacheLine) std::atomic<u64> fresh_{0};
   // Serializes magazine flushes (exit hook, handle destruction) against
   // reset()'s magazine/fq rewind. Never touched by enqueue/dequeue, so the
   // operations' progress class is untouched; contention is session

@@ -228,9 +228,8 @@ class BasicScq {
   }
 
   // Clear session bindings without touching ring contents. Exclusive-access
-  // only; lets ctor pre-fill, destructor and straggler-drain paths running
-  // on an arbitrary thread adopt the single role
-  // (BoundedQueue::destroy_stragglers).
+  // only; lets destructor and straggler-drain paths running on an arbitrary
+  // thread adopt the single role (BoundedQueue::destroy_stragglers).
   void release_sessions()
     requires kGuarded
   {

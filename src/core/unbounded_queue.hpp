@@ -387,8 +387,18 @@ class UnboundedQueue {
       return ok;
     }
 
+    // Once the segment is finalized no enqueue passes its gate again before
+    // reset(), so a freed index is retired instead of recycled: no magazine
+    // put, no fq spill, and reset() re-issues it through the fresh counter.
+    // An enqueuer that passed the gate before finalization may now find no
+    // free index; it fails and moves on to the successor, a path it could
+    // already take. The relaxed load is a hint (SEG-RETIRE, DESIGN.md §11):
+    // a stale `false` recycles the index as before.
     std::optional<T> dequeue(unsigned tid) {
       auto bh = queue.handle_for(tid);
+      if (finalized.load(std::memory_order_relaxed)) {
+        return queue.dequeue_retire(bh);
+      }
       return queue.dequeue(bh);
     }
 

@@ -29,11 +29,12 @@
 // pool, byte for byte).
 //
 // Memory bound: the pool never holds more than cap() nodes, where cap is
-// min(slot-array size, kPerThread * (registered threads + 1)). The cap check
-// against the approximate size counter is advisory — concurrent puts can
-// overshoot by at most one node per putting thread — so total parked memory
-// stays O(threads * segment size), preserving the paper's bounded-memory
-// property (DESIGN.md §8). Rejected puts are the caller's to free.
+// min(slot-array size, kPerThread * (registered threads + 1)), so total
+// parked memory stays O(threads * segment size), preserving the paper's
+// bounded-memory property (DESIGN.md §8). A put reserves its place in the
+// size counter with one F&A before it claims a slot, so concurrent puts
+// cannot overshoot the cap together (a check-then-put could, by one node
+// per putting thread). Rejected puts are the caller's to free.
 //
 // Publication contract: try_put's successful CAS is a release store and
 // try_get's claim is an acquire read of the same slot, so everything the
@@ -94,16 +95,12 @@ class SegmentPool {
 
   // Park `n`; false when the pool is at its cap (caller frees the node).
   // On success the pool owns the node until a try_get claims it.
-  bool try_put(Node* n) {
-    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
-    return put_range(n, 0, slots_.size(), ~0u);
-  }
+  bool try_put(Node* n) { return put_range(n, 0, slots_.size(), ~0u); }
 
   // Park `n` in `node`'s partition only; false when that partition (or the
   // global cap) is full — the caller frees, same as the flat overflow path.
   bool try_put(unsigned node, Node* n) {
     const unsigned p = node < parts_ ? node : 0;
-    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
     return put_range(n, lo(p), hi(p), p);
   }
 
@@ -115,7 +112,8 @@ class SegmentPool {
     return dynamic < slots_.size() ? dynamic : slots_.size();
   }
 
-  // Approximate count of parked nodes (exact at quiescence).
+  // Approximate count of parked nodes (exact at quiescence; counts puts
+  // that have reserved but not yet parked).
   std::size_t size() const { return size_.load(std::memory_order_relaxed); }
 
   // Approximate count parked in `node`'s partition (exact at quiescence).
@@ -164,7 +162,15 @@ class SegmentPool {
     return nullptr;
   }
 
+  // Reserve-then-claim: the F&A admits at most cap() reservations at once
+  // (a racer that lands past the cap undoes its own), and only a reserved
+  // put may park, so parked ≤ cap() holds at every instant.
   bool put_range(Node* n, std::size_t b, std::size_t e, unsigned p) {
+    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
+    if (size_.fetch_add(1, std::memory_order_relaxed) >= cap()) {
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return false;
+    }
     for (std::size_t i = b; i < e; ++i) {
       Node* expected = nullptr;
       WCQ_SCHED_POINT(kPoolOp);
@@ -172,12 +178,12 @@ class SegmentPool {
           slots_[i].value.compare_exchange_strong(
               expected, n, std::memory_order_release,
               std::memory_order_relaxed)) {
-        size_.fetch_add(1, std::memory_order_relaxed);
         const unsigned owner = p != ~0u ? p : part_of_[i];
         psize_[owner].value.fetch_add(1, std::memory_order_relaxed);
         return true;
       }
     }
+    size_.fetch_sub(1, std::memory_order_relaxed);  // partition full
     return false;
   }
 

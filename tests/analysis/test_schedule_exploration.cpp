@@ -85,9 +85,14 @@ TEST(SchedExplore, WcqProdCon) {
       [] { return std::make_unique<WCQ>(2); }, prodcon_scripts(3), 4);
 }
 
-// Patience 1 forces nearly every op through the helped slow path (Fig 7),
-// putting the phase-1/phase-2 CAS ladder and the helping protocol under the
-// preemption schedule instead of the fast-path F&As.
+// Patience 1 sends an op to the helped slow path (Fig 7) after its first
+// failed fast-path attempt, but these scripts never fail one: two threads
+// running enqueue/dequeue pairs on a 4-slot ring hold at most two elements,
+// and an instrumented run counted 0 failed attempts, hence 0 enqueue_slow
+// and 0 dequeue_slow entries, over every explored schedule. What this
+// checks is FIFO linearizability of the patience-1 ring's fast path, empty
+// exits and no-op help_threads scans under preemption. Reaching the slow
+// path needs a script or hook that makes a fast-path attempt fail.
 TEST(SchedExplore, WcqSlowPath) {
   explore<analysis_test::RingAdapter<WCQ>>(
       [] {

@@ -1,0 +1,172 @@
+// Fresh-index counter and retired indices (DESIGN.md §8, §9).
+//
+// BoundedQueue's fq starts empty: never-issued indices come from one
+// counter, so construction and reset() run no ring operation, and each of
+// the capacity() indices is issued once per generation. UnboundedQueue's
+// finalized segments retire freed indices instead of recycling them; only
+// reset() brings them back. These tests pin both halves over every ring,
+// with magazines on and off.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <set>
+#include <thread>
+#include <vector>
+
+#include "common/op_counters.hpp"
+#include "core/bounded_queue.hpp"
+#include "core/unbounded_queue.hpp"
+#include "core/wcq_llsc.hpp"
+
+namespace wcq {
+namespace {
+
+template <typename R, bool Magazine>
+struct Config {
+  using Ring = R;
+  static constexpr bool kMagazine = Magazine;
+};
+
+template <typename C>
+class FreshIndexTest : public ::testing::Test {
+ protected:
+  template <typename T>
+  using Queue = BoundedQueue<T, typename C::Ring>;
+
+  template <typename T>
+  static typename Queue<T>::Options options(unsigned order) {
+    return {order, {.enabled = C::kMagazine}};
+  }
+};
+
+using Configs =
+    ::testing::Types<Config<WCQ, true>, Config<WCQ, false>, Config<SCQ, true>,
+                     Config<SCQ, false>, Config<WCQLLSC, true>,
+                     Config<WCQLLSC, false>>;
+TYPED_TEST_SUITE(FreshIndexTest, Configs);
+
+u64 faa_count() { return opcount::snapshot().faa; }
+
+// Records the address each payload is moved into while `log` is set, so a
+// fill can check that every enqueue landed in its own data slot.
+struct SlotProbe {
+  static std::vector<const void*>* log;
+  u64 v = 0;
+  explicit SlotProbe(u64 x) noexcept : v(x) {}
+  SlotProbe(SlotProbe&& o) noexcept : v(o.v) {
+    if (log != nullptr) log->push_back(this);
+  }
+  SlotProbe& operator=(SlotProbe&&) noexcept = default;
+};
+std::vector<const void*>* SlotProbe::log = nullptr;
+
+TYPED_TEST(FreshIndexTest, ConstructionAndResetCostNoRingFaa) {
+  const u64 before = faa_count();
+  typename TestFixture::template Queue<u64> q(
+      TestFixture::template options<u64>(4));
+  EXPECT_EQ(faa_count() - before, 0u) << "construction pre-filled fq";
+
+  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_EQ(q.dequeue().value(), i);
+  // Spend aq's threshold so reset()'s straggler drain is a pure threshold
+  // check; what remains is the free-index rewind under test.
+  for (u64 k = 0; k < 4 * q.capacity() && q.aq().threshold() >= 0; ++k) {
+    ASSERT_FALSE(q.dequeue().has_value());
+  }
+  ASSERT_LT(q.aq().threshold(), 0);
+
+  const u64 pre_reset = faa_count();
+  q.reset();
+  EXPECT_EQ(faa_count() - pre_reset, 0u) << "reset() refilled fq";
+}
+
+TYPED_TEST(FreshIndexTest, FillIsExactWithDistinctSlotsAfterConstructAndReset) {
+  using Probe = SlotProbe;
+  typename TestFixture::template Queue<Probe> q(
+      TestFixture::template options<Probe>(4));
+  for (int gen = 0; gen < 3; ++gen) {
+    std::vector<const void*> slots;
+    SlotProbe::log = &slots;
+    for (u64 i = 0; i < q.capacity(); ++i) {
+      ASSERT_TRUE(q.enqueue(Probe(i))) << "gen " << gen << ": full at " << i;
+    }
+    SlotProbe::log = nullptr;
+    EXPECT_FALSE(q.enqueue(Probe(999))) << "gen " << gen << ": over capacity";
+    ASSERT_EQ(slots.size(), q.capacity());
+    EXPECT_EQ(std::set<const void*>(slots.begin(), slots.end()).size(),
+              q.capacity())
+        << "gen " << gen << ": two enqueues shared a payload slot";
+    // Even generations reset full (stragglers), odd ones after a drain.
+    if (gen % 2 == 1) {
+      for (u64 i = 0; i < q.capacity(); ++i) {
+        ASSERT_EQ(q.dequeue().value().v, i);
+      }
+    }
+    q.reset();
+    EXPECT_FALSE(q.dequeue().has_value());
+  }
+}
+
+// Four threads race for the last few fresh indices of a nearly full queue.
+// Each enqueues until it sees full; together they must admit exactly the
+// remaining capacity — a lost index would admit fewer, a duplicated one
+// more (and show up twice in the drain).
+TYPED_TEST(FreshIndexTest, ConcurrentRaceForLastFreshIndicesIsExact) {
+  constexpr unsigned kThreads = 4;
+  typename TestFixture::template Queue<u64> q(
+      TestFixture::template options<u64>(6));
+  const u64 n = q.capacity();
+  for (int round = 0; round < 20; ++round) {
+    const u64 prefill = n - 2 * kThreads - static_cast<u64>(round % 3);
+    for (u64 i = 0; i < prefill; ++i) ASSERT_TRUE(q.enqueue(i));
+
+    std::atomic<unsigned> ready{0};
+    std::atomic<u64> admitted{0};
+    std::vector<std::thread> ts;
+    for (unsigned t = 0; t < kThreads; ++t) {
+      ts.emplace_back([&, t] {
+        ready.fetch_add(1);
+        while (ready.load() < kThreads) std::this_thread::yield();
+        u64 mine = 0;
+        while (q.enqueue((u64{t + 1} << 32) | mine)) ++mine;
+        admitted.fetch_add(mine);
+      });
+    }
+    for (auto& th : ts) th.join();
+    EXPECT_EQ(admitted.load(), n - prefill) << "round " << round;
+
+    std::set<u64> seen;
+    while (auto v = q.dequeue()) {
+      EXPECT_TRUE(seen.insert(*v).second) << "duplicate " << *v;
+    }
+    EXPECT_EQ(seen.size(), n) << "round " << round;
+    q.reset();
+  }
+}
+
+// UnboundedQueue on 4-element segments: fill, drain, flush retirements,
+// refill. Finalized segments retired their freed indices, so the refill is
+// exact only if the pooled segments got every index back through reset():
+// k segments must hold the 4k items again, each with exactly 4.
+TYPED_TEST(FreshIndexTest, UnboundedRefillKeepsEverySegmentFull) {
+  using Ring = typename TypeParam::Ring;
+  typename UnboundedQueue<u64, Ring>::Options o;
+  o.segment_order = 2;
+  o.magazine.enabled = TypeParam::kMagazine;
+  UnboundedQueue<u64, Ring> q(o);
+  constexpr u64 kSegments = 8;
+  constexpr u64 kItems = 4 * kSegments;
+  for (int gen = 0; gen < 3; ++gen) {
+    for (u64 i = 0; i < kItems; ++i) ASSERT_TRUE(q.enqueue(i));
+    EXPECT_EQ(q.live_segments(), kSegments)
+        << "gen " << gen << ": a segment holds fewer than 4 items";
+    for (u64 i = 0; i < kItems; ++i) {
+      ASSERT_EQ(q.dequeue().value(), i) << "gen " << gen;
+    }
+    EXPECT_FALSE(q.dequeue().has_value());
+    q.reclaim_flush();
+  }
+}
+
+}  // namespace
+}  // namespace wcq

@@ -133,8 +133,8 @@ TEST(BoundedMagazine, OptionsClampAndToggle) {
 
 TEST(BoundedMagazine, FullSemanticsStayExact) {
   // The magazine-relaxed "full" must still be exact in quiescent state:
-  // claim order is magazine -> fq -> reclaim steal, so a single thread sees
-  // precisely capacity() successes.
+  // claim order is magazine -> fresh counter -> fq -> reclaim steal, so a
+  // single thread sees precisely capacity() successes.
   BoundedQueue<u64> q(BoundedQueue<u64>::Options{3, {}});
   for (u64 i = 0; i < q.capacity(); ++i) {
     EXPECT_TRUE(q.enqueue(i)) << "queue full too early at " << i;

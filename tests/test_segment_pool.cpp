@@ -55,7 +55,7 @@ TYPED_TEST(RingResetTest, ReusableAcrossGenerations) {
   }
 }
 
-// ---- bounded layer: reset() destroys stragglers and refills fq ------------
+// ---- bounded layer: reset() destroys stragglers and rewinds free indices --
 
 struct Counted {
   static std::atomic<int> live;
@@ -91,7 +91,7 @@ TYPED_TEST(BoundedResetTest, DestroysStragglersAndRefills) {
       EXPECT_EQ(Counted::live.load(), 0) << "stragglers not destroyed";
       EXPECT_FALSE(q.dequeue().has_value());
 
-      // Full capacity again: fq was refilled with 0..n-1.
+      // Full capacity again: the fresh-index counter was rewound to 0.
       for (u64 i = 0; i < q.capacity(); ++i) {
         ASSERT_TRUE(q.enqueue(Counted(static_cast<int>(i))))
             << "capacity lost after reset";
@@ -277,6 +277,57 @@ TEST(SegmentPoolTest, ConcurrentOwnershipExactlyOnce) {
   EXPECT_EQ(held_total + pool.size(), kNodes) << "nodes lost or duplicated";
 }
 
+// Racing puts respect the cap together, not only one at a time: with a
+// check-then-put every racer can pass the same below-cap check and park,
+// which is how MpmcChurnBoundedAndWalkSafe saw one segment over the cap.
+// Each round releases four threads at an emptied pool at once.
+TEST(SegmentPoolTest, ConcurrentPutsNeverExceedCap) {
+  constexpr unsigned kThreads = 4;
+  (void)ThreadRegistry::tid();
+  SegmentPool<int> pool(64);
+  const std::size_t cap = pool.cap();
+  ASSERT_LT(cap, 64u) << "the slot ceiling would hide the dynamic cap";
+  const u64 rounds = testing::scale_items(4000);
+  std::vector<int> nodes(kThreads * cap);
+
+  std::atomic<u64> go{0};
+  std::atomic<unsigned> done{0};
+  std::atomic<std::size_t> parked{0};
+  std::vector<std::thread> ts;
+  for (unsigned t = 0; t < kThreads; ++t) {
+    ts.emplace_back([&, t] {
+      for (u64 r = 1; r <= rounds; ++r) {
+        while (go.load(std::memory_order_acquire) < r) {
+          std::this_thread::yield();
+        }
+        std::size_t mine = 0;
+        for (std::size_t k = 0; k < cap; ++k) {
+          if (pool.try_put(&nodes[t * cap + k])) ++mine;
+        }
+        parked.fetch_add(mine);
+        done.fetch_add(1, std::memory_order_acq_rel);
+      }
+    });
+  }
+  for (u64 r = 1; r <= rounds; ++r) {
+    parked.store(0);
+    done.store(0);
+    go.store(r, std::memory_order_release);
+    while (done.load(std::memory_order_acquire) < kThreads) {
+      std::this_thread::yield();
+    }
+    const std::size_t n = parked.load();
+    pool.drain([](int*) {});
+    if (n > cap) {
+      ADD_FAILURE() << "round " << r << ": " << n << " nodes parked, cap "
+                    << cap;
+      go.store(rounds, std::memory_order_release);  // let the threads finish
+      break;
+    }
+  }
+  for (auto& th : ts) th.join();
+}
+
 // ---- metering honesty: every byte a segment owns is visible ---------------
 
 TEST(SegmentMeterAuditTest, SegmentBytesAndCountsAllMetered) {
@@ -416,17 +467,31 @@ TYPED_TEST(SegmentRecyclingTypedTest, MpmcChurnBoundedAndWalkSafe) {
   monitor.join();
 
   // Bounds are deliberately loose: they catch unbounded growth (the failure
-  // mode recycling could introduce), not tight occupancy.
-  EXPECT_LE(max_live, 4096u) << "segment list grew without bound";
-  EXPECT_LE(alloc_meter::peak_bytes() - live_before, std::int64_t{64} << 20)
-      << "metered peak exploded during churn";
-
+  // mode recycling could introduce), not tight occupancy. Every message
+  // carries all four observed values, so one failure says which bound
+  // tripped and where the others stood.
+  const std::int64_t peak = alloc_meter::peak_bytes() - live_before;
   q.reclaim_flush();
-  EXPECT_LE(q.live_segments(), 4u);
-  EXPECT_LE(q.pooled_segments(),
-            SegmentPool<int>::kPerThread *
-                (static_cast<std::size_t>(ThreadRegistry::high_water()) + 1))
-      << "pool exceeded its thread-scaled cap";
+  const u64 live_after_flush = q.live_segments();
+  const std::size_t pooled = q.pooled_segments();
+  const std::size_t pool_cap =
+      SegmentPool<int>::kPerThread *
+      (static_cast<std::size_t>(ThreadRegistry::high_water()) + 1);
+  const auto observed = [&] {
+    return ::testing::Message()
+           << " [max_live=" << max_live << " peak_bytes=" << peak
+           << " live_after_flush=" << live_after_flush
+           << " pooled=" << pooled << " pool_cap=" << pool_cap << "]";
+  };
+  EXPECT_LE(max_live, 4096u) << "segment list grew without bound"
+                             << observed();
+  EXPECT_LE(peak, std::int64_t{64} << 20)
+      << "metered peak exploded during churn" << observed();
+  EXPECT_LE(live_after_flush, 4u)
+      << "segments still linked after the drain and reclaim_flush"
+      << observed();
+  EXPECT_LE(pooled, pool_cap)
+      << "pool exceeded its thread-scaled cap" << observed();
 }
 
 }  // namespace
