@@ -57,8 +57,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <cstdio>
-#include <cstdlib>
 #include <mutex>
 #include <new>
 #include <optional>
@@ -68,6 +66,7 @@
 #include "common/align.hpp"
 #include "common/op_counters.hpp"
 #include "core/scq.hpp"
+#include "core/session.hpp"
 #include "core/wcq.hpp"
 #include "runtime/thread_registry.hpp"
 #include "scale/index_magazine.hpp"
@@ -127,63 +126,27 @@ class BoundedQueue {
 
   // Per-thread session (DESIGN.md §10): dense tid, both rings' sessions and
   // the magazine block, resolved once. Move-only. An *owned* handle (from
-  // acquire()) flushes its magazine back to fq on destruction — the exit
-  // hook remains as the fallback for implicit use — and participates in
-  // lifetime checking: the queue aborts with a diagnostic if destroyed
-  // while owned handles are live, turning a handle-outlives-queue bug into
-  // a deterministic failure instead of a use-after-free. Views from
-  // handle_for() carry no ownership and may be built per operation.
+  // acquire()) flushes its magazine back to fq when it is released — the
+  // exit hook remains as the fallback for implicit use — and pins the queue
+  // (core/session.hpp). Views from handle_for() carry no ownership and may
+  // be built per operation.
   class Handle {
    public:
     Handle() = default;
-    Handle(Handle&& o) noexcept
-        : q_(o.q_), tid_(o.tid_), aq_h_(o.aq_h_), fq_h_(o.fq_h_),
-          mag_(o.mag_), owned_(o.owned_) {
-      o.q_ = nullptr;
-      o.owned_ = false;
-    }
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        q_ = o.q_;
-        tid_ = o.tid_;
-        aq_h_ = o.aq_h_;
-        fq_h_ = o.fq_h_;
-        mag_ = o.mag_;
-        owned_ = o.owned_;
-        o.q_ = nullptr;
-        o.owned_ = false;
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { release(); }
 
-    unsigned tid() const { return tid_; }
-    bool owned() const { return owned_; }
+    unsigned tid() const { return owner_.tid(); }
+    bool owned() const { return owner_.owned(); }
 
    private:
     friend class BoundedQueue;
     Handle(BoundedQueue* q, unsigned tid, bool owned)
-        : q_(q), tid_(tid), aq_h_(q->aq_.handle_for(tid)),
-          fq_h_(q->fq_.handle_for(tid)),
-          mag_(q->mags_.block_for(tid)), owned_(owned) {}
+        : owner_(owned ? q : nullptr, tid), aq_h_(q->aq_.handle_for(tid)),
+          fq_h_(q->fq_.handle_for(tid)), mag_(q->mags_.block_for(tid)) {}
 
-    void release() {
-      if (owned_ && q_ != nullptr) {
-        q_->handle_released(*this);
-      }
-      q_ = nullptr;
-      owned_ = false;
-    }
-
-    BoundedQueue* q_ = nullptr;
-    unsigned tid_ = 0;
+    SessionOwner<BoundedQueue> owner_;
     typename Ring::Handle aq_h_{};
     typename FreeRing::Handle fq_h_{};
     std::atomic<u64>* mag_ = nullptr;  // null when magazines are disabled
-    bool owned_ = false;
   };
 
   explicit BoundedQueue(Options opt)
@@ -207,17 +170,7 @@ class BoundedQueue {
   explicit BoundedQueue(unsigned order) : BoundedQueue(Options{order}) {}
 
   ~BoundedQueue() {
-    const int live = live_handles_.load(std::memory_order_acquire);
-    if (live != 0) {
-      // A live owned handle holds pointers into this queue; letting the
-      // destructor proceed would leave it dangling and its eventual flush
-      // would scribble on freed memory. Fail deterministically instead.
-      std::fprintf(stderr,
-                   "wcq: BoundedQueue destroyed with %d live session "
-                   "handle(s); destroy handles before their queue\n",
-                   live);
-      std::abort();
-    }
+    sessions_.check_none_live("BoundedQueue");
     if (mags_.enabled()) {
       // Blocks until any in-flight exit flush completes; after this no
       // thread can touch fq_/mags_ through the hook path.
@@ -265,7 +218,7 @@ class BoundedQueue {
   // handle must be destroyed before the queue (checked) and used only on
   // this thread.
   Handle acquire() {
-    live_handles_.fetch_add(1, std::memory_order_acq_rel);
+    sessions_.add();
     return Handle(this, ThreadRegistry::tid(), /*owned=*/true);
   }
 
@@ -386,9 +339,7 @@ class BoundedQueue {
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }
   // Owned session handles currently alive (test hook).
-  int live_handles() const {
-    return live_handles_.load(std::memory_order_acquire);
-  }
+  int live_handles() const { return sessions_.live(); }
 
  private:
   // Bulk spans are staged through a fixed stack buffer of indices so the
@@ -427,7 +378,7 @@ class BoundedQueue {
     }
     if (mags_.try_take_at(h.mag_, idx)) return true;  // steady state: no ring op
     if (refill_claim(h, idx)) return true;
-    return mags_.steal_for(h.tid_, idx);
+    return mags_.steal_for(h.tid(), idx);
   }
 
   // One span from the fresh counter or, once that is spent, one bulk fq
@@ -493,7 +444,7 @@ class BoundedQueue {
       if (const auto i = fq_.dequeue(h.fq_h_)) {
         idx[got++] = *i;
       } else if (h.mag_ != nullptr) {
-        if (u64 s; mags_.steal_for(h.tid_, s)) idx[got++] = s;
+        if (u64 s; mags_.steal_for(h.tid(), s)) idx[got++] = s;
       }
     }
     return got;
@@ -559,13 +510,14 @@ class BoundedQueue {
   }
 
   // Owned-handle teardown (DESIGN.md §10): the exit hook's flush moves onto
-  // handle destruction, so a pool worker releasing its session returns its
-  // cached indices immediately instead of at thread exit. Destruction on a
+  // session release, so a pool worker releasing its session returns its
+  // cached indices immediately instead of at thread exit. Release on a
   // different thread than the one that used the handle is safe — see
   // flush_magazine's cross-thread contract.
-  void handle_released(Handle& h) {
-    flush_magazine(h.tid_);
-    live_handles_.fetch_sub(1, std::memory_order_acq_rel);
+  friend class SessionOwner<BoundedQueue>;
+  void release_session(unsigned tid) {
+    flush_magazine(tid);
+    sessions_.remove();
   }
 
   // Magazine + fq + fresh-counter rewind (under the flush lock when
@@ -615,7 +567,7 @@ class BoundedQueue {
   // teardown × this queue's reset, both rare.
   std::mutex mag_flush_mu_;
   std::uint64_t hook_handle_ = 0;
-  std::atomic<int> live_handles_{0};
+  LiveSessions sessions_;
 };
 
 }  // namespace wcq

@@ -32,8 +32,6 @@
 #pragma once
 
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <new>
 #include <optional>
 #include <utility>
@@ -43,6 +41,7 @@
 #include "common/backoff.hpp"
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
+#include "core/session.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/segment_pool.hpp"
 #include "scale/index_magazine.hpp"
@@ -56,10 +55,9 @@ class UnboundedQueue {
   // hazard-slot row for it, resolved once. Segment-level ring/magazine
   // state cannot be cached here — segments come and go — so the handle
   // carries the tid and each segment rebuilds its BoundedQueue view from it
-  // by pure arithmetic (zero registry lookups). Owned handles participate
-  // in the same lifetime check as BoundedQueue's: destroying the queue with
-  // live owned handles aborts with a diagnostic. Unlike BoundedQueue's
-  // handle, release does NOT flush segment magazines (that would need a
+  // by pure arithmetic (zero registry lookups). Owned handles pin the queue
+  // like BoundedQueue's (core/session.hpp). Unlike BoundedQueue's handle,
+  // release does NOT flush segment magazines (that would need a
   // hazard-protected walk of a list the session no longer operates on);
   // segment magazines flush at thread exit via the registry hook, and the
   // full-edge reclaim sweep keeps cached indices from wedging a segment's
@@ -67,30 +65,8 @@ class UnboundedQueue {
   class Handle {
    public:
     Handle() = default;
-    Handle(Handle&& o) noexcept
-        : q_(o.q_), tid_(o.tid_), hp_row_(o.hp_row_), node_(o.node_),
-          owned_(o.owned_) {
-      o.q_ = nullptr;
-      o.owned_ = false;
-    }
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        q_ = o.q_;
-        tid_ = o.tid_;
-        hp_row_ = o.hp_row_;
-        node_ = o.node_;
-        owned_ = o.owned_;
-        o.q_ = nullptr;
-        o.owned_ = false;
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { release(); }
 
-    unsigned tid() const { return tid_; }
+    unsigned tid() const { return owner_.tid(); }
 
    private:
     friend class UnboundedQueue;
@@ -98,23 +74,12 @@ class UnboundedQueue {
     // growth path, DESIGN.md §12); the per-op unowned views leave it unset
     // and the growth path — rare, once per 2^order ops — resolves lazily.
     Handle(UnboundedQueue* q, unsigned tid, bool owned)
-        : q_(q), tid_(tid), hp_row_(q->hp_.slots_for(tid)),
-          node_(owned ? q->topo_->current_node() : Topology::kUnsetNode),
-          owned_(owned) {}
+        : owner_(owned ? q : nullptr, tid), hp_row_(q->hp_.slots_for(tid)),
+          node_(owned ? q->topo_->current_node() : Topology::kUnsetNode) {}
 
-    void release() {
-      if (owned_ && q_ != nullptr) {
-        q_->live_handles_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      q_ = nullptr;
-      owned_ = false;
-    }
-
-    UnboundedQueue* q_ = nullptr;
-    unsigned tid_ = 0;
+    SessionOwner<UnboundedQueue> owner_;
     HazardDomain::ThreadSlots* hp_row_ = nullptr;
     unsigned node_ = Topology::kUnsetNode;
-    bool owned_ = false;
   };
 
   struct Options {
@@ -160,14 +125,7 @@ class UnboundedQueue {
       : UnboundedQueue(Options{.segment_order = segment_order}) {}
 
   ~UnboundedQueue() {
-    const int live = live_handles_.load(std::memory_order_acquire);
-    if (live != 0) {
-      std::fprintf(stderr,
-                   "wcq: UnboundedQueue destroyed with %d live session "
-                   "handle(s); destroy handles before their queue\n",
-                   live);
-      std::abort();
-    }
+    sessions_.check_none_live("UnboundedQueue");
     // Quiescent by contract. Flush pending retirements first (they recycle
     // into — or bypass — the pool via recycle_cb, which must still find the
     // queue alive), then free the linked list, then the parked segments.
@@ -186,7 +144,7 @@ class UnboundedQueue {
 
   // Owned per-thread session (one registry lookup; see Handle).
   Handle acquire() {
-    live_handles_.fetch_add(1, std::memory_order_acq_rel);
+    sessions_.add();
     return Handle(this, ThreadRegistry::tid(), /*owned=*/true);
   }
 
@@ -218,7 +176,7 @@ class UnboundedQueue {
                                             std::memory_order_seq_cst);
         continue;
       }
-      if (ltail->enqueue(h.tid_, value)) {
+      if (ltail->enqueue(h.tid(), value)) {
         HazardDomain::clear(*h.hp_row_, kEnqSlot);
         return true;
       }
@@ -229,7 +187,7 @@ class UnboundedQueue {
       HazardDomain::set(*h.hp_row_, 0, ltail);
       HazardDomain::clear(*h.hp_row_, kEnqSlot);
       Segment* fresh = acquire_segment(h);
-      (void)fresh->enqueue(h.tid_, value);  // empty open ring: cannot fail
+      (void)fresh->enqueue(h.tid(), value);  // empty open ring: cannot fail
       Segment* expected = nullptr;
       const bool linked = ltail->next.compare_exchange_strong(
           expected, fresh, std::memory_order_seq_cst);
@@ -243,7 +201,7 @@ class UnboundedQueue {
       // exclusively, so this dequeue cannot fail) and retry there. With the
       // moving chain the element lives in fresh now — the old copying chain
       // could just drop the segment's copy.
-      value = std::move(*fresh->dequeue(h.tid_));
+      value = std::move(*fresh->dequeue(h.tid()));
       release_segment(fresh);
     }
   }
@@ -257,7 +215,7 @@ class UnboundedQueue {
     Backoff bo;
     for (;;) {
       Segment* lhead = HazardDomain::protect(*h.hp_row_, 0, head_.value);
-      if (auto v = lhead->dequeue(h.tid_)) {
+      if (auto v = lhead->dequeue(h.tid())) {
         HazardDomain::clear(*h.hp_row_, 0);
         return v;
       }
@@ -275,7 +233,7 @@ class UnboundedQueue {
         bo.pause();
         continue;
       }
-      if (auto v = lhead->dequeue(h.tid_)) {  // drained-check must re-validate
+      if (auto v = lhead->dequeue(h.tid())) {  // drained-check must re-validate
         HazardDomain::clear(*h.hp_row_, 0);
         return v;
       }
@@ -283,7 +241,7 @@ class UnboundedQueue {
       if (head_.value.compare_exchange_strong(expected, next,
                                               std::memory_order_seq_cst)) {
         HazardDomain::clear(*h.hp_row_, 0);
-        hp_.retire(h.tid_, lhead, &UnboundedQueue::recycle_cb, this);
+        hp_.retire(h.tid(), lhead, &UnboundedQueue::recycle_cb, this);
       }
     }
   }
@@ -333,6 +291,7 @@ class UnboundedQueue {
   }
 
   // Test hooks.
+  int live_handles() const { return sessions_.live(); }
   std::size_t pooled_segments() const { return pool_.size(); }
   const Options& options() const { return opt_; }
   // Flush this queue's pending retirements (quiescent-only): retired
@@ -341,6 +300,9 @@ class UnboundedQueue {
   void reclaim_flush() { hp_.drain(); }
 
  private:
+  friend class SessionOwner<UnboundedQueue>;
+  void release_session(unsigned /*tid*/) { sessions_.remove(); }
+
   // One ring segment: a Fig 2 bounded queue plus finalization state.
   struct Segment {
     using QueueOptions = typename BoundedQueue<T, Ring>::Options;
@@ -499,7 +461,7 @@ class UnboundedQueue {
   mutable HazardDomain hp_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Segment*>> head_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Segment*>> tail_;
-  std::atomic<int> live_handles_{0};
+  LiveSessions sessions_;
 };
 
 }  // namespace wcq

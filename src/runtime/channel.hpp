@@ -84,11 +84,6 @@ class Channel {
   // session discipline applies unchanged).
   class Handle {
    public:
-    Handle(Handle&&) = default;
-    Handle& operator=(Handle&&) = default;
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-
     // Times this session committed a park (kernel or virtual).
     std::uint64_t parks() const { return parks_; }
 
@@ -142,27 +137,16 @@ class Channel {
       closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
       return ChanStatus::kClosed;
     }
-    if (!q_.enqueue_movable(h.qh_, value)) return ChanStatus::kFull;
-    after_send();
-    return ChanStatus::kOk;
+    return put(h, value) ? ChanStatus::kOk : ChanStatus::kFull;
   }
 
   ChanStatus try_recv(Handle& h, T& out) {
-    if (auto v = q_.dequeue(h.qh_)) {
-      out = std::move(*v);
-      not_full_.notify_one();
-      return ChanStatus::kOk;
-    }
+    if (take(h, out)) return ChanStatus::kOk;
     if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
       // Authoritative drain probe: the failed dequeue above raced pre-close
       // enqueues; one more attempt issued *after* observing the flag sees
       // every element published before close().
-      if (auto v = q_.dequeue(h.qh_)) {
-        out = std::move(*v);
-        not_full_.notify_one();
-        return ChanStatus::kOk;
-      }
-      return ChanStatus::kClosed;
+      return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
     }
     return ChanStatus::kEmpty;
   }
@@ -242,6 +226,22 @@ class Channel {
   }
 
  private:
+  // Enqueue through the session, then the post-send wake (after_send).
+  bool put(Handle& h, T& value) {
+    if (!q_.enqueue_movable(h.qh_, value)) return false;
+    after_send();
+    return true;
+  }
+
+  // Dequeue through the session, move the element out, wake one sender.
+  bool take(Handle& h, T& out) {
+    auto v = q_.dequeue(h.qh_);
+    if (!v) return false;
+    out = std::move(*v);
+    not_full_.notify_one();
+    return true;
+  }
+
   // Post-enqueue bookkeeping shared by every successful send path. The
   // closed re-check catches the send/close race: the element is already in
   // the ring (and will be drained by any receiver still looping), but a
@@ -274,10 +274,7 @@ class Channel {
     }
     h.backoff_.reset();
     for (;;) {
-      if (q_.enqueue_movable(h.qh_, value)) {
-        after_send();
-        return ChanStatus::kOk;
-      }
+      if (put(h, value)) return ChanStatus::kOk;
       if (!h.backoff_.yielding()) {
         // Spin phase: burn the ladder before announcing a waiter.
         if (has_deadline) {
@@ -308,10 +305,7 @@ class Channel {
             std::chrono::steady_clock::now() >= deadline) {
           // One last immediate attempt so a wake racing the deadline is not
           // reported as a timeout when the slot is already there.
-          if (q_.enqueue_movable(h.qh_, value)) {
-            after_send();
-            return ChanStatus::kOk;
-          }
+          if (put(h, value)) return ChanStatus::kOk;
           send_timeouts_.fetch_add(1, std::memory_order_relaxed);
           return ChanStatus::kTimeout;
         }
@@ -329,20 +323,11 @@ class Channel {
                        std::chrono::steady_clock::time_point deadline) {
     h.backoff_.reset();
     for (;;) {
-      if (auto v = q_.dequeue(h.qh_)) {
-        out = std::move(*v);
-        not_full_.notify_one();
-        return ChanStatus::kOk;
-      }
+      if (take(h, out)) return ChanStatus::kOk;
       if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
         // Drain-to-empty: one authoritative attempt after observing the
         // flag (see try_recv); only then report the channel closed.
-        if (auto v = q_.dequeue(h.qh_)) {
-          out = std::move(*v);
-          not_full_.notify_one();
-          return ChanStatus::kOk;
-        }
-        return ChanStatus::kClosed;
+        return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
       }
       if (!h.backoff_.yielding()) {
         if (has_deadline) {
@@ -371,23 +356,14 @@ class Channel {
       }
       if (closed_.load(std::memory_order_seq_cst)) {  // CHAN-CLOSE
         not_empty_.cancel_wait();
-        if (auto v = q_.dequeue(h.qh_)) {
-          out = std::move(*v);
-          not_full_.notify_one();
-          return ChanStatus::kOk;
-        }
-        return ChanStatus::kClosed;
+        return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
       }
 #endif
       ++h.parks_;
       if (has_deadline) {
         if (!not_empty_.commit_wait_until(t, deadline) ||
             std::chrono::steady_clock::now() >= deadline) {
-          if (auto v = q_.dequeue(h.qh_)) {
-            out = std::move(*v);
-            not_full_.notify_one();
-            return ChanStatus::kOk;
-          }
+          if (take(h, out)) return ChanStatus::kOk;
           recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
           return ChanStatus::kTimeout;
         }

@@ -119,7 +119,7 @@ class IndexMagazines {
   // here proves the magazine empty to its owner.
   bool try_take_at(std::atomic<u64>* m, u64& out) {
     if (count_hint(m) <= 0) return false;
-    return take_from(m, out);
+    return take_some_from(m, &out, 1) == 1;
   }
 
   // Park one freed index; false when every slot is full (caller spills).
@@ -168,7 +168,7 @@ class IndexMagazines {
       WCQ_SCHED_POINT(kMagazineSteal);
       std::atomic<u64>* m = block(t);
       if (count_hint(m) <= 0) continue;
-      if (take_from(m, out)) return true;
+      if (take_some_from(m, &out, 1) == 1) return true;
     }
     return false;
   }
@@ -226,23 +226,6 @@ class IndexMagazines {
   }
   unsigned max_threads() const {
     return stride_ == 0 ? 0u : static_cast<unsigned>(words_.size() / stride_);
-  }
-
-  bool take_from(std::atomic<u64>* m, u64& out) {
-    for (std::size_t i = 0; i < cap_; ++i) {
-      u64 v = slot(m, i).load(std::memory_order_relaxed);
-      if (v == kNone) continue;
-      WCQ_SCHED_POINT(kMagazineTake);
-      if (slot(m, i).compare_exchange_strong(v, kNone,
-                                             std::memory_order_acquire,
-                                             std::memory_order_relaxed)) {
-        count_of(m).fetch_sub(1, std::memory_order_relaxed);
-        out = v;
-        return true;
-      }
-      // Lost the slot to a concurrent taker; keep scanning.
-    }
-    return false;
   }
 
   std::size_t take_some_from(std::atomic<u64>* m, u64* out, std::size_t n) {

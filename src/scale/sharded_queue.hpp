@@ -15,9 +15,11 @@
 //    registry tid picks within it (`group[tid % group_size]`). On a flat
 //    (single-node) topology this degenerates to the pre-topology
 //    `tid & (shards-1)`. A session handle (DESIGN.md §10) resolves the node
-//    and the whole sweep order once at acquire() and caches one
-//    BoundedQueue session per shard, so the handle path resolves nothing
-//    per operation; the implicit path resolves tid and node once per call.
+//    and its sweep — a few words pointing into the queue's placement tables
+//    — once at acquire(), and every visit rebuilds the shard's session from
+//    the tid by arithmetic, so the handle path resolves nothing per
+//    operation and no session allocates; the implicit path resolves tid and
+//    node once per call.
 //  * Stealing — when the home shard is empty (dequeue) or full (enqueue),
 //    the operation sweeps the remaining shards exactly once,
 //    hierarchically: first the rest of the local node's group (rotated to
@@ -64,7 +66,6 @@
 #include <cassert>
 #include <cstddef>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -75,6 +76,7 @@
 #include "common/op_counters.hpp"
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
+#include "core/session.hpp"
 #include "core/wcq.hpp"
 #include "runtime/thread_registry.hpp"
 #include "scale/index_magazine.hpp"
@@ -91,97 +93,55 @@ class ShardedQueue {
   // kPipeline restricts draining to per-shard owning consumers.
   enum class Mode { kMpmc, kPipeline };
 
-  // Per-thread session (DESIGN.md §10, §12): the caller's node and full
-  // hierarchical sweep order resolved once at acquire(), plus one unowned
-  // BoundedQueue session per shard — the sweep then touches neither the
-  // registry nor the topology. Move-only; the queue aborts if destroyed
-  // while owned handles are live (same lifetime contract as the shard
-  // handles). Releasing the session flushes this tid's magazine in every
-  // shard back to the shard's fq, so a pool worker's cached capacity
-  // returns immediately, not at thread exit.
+  // One operation's visit order (DESIGN.md §12): the first `local` visits
+  // walk the node's shard group rotated by `rot`, the rest follow the
+  // node's canonical order. Pointers into the queue's tables, so building
+  // one allocates nothing; a consumer's sweep is its one shard.
+  struct Sweep {
+    const unsigned* group = nullptr;  // local_[node]
+    const unsigned* order = nullptr;  // order_[node]
+    unsigned local = 0;
+    unsigned rot = 0;
+    unsigned n = 0;
+
+    unsigned at(unsigned s) const {
+      return s < local ? group[(rot + s) % local] : order[s];
+    }
+  };
+
+  // Per-thread session (DESIGN.md §10, §12): the caller's node and sweep
+  // resolved once at acquire(); each visit rebuilds the shard's session
+  // from the tid by pure arithmetic, so the sweep touches neither the
+  // registry nor the topology. Move-only; owned handles pin the queue
+  // (core/session.hpp). Releasing the session flushes this tid's magazine
+  // in every shard back to the shard's fq, so a pool worker's cached
+  // capacity returns immediately, not at thread exit.
   class Handle {
    public:
     Handle() = default;
-    Handle(Handle&& o) noexcept
-        : q_(o.q_), tid_(o.tid_), node_(o.node_),
-          sweep_(std::move(o.sweep_)), home_(o.home_),
-          shards_(std::move(o.shards_)), owned_(o.owned_),
-          consumer_(o.consumer_) {
-      o.q_ = nullptr;
-      o.owned_ = false;
-    }
-    Handle& operator=(Handle&& o) noexcept {
-      if (this != &o) {
-        release();
-        q_ = o.q_;
-        tid_ = o.tid_;
-        node_ = o.node_;
-        home_ = o.home_;
-        sweep_ = std::move(o.sweep_);
-        shards_ = std::move(o.shards_);
-        owned_ = o.owned_;
-        consumer_ = o.consumer_;
-        o.q_ = nullptr;
-        o.owned_ = false;
-      }
-      return *this;
-    }
-    Handle(const Handle&) = delete;
-    Handle& operator=(const Handle&) = delete;
-    ~Handle() { release(); }
 
-    unsigned tid() const { return tid_; }
+    unsigned tid() const { return owner_.tid(); }
     // The node this session resolved at acquire(); a thread that migrates
     // afterwards keeps its original placement (sessions are cheap — reacquire
     // to re-home).
     unsigned node() const { return node_; }
-    // The session's cached home shard (satellite of DESIGN.md §10: the
-    // implicit path recomputes this from the registry tid and current node
-    // once per call; the handle never does).
-    unsigned home_shard() const { return home_; }
+    // The first shard of the session's sweep (the implicit path recomputes
+    // it from the registry tid and current node once per call).
+    unsigned home_shard() const { return sweep_.n != 0 ? sweep_.at(0) : 0; }
     // True for sessions from acquire_consumer(): the sweep is pinned to the
     // owned shard and pipeline-mode dequeues are permitted.
     bool is_consumer() const { return consumer_; }
 
    private:
     friend class ShardedQueue;
-    Handle(ShardedQueue* q, unsigned tid, bool owned)
-        : q_(q), tid_(tid), node_(q->topo_->current_node()),
-          sweep_(q->sweep_order(node_, tid)), home_(sweep_.front()),
-          owned_(owned) {
-      shards_.reserve(q->shards_.size());
-      for (auto& s : q->shards_) shards_.push_back(s->handle_for(tid));
-    }
+    Handle(ShardedQueue* q, unsigned tid, bool owned, unsigned node,
+           Sweep sweep, bool consumer)
+        : owner_(owned ? q : nullptr, tid), sweep_(sweep), node_(node),
+          consumer_(consumer) {}
 
-    // Owning-consumer session (acquire_consumer): the sweep is exactly the
-    // owned shard — the consumer never steals, which is what keeps one
-    // consumer per MPSC data ring. Always owned.
-    Handle(ShardedQueue* q, unsigned tid, unsigned shard)
-        : q_(q), tid_(tid), node_(q->shard_node_[shard]),
-          sweep_({shard}), home_(shard), owned_(true), consumer_(true) {
-      shards_.reserve(q->shards_.size());
-      for (auto& s : q->shards_) shards_.push_back(s->handle_for(tid));
-    }
-
-    void release() {
-      if (owned_ && q_ != nullptr) {
-        // Same ownership transfer as BoundedQueue::acquire()'s handle: the
-        // session returns its cached free indices now; the thread-exit
-        // hook remains the fallback for implicit use.
-        for (auto& s : q_->shards_) s->flush_magazine(tid_);
-        q_->live_handles_.fetch_sub(1, std::memory_order_acq_rel);
-      }
-      q_ = nullptr;
-      owned_ = false;
-    }
-
-    ShardedQueue* q_ = nullptr;
-    unsigned tid_ = 0;
+    SessionOwner<ShardedQueue> owner_;
+    Sweep sweep_;
     unsigned node_ = 0;
-    std::vector<unsigned> sweep_;  // full hierarchical visit order
-    unsigned home_ = 0;
-    std::vector<typename Shard::Handle> shards_;
-    bool owned_ = false;
     bool consumer_ = false;
   };
 
@@ -208,7 +168,6 @@ class ShardedQueue {
                                       : &Topology::instance()),
         mode_(opt.mode) {
     const unsigned n = std::bit_ceil(opt.shards == 0 ? 1u : opt.shards);
-    mask_ = n - 1;
     const unsigned m = topo_->node_count();
 
     // Contiguous groups: shard i -> node i*m/n. With m > n the trailing
@@ -268,16 +227,7 @@ class ShardedQueue {
   ShardedQueue(unsigned shards, unsigned shard_order)
       : ShardedQueue(Options{shards, shard_order}) {}
 
-  ~ShardedQueue() {
-    const int live = live_handles_.load(std::memory_order_acquire);
-    if (live != 0) {
-      std::fprintf(stderr,
-                   "wcq: ShardedQueue destroyed with %d live session "
-                   "handle(s); destroy handles before their queue\n",
-                   live);
-      std::abort();
-    }
-  }
+  ~ShardedQueue() { sessions_.check_none_live("ShardedQueue"); }
 
   ShardedQueue(const ShardedQueue&) = delete;
   ShardedQueue& operator=(const ShardedQueue&) = delete;
@@ -296,17 +246,11 @@ class ShardedQueue {
 
   // The full hierarchical visit order for a thread `tid` on `node`: the
   // local group rotated to start at the home shard, then remote groups
-  // nearest-node-first. Exposed for tests; Handle caches exactly this.
+  // nearest-node-first. Exposed for tests; a Handle walks exactly this.
   std::vector<unsigned> sweep_order(unsigned node, unsigned tid) const {
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::vector<unsigned> out;
-    out.reserve(n);
-    for (unsigned s = 0; s < L; ++s) out.push_back(loc[(p + s) % L]);
-    for (unsigned s = L; s < n; ++s) out.push_back(ord[s]);
+    const Sweep sw = sweep_for(node, tid);
+    std::vector<unsigned> out(sw.n);
+    for (unsigned s = 0; s < sw.n; ++s) out[s] = sw.at(s);
     return out;
   }
 
@@ -314,9 +258,7 @@ class ShardedQueue {
   // local group (the flat-topology case reduces to tid & (shards-1)), or
   // the nearest populated node's first shard when `node` owns none.
   unsigned home_shard_for(unsigned node, unsigned tid) const {
-    const auto& loc = local_[node];
-    if (!loc.empty()) return loc[tid % loc.size()];
-    return order_[node].front();
+    return sweep_for(node, tid).at(0);
   }
   // The calling thread's home shard (tests pin expectations to this; stays
   // consistent with Handle::home_shard() for a handle acquired here).
@@ -327,25 +269,34 @@ class ShardedQueue {
   // Owned per-thread session: one registry lookup and one topology
   // resolution now, none per operation.
   Handle acquire() {
-    live_handles_.fetch_add(1, std::memory_order_acq_rel);
-    return Handle(this, ThreadRegistry::tid(), /*owned=*/true);
+    sessions_.add();
+    return session(ThreadRegistry::tid(), /*owned=*/true);
   }
+
+  // Unowned per-op view for a known tid, resolving the caller's current
+  // node: no allocation, no ownership. The implicit wrappers use this.
+  Handle handle_for(unsigned tid) { return session(tid, /*owned=*/false); }
 
   // Owning-consumer session for `shard` (pipeline mode's drain side,
   // usable in either mode). Pins the calling thread to the shard's owning
-  // node — node placement via the PR 7 groups; under a simulated topology
-  // the pin only records the node, no affinity syscalls — and returns a
-  // session whose sweep is exactly {shard}. One consumer per shard is the
-  // caller's contract; with Ring = MpscRing the shard's SessionGuard
-  // enforces it (a second consumer traps).
+  // node — node placement via the topology groups; under a simulated
+  // topology the pin only records the node, no affinity syscalls — and
+  // returns a session whose sweep is exactly {shard}: the consumer never
+  // steals, which is what keeps one consumer per MPSC data ring. One
+  // consumer per shard is the caller's contract; with Ring = MpscRing the
+  // shard's SessionGuard enforces it (a second consumer traps).
   Handle acquire_consumer(unsigned shard) {
     assert(shard < shard_count());
-    pin_thread(shard,
-               Topology::PinSpec{Topology::PinPolicy::kNode,
-                                 shard_node_[shard]},
+    const unsigned node = shard_node_[shard];
+    pin_thread(shard, Topology::PinSpec{Topology::PinPolicy::kNode, node},
                *topo_);
-    live_handles_.fetch_add(1, std::memory_order_acq_rel);
-    return Handle(this, ThreadRegistry::tid(), shard);
+    sessions_.add();
+    // Groups are contiguous shard ranges, so the shard sits at this offset
+    // in its node's group.
+    const auto& group = local_[node];
+    const Sweep sw{&group[shard - group.front()], nullptr, 1, 0, 1};
+    return Handle(this, ThreadRegistry::tid(), /*owned=*/true, node, sw,
+                  /*consumer=*/true);
   }
 
   // --- operations ----------------------------------------------------------
@@ -358,67 +309,31 @@ class ShardedQueue {
   // Value-preserving variant (mirrors BoundedQueue::enqueue_movable): `value`
   // is moved from only on success, so retry loops — the blocking Channel send
   // path — can re-offer the same element after a full sweep failed.
-  bool enqueue_movable(Handle& h, T& value) {
-    for (const unsigned i : h.sweep_) {
-      if (shards_[i]->enqueue_movable(h.shards_[i], value)) {
-        if (shard_node_[i] != h.node_) opcount::count_remote_steal();
-        return true;
-      }
-    }
-    return false;
+  bool enqueue_movable(T& value) {
+    Handle h = handle_for(ThreadRegistry::tid());
+    return enqueue_movable(h, value);
   }
 
-  bool enqueue_movable(T& value) {
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    for (unsigned s = 0; s < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      if (sh.enqueue_movable(shh, value)) {
-        if (shard_node_[i] != node) opcount::count_remote_steal();
-        return true;
-      }
-    }
-    return false;
+  bool enqueue_movable(Handle& h, T& value) {
+    return sweep(h, 1, [&](Shard& s, typename Shard::Handle& sh, std::size_t) {
+             return s.enqueue_movable(sh, value) ? 1 : 0;
+           }) == 1;
   }
 
   // Nullopt only after a full steal sweep found every shard empty.
   std::optional<T> dequeue() {
-    require_consumer(/*consumer=*/false);
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned n = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    for (unsigned s = 0; s < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      if (auto v = sh.dequeue(shh)) {
-        if (shard_node_[i] != node) opcount::count_remote_steal();
-        return v;
-      }
-    }
-    return std::nullopt;
+    Handle h = handle_for(ThreadRegistry::tid());
+    return dequeue(h);
   }
 
   std::optional<T> dequeue(Handle& h) {
     require_consumer(h.consumer_);
-    for (const unsigned i : h.sweep_) {
-      if (auto v = shards_[i]->dequeue(h.shards_[i])) {
-        if (shard_node_[i] != h.node_) opcount::count_remote_steal();
-        return v;
-      }
-    }
-    return std::nullopt;
+    std::optional<T> out;
+    sweep(h, 1, [&](Shard& s, typename Shard::Handle& sh, std::size_t) {
+      out = s.dequeue(sh);
+      return out ? 1 : 0;
+    });
+    return out;
   }
 
   // Batch insert: places up to `n` elements (home shard first, spilling the
@@ -429,81 +344,79 @@ class ShardedQueue {
   template <typename U,
             std::enable_if_t<std::is_same_v<std::remove_const_t<U>, T>, int> = 0>
   std::size_t enqueue_bulk(U* first, std::size_t n) {
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned k = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::size_t done = 0;
-    for (unsigned s = 0; s < k && done < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      const std::size_t got = sh.enqueue_bulk(shh, first + done, n - done);
-      if (got != 0 && shard_node_[i] != node) opcount::count_remote_steal();
-      done += got;
-    }
-    return done;
+    Handle h = handle_for(ThreadRegistry::tid());
+    return enqueue_bulk(h, first, n);
   }
 
   template <typename U,
             std::enable_if_t<std::is_same_v<std::remove_const_t<U>, T>, int> = 0>
   std::size_t enqueue_bulk(Handle& h, U* first, std::size_t n) {
-    std::size_t done = 0;
-    for (const unsigned i : h.sweep_) {
-      if (done >= n) break;
-      const std::size_t got =
-          shards_[i]->enqueue_bulk(h.shards_[i], first + done, n - done);
-      if (got != 0 && shard_node_[i] != h.node_) {
-        opcount::count_remote_steal();
-      }
-      done += got;
-    }
-    return done;
+    return sweep(h, n,
+                 [&](Shard& s, typename Shard::Handle& sh, std::size_t done) {
+                   return s.enqueue_bulk(sh, first + done, n - done);
+                 });
   }
 
   // Batch remove: fills `out` from the home shard first, then steals across
   // the sweep. Returns how many were dequeued; fewer than `n` does not prove
   // emptiness (see the shard-level contract), dequeue() does.
   std::size_t dequeue_bulk(T* out, std::size_t n) {
-    require_consumer(/*consumer=*/false);
-    const unsigned tid = ThreadRegistry::tid();
-    const unsigned node = topo_->current_node();
-    const auto& loc = local_[node];
-    const auto& ord = order_[node];
-    const unsigned k = shard_count();
-    const unsigned L = static_cast<unsigned>(loc.size());
-    const unsigned p = L != 0 ? tid % L : 0;
-    std::size_t done = 0;
-    for (unsigned s = 0; s < k && done < n; ++s) {
-      const unsigned i = s < L ? loc[(p + s) % L] : ord[s];
-      Shard& sh = *shards_[i];
-      auto shh = sh.handle_for(tid);
-      const std::size_t got = sh.dequeue_bulk(shh, out + done, n - done);
-      if (got != 0 && shard_node_[i] != node) opcount::count_remote_steal();
-      done += got;
-    }
-    return done;
+    Handle h = handle_for(ThreadRegistry::tid());
+    return dequeue_bulk(h, out, n);
   }
 
   std::size_t dequeue_bulk(Handle& h, T* out, std::size_t n) {
     require_consumer(h.consumer_);
+    return sweep(h, n,
+                 [&](Shard& s, typename Shard::Handle& sh, std::size_t done) {
+                   return s.dequeue_bulk(sh, out + done, n - done);
+                 });
+  }
+
+  // Owned session handles currently alive (test hook).
+  int live_handles() const { return sessions_.live(); }
+
+ private:
+  Sweep sweep_for(unsigned node, unsigned tid) const {
+    const auto& group = local_[node];
+    const unsigned local = static_cast<unsigned>(group.size());
+    return Sweep{group.data(), order_[node].data(), local,
+                 local != 0 ? tid % local : 0, shard_count()};
+  }
+
+  Handle session(unsigned tid, bool owned) {
+    const unsigned node = topo_->current_node();
+    return Handle(this, tid, owned, node, sweep_for(node, tid),
+                  /*consumer=*/false);
+  }
+
+  // The one sweep loop behind every operation: visit h's shards in order,
+  // each through a shard session rebuilt from the tid, until `want`
+  // elements moved or every shard was visited once. `visit(shard, session,
+  // done)` returns how many elements that visit moved. A visit that moves
+  // any on another node than the session's counts one remote steal.
+  template <typename Visit>
+  std::size_t sweep(Handle& h, std::size_t want, Visit&& visit) {
     std::size_t done = 0;
-    for (const unsigned i : h.sweep_) {
-      if (done >= n) break;
-      const std::size_t got =
-          shards_[i]->dequeue_bulk(h.shards_[i], out + done, n - done);
-      if (got != 0 && shard_node_[i] != h.node_) {
-        opcount::count_remote_steal();
-      }
+    for (unsigned s = 0; s < h.sweep_.n && done < want; ++s) {
+      const unsigned i = h.sweep_.at(s);
+      auto sh = shards_[i]->handle_for(h.tid());
+      const std::size_t got = visit(*shards_[i], sh, done);
+      if (got != 0 && shard_node_[i] != h.node_) opcount::count_remote_steal();
       done += got;
     }
     return done;
   }
 
- private:
+  // Session release (DESIGN.md §10): the session returns its cached free
+  // indices in every shard now; the thread-exit hook remains the fallback
+  // for implicit use.
+  friend class SessionOwner<ShardedQueue>;
+  void release_session(unsigned tid) {
+    for (auto& s : shards_) s->flush_magazine(tid);
+    sessions_.remove();
+  }
+
   // Pipeline-mode role check: draining is reserved to owning-consumer
   // sessions, and violating that is the same severity as a second MPSC
   // consumer (it IS one, a sweep deep) — diagnosed abort, not UB. In kMpmc
@@ -522,9 +435,8 @@ class ShardedQueue {
   std::vector<unsigned> shard_node_;           // shard -> owning node
   std::vector<std::vector<unsigned>> local_;   // node -> its shard group
   std::vector<std::vector<unsigned>> order_;   // node -> canonical sweep
-  unsigned mask_ = 0;
   Mode mode_ = Mode::kMpmc;
-  std::atomic<int> live_handles_{0};
+  LiveSessions sessions_;
 };
 
 }  // namespace wcq

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <optional>
 #include <thread>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/backoff.hpp"
@@ -17,6 +19,7 @@
 #include "core/wcq.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
+#include "runtime/channel.hpp"
 #include "runtime/thread_registry.hpp"
 #include "scale/sharded_queue.hpp"
 
@@ -146,6 +149,91 @@ TEST(HandleBasic, ShardedReleaseFlushesShardMagazines) {
     EXPECT_EQ(q.shard(s).magazine_cached(), 0u)
         << "sharded session release must drain shard " << s;
   }
+}
+
+// --- handle shape and move-assignment ----------------------------------------
+
+// Every layer's Handle moves without throwing, never copies, and stays no
+// larger than before the shared session core (sizes on LP64).
+template <typename H>
+constexpr bool kMoveOnly =
+    std::is_nothrow_move_constructible_v<H> &&
+    std::is_nothrow_move_assignable_v<H> &&
+    !std::is_copy_constructible_v<H> && !std::is_copy_assignable_v<H>;
+
+static_assert(kMoveOnly<BoundedQueue<u64>::Handle>);
+static_assert(kMoveOnly<BoundedQueue<u64, SCQ>::Handle>);
+static_assert(kMoveOnly<BoundedQueue<u64, MpscRing>::Handle>);
+static_assert(kMoveOnly<UnboundedQueue<u64>::Handle>);
+static_assert(kMoveOnly<ShardedQueue<u64>::Handle>);
+static_assert(kMoveOnly<Channel<u64>::Handle>);
+static_assert(sizeof(BoundedQueue<u64>::Handle) <= 64);
+static_assert(sizeof(BoundedQueue<u64, SCQ>::Handle) <= 32);
+static_assert(sizeof(BoundedQueue<u64, MpscRing>::Handle) <= 32);
+static_assert(sizeof(UnboundedQueue<u64>::Handle) <= 32);
+static_assert(sizeof(ShardedQueue<u64>::Handle) <= 80);
+static_assert(sizeof(Channel<u64>::Handle) <= 88);
+
+// Move-assigning over an owned handle releases the overwritten session
+// exactly once; the moved-from source then owns nothing, and a self-move
+// keeps ownership. `cached` reports the queue's magazine occupancy (or
+// nullopt for a layer whose release flushes nothing).
+template <typename Q, typename Cached>
+void check_move_assign_releases_once(Q& q, Cached cached) {
+  {
+    auto a = q.acquire();
+    ASSERT_TRUE(q.enqueue(a, 1));
+    ASSERT_TRUE(q.dequeue(a).has_value());  // parks an index in a magazine
+    if (const auto c = cached()) {
+      ASSERT_GT(*c, 0u);
+    }
+    {
+      auto b = q.acquire();
+      ASSERT_EQ(q.live_handles(), 2);
+      a = std::move(b);  // releases a's old session, adopts b's
+      EXPECT_EQ(q.live_handles(), 1);
+      if (const auto c = cached()) {
+        EXPECT_EQ(*c, 0u) << "the overwritten session must be flushed";
+      }
+    }  // b is moved-from: destroying it releases nothing
+    EXPECT_EQ(q.live_handles(), 1);
+    auto& alias = a;
+    a = std::move(alias);  // self-move: still owned, nothing released
+    EXPECT_EQ(q.live_handles(), 1);
+    ASSERT_TRUE(q.enqueue(a, 2));
+    EXPECT_EQ(q.dequeue(a).value(), 2u);
+  }  // a still owned its session, so destroying it releases it
+  EXPECT_EQ(q.live_handles(), 0);
+}
+
+TEST(HandleMoveAssign, BoundedReleasesOverwrittenSessionOnce) {
+  typename BoundedQueue<u64>::Options opt{8};
+  opt.magazine.capacity = 16;
+  BoundedQueue<u64> q(opt);
+  check_move_assign_releases_once(
+      q, [&] { return std::optional<std::size_t>(q.magazine_cached()); });
+}
+
+TEST(HandleMoveAssign, ShardedReleasesOverwrittenSessionOnce) {
+  typename ShardedQueue<u64>::Options opt;
+  opt.shards = 2;
+  opt.shard_order = 8;
+  opt.magazine.capacity = 16;
+  ShardedQueue<u64> q(opt);
+  check_move_assign_releases_once(q, [&] {
+    std::size_t total = 0;
+    for (unsigned s = 0; s < q.shard_count(); ++s) {
+      total += q.shard(s).magazine_cached();
+    }
+    return std::optional<std::size_t>(total);
+  });
+}
+
+TEST(HandleMoveAssign, UnboundedReleasesOverwrittenSessionOnce) {
+  UnboundedQueue<u64> q(4u);
+  check_move_assign_releases_once(q, [] {
+    return std::optional<std::size_t>();  // release flushes no magazine
+  });
 }
 
 // --- explicit-handle linearizability over all three ring types --------------
