@@ -154,7 +154,7 @@ class BoundedQueue {
         fq_(opt.order),
         data_(aq_.capacity(), kCacheLine),
         mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
-              ThreadRegistry::kMaxThreads) {
+              magazine_rows_for(aq_)) {
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
       // this an index could only be recovered by a (full-edge) reclaim
@@ -338,6 +338,7 @@ class BoundedQueue {
   // Free indices currently cached in magazines (exact at quiescence).
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }
+  unsigned magazine_rows() const { return mags_.rows(); }
   // Owned session handles currently alive (test hook).
   int live_handles() const { return sessions_.live(); }
 
@@ -351,6 +352,17 @@ class BoundedQueue {
     if (!cfg.enabled) return 0;
     const std::size_t by_ring = static_cast<std::size_t>(ring_capacity / 4);
     return std::min(cfg.capacity, by_ring);
+  }
+
+  // One magazine row per tid the data ring accepts (DESIGN.md §9): a WCQ
+  // ring traps tids past its record array, so rows past it could never be
+  // used. Rings without a thread limit get a row per registry tid.
+  static unsigned magazine_rows_for(const Ring& ring) {
+    if constexpr (requires { ring.max_threads(); }) {
+      return std::min(ThreadRegistry::kMaxThreads, ring.max_threads());
+    } else {
+      return ThreadRegistry::kMaxThreads;
+    }
   }
 
   std::optional<T> take(Handle& h, bool recycle) {

@@ -294,6 +294,11 @@ class UnboundedQueue {
   int live_handles() const { return sessions_.live(); }
   std::size_t pooled_segments() const { return pool_.size(); }
   const Options& options() const { return opt_; }
+  // One segment object's own bytes, without the ring, payload and
+  // magazine arrays its BoundedQueue allocates.
+  static constexpr std::size_t segment_object_bytes() {
+    return sizeof(Segment);
+  }
   // Flush this queue's pending retirements (quiescent-only): retired
   // segments move to the pool (or are freed past its cap) immediately
   // instead of at the next scan.

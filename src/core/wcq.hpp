@@ -141,6 +141,8 @@ class BasicWCQ {
 
   u64 capacity() const { return codec_.half(); }
   u64 ring_size() const { return codec_.ring_size(); }
+  // Tids this ring serves: handle_for traps on any tid at or past it.
+  unsigned max_threads() const { return opt_.max_threads; }
 
   // Acquire a session for the calling thread (exactly one registry lookup).
   Handle handle() { return handle_for(ThreadRegistry::tid()); }
@@ -339,7 +341,13 @@ class BasicWCQ {
     head_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
     head_.hi.store(0, std::memory_order_relaxed);
     threshold_.value.store(-1, std::memory_order_relaxed);
-    for (u64 i = 0; i < records_.size(); ++i) {
+    // Only records below the registry high water can have been written:
+    // record t is written by tid t (registered, so t < high water) or by a
+    // helper scan already bounded by n_records(). The high water never
+    // decreases, so the records past it still hold their constructed
+    // values, which are the values rewound here.
+    const unsigned n = n_records();
+    for (unsigned i = 0; i < n; ++i) {
       ThreadRec& r = records_[i];
       r.next_check = 1;
       r.next_tid = 0;

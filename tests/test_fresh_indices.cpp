@@ -17,6 +17,7 @@
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 namespace {
@@ -105,6 +106,56 @@ TYPED_TEST(FreshIndexTest, FillIsExactWithDistinctSlotsAfterConstructAndReset) {
     q.reset();
     EXPECT_FALSE(q.dequeue().has_value());
   }
+}
+
+// reset() rewinds only what a registered tid can have written: the wCQ
+// records and magazine rows below the registry high water. A thread that
+// registers after the reset with a tid at or past that high water runs on
+// a record and a magazine row the reset never touched, and must still find
+// exactly capacity() free indices. This thread's magazine holds freed
+// indices at reset time, so a rewind that skipped a written row would hand
+// the newcomer's full-edge sweep stale indices and over-fill the queue.
+TYPED_TEST(FreshIndexTest, TidPastResetHighWaterFillsExactly) {
+  typename TestFixture::template Queue<u64> q(
+      TestFixture::template options<u64>(6));
+  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < q.capacity() / 2; ++i) {
+    ASSERT_TRUE(q.dequeue().has_value());
+  }
+  if (TypeParam::kMagazine) {
+    ASSERT_GT(q.magazine_cached(), 0u);
+  }
+  q.reset();
+  const unsigned hw = ThreadRegistry::high_water();
+  if (hw >= 64) GTEST_SKIP() << "registry high water too high to pass";
+
+  // Park holder threads on every free tid below the high water, so the
+  // next thread to register gets one at or past it.
+  std::atomic<bool> release{false};
+  std::vector<std::thread> holders;
+  while (ThreadRegistry::live_threads() < hw) {
+    std::atomic<bool> registered{false};
+    holders.emplace_back([&] {
+      (void)ThreadRegistry::tid();
+      registered.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    while (!registered.load(std::memory_order_acquire)) {
+    }
+  }
+  std::thread newcomer([&] {
+    EXPECT_GE(ThreadRegistry::tid(), hw);
+    u64 filled = 0;
+    while (filled <= q.capacity() && q.enqueue(filled)) ++filled;
+    EXPECT_EQ(filled, q.capacity());
+    for (u64 i = 0; i < filled; ++i) ASSERT_EQ(q.dequeue().value(), i);
+    EXPECT_FALSE(q.dequeue().has_value());
+  });
+  newcomer.join();
+  release.store(true, std::memory_order_release);
+  for (auto& t : holders) t.join();
 }
 
 // Four threads race for the last few fresh indices of a nearly full queue.

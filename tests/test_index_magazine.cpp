@@ -112,6 +112,75 @@ TEST(IndexMagazineUnit, DrainTidCollectsEverySlot) {
   EXPECT_EQ(mags.cached_total(), 0u);
 }
 
+// The take CAS is the magazine's only synchronization: there is no count
+// word to keep consistent, so an index the owner parks must reach exactly
+// one taker however the owner's own takes, two full-edge sweeps and a
+// cross-thread drain interleave on one row. A take that cleared its slot
+// with a plain store would let two takers claim one index, or erase an
+// index the owner had just re-parked in the same slot.
+TEST(IndexMagazineRace, OwnerStealersAndDrainerSeeEachIndexExactlyOnce) {
+  IndexMagazines mags(16, ThreadRegistry::kMaxThreads);
+  constexpr u64 kIndices = 200000;
+  std::atomic<unsigned> owner_tid{~0u};
+  std::atomic<bool> done{false};
+  std::vector<u64> kept, stolen[2], drained;
+
+  std::thread owner([&] {
+    const unsigned me = ThreadRegistry::tid();
+    std::atomic<u64>* row = mags.block_for(me);
+    owner_tid.store(me, std::memory_order_release);
+    u64 v;
+    for (u64 i = 0; i < kIndices; ++i) {
+      while (!mags.try_put_at(row, i)) {  // full: take one back to make room
+        if (mags.try_take_at(row, v)) kept.push_back(v);
+      }
+      if (i % 3 == 0 && mags.try_take_at(row, v)) kept.push_back(v);
+    }
+    done.store(true, std::memory_order_release);
+  });
+  std::vector<std::thread> takers;
+  for (auto& out : stolen) {
+    takers.emplace_back([&] {
+      const unsigned me = ThreadRegistry::tid();
+      u64 v;
+      while (!done.load(std::memory_order_acquire)) {
+        if (mags.steal_for(me, v)) out.push_back(v);
+      }
+    });
+  }
+  takers.emplace_back([&] {
+    unsigned t;
+    while ((t = owner_tid.load(std::memory_order_acquire)) == ~0u) {
+    }
+    u64 buf[IndexMagazines::kMaxSlots];
+    while (!done.load(std::memory_order_acquire)) {
+      const std::size_t n = mags.drain_tid(t, buf, IndexMagazines::kMaxSlots);
+      drained.insert(drained.end(), buf, buf + n);
+    }
+  });
+  owner.join();
+  for (auto& t : takers) t.join();
+
+  std::vector<u64> seen = kept;
+  for (const auto& out : stolen) seen.insert(seen.end(), out.begin(), out.end());
+  seen.insert(seen.end(), drained.begin(), drained.end());
+  ASSERT_LE(seen.size(), kIndices) << "an index was claimed twice";
+  EXPECT_EQ(mags.cached_total(), kIndices - seen.size())
+      << "cached_total() must be exact at quiescence";
+  u64 rest[IndexMagazines::kMaxSlots];
+  const std::size_t n =
+      mags.drain_tid(owner_tid.load(), rest, IndexMagazines::kMaxSlots);
+  seen.insert(seen.end(), rest, rest + n);
+  EXPECT_EQ(mags.cached_total(), 0u);
+  ASSERT_EQ(seen.size(), kIndices) << "an index was lost or claimed twice";
+  std::vector<bool> hit(kIndices, false);
+  for (u64 v : seen) {
+    ASSERT_LT(v, kIndices);
+    ASSERT_FALSE(hit[v]) << "index " << v << " claimed twice";
+    hit[v] = true;
+  }
+}
+
 // --- BoundedQueue integration ----------------------------------------------
 
 TEST(BoundedMagazine, OptionsClampAndToggle) {

@@ -1,0 +1,116 @@
+// Memory footprint as an invariant (Fig 10; DESIGN.md §9 "Footprint").
+//
+// Every byte a queue owns is metered (common/alloc_meter.hpp), so the
+// construction delta of a queue is a closed-form sum of its parts: ring
+// entries, wCQ thread records, payload slots, magazine rows and the objects
+// themselves. Each term is spelled out below. A layer that silently grows —
+// a magazine row set sized for every registry tid again, a row that regains
+// a count word and a third line — changes the sum and fails here rather
+// than surfacing as a peak_mib drift in a benchmark.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdint>
+
+#include "common/alloc_meter.hpp"
+#include "common/topology.hpp"
+#include "core/bounded_queue.hpp"
+#include "core/mpsc_ring.hpp"
+#include "core/unbounded_queue.hpp"
+#include "reclaim/hazard_pointers.hpp"
+#include "reclaim/segment_pool.hpp"
+#include "runtime/thread_registry.hpp"
+#include "scale/index_magazine.hpp"
+
+namespace wcq {
+namespace {
+
+constexpr std::int64_t kOrder = 8;
+constexpr std::int64_t kCap = std::int64_t{1} << kOrder;  // 256 elements
+
+// Ring entries: both ring families allocate 2n entries; a wCQ entry is a
+// 16-byte (value, note) pair, an SCQ entry one 8-byte word.
+constexpr std::int64_t kWcqEntries = 2 * kCap * 16;
+constexpr std::int64_t kScqEntries = 2 * kCap * 8;
+// wCQ thread records: 128 per ring (Options::max_threads), 128 B each.
+constexpr std::int64_t kWcqRecords = 128 * 128;
+// Payload slots: one u64 per element.
+constexpr std::int64_t kData = kCap * 8;
+// Magazine rows: the default 16 slots in one 2-line (128 B) row, one row
+// per tid the data ring accepts — 128 for a wCQ ring, every registry tid
+// (256) for the SCQ family.
+constexpr std::int64_t kRowBytes = 128;
+constexpr std::int64_t kWcqMagazines = 128 * kRowBytes;  // 16 KiB
+constexpr std::int64_t kScqMagazines = 256 * kRowBytes;  // 32 KiB
+
+template <typename Q>
+std::int64_t construction_delta(Q*& out, typename Q::Options opt) {
+  const std::int64_t before = alloc_meter::live_bytes();
+  out = alloc_meter::create<Q>(opt);
+  return alloc_meter::live_bytes() - before;
+}
+
+TEST(MemoryFootprint, MagazineRowIsTwoAlignedLines) {
+  IndexMagazines mags(16, 128);
+  EXPECT_EQ(mags.rows(), 128u);
+  const auto row0 = reinterpret_cast<std::uintptr_t>(mags.block_for(0));
+  const auto row1 = reinterpret_cast<std::uintptr_t>(mags.block_for(1));
+  EXPECT_EQ(row0 % kDestructiveRange, 0u)
+      << "rows must start on an adjacent-line prefetch pair";
+  EXPECT_EQ(row1 - row0, static_cast<std::uintptr_t>(kRowBytes));
+  EXPECT_EQ(mags.block_for(128), nullptr) << "no row past the ring's tids";
+}
+
+TEST(MemoryFootprint, BoundedWcqIsItsPartsExactly) {
+  using Q = BoundedQueue<u64>;
+  Q* q = nullptr;
+  const std::int64_t delta = construction_delta(q, Q::Options{kOrder});
+  EXPECT_EQ(q->magazine_capacity(), 16u);
+  EXPECT_EQ(q->magazine_rows(), 128u);
+  const std::int64_t expected = 2 * kWcqEntries + 2 * kWcqRecords + kData +
+                                kWcqMagazines +
+                                static_cast<std::int64_t>(sizeof(Q));
+  EXPECT_EQ(delta, expected);
+  alloc_meter::destroy(q);
+}
+
+TEST(MemoryFootprint, BoundedMpscIsItsPartsExactly) {
+  // aq is the MPSC ring, fq the MPMC SCQ (DESIGN.md §13); neither limits
+  // tids, so the magazines keep a row per registry tid.
+  using Q = BoundedQueue<u64, MpscRing>;
+  Q* q = nullptr;
+  const std::int64_t delta = construction_delta(q, Q::Options{kOrder});
+  EXPECT_EQ(q->magazine_rows(), ThreadRegistry::kMaxThreads);
+  const std::int64_t expected = 2 * kScqEntries + kData + kScqMagazines +
+                                static_cast<std::int64_t>(sizeof(Q));
+  EXPECT_EQ(delta, expected);
+  alloc_meter::destroy(q);
+}
+
+TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
+  using Q = UnboundedQueue<u64>;
+  const unsigned nodes = Topology::instance().node_count();
+  // The queue's private hazard domain is one fixed-size table whose layout
+  // is internal to the domain; measure it standalone.
+  std::int64_t hazard_domain = 0;
+  {
+    const std::int64_t before = alloc_meter::live_bytes();
+    HazardDomain hd(2);
+    hazard_domain = alloc_meter::live_bytes() - before;
+  }
+  Q* q = nullptr;
+  const std::int64_t delta =
+      construction_delta(q, Q::Options{.segment_order = kOrder});
+  // Segment pool: Options::pool_slots (64) line-padded slots plus one
+  // line-padded size word per NUMA partition.
+  const std::int64_t pool = 64 * 64 + static_cast<std::int64_t>(nodes) * 64;
+  const std::int64_t segment =
+      2 * kWcqEntries + 2 * kWcqRecords + kData + kWcqMagazines +
+      static_cast<std::int64_t>(Q::segment_object_bytes());
+  EXPECT_EQ(delta, segment + pool + hazard_domain +
+                       static_cast<std::int64_t>(sizeof(Q)));
+  alloc_meter::destroy(q);
+}
+
+}  // namespace
+}  // namespace wcq
