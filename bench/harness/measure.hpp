@@ -63,17 +63,12 @@ enum class Metric {
                // includes queue construction — a recycling queue's count
                // converges to its warm-up allocations while a churning one
                // keeps growing with ops)
-  kRingFaa,    // shared Head/Tail F&As per executed logical op (opcount; the
-               // magazine amortization metric — wall-clock-independent, so
-               // meaningful on 1-core CI)
-  kRingThld,   // shared Threshold RMWs/stores per executed op
-  kRegistry,   // ThreadRegistry tid()/high_water() lookups per op (the
-               // session-handle metric, DESIGN.md §10; the CI gate holds the
-               // handle path at ≤1 per op)
-  kRemoteSteal,  // ShardedQueue ops completed on a remote node's shard, per
-                 // executed op (DESIGN.md §12; 0 for non-sharded queues, and
-                 // the node-partitioned CI gate holds node:<k> placement at
-                 // exactly 0)
+  // One <field>_per_op row per opcount event (common/op_counters.hpp), e.g.
+  // Metric::faa_per_op: that counter's sum over the workers per executed
+  // op. Counter sums, not wall-clock, so meaningful on 1-core CI.
+#define WCQ_EVENT_METRIC(f, key, desc) f##_per_op,
+  WCQ_EVENTS(WCQ_EVENT_METRIC)
+#undef WCQ_EVENT_METRIC
   // Role-split ring counters for the skewed workloads (p8to1/p1to8): F&As
   // and threshold RMWs per op *executed by that role's workers*. The
   // consumer split is the pipeline gate — an MPSC consumer path must report
@@ -89,8 +84,9 @@ enum class Metric {
 inline constexpr std::size_t kMetricCount =
     static_cast<std::size_t>(Metric::kCount);
 
-// Only the rows some panel prints with print_metric_table carry a caption,
-// cell format and scale; the rest are JSON-only and leave them null.
+// Printable rows carry a caption, cell format and scale (every opcount row
+// does: its table description is the caption); the rest are JSON-only and
+// leave them null.
 struct MetricInfo {
   const char* key;                // JSON key of the per-point mean
   const char* json_fmt;           // printf format of that mean in the JSON
@@ -105,11 +101,10 @@ inline constexpr MetricInfo kMetrics[kMetricCount] = {
     {"peak_bytes_mean", "%.1f", "peak MB allocated during run", "%.2f", 1e-6},
     {"rss_bytes_mean", "%.1f"},
     {"allocs_mean", "%.1f", "allocations per run, count", "%.0f"},
-    {"ring_faa_per_op_mean", "%.6f", "shared Head/Tail F&As per op", "%.3f"},
-    {"ring_thld_per_op_mean", "%.6f"},
-    {"registry_per_op_mean", "%.6f", "registry/thread_local lookups per op",
-     "%.3f"},
-    {"remote_steal_per_op_mean", "%.6f"},
+#define WCQ_EVENT_METRIC(f, key, desc) \
+  {key "_per_op_mean", "%.6f", desc, "%.3f"},
+    WCQ_EVENTS(WCQ_EVENT_METRIC)
+#undef WCQ_EVENT_METRIC
     {"cons_faa_per_op_mean", "%.6f"},
     {"cons_thld_per_op_mean", "%.6f"},
     {"prod_faa_per_op_mean", "%.6f"},
@@ -465,11 +460,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
         const opcount::Counters before = opcount::snapshot();
         executed[t] =
             detail::worker_body<Adapter>(ops, p, my_ops, t, threads, run);
-        const opcount::Counters after = opcount::snapshot();
-        delta[t] = {after.faa - before.faa,
-                    after.threshold - before.threshold,
-                    after.registry - before.registry,
-                    after.remote_steal - before.remote_steal};
+        delta[t] = opcount::snapshot() - before;
       });
     }
     while (ready.load(std::memory_order_acquire) < threads) cpu_relax();
@@ -487,10 +478,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
       opcount::Counters c{};
       void add(u64 n, const opcount::Counters& d) {
         ops += n;
-        c.faa += d.faa;
-        c.threshold += d.threshold;
-        c.registry += d.registry;
-        c.remote_steal += d.remote_steal;
+        c += d;
       }
       double per_op(u64 v) const {
         return static_cast<double>(v) /
@@ -504,10 +492,10 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
           .add(executed[t], delta[t]);
     }
     sample(Metric::kMops, static_cast<double>(all.ops) / secs / 1e6);
-    sample(Metric::kRingFaa, all.per_op(all.c.faa));
-    sample(Metric::kRingThld, all.per_op(all.c.threshold));
-    sample(Metric::kRegistry, all.per_op(all.c.registry));
-    sample(Metric::kRemoteSteal, all.per_op(all.c.remote_steal));
+#define WCQ_EVENT_SAMPLE(f, key, desc) \
+  sample(Metric::f##_per_op, all.per_op(all.c.f));
+    WCQ_EVENTS(WCQ_EVENT_SAMPLE)
+#undef WCQ_EVENT_SAMPLE
     // The role split is counter sums, not wall-clock, so the consumer-side
     // zeros the pipeline gate asserts are exact on any host.
     sample(Metric::kConsFaa, cons.per_op(cons.c.faa));

@@ -73,7 +73,7 @@ void print_node_table(const std::vector<Series>& series,
           std::printf("%s%.2f", k == 0 ? "" : "/", pt->node_mops[k].mean);
         }
       }
-      std::printf("|%.3f", (*pt)[Metric::kRemoteSteal].mean);
+      std::printf("|%.3f", (*pt)[Metric::remote_steal_per_op].mean);
     }
     std::printf("\n");
   }

@@ -290,8 +290,8 @@ void magazine(const BenchParams& base, JsonReport& report) {
     AdapterList<BoundedAdapter, BoundedNoMagAdapter,
                 BoundedHandleAdapter>::run(q, series);
     print_metric_table(Metric::kMops, series, q.thread_counts);
-    print_metric_table(Metric::kRingFaa, series, q.thread_counts);
-    print_metric_table(Metric::kRegistry, series, q.thread_counts);
+    print_metric_table(Metric::faa_per_op, series, q.thread_counts);
+    print_metric_table(Metric::registry_per_op, series, q.thread_counts);
     panel_end(panel.caption, q, series, report);
   }
 }
@@ -396,7 +396,7 @@ void pipeline(const BenchParams& base, JsonReport& report) {
       run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
     }
     print_metric_table(Metric::kMops, series, q.thread_counts);
-    print_metric_table(Metric::kRingFaa, series, q.thread_counts);
+    print_metric_table(Metric::faa_per_op, series, q.thread_counts);
     print_roles_table(series, q.thread_counts);
     panel_end(panel.caption, q, series, report);
   }

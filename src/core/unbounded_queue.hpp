@@ -89,9 +89,6 @@ class UnboundedQueue {
     // segment, the pre-recycling behavior; kept as an A/B toggle for
     // the wcq_bench fig10 panel).
     bool recycle = true;
-    // Hard ceiling on parked segments; the effective cap also scales with
-    // registered threads (SegmentPool::cap).
-    std::size_t pool_slots = 64;
     // Per-thread free-index magazines inside each segment (DESIGN.md §9).
     // BoundedQueue clamps the capacity to 2^segment_order / 4, keeping
     // magazines well under the segment size so the finalize-on-full
@@ -113,7 +110,7 @@ class UnboundedQueue {
       : opt_(opt),
         topo_(opt.topology != nullptr ? opt.topology
                                       : &Topology::instance()),
-        pool_(opt.pool_slots, topo_->node_count()),
+        pool_(kPoolSlots, topo_->node_count()),
         hp_(kRetireScanThreshold) {
     Segment* first = Segment::create(segment_options());
     first->home_node = topo_->current_node();
@@ -451,6 +448,9 @@ class UnboundedQueue {
   // (which would re-introduce steady-state allocation). Retirement happens
   // once per 2^segment_order operations, so eager scans are negligible.
   static constexpr std::size_t kRetireScanThreshold = 2;
+  // Hard ceiling on parked segments; the effective cap also scales with
+  // registered threads (SegmentPool::cap).
+  static constexpr std::size_t kPoolSlots = 64;
 
   // Hazard slot held only by an enqueue in progress, on the tail segment it
   // targets: the in-flight announcement quiescent() scans for. Slot 0

@@ -54,6 +54,17 @@
 #include "core/remap.hpp"
 #include "runtime/thread_registry.hpp"
 
+// Rank tap for the rank-accounting test (tests/test_wcq_accounting.cpp): each
+// produce and consume reports the Head/Tail counter value ("rank") it used.
+// Compiled in only when the including TU defines WCQ_TEST_RANK_HOOK(kind,
+// rank) before any include; kind is the token `produced` or `consumed`.
+// Elsewhere it expands to nothing, so no build carries a hook check.
+#if defined(WCQ_TEST_RANK_HOOK)
+#define WCQ_RANK_EVENT(kind, rank) WCQ_TEST_RANK_HOOK(kind, rank)
+#else
+#define WCQ_RANK_EVENT(kind, rank) ((void)0)
+#endif
+
 namespace wcq {
 
 // Entry-pair update policy. wCQ's slow path reads both words of an entry
@@ -176,6 +187,7 @@ class BasicWCQ {
       if (try_enq(index, tail)) return;
     }
     // == Slow path ==
+    opcount::count_wcq_enq_slow();
     const u64 seq = rec.seq1.load(std::memory_order_relaxed);
     rec.local_tail.store(tail, std::memory_order_release);
     rec.init_tail.store(tail, std::memory_order_release);
@@ -227,6 +239,7 @@ class BasicWCQ {
       }
     }
     // == Slow path ==
+    opcount::count_wcq_deq_slow();
     const u64 seq = rec.seq1.load(std::memory_order_relaxed);
     rec.local_head.store(head, std::memory_order_release);
     rec.init_head.store(head, std::memory_order_release);
@@ -244,11 +257,9 @@ class BasicWCQ {
     const Entry e = codec_.unpack(raw);
     if (e.cycle == codec_.cycle_of(h) && e.index != codec_.bottom()) {
       assert(e.index != codec_.bottom_c() && "slot consumed by non-owner");
-      dbg(kEvGatherTaken, h, e.index);
       consume(sh, h, j, e);
       return e.index;
     }
-    dbg(kEvGatherEmpty, h);
     return std::nullopt;
   }
 
@@ -381,44 +392,6 @@ class BasicWCQ {
     return false;
   }
 
-  // Debug event hooks (tests only; default off). Called with the counter
-  // value (rank) at each state-changing event so a test harness can check
-  // global produce/consume accounting.
-  enum DebugEvent : int {
-    kEvProducedFast = 0,
-    kEvProducedSlow,
-    kEvConsumed,
-    kEvDeqBotMarkFast,   // dequeuer wrote the ⊥-mark at its cycle
-    kEvDeqBotMarkSlow,
-    kEvDeqUnsafeFast,    // dequeuer stripped IsSafe from an old live entry
-    kEvDeqUnsafeSlow,
-    kEvDeqRetryFast,     // fast dequeue left rank h with RETRY
-    kEvDeqEmptyFast,
-    kEvDeqSlowFalse,     // try_deq_slow abandoned rank h
-    kEvDeqSlowFinReady,  // helper saw the ready entry and set FIN
-    kEvDeqSlowFinEmpty,
-    kEvGatherTaken,      // requester consumed the slow-path result
-    kEvGatherEmpty,
-    kEvEnqSlowAvert,     // try_enq_slow watermarked Note
-    kEvEnqSlowFalse,
-    kEvP1Adv,            // phase-1 CAS advanced local to rank|INC (aux=old)
-    kEvP2Done,           // phase-2 CAS cleared INC at rank (helper or self)
-    kEvPublishOk,        // global CAS2 granted rank to the group
-    kEvReturnTrue,       // slow_faa handed rank to a cooperative thread
-    kEvFinFail,          // FIN CAS at rank failed (aux=observed local word)
-  };
-  struct DebugHooks {
-    void (*event)(void* ctx, int kind, u64 rank, u64 aux) = nullptr;
-    void* ctx = nullptr;
-  };
-  DebugHooks debug_hooks;
-
-  void dbg(int kind, u64 rank, u64 aux = 0) {
-    if (debug_hooks.event != nullptr) {
-      debug_hooks.event(debug_hooks.ctx, kind, rank, aux);
-    }
-  }
-
  private:
   // ---- per-thread state (Fig 4) -------------------------------------------
 
@@ -471,10 +444,6 @@ class BasicWCQ {
     return static_cast<i64>(codec_.half() * 3 - 1);
   }
 
-  u64 rec_index(const ThreadRec& r) const {
-    return static_cast<u64>(&r - records_.data());
-  }
-
   unsigned n_records() const {
     const unsigned hw = ThreadRegistry::high_water();
     return hw < opt_.max_threads ? hw : opt_.max_threads;
@@ -519,7 +488,7 @@ class BasicWCQ {
                 raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        dbg(kEvProducedFast, t, index);
+        WCQ_RANK_EVENT(produced, t);
         if (reset_thld) reset_threshold();
         return true;
       }
@@ -557,24 +526,20 @@ class BasicWCQ {
                 raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        dbg(live ? kEvDeqUnsafeFast : kEvDeqBotMarkFast, h);
         const u64 t = tail_.lo.load(std::memory_order_seq_cst);
         if (t <= h + 1) {
           catchup(t, h + 1);
           WCQ_SCHED_POINT(kThresholdDec);
           threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
           opcount::count_threshold();
-          dbg(kEvDeqEmptyFast, h);
           return DeqStatus::kEmpty;
         }
       }
       opcount::count_threshold();
       WCQ_SCHED_POINT(kThresholdDec);
       if (threshold_.value.fetch_sub(1, std::memory_order_seq_cst) <= 0) {
-        dbg(kEvDeqEmptyFast, h);
         return DeqStatus::kEmpty;
       }
-      dbg(kEvDeqRetryFast, h);
       return DeqStatus::kRetry;
     }
   }
@@ -641,7 +606,7 @@ class BasicWCQ {
     if (!e.enq) finalize_request(me, h);
     WCQ_SCHED_POINT(kEntryUpdate);
     entries_[j].lo.fetch_or(codec_.consume_mask(), std::memory_order_seq_cst);
-    dbg(kEvConsumed, h, e.index);
+    WCQ_RANK_EVENT(consumed, h);
   }
 
   // An entry produced by a slow-path enqueuer (Enq=0) is being consumed:
@@ -653,6 +618,7 @@ class BasicWCQ {
   // Enq=0 entry is consumed, i.e. once per slow-path enqueue, so the
   // lookup does not register on the per-op budget.
   void finalize_request(Handle& me, u64 h) {
+    opcount::count_wcq_finalize();
     const unsigned self = me.tid_;
     const unsigned n = n_records();
     for (unsigned step = 1; step < n; ++step) {
@@ -702,6 +668,7 @@ class BasicWCQ {
     // seq1 is read after the fields (acquire loads keep program order for
     // later loads); equality proves the fields belong to generation `seq`.
     if (enq && thr.seq1.load(std::memory_order_acquire) == seq) {
+      opcount::count_wcq_help_enq();
       enqueue_slow(me, tail, idx, thr, seq);
     }
   }
@@ -711,6 +678,7 @@ class BasicWCQ {
     const bool enq = thr.is_enqueue.load(std::memory_order_acquire);
     const u64 head = thr.init_head.load(std::memory_order_acquire);
     if (!enq && thr.seq1.load(std::memory_order_acquire) == seq) {
+      opcount::count_wcq_help_deq();
       dequeue_slow(me, head, thr, seq);
     }
   }
@@ -749,14 +717,13 @@ class BasicWCQ {
           // Unusable: watermark Note so every cooperating thread skips this
           // slot even if the condition later turns true for them.
           if (!EntryOps::update_note(entries_[j], pair, cycle_t)) continue;
-          dbg(kEvEnqSlowAvert, t, rec_index(rec));
           return false;
         }
         // Produce the entry two-step: Enq=0 first.
         const Pair128 produced{codec_.pack(cycle_t, true, false, index),
                                note};
         if (!EntryOps::update_value(entries_[j], pair, produced.lo)) continue;
-        dbg(kEvProducedSlow, t, index);
+        WCQ_RANK_EVENT(produced, t);
         // Finalize the help request, then flip Enq to 1 (Fig 7 lines 14-17).
         u64 expect = t;
         WCQ_SCHED_POINT(kSlowLocal);
@@ -769,10 +736,7 @@ class BasicWCQ {
         reset_threshold();
         return true;
       }
-      if (e.cycle != cycle_t) {
-        dbg(kEvEnqSlowFalse, t, rec_index(rec));
-        return false;
-      }
+      if (e.cycle != cycle_t) return false;
       // Cycle matches: either a peer inserted this request's element (live
       // index, or ⊥c once the requester consumed it) — success — or a
       // dequeuer with the *same counter value* arrived first and ⊥-marked
@@ -798,11 +762,8 @@ class BasicWCQ {
         // Ready (value) or already consumed by the requester (⊥c).
         u64 expect = h;
         WCQ_SCHED_POINT(kSlowLocal);
-        if (!rec.local_head.compare_exchange_strong(
-                expect, h | kFin, std::memory_order_seq_cst)) {
-          dbg(kEvFinFail, h, expect);
-        }
-        dbg(kEvDeqSlowFinReady, h, rec_index(rec));
+        rec.local_head.compare_exchange_strong(expect, h | kFin,
+                                               std::memory_order_seq_cst);
         return true;
       }
       u64 note = pair.hi;
@@ -819,7 +780,6 @@ class BasicWCQ {
       }
       if (e.cycle < cycle_h) {
         if (!EntryOps::update_value(entries_[j], pair, val)) continue;
-        dbg(live ? kEvDeqUnsafeSlow : kEvDeqBotMarkSlow, h);
       }
       const u64 t = tail_.lo.load(std::memory_order_seq_cst);
       if (t <= h + 1) {
@@ -831,14 +791,11 @@ class BasicWCQ {
           if (!rec.local_head.compare_exchange_strong(
                   expect, h | kFin, std::memory_order_seq_cst) &&
               (expect & kFin) == 0) {
-            dbg(kEvFinFail, h, expect);
             return false;  // group advanced; the request is not finished
           }
-          dbg(kEvDeqSlowFinEmpty, h, rec_index(rec));
           return true;  // queue is empty
         }
       }
-      dbg(kEvDeqSlowFalse, h, rec_index(rec));
       return false;
     }
   }
@@ -863,7 +820,6 @@ class BasicWCQ {
         WCQ_SCHED_POINT(kSlowLocal);
         if (local.compare_exchange_strong(expect, cnt | kInc,
                                           std::memory_order_seq_cst)) {
-          dbg(kEvP1Adv, cnt, v);
           v = cnt | kInc;  // Phase 1 complete (for this attempt)
           advanced = true;
         }
@@ -891,7 +847,6 @@ class BasicWCQ {
             bo.pause();
             continue;
           }
-          dbg(kEvReturnTrue, v, rec_index(req_rec));
           return true;  // already reserved; v is the slot
         }
         cnt = v & kCounterMask;
@@ -902,7 +857,6 @@ class BasicWCQ {
       WCQ_SCHED_POINT(kSlowPublish);
       if (dwcas(global, expect, Pair128{cnt + 1, make_ref(my, gen)})) {
         opcount::count_faa();  // the slow path's published increment
-        dbg(kEvPublishOk, cnt, rec_index(req_rec));
         // Exactly one thread reaches here per reservation: the threshold is
         // decremented once per global Head change (Lemma 5.6).
         if (thld != nullptr) {
@@ -912,14 +866,11 @@ class BasicWCQ {
         }
         u64 e = cnt | kInc;
         WCQ_SCHED_POINT(kSlowLocal);
-        if (local.compare_exchange_strong(e, cnt, std::memory_order_seq_cst)) {
-          dbg(kEvP2Done, cnt);
-        }
+        local.compare_exchange_strong(e, cnt, std::memory_order_seq_cst);
         Pair128 gexp{cnt + 1, make_ref(my, gen)};
         WCQ_SCHED_POINT(kSlowPublish);
         dwcas(global, gexp, Pair128{cnt + 1, 0});  // failure: others clear it
         v = cnt;
-        dbg(kEvReturnTrue, v, rec_index(req_rec));
         return true;
       }
     }
@@ -951,6 +902,7 @@ class BasicWCQ {
       // Help the publisher identified by the (tid, generation) tag. The help
       // CAS only fires if the record still holds that generation's data
       // (deviation 1), which also proves the increment was published.
+      opcount::count_wcq_phase2_help();
       Phase2Rec& p2 = records_[ref_tid(gref)].phase2;
       const u64 s2 = p2.seq2.load(std::memory_order_acquire);
       if ((s2 & kRefSeqMask) == ref_seq(gref)) {
@@ -968,10 +920,7 @@ class BasicWCQ {
         if (p2.seq1.load(std::memory_order_acquire) == s2) {
           auto* lp = reinterpret_cast<std::atomic<u64>*>(laddr);
           u64 expect = cnt | kInc;
-          if (lp->compare_exchange_strong(expect, cnt,
-                                          std::memory_order_seq_cst)) {
-            dbg(kEvP2Done, cnt);
-          }
+          lp->compare_exchange_strong(expect, cnt, std::memory_order_seq_cst);
         }
       }
       Pair128 gexp{gcnt, gref};

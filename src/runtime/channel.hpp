@@ -79,21 +79,15 @@ class Channel {
   using Queue = Q;
 
   // Session handle: wraps the queue's own session handle and carries the
-  // per-thread parking state — the spin-then-park Backoff ladder and a local
-  // park tally. One per thread, reused across operations (DESIGN.md §10
-  // session discipline applies unchanged).
+  // per-thread parking state, the spin-then-park Backoff ladder. One per
+  // thread, reused across operations (DESIGN.md §10 session discipline
+  // applies unchanged). Park counts are per channel direction, in stats().
   class Handle {
-   public:
-    // Times this session committed a park (kernel or virtual).
-    std::uint64_t parks() const { return parks_; }
-
-   private:
     friend class Channel;
     explicit Handle(typename Q::Handle qh) : qh_(std::move(qh)) {}
 
     typename Q::Handle qh_;
     Backoff backoff_;
-    std::uint64_t parks_ = 0;
   };
 
   // Degraded-mode accounting snapshot (surfaced in bench JSON).
@@ -153,34 +147,34 @@ class Channel {
 
   // --- blocking ------------------------------------------------------------
 
+  // No deadline is time_point::max() (EventCount::kNoDeadline): the
+  // blocking shapes are the deadline shapes that never time out.
   ChanStatus send(Handle& h, T value) {
-    return send_impl(h, value, /*has_deadline=*/false, {});
+    return send_impl(h, value, EventCount::kNoDeadline);
   }
   ChanStatus recv(Handle& h, T& out) {
-    return recv_impl(h, out, /*has_deadline=*/false, {});
+    return recv_impl(h, out, EventCount::kNoDeadline);
   }
 
   // --- deadline variants ---------------------------------------------------
 
   ChanStatus send_until(Handle& h, T value,
                         std::chrono::steady_clock::time_point deadline) {
-    return send_impl(h, value, /*has_deadline=*/true, deadline);
+    return send_impl(h, value, deadline);
   }
   template <typename Rep, typename Period>
   ChanStatus send_for(Handle& h, T value,
                       std::chrono::duration<Rep, Period> d) {
-    return send_impl(h, value, /*has_deadline=*/true,
-                     std::chrono::steady_clock::now() + d);
+    return send_impl(h, value, std::chrono::steady_clock::now() + d);
   }
   ChanStatus recv_until(Handle& h, T& out,
                         std::chrono::steady_clock::time_point deadline) {
-    return recv_impl(h, out, /*has_deadline=*/true, deadline);
+    return recv_impl(h, out, deadline);
   }
   template <typename Rep, typename Period>
   ChanStatus recv_for(Handle& h, T& out,
                       std::chrono::duration<Rep, Period> d) {
-    return recv_impl(h, out, /*has_deadline=*/true,
-                     std::chrono::steady_clock::now() + d);
+    return recv_impl(h, out, std::chrono::steady_clock::now() + d);
   }
 
   // --- shutdown ------------------------------------------------------------
@@ -266,7 +260,7 @@ class Channel {
 #endif
   }
 
-  ChanStatus send_impl(Handle& h, T& value, bool has_deadline,
+  ChanStatus send_impl(Handle& h, T& value,
                        std::chrono::steady_clock::time_point deadline) {
     if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
       closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -277,13 +271,9 @@ class Channel {
       if (put(h, value)) return ChanStatus::kOk;
       if (!h.backoff_.yielding()) {
         // Spin phase: burn the ladder before announcing a waiter.
-        if (has_deadline) {
-          if (!h.backoff_.until(deadline)) {
-            send_timeouts_.fetch_add(1, std::memory_order_relaxed);
-            return ChanStatus::kTimeout;
-          }
-        } else {
-          h.backoff_.pause();
+        if (!h.backoff_.until(deadline)) {
+          send_timeouts_.fetch_add(1, std::memory_order_relaxed);
+          return ChanStatus::kTimeout;
         }
         continue;
       }
@@ -299,18 +289,13 @@ class Channel {
         closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
         return ChanStatus::kClosed;
       }
-      ++h.parks_;
-      if (has_deadline) {
-        if (!not_full_.commit_wait_until(t, deadline) ||
-            std::chrono::steady_clock::now() >= deadline) {
-          // One last immediate attempt so a wake racing the deadline is not
-          // reported as a timeout when the slot is already there.
-          if (put(h, value)) return ChanStatus::kOk;
-          send_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return ChanStatus::kTimeout;
-        }
-      } else {
-        not_full_.commit_wait(t);
+      if (!not_full_.commit_wait(t, deadline) ||
+          std::chrono::steady_clock::now() >= deadline) {
+        // One last immediate attempt so a wake racing the deadline is not
+        // reported as a timeout when the slot is already there.
+        if (put(h, value)) return ChanStatus::kOk;
+        send_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        return ChanStatus::kTimeout;
       }
       if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
         closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -319,7 +304,7 @@ class Channel {
     }
   }
 
-  ChanStatus recv_impl(Handle& h, T& out, bool has_deadline,
+  ChanStatus recv_impl(Handle& h, T& out,
                        std::chrono::steady_clock::time_point deadline) {
     h.backoff_.reset();
     for (;;) {
@@ -330,13 +315,9 @@ class Channel {
         return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
       }
       if (!h.backoff_.yielding()) {
-        if (has_deadline) {
-          if (!h.backoff_.until(deadline)) {
-            recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
-            return ChanStatus::kTimeout;
-          }
-        } else {
-          h.backoff_.pause();
+        if (!h.backoff_.until(deadline)) {
+          recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
+          return ChanStatus::kTimeout;
         }
         continue;
       }
@@ -359,16 +340,11 @@ class Channel {
         return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
       }
 #endif
-      ++h.parks_;
-      if (has_deadline) {
-        if (!not_empty_.commit_wait_until(t, deadline) ||
-            std::chrono::steady_clock::now() >= deadline) {
-          if (take(h, out)) return ChanStatus::kOk;
-          recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return ChanStatus::kTimeout;
-        }
-      } else {
-        not_empty_.commit_wait(t);
+      if (!not_empty_.commit_wait(t, deadline) ||
+          std::chrono::steady_clock::now() >= deadline) {
+        if (take(h, out)) return ChanStatus::kOk;
+        recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        return ChanStatus::kTimeout;
       }
     }
   }

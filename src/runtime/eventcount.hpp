@@ -71,6 +71,9 @@ class EventCount {
  public:
   // Epoch snapshot returned by prepare_wait and consumed by commit_wait.
   using Ticket = std::uint32_t;
+  // The one "no deadline" value: commit_wait(t) parks until woken.
+  static constexpr std::chrono::steady_clock::time_point kNoDeadline =
+      std::chrono::steady_clock::time_point::max();
 
   EventCount() = default;
   EventCount(const EventCount&) = delete;
@@ -97,27 +100,14 @@ class EventCount {
     WCQ_SCHED_POINT(kParkCancel);
   }
 
-  // Phase 2b: park until the epoch moves past `t`. May return spuriously
-  // (futex EINTR, a wake aimed at another waiter, the analysis budget);
-  // callers re-check their condition and re-prepare in a loop.
-  void commit_wait(Ticket t) {
-    parks_.fetch_add(1, std::memory_order_relaxed);
-#if defined(WCQ_ANALYSIS) && WCQ_ANALYSIS
-    if (analysis::hooks_installed()) {
-      virtual_park(t);
-      waiters_.fetch_sub(1, std::memory_order_relaxed);  // PARK-COUNT
-      return;
-    }
-#endif
-    platform_wait(t, /*has_deadline=*/false, {});
-    waiters_.fetch_sub(1, std::memory_order_relaxed);  // PARK-COUNT
-  }
-
-  // Deadline variant: returns false iff the park ended because `deadline`
-  // passed (a best-effort hint — the caller owns the authoritative deadline
-  // check, exactly as it owns the condition re-check).
-  bool commit_wait_until(Ticket t,
-                         std::chrono::steady_clock::time_point deadline) {
+  // Phase 2b: park until the epoch moves past `t` or `deadline` passes.
+  // May return spuriously (futex EINTR, a wake aimed at another waiter, the
+  // analysis budget); callers re-check their condition and re-prepare in a
+  // loop. Returns false iff the park ended because `deadline` passed (a
+  // best-effort hint — the caller owns the authoritative deadline check,
+  // exactly as it owns the condition re-check); never with kNoDeadline.
+  bool commit_wait(
+      Ticket t, std::chrono::steady_clock::time_point deadline = kNoDeadline) {
     parks_.fetch_add(1, std::memory_order_relaxed);
 #if defined(WCQ_ANALYSIS) && WCQ_ANALYSIS
     if (analysis::hooks_installed()) {
@@ -126,7 +116,7 @@ class EventCount {
       return woke || std::chrono::steady_clock::now() < deadline;
     }
 #endif
-    const bool in_time = platform_wait(t, /*has_deadline=*/true, deadline);
+    const bool in_time = platform_wait(t, deadline);
     waiters_.fetch_sub(1, std::memory_order_relaxed);  // PARK-COUNT
     return in_time;
   }
@@ -211,12 +201,13 @@ class EventCount {
   }
 
   // Kernel park. Returns false iff the wait ended on a timed-out deadline.
-  bool platform_wait(Ticket t, bool has_deadline,
-                     std::chrono::steady_clock::time_point deadline) {
+  bool platform_wait(Ticket t, std::chrono::steady_clock::time_point deadline) {
 #if WCQ_HAS_FUTEX
+    // kNoDeadline parks with no timeout at all, never a timespec of the
+    // ~292 years left until time_point::max().
     timespec ts{};
     timespec* tsp = nullptr;
-    if (has_deadline) {
+    if (deadline != kNoDeadline) {
       const auto now = std::chrono::steady_clock::now();
       if (now >= deadline) return false;
       const auto left = std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -234,14 +225,13 @@ class EventCount {
 #else
     std::unique_lock<std::mutex> lk(mu_);
     while (epoch_.load(std::memory_order_acquire) == t) {  // PARK-EPOCH
-      if (has_deadline) {
-        if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
-          return false;
-        }
-      } else {
+      if (deadline == kNoDeadline) {
         cv_.wait(lk);
         break;  // one wait per commit: spurious condvar wakes surface as
                 // spurious commit returns, which the caller's loop absorbs
+      }
+      if (cv_.wait_until(lk, deadline) == std::cv_status::timeout) {
+        return false;
       }
     }
     return true;

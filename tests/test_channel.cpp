@@ -73,6 +73,26 @@ TEST(Channel, RecvForTimesOutOnEmpty) {
   EXPECT_EQ(ch.stats().recv_timeouts, 1u);
 }
 
+TEST(Channel, RecvUntilNoDeadlineParksUntilSend) {
+  // time_point::max() is "no deadline": the receiver parks (the futex path
+  // with no timeout) and a send 10 ms later delivers, never a timeout.
+  Channel<std::uint64_t> ch(4u);
+  ChanStatus st = ChanStatus::kTimeout;
+  std::uint64_t out = 0;
+  std::thread receiver([&] {
+    auto h = ch.acquire();
+    st = ch.recv_until(h, out, std::chrono::steady_clock::time_point::max());
+  });
+  while (ch.stats().recv_parks == 0) std::this_thread::yield();
+  std::this_thread::sleep_for(10ms);
+  auto h = ch.acquire();
+  EXPECT_EQ(ch.send(h, 77), ChanStatus::kOk);
+  receiver.join();
+  EXPECT_EQ(st, ChanStatus::kOk);
+  EXPECT_EQ(out, 77u);
+  EXPECT_EQ(ch.stats().recv_timeouts, 0u);
+}
+
 TEST(Channel, SendForTimesOutOnFull) {
   Channel<std::uint64_t> ch(2u);
   auto h = ch.acquire();

@@ -107,7 +107,7 @@ TEST(EventCount, DeadlineParkTimesOut) {
   EventCount ec;
   const auto t = ec.prepare_wait();
   const auto deadline = std::chrono::steady_clock::now() + 30ms;
-  const bool woke = ec.commit_wait_until(t, deadline);
+  const bool woke = ec.commit_wait(t, deadline);
   EXPECT_FALSE(woke) << "no notify was sent; the park must report timeout";
   EXPECT_GE(std::chrono::steady_clock::now(), deadline);
   EXPECT_EQ(ec.waiters(), 0u);
@@ -126,7 +126,7 @@ TEST(EventCount, DeadlineParkWakesEarlyOnNotify) {
       }
       // Far deadline: if the wake is lost this trips the CTest timeout, not
       // a silent pass via expiry.
-      ec.commit_wait_until(
+      ec.commit_wait(
           t, std::chrono::steady_clock::now() + std::chrono::hours(1));
     }
   });

@@ -172,7 +172,7 @@ static_assert(sizeof(BoundedQueue<u64, SCQ>::Handle) <= 32);
 static_assert(sizeof(BoundedQueue<u64, MpscRing>::Handle) <= 32);
 static_assert(sizeof(UnboundedQueue<u64>::Handle) <= 32);
 static_assert(sizeof(ShardedQueue<u64>::Handle) <= 80);
-static_assert(sizeof(Channel<u64>::Handle) <= 88);
+static_assert(sizeof(Channel<u64>::Handle) <= 80);
 
 // Move-assigning over an owned handle releases the overwritten session
 // exactly once; the moved-from source then owns nothing, and a self-move

@@ -101,7 +101,7 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
   Q* q = nullptr;
   const std::int64_t delta =
       construction_delta(q, Q::Options{.segment_order = kOrder});
-  // Segment pool: Options::pool_slots (64) line-padded slots plus one
+  // Segment pool: the queue's 64 (kPoolSlots) line-padded slots plus one
   // line-padded size word per NUMA partition.
   const std::int64_t pool = 64 * 64 + static_cast<std::int64_t>(nodes) * 64;
   const std::int64_t segment =

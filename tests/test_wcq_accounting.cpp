@@ -3,21 +3,36 @@
 // Every Head/Tail counter value ("rank") is handed out exactly once, so a
 // correct execution must produce and consume each rank at most once, and a
 // produced rank must eventually be consumed (no orphans). This harness taps
-// WCQ's debug hooks to enforce those invariants globally — it is the test
-// that caught the three pseudocode-level races documented in DESIGN.md §3
-// (⊥-at-own-cycle, exit-without-FIN, baseline re-processing), which
-// manifested as produced-but-never-consumed ranks roughly once per 10^4
-// operations in these configurations.
+// WCQ's produce/consume sites to enforce those invariants globally — it is
+// the test that caught the three pseudocode-level races documented in
+// DESIGN.md §3 (⊥-at-own-cycle, exit-without-FIN, baseline re-processing),
+// which manifested as produced-but-never-consumed ranks roughly once per
+// 10^4 operations in these configurations.
+//
+// The tap is core/wcq.hpp's compile-time WCQ_RANK_EVENT, enabled by defining
+// WCQ_TEST_RANK_HOOK ahead of every include. It must stay that way, and this
+// must stay the only TU of its binary that includes core/wcq.hpp: a second
+// TU instantiating BasicWCQ without the hook would be an ODR violation whose
+// untapped copy the linker may pick. The "hook saw every rank" assertions
+// below fail rather than pass vacuously if the tap ever compiles out.
+namespace wcq_test {
+void rank_produced(unsigned long long rank);
+void rank_consumed(unsigned long long rank);
+}  // namespace wcq_test
+#define WCQ_TEST_RANK_HOOK(kind, rank) ::wcq_test::rank_##kind(rank)
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "common/backoff.hpp"
 #include "common/cpu.hpp"
+#include "common/op_counters.hpp"
 #include "core/wcq.hpp"
 #include "mpmc_harness.hpp"
 
@@ -30,6 +45,8 @@ struct RankLog {
   // bit 0: produced, bit 1: consumed; one cell per rank.
   std::unique_ptr<std::atomic<unsigned char>[]> bits{
       new std::atomic<unsigned char>[kMaxRank]};
+  std::atomic<u64> produced{0};  // every event, in the window or not
+  std::atomic<u64> consumed{0};
   std::atomic<u64> double_produce{0};
   std::atomic<u64> double_consume{0};
 
@@ -37,14 +54,12 @@ struct RankLog {
     for (u64 i = 0; i < kMaxRank; ++i) bits[i].store(0);
   }
 
-  static void on_event(void* ctx, int kind, u64 rank, u64) {
-    auto* self = static_cast<RankLog*>(ctx);
+  // bit: 1 = produced, 2 = consumed.
+  void on_event(std::atomic<u64>& events, std::atomic<u64>& doubles,
+                unsigned char bit, u64 rank) {
+    events.fetch_add(1);
     if (rank >= kMaxRank) return;
-    if (kind == WCQ::kEvProducedFast || kind == WCQ::kEvProducedSlow) {
-      if (self->bits[rank].fetch_or(1) & 1) self->double_produce.fetch_add(1);
-    } else if (kind == WCQ::kEvConsumed) {
-      if (self->bits[rank].fetch_or(2) & 2) self->double_consume.fetch_add(1);
-    }
+    if (bits[rank].fetch_or(bit) & bit) doubles.fetch_add(1);
   }
 
   u64 orphaned() const {
@@ -55,6 +70,26 @@ struct RankLog {
     return n;
   }
 };
+
+// The log the tap writes to; set only while a case runs its queue (thread
+// creation and join order it against the workers).
+RankLog* g_log = nullptr;
+
+}  // namespace
+}  // namespace wcq
+
+void wcq_test::rank_produced(unsigned long long rank) {
+  wcq::RankLog& l = *wcq::g_log;
+  l.on_event(l.produced, l.double_produce, 1, rank);
+}
+
+void wcq_test::rank_consumed(unsigned long long rank) {
+  wcq::RankLog& l = *wcq::g_log;
+  l.on_event(l.consumed, l.double_consume, 2, rank);
+}
+
+namespace wcq {
+namespace {
 
 struct AccountingCase {
   unsigned order;
@@ -80,8 +115,17 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
   o.help_delay = 1;
   WCQ q(o);
   RankLog log;
-  q.debug_hooks.ctx = &log;
-  q.debug_hooks.event = &RankLog::on_event;
+  g_log = &log;
+
+  // Slow-path counters summed over the workers (each snapshots its own
+  // thread-local table around its loop).
+  std::mutex slow_mu;
+  opcount::Counters slow{};
+  auto tally = [&](const opcount::Counters& before) {
+    const opcount::Counters d = opcount::snapshot() - before;
+    std::lock_guard<std::mutex> lk(slow_mu);
+    slow += d;
+  };
 
   std::atomic<u64> consumed{0};
   std::atomic<i64> credits{static_cast<i64>(q.capacity())};
@@ -94,6 +138,7 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
   std::vector<std::thread> ts;
   for (unsigned p = 0; p < c.producers; ++p) {
     ts.emplace_back([&, p] {
+      const opcount::Counters before = opcount::snapshot();
       Backoff bo;
       for (u64 i = 0; i < items_per_producer; ++i) {
         while (credits.fetch_sub(1, std::memory_order_acquire) <= 0) {
@@ -103,10 +148,12 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
         bo.reset();
         q.enqueue(p % q.capacity());
       }
+      tally(before);
     });
   }
   for (unsigned cc = 0; cc < c.consumers; ++cc) {
     ts.emplace_back([&] {
+      const opcount::Counters before = opcount::snapshot();
       Backoff bo;
       while (consumed.load(std::memory_order_relaxed) < total) {
         if (q.dequeue()) {
@@ -117,16 +164,24 @@ TEST_P(WcqAccounting, EveryProducedRankConsumedExactlyOnce) {
           bo.pause();  // empty: wait for a producer
         }
       }
+      tally(before);
     });
   }
   for (auto& t : ts) t.join();
+  EXPECT_FALSE(q.dequeue().has_value());
+  g_log = nullptr;
+
+  EXPECT_EQ(log.produced.load(), total) << "the rank tap missed produces";
+  EXPECT_EQ(log.consumed.load(), total) << "the rank tap missed consumes";
+  // Only an Enq=0 entry, which a slow enqueue produces exactly once per
+  // request, is finalized when consumed: holds on every schedule.
+  EXPECT_LE(slow.wcq_finalize, slow.wcq_enq_slow);
 
   EXPECT_EQ(log.double_produce.load(), 0u) << "a rank was produced twice";
   EXPECT_EQ(log.double_consume.load(), 0u) << "a rank was consumed twice";
   EXPECT_EQ(log.orphaned(), 0u)
       << "produced-but-never-consumed ranks: elements were lost";
   EXPECT_EQ(consumed.load(), total);
-  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 INSTANTIATE_TEST_SUITE_P(
