@@ -61,6 +61,7 @@ enum class Site : std::uint8_t {
                    //   re-check iteration under the analysis scheduler)
   kParkWake,       // eventcount notify: epoch bump / futex wake edge
   kChanClose,      // channel close: closed-flag publish before the wake storm
+  kSegmentClaim,   // unbounded segment's fresh-index span F&A
   kSiteCount,
 };
 

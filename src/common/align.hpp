@@ -84,6 +84,9 @@ class AlignedArray {
   T& operator[](std::size_t i) noexcept { return ptr_[i]; }
   const T& operator[](std::size_t i) const noexcept { return ptr_[i]; }
   std::size_t size() const noexcept { return n_; }
+  // Metered bytes of the allocation (size() elements, rounded up to the
+  // alignment).
+  std::size_t bytes() const noexcept { return bytes_; }
 
   static constexpr std::size_t round_up(std::size_t v, std::size_t a) {
     return (v + a - 1) / a * a;

@@ -22,9 +22,8 @@
 // refill/spill per half-magazine span. The "full" contract relaxes
 // accordingly: an enqueue that finds its magazine and fq empty performs one
 // bounded reclaim sweep over all magazines (stealing a cached index) before
-// reporting full, so cached-but-unused indices can never wedge the queue and
-// UnboundedQueue segments never finalize before their exact capacity is
-// live. A thread-exit hook flushes a dying thread's magazine back to fq, so
+// reporting full, so cached-but-unused indices can never wedge the queue. A
+// thread-exit hook flushes a dying thread's magazine back to fq, so
 // no index leaks across thread churn (capacity stays exact).
 //
 // Session handles (DESIGN.md §10): every per-(queue, thread) lookup this
@@ -33,8 +32,8 @@
 // `Handle`. `acquire()` returns an owned handle (flushes its magazine back
 // to fq on destruction and pins the queue: destroying the queue first is a
 // diagnosed abort); `handle_for(tid)` builds an unowned per-op view by pure
-// arithmetic for composed layers that already know their tid (UnboundedQueue
-// segments, the implicit wrappers). The implicit API is unchanged and costs
+// arithmetic for composed layers that already know their tid (ShardedQueue
+// sweeps, the implicit wrappers). The implicit API is unchanged and costs
 // exactly one registry lookup per operation — it resolves the thread_local
 // tid once and derives the session from it, which is equivalent to (and
 // safer than) caching handles in thread_local storage (see DESIGN.md §10 for
@@ -94,17 +93,6 @@ struct DefaultFreeRing<Ring> {
   using type = SCQ;
 };
 
-// Degree-specialized rings pin their owner thread via a SessionGuard; the
-// exclusive-access paths below (destructor drain, reset) legitimately run
-// on a different thread than the bound owner, so they clear the binding
-// first. Symmetric rings have no such method — compile-time no-op.
-template <typename R>
-void release_ring_sessions(R& ring) {
-  if constexpr (requires { ring.release_sessions(); }) {
-    ring.release_sessions();
-  }
-}
-
 }  // namespace detail
 
 template <typename T, typename Ring = WCQ,
@@ -154,7 +142,7 @@ class BoundedQueue {
         fq_(opt.order),
         data_(aq_.capacity(), kCacheLine),
         mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
-              magazine_rows_for(aq_)) {
+              detail::ring_tids(aq_)) {
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
       // this an index could only be recovered by a (full-edge) reclaim
@@ -181,11 +169,9 @@ class BoundedQueue {
 
   // Re-initialize to the freshly-constructed state: destroy any payloads
   // still in flight, rewind both rings (fq to empty) and the fresh-index
-  // counter to 0, which returns every index — including any retired by
-  // dequeue_retire() — to the unissued state. No ring enqueue runs. Same
-  // exclusivity precondition as the rings' reset() — this is the bounded
-  // layer of the segment-recycling path (DESIGN.md §8), where the hazard
-  // grace period guarantees no thread can still touch this queue... with one
+  // counter to 0, which returns every index to the unissued state. No ring
+  // enqueue runs. Same exclusivity precondition as the rings' reset()
+  // (DESIGN.md §8): no thread may still touch this queue... with one
   // exception: a thread-exit hook (or an owned handle's destructor) needs no
   // hazard to flush a magazine, so the magazine/fq rewind serializes with
   // flushes on this queue's flush lock. Either the flush completed first
@@ -223,8 +209,8 @@ class BoundedQueue {
   }
 
   // Unowned per-op session view for a known tid: pure arithmetic, no
-  // registry access, no flush-on-destroy. Composed layers (UnboundedQueue
-  // segments, ShardedQueue sweeps) and the implicit wrappers use this.
+  // registry access, no flush-on-destroy. Composed layers (ShardedQueue
+  // sweeps) and the implicit wrappers use this.
   Handle handle_for(unsigned tid) {
     return Handle(this, tid, /*owned=*/false);
   }
@@ -258,15 +244,14 @@ class BoundedQueue {
     return dequeue(h);
   }
 
-  std::optional<T> dequeue(Handle& h) { return take(h, /*recycle=*/true); }
-
-  // Dequeue without recycling the freed index: it stays out of circulation
-  // until reset() rewinds the fresh-index counter. For a queue that will
-  // take no further enqueue before its reset — UnboundedQueue's finalized
-  // segments (DESIGN.md §8) — this skips the magazine put and fq spill that
-  // would only feed indices nobody claims.
-  std::optional<T> dequeue_retire(Handle& h) {
-    return take(h, /*recycle=*/false);
+  std::optional<T> dequeue(Handle& h) {
+    const auto idx = aq_.dequeue(h.aq_h_);
+    if (!idx) return std::nullopt;
+    T* p = slot(*idx);
+    std::optional<T> out{std::move(*p)};
+    p->~T();
+    release_index(h, *idx);
+    return out;
   }
 
   // Batch insert (DESIGN.md §7): enqueues up to `n` values from `first`,
@@ -352,27 +337,6 @@ class BoundedQueue {
     if (!cfg.enabled) return 0;
     const std::size_t by_ring = static_cast<std::size_t>(ring_capacity / 4);
     return std::min(cfg.capacity, by_ring);
-  }
-
-  // One magazine row per tid the data ring accepts (DESIGN.md §9): a WCQ
-  // ring traps tids past its record array, so rows past it could never be
-  // used. Rings without a thread limit get a row per registry tid.
-  static unsigned magazine_rows_for(const Ring& ring) {
-    if constexpr (requires { ring.max_threads(); }) {
-      return std::min(ThreadRegistry::kMaxThreads, ring.max_threads());
-    } else {
-      return ThreadRegistry::kMaxThreads;
-    }
-  }
-
-  std::optional<T> take(Handle& h, bool recycle) {
-    const auto idx = aq_.dequeue(h.aq_h_);
-    if (!idx) return std::nullopt;
-    T* p = slot(*idx);
-    std::optional<T> out{std::move(*p)};
-    p->~T();
-    if (recycle) release_index(h, *idx);
-    return out;
   }
 
   // --- free-index claim/release (the fq half of Fig 2) ----------------------

@@ -87,6 +87,8 @@ class BasicScq {
   BasicScq& operator=(const BasicScq&) = delete;
 
   u64 capacity() const { return codec_.half(); }
+  // Metered bytes the ring allocated: its entries.
+  std::size_t heap_bytes() const { return entries_.bytes(); }
   u64 ring_size() const { return codec_.ring_size(); }
 
   // Inserts `index` (< capacity()). Never fails; the caller guarantees at

@@ -17,9 +17,12 @@
 // which the guard never performs after binding).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
+
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
@@ -69,5 +72,33 @@ class SessionGuard {
 
   std::atomic<const void*> owner_{nullptr};
 };
+
+namespace detail {
+
+// Degree-specialized rings pin their owner thread via a SessionGuard; the
+// exclusive-access paths of the layers above them (destructor drain, reset)
+// legitimately run on a different thread than the bound owner, so they
+// clear the binding first. Symmetric rings have no such method —
+// compile-time no-op.
+template <typename R>
+void release_ring_sessions(R& ring) {
+  if constexpr (requires { ring.release_sessions(); }) {
+    ring.release_sessions();
+  }
+}
+
+// Tids a ring accepts, for the per-tid tables of the layers above it: a WCQ
+// ring traps tids past its record array, so rows past it could never be
+// used. Rings without a thread limit accept every registry tid.
+template <typename R>
+unsigned ring_tids(const R& ring) {
+  if constexpr (requires { ring.max_threads(); }) {
+    return std::min(ThreadRegistry::kMaxThreads, ring.max_threads());
+  } else {
+    return ThreadRegistry::kMaxThreads;
+  }
+}
+
+}  // namespace detail
 
 }  // namespace wcq

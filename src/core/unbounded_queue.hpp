@@ -21,6 +21,10 @@
 //    thread's enqueue slot holds it, which makes "help finalize, then
 //    append" (Fig 13 lines 21-22) unnecessary.
 //
+// One-shot segments (DESIGN.md §4): a segment is its data ring, its payload
+// slots and one fresh-index counter — not Appendix A's Fig 2 ring pair — so
+// this layer has no free-index ring, magazine, exit hook or flush lock.
+//
 // Segment recycling (DESIGN.md §8): with Options::recycle (the default), a
 // retired segment is reset and parked in a SegmentPool once its hazard
 // grace period has passed, and the growth path allocates from the pool
@@ -31,37 +35,43 @@
 // promptly instead of idling in retire lists while fresh ones are malloc'd.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <new>
 #include <optional>
+#include <type_traits>
 #include <utility>
 
+#include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/alloc_meter.hpp"
 #include "common/backoff.hpp"
+#include "common/op_counters.hpp"
 #include "common/topology.hpp"
-#include "core/bounded_queue.hpp"
+#include "core/scq.hpp"
 #include "core/session.hpp"
+#include "core/session_guard.hpp"
+#include "core/wcq.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/segment_pool.hpp"
-#include "scale/index_magazine.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
 template <typename T, typename Ring = WCQ>
 class UnboundedQueue {
+  static_assert(std::is_nothrow_move_constructible_v<T>,
+                "payloads move across threads; moves must not throw");
+
  public:
   // Per-thread session (DESIGN.md §10): the dense tid plus this queue's
-  // hazard-slot row for it, resolved once. Segment-level ring/magazine
-  // state cannot be cached here — segments come and go — so the handle
-  // carries the tid and each segment rebuilds its BoundedQueue view from it
-  // by pure arithmetic (zero registry lookups). Owned handles pin the queue
-  // like BoundedQueue's (core/session.hpp). Unlike BoundedQueue's handle,
-  // release does NOT flush segment magazines (that would need a
-  // hazard-protected walk of a list the session no longer operates on);
-  // segment magazines flush at thread exit via the registry hook, and the
-  // full-edge reclaim sweep keeps cached indices from wedging a segment's
-  // finalize in the meantime (DESIGN.md §9).
+  // hazard-slot row for it, resolved once. Segment-level ring state cannot
+  // be cached here — segments come and go — so the handle carries the tid
+  // and each segment rebuilds its ring session and finds the tid's span row
+  // from it by pure arithmetic (zero registry lookups). Owned handles pin
+  // the queue like BoundedQueue's (core/session.hpp). Release has nothing
+  // to flush: a span row left behind is simply never matched again once its
+  // segment finalizes or is reset.
   class Handle {
    public:
     Handle() = default;
@@ -89,15 +99,6 @@ class UnboundedQueue {
     // segment, the pre-recycling behavior; kept as an A/B toggle for
     // the wcq_bench fig10 panel).
     bool recycle = true;
-    // Per-thread free-index magazines inside each segment (DESIGN.md §9).
-    // BoundedQueue clamps the capacity to 2^segment_order / 4, keeping
-    // magazines well under the segment size so the finalize-on-full
-    // transition stays prompt; the full-edge reclaim sweep recovers cached
-    // indices before "full" is reported, so a segment finalizes at its
-    // exact capacity up to the same in-flight transients the plain double
-    // ring has (a sweep can miss an index mid-flight — DESIGN.md §9), and
-    // recycling (and SteadyStateZeroAllocations) is unaffected.
-    IndexMagazines::Config magazine{};
     // Placement source for the node-partitioned segment pool (DESIGN.md
     // §12); nullptr means the process topology (Topology::instance()). A
     // segment's home node is the node of the thread that first allocated it
@@ -112,8 +113,10 @@ class UnboundedQueue {
                                       : &Topology::instance()),
         pool_(kPoolSlots, topo_->node_count()),
         hp_(kRetireScanThreshold) {
-    Segment* first = Segment::create(segment_options());
-    first->home_node = topo_->current_node();
+    Segment* first = create_segment(topo_->current_node());
+    // One span row per tid the segment ring accepts (DESIGN.md §4).
+    rows_ = AlignedArray<SpanRow>(detail::ring_tids(first->aq), kCacheLine);
+    segment_bytes_ = first->bytes();
     head_.value.store(first, std::memory_order_relaxed);
     tail_.value.store(first, std::memory_order_relaxed);
   }
@@ -152,8 +155,7 @@ class UnboundedQueue {
 
   // Never fails (appends a ring when the last one fills/finalizes; the ring
   // comes from the segment pool when one is parked there). The payload moves
-  // down the whole chain (Segment::enqueue → BoundedQueue::enqueue_movable):
-  // the old const& chain copied it twice per operation.
+  // down the whole chain into its slot and is never copied.
   bool enqueue(T value) {
     Handle h = handle_for(ThreadRegistry::tid());
     return enqueue(h, std::move(value));
@@ -173,18 +175,23 @@ class UnboundedQueue {
                                             std::memory_order_seq_cst);
         continue;
       }
-      if (ltail->enqueue(h.tid(), value)) {
+      if (ltail->enqueue(h.tid(), rows_.data(), value)) {
         HazardDomain::clear(*h.hp_row_, kEnqSlot);
         return true;
       }
-      // Ring full: it is now finalized; append a fresh ring seeded with the
-      // value (Fig 13 lines 7-8, 21-23). The announcement ends here, so a
-      // dequeuer waiting on ltail never waits on the growth path; slot 0
-      // keeps ltail protected for the append CASes.
+      // Ring full: it is now finalized. If a successor is already linked,
+      // retry there (the loop top swings tail_) rather than acquire a
+      // segment only to lose the append race.
+      if (ltail->next.load(std::memory_order_acquire) != nullptr) continue;
+      // Otherwise append a fresh ring seeded with the value (Fig 13 lines
+      // 7-8, 21-23). The announcement ends here, so a dequeuer waiting on
+      // ltail never waits on the growth path; slot 0 keeps ltail protected
+      // for the append CASes.
       HazardDomain::set(*h.hp_row_, 0, ltail);
       HazardDomain::clear(*h.hp_row_, kEnqSlot);
       Segment* fresh = acquire_segment(h);
-      (void)fresh->enqueue(h.tid(), value);  // empty open ring: cannot fail
+      // Empty open ring: cannot fail.
+      (void)fresh->enqueue(h.tid(), rows_.data(), value);
       Segment* expected = nullptr;
       const bool linked = ltail->next.compare_exchange_strong(
           expected, fresh, std::memory_order_seq_cst);
@@ -195,9 +202,9 @@ class UnboundedQueue {
       HazardDomain::clear(*h.hp_row_, 0);
       if (linked) return true;
       // Somebody appended first; take the seeded element back (we own fresh
-      // exclusively, so this dequeue cannot fail) and retry there. With the
-      // moving chain the element lives in fresh now — the old copying chain
-      // could just drop the segment's copy.
+      // exclusively, so this dequeue cannot fail) and retry there. The reset
+      // in release_segment gives fresh a new generation, so the span row
+      // the seed left on it never matches again.
       value = std::move(*fresh->dequeue(h.tid()));
       release_segment(fresh);
     }
@@ -291,11 +298,13 @@ class UnboundedQueue {
   int live_handles() const { return sessions_.live(); }
   std::size_t pooled_segments() const { return pool_.size(); }
   const Options& options() const { return opt_; }
-  // One segment object's own bytes, without the ring, payload and
-  // magazine arrays its BoundedQueue allocates.
-  static constexpr std::size_t segment_object_bytes() {
-    return sizeof(Segment);
-  }
+  // Metered bytes one segment owns: the object plus its ring's and payload
+  // slots' arrays. Every segment of a queue has the same size.
+  std::size_t segment_bytes() const { return segment_bytes_; }
+  // Segments retired but not yet past their grace period, and the metered
+  // bytes of the hazard domain's retire-list buffers (quiescent-only).
+  std::size_t retired_segments() const { return hp_.retired_count(); }
+  std::size_t reclaim_buffer_bytes() const { return hp_.buffer_bytes(); }
   // Flush this queue's pending retirements (quiescent-only): retired
   // segments move to the pool (or are freed past its cap) immediately
   // instead of at the next scan.
@@ -305,75 +314,152 @@ class UnboundedQueue {
   friend class SessionOwner<UnboundedQueue>;
   void release_session(unsigned /*tid*/) { sessions_.remove(); }
 
-  // One ring segment: a Fig 2 bounded queue plus finalization state.
+  struct Segment;
+
+  // One tid's unused claimed indices (DESIGN.md §4): [next, end) of the
+  // segment `seg` at generation `gen`. Only the tid's thread touches its
+  // row (a recycled tid inherits it through the registry's hand-off), so
+  // the fields are plain. A row whose segment was reset — re-linked from
+  // the pool, or freed and re-allocated at the same address — never
+  // matches again: every incarnation takes a generation number from the
+  // queue's counter, which never repeats.
+  struct alignas(kCacheLine) SpanRow {
+    const Segment* seg = nullptr;
+    u64 gen = 0;
+    u64 next = 0;
+    u64 end = 0;
+  };
+
+  // One ring segment, single-use per incarnation: the data ring, its
+  // payload slots and a fresh-index counter. Index i's slot is written by
+  // the one enqueue that claimed i and read by the one dequeue that takes i
+  // from aq; neither recycles i, so aq never holds more than capacity()
+  // indices (the ring's precondition) and reset() is the only way back.
   struct Segment {
-    using QueueOptions = typename BoundedQueue<T, Ring>::Options;
+    Segment(unsigned order, u64 generation)
+        : aq(order), data(aq.capacity(), kCacheLine), gen(generation) {}
+    ~Segment() { destroy_stragglers(); }
 
-    explicit Segment(const QueueOptions& opt) : queue(opt) {}
-
-    static Segment* create(const QueueOptions& opt) {
-      // The embedded BoundedQueue is cache-line-aligned, so Segment is
-      // over-aligned — plain malloc's max_align_t is not enough.
+    static Segment* create(unsigned order, u64 generation) {
+      // The embedded ring is cache-line-aligned, so Segment is over-aligned
+      // — plain malloc's max_align_t is not enough.
       void* mem = alloc_meter::allocate_aligned(sizeof(Segment),
                                                 alignof(Segment));
-      return new (mem) Segment(opt);
+      return new (mem) Segment(order, generation);
     }
     static void destroy(Segment* s) {
       s->~Segment();
       alloc_meter::deallocate_aligned(s, sizeof(Segment));
     }
 
+    std::size_t bytes() const {
+      return sizeof(Segment) + aq.heap_bytes() + data.bytes();
+    }
+
     // Reopen a finalized, drained, quiescent segment (exclusive access; the
-    // recycler holds the only reference). Ring/bounded resets rewind the
-    // Fig 2 state; clearing `next` detaches it from the dead list tail.
-    void reset() {
-      queue.reset();
+    // recycler holds the only reference): rewind the ring and the counter,
+    // detach it from the dead list tail and retag it, so span rows left on
+    // the old incarnation go stale.
+    void reset(u64 generation) {
+      destroy_stragglers();
+      aq.reset();
+      fresh.store(0, std::memory_order_relaxed);
       finalized.store(false, std::memory_order_relaxed);
       next.store(nullptr, std::memory_order_relaxed);
+      gen = generation;
     }
 
     // False once the segment is full: the segment finalizes and no enqueue
     // will ever succeed on it again (so FIFO order across segments holds).
-    // On success `v` is moved-from; on failure it is left intact (the
-    // enqueue_movable contract), so the caller can retarget it. The caller's
-    // session tid threads through: the segment rebuilds its BoundedQueue
-    // view from it by arithmetic (DESIGN.md §10), so segment churn costs no
-    // registry lookups. On a published segment the caller must hold it in
-    // its enqueue slot: that hazard, stored before the gate load below, is
-    // the announcement the dequeuers' quiescence check scans for.
-    bool enqueue(unsigned tid, T& v) {
+    // On success `v` is moved-from; on failure it is left intact, so the
+    // caller can retarget it. The index comes from the tid's span row when
+    // it holds one for this incarnation, else from a fresh claim; a claim
+    // past the counter's end is what finalizes the segment. Indices other
+    // threads still hold in their rows then go unused, so under contention
+    // a segment can finalize holding fewer than capacity() elements. On a
+    // published segment the caller must hold it in its enqueue slot: that
+    // hazard, stored before the gate load below, is the announcement the
+    // dequeuers' quiescence check scans for.
+    bool enqueue(unsigned tid, SpanRow* rows, T& v) {
       if (finalized.load(std::memory_order_seq_cst)) return false;
-      auto bh = queue.handle_for(tid);
-      const bool ok = queue.enqueue_movable(bh, v);
-      if (!ok) {
+      auto ah = aq.handle_for(tid);  // traps on a tid past the ring's records
+      SpanRow& row = rows[tid];
+      u64 idx;
+      if (row.seg == this && row.gen == gen && row.next < row.end) {
+        idx = row.next++;
+      } else if (!claim(row, idx)) {
         finalized.store(true, std::memory_order_seq_cst);
+        return false;
       }
-      return ok;
+      ::new (static_cast<void*>(slot(idx))) T(std::move(v));
+      aq.enqueue(ah, idx);
+      return true;
     }
 
-    // Once the segment is finalized no enqueue passes its gate again before
-    // reset(), so a freed index is retired instead of recycled: no magazine
-    // put, no fq spill, and reset() re-issues it through the fresh counter.
-    // An enqueuer that passed the gate before finalization may now find no
-    // free index; it fails and moves on to the successor, a path it could
-    // already take. The relaxed load is a hint (SEG-RETIRE, DESIGN.md §11):
-    // a stale `false` recycles the index as before.
+    // The dequeued index is spent until reset(): nothing to recycle.
     std::optional<T> dequeue(unsigned tid) {
-      auto bh = queue.handle_for(tid);
-      if (finalized.load(std::memory_order_relaxed)) {
-        return queue.dequeue_retire(bh);
-      }
-      return queue.dequeue(bh);
+      auto ah = aq.handle_for(tid);
+      const auto idx = aq.dequeue(ah);
+      if (!idx) return std::nullopt;
+      T* p = slot(*idx);
+      std::optional<T> out{std::move(*p)};
+      p->~T();
+      return out;
     }
 
-    BoundedQueue<T, Ring> queue;
+    // Issue a span of never-issued indices through one F&A on the counter,
+    // the first to the caller and the rest into its row; false once all
+    // are issued (then a relaxed load, no RMW). Relaxed is enough (SEG-SPAN,
+    // DESIGN.md §11): the F&A's atomicity alone makes the ranges disjoint,
+    // and a fresh index's slot holds no payload whose destruction a claimer
+    // must observe. Racers past the end over-advance the counter by at
+    // most one span each; reset() rewinds it.
+    bool claim(SpanRow& row, u64& idx) {
+      const u64 n = aq.capacity();
+      const u64 span = 1 + std::min(kSpanCache, n / 4) / 2;
+      if (fresh.load(std::memory_order_relaxed) >= n) return false;
+      opcount::count_faa();
+      WCQ_SCHED_POINT(kSegmentClaim);
+      const u64 base = fresh.fetch_add(span, std::memory_order_relaxed);
+      if (base >= n) return false;
+      idx = base;
+      row = SpanRow{this, gen, base + 1, std::min(base + span, n)};
+      return true;
+    }
+
+    // Destroy any payloads still in flight. Single-threaded drain under
+    // exclusive access (destructor or reset), so a degree-specialized aq
+    // may legally rebind to this thread for it.
+    void destroy_stragglers() {
+      detail::release_ring_sessions(aq);
+      while (auto idx = aq.dequeue()) slot(*idx)->~T();
+      detail::release_ring_sessions(aq);
+    }
+
+    struct alignas(alignof(T)) Storage {
+      unsigned char bytes[sizeof(T)];
+    };
+
+    T* slot(u64 idx) {
+      return std::launder(reinterpret_cast<T*>(data[idx].bytes));
+    }
+
+    Ring aq;
+    AlignedArray<Storage> data;
+    // Incarnation tag for span rows. Written only under exclusive access
+    // (creation, reset) and published with the segment itself.
+    u64 gen;
     // Node whose thread first allocated this segment — where first-touch
     // put its pages. Written only under exclusive ownership (creation);
     // recycling keys the pool partition off it so the pages never migrate
     // through the free list (DESIGN.md §12).
     unsigned home_node = 0;
+    // Next never-issued index; ≥ capacity() once every index is issued.
+    alignas(kCacheLine) std::atomic<u64> fresh{0};
+    // Read by every enqueue attempt, each written once per incarnation:
+    // one shared line.
     alignas(kCacheLine) std::atomic<bool> finalized{false};
-    alignas(kCacheLine) std::atomic<Segment*> next{nullptr};
+    std::atomic<Segment*> next{nullptr};
   };
 
   // True when no enqueuer can still add an element to `s`: it is finalized
@@ -395,16 +481,23 @@ class UnboundedQueue {
 #endif
   }
 
+  // A generation number no incarnation of this queue's segments has had.
+  u64 next_generation() {
+    return generations_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  Segment* create_segment(unsigned node) {
+    Segment* s = Segment::create(opt_.segment_order, next_generation());
+    s->home_node = node;
+    return s;
+  }
+
   // Growth path: reuse a parked segment when one is available. A pooled
   // segment was reset by its recycler; the pool's release/acquire hand-off
   // publishes those writes to us, and the list-append CAS publishes them to
-  // everyone else (DESIGN.md §8).
-  typename Segment::QueueOptions segment_options() const {
-    return typename Segment::QueueOptions{opt_.segment_order, opt_.magazine};
-  }
-
-  // The session's cached node when it has one (owned handles), else
-  // resolved now — once per growth, not per operation.
+  // everyone else (DESIGN.md §8). The session's cached node is used when it
+  // has one (owned handles), else resolved now — once per growth, not per
+  // operation.
   Segment* acquire_segment(const Handle& h) {
     const unsigned node = h.node_ != Topology::kUnsetNode
                               ? h.node_
@@ -414,9 +507,7 @@ class UnboundedQueue {
       // rather than adopting one whose pages live on another node.
       if (Segment* s = pool_.try_get(node)) return s;
     }
-    Segment* s = Segment::create(segment_options());
-    s->home_node = node;
-    return s;
+    return create_segment(node);
   }
 
   // Give back a segment this thread exclusively owns (never published, or
@@ -426,7 +517,7 @@ class UnboundedQueue {
   // stay keyed to where they physically are.
   void release_segment(Segment* s) {
     if (opt_.recycle) {
-      s->reset();
+      s->reset(next_generation());
       if (pool_.try_put(s->home_node, s)) return;
     }
     Segment::destroy(s);
@@ -451,6 +542,10 @@ class UnboundedQueue {
   // Hard ceiling on parked segments; the effective cap also scales with
   // registered threads (SegmentPool::cap).
   static constexpr std::size_t kPoolSlots = 64;
+  // Span rows hold at most this many unused indices, clamped to a quarter
+  // of the segment: a claim takes 1 + half of it (9 indices at order 10),
+  // the span of a default BoundedQueue magazine refill.
+  static constexpr u64 kSpanCache = 16;
 
   // Hazard slot held only by an enqueue in progress, on the tail segment it
   // targets: the in-flight announcement quiescent() scans for. Slot 0
@@ -464,6 +559,9 @@ class UnboundedQueue {
   // find the pool alive (the destructor body drains both explicitly anyway).
   SegmentPool<Segment> pool_;
   mutable HazardDomain hp_;
+  AlignedArray<SpanRow> rows_;
+  std::atomic<u64> generations_{0};
+  std::size_t segment_bytes_ = 0;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Segment*>> head_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Segment*>> tail_;
   LiveSessions sessions_;

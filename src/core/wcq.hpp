@@ -154,6 +154,8 @@ class BasicWCQ {
   u64 ring_size() const { return codec_.ring_size(); }
   // Tids this ring serves: handle_for traps on any tid at or past it.
   unsigned max_threads() const { return opt_.max_threads; }
+  // Metered bytes the ring allocated: its entries and thread records.
+  std::size_t heap_bytes() const { return entries_.bytes() + records_.bytes(); }
 
   // Acquire a session for the calling thread (exactly one registry lookup).
   Handle handle() { return handle_for(ThreadRegistry::tid()); }

@@ -155,11 +155,20 @@ void HazardDomain::scan(unsigned tid) {
   // fences on ARM — the loads themselves only need coherence (a slot holds
   // one word, and a racing publish is caught by the publisher's re-validate,
   // not by this scan's order).
+  //
+  // ThreadSanitizer does not model the fence, so it cannot see that a slot
+  // load reading a protector's release clear orders that protector's
+  // accesses before the deleter below; its builds load acquire, release
+  // builds keep the relaxed loads.
   std::atomic_thread_fence(std::memory_order_seq_cst);
   for (unsigned t = 0; t < hw; ++t) {
     WCQ_SCHED_POINT(kHazardScan);
     for (const auto& s : impl_->rows[t].slots) {
+#if defined(__SANITIZE_THREAD__)
+      void* p = s.load(std::memory_order_acquire);
+#else
       void* p = s.load(std::memory_order_relaxed);
+#endif
       if (p != nullptr) hazards.push_back(p);
     }
   }
@@ -193,6 +202,16 @@ void HazardDomain::drain() {
 
 std::size_t HazardDomain::retired_count() const {
   return impl_->retired_total.load(std::memory_order_relaxed);
+}
+
+std::size_t HazardDomain::buffer_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& row : impl_->retired) {
+    bytes += row.list.capacity() * sizeof(Impl::Retired) +
+             row.keep_scratch.capacity() * sizeof(Impl::Retired) +
+             row.hazard_scratch.capacity() * sizeof(void*);
+  }
+  return bytes;
 }
 
 }  // namespace wcq

@@ -127,6 +127,8 @@ class HazardDomain {
 
   // Test hooks.
   std::size_t retired_count() const;
+  // Metered bytes of the per-tid retire-list buffers (quiescent-only).
+  std::size_t buffer_bytes() const;
 
  private:
   void* protect_raw(unsigned slot, const std::atomic<void*>& src);

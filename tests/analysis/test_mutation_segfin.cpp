@@ -46,11 +46,13 @@ using Adapter = analysis_test::UnboundedAdapter<UnboundedU64>;
 constexpr std::uint64_t kMaxSchedules = 512;
 
 // PCT draws its change points from [1, horizon]; the default 600 is several
-// times this shape's whole run (~100-140 steps), so most demotions would
-// land after the last step. Matching the horizon to the run length is the
-// PCT bound's own parameterization, not a seed hunt: about 1 schedule in 55
-// catches the loss here, and the unmutated queue stays clean on the same
-// scripts over thousands of schedules.
+// times this shape's whole run (~50-110 steps with one-shot segments), so
+// most demotions would land after the last step. Matching the horizon to
+// the run length is the PCT bound's own parameterization, not a seed hunt.
+// One-shot segments left a narrow window — the claim F&A and the ring's
+// Tail F&A — so about 4 schedules in 512 catch the loss here (1 in 55 with
+// the Fig 2 ring pair segments had), and the unmutated queue stays clean on
+// the same scripts over thousands of schedules.
 constexpr std::size_t kHorizon = 120;
 
 // Two-item segments. w0 enqueues one element, then dequeues twice; w1

@@ -196,22 +196,26 @@ TYPED_TEST(FreshIndexTest, ConcurrentRaceForLastFreshIndicesIsExact) {
 }
 
 // UnboundedQueue on 4-element segments: fill, drain, flush retirements,
-// refill. Finalized segments retired their freed indices, so the refill is
-// exact only if the pooled segments got every index back through reset():
-// k segments must hold the 4k items again, each with exactly 4.
+// refill. Segments never recycle a dequeued index, so the refill is exact
+// only if the pooled segments got every index back through reset(): k
+// segments must hold the 4k items again, each with exactly 4. Segments
+// have no magazines, so the magazine parameter does not apply here. From
+// the second fill on, the previous fill's drained tail is still linked
+// with every index spent; the refill finalizes it and the first dequeue
+// unlinks it, so the count is taken after that dequeue.
 TYPED_TEST(FreshIndexTest, UnboundedRefillKeepsEverySegmentFull) {
   using Ring = typename TypeParam::Ring;
   typename UnboundedQueue<u64, Ring>::Options o;
   o.segment_order = 2;
-  o.magazine.enabled = TypeParam::kMagazine;
   UnboundedQueue<u64, Ring> q(o);
   constexpr u64 kSegments = 8;
   constexpr u64 kItems = 4 * kSegments;
   for (int gen = 0; gen < 3; ++gen) {
     for (u64 i = 0; i < kItems; ++i) ASSERT_TRUE(q.enqueue(i));
+    ASSERT_EQ(q.dequeue().value(), 0u) << "gen " << gen;
     EXPECT_EQ(q.live_segments(), kSegments)
         << "gen " << gen << ": a segment holds fewer than 4 items";
-    for (u64 i = 0; i < kItems; ++i) {
+    for (u64 i = 1; i < kItems; ++i) {
       ASSERT_EQ(q.dequeue().value(), i) << "gen " << gen;
     }
     EXPECT_FALSE(q.dequeue().has_value());

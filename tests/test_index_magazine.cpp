@@ -358,11 +358,13 @@ TEST(IndexMagazineChurnTest, ThreadWavesCapacityExactAfterQuiesce) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
-// Flush-vs-reset race coverage: segment recycling resets BoundedQueues on
-// the dequeue path while exiting threads flush magazines into the same
-// segments — exactly the interleaving the per-queue flush lock serializes
-// (DESIGN.md §9). Exactly-once accounting plus the post-quiesce FIFO drain
-// catch a duplicated or lost index; tsan (CI picks) catches the race itself.
+// Segment recycling under thread churn: waves of short-lived threads on
+// 8-element segments, so segments finalize, recycle and reset while tids
+// are released and reused, and a reused tid inherits its predecessor's
+// span row (DESIGN.md §4). Segments carry no magazines; the test keeps its
+// name and body as a churn canary for the one-shot segments. Exactly-once
+// accounting catches a lost or duplicated element; tsan (CI picks) catches
+// a race.
 TEST(IndexMagazineChurnTest, SegmentRecycleUnderThreadChurn) {
   UnboundedQueue<u64>::Options opt;
   opt.segment_order = 3;  // 8/segment: constant finalize/recycle/reset
@@ -444,14 +446,12 @@ TEST(UnboundedMagazine, MoveOnlyPayload) {
 }
 
 TEST(UnboundedMagazine, SegmentsStillFinalizeAndRecycle) {
-  // Magazines must not delay segment finalization past exact capacity: a
-  // fill/drain loop over small segments still recycles through the pool
-  // (steady-state allocation-freedom is separately pinned by
-  // SegmentRecyclingTypedTest.SteadyStateZeroAllocations, which runs with
-  // the same default-enabled magazines).
+  // Span rows must not delay segment finalization: a fill/drain loop over
+  // small segments still recycles through the pool (steady-state
+  // allocation-freedom is separately pinned by
+  // SegmentRecyclingTypedTest.SteadyStateZeroAllocations).
   UnboundedQueue<u64>::Options opt;
   opt.segment_order = 4;
-  ASSERT_TRUE(opt.magazine.enabled);
   UnboundedQueue<u64> q(opt);
   for (int round = 0; round < 50; ++round) {
     for (u64 i = 0; i < 64; ++i) ASSERT_TRUE(q.enqueue(i));
@@ -464,20 +464,6 @@ TEST(UnboundedMagazine, SegmentsStillFinalizeAndRecycle) {
   q.reclaim_flush();
   EXPECT_LT(q.live_segments(), 8u) << "segments not finalizing/unlinking";
   EXPECT_GT(q.pooled_segments(), 0u) << "segments not reaching the pool";
-}
-
-TEST(UnboundedMagazine, DisabledMagazineMatchesDefaultBehavior) {
-  UnboundedQueue<u64>::Options opt;
-  opt.segment_order = 3;
-  opt.magazine.enabled = false;
-  UnboundedQueue<u64> q(opt);
-  for (u64 i = 0; i < 200; ++i) ASSERT_TRUE(q.enqueue(i));
-  for (u64 i = 0; i < 200; ++i) {
-    auto v = q.dequeue();
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(*v, i);
-  }
-  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 }  // namespace

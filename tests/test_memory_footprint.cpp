@@ -11,12 +11,14 @@
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "common/alloc_meter.hpp"
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/mpsc_ring.hpp"
 #include "core/unbounded_queue.hpp"
+#include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"
 #include "reclaim/segment_pool.hpp"
 #include "runtime/thread_registry.hpp"
@@ -42,6 +44,24 @@ constexpr std::int64_t kData = kCap * 8;
 constexpr std::int64_t kRowBytes = 128;
 constexpr std::int64_t kWcqMagazines = 128 * kRowBytes;  // 16 KiB
 constexpr std::int64_t kScqMagazines = 256 * kRowBytes;  // 32 KiB
+// UnboundedQueue span rows: one 64-byte row per tid a wCQ segment ring
+// accepts, once per queue.
+constexpr std::int64_t kWcqSpanRows = 128 * 64;  // 8 KiB
+
+// The queue's private hazard domain is one fixed-size table whose layout
+// is internal to the domain; measure it standalone.
+std::int64_t hazard_domain_bytes() {
+  const std::int64_t before = alloc_meter::live_bytes();
+  HazardDomain hd(2);
+  return alloc_meter::live_bytes() - before;
+}
+
+// Segment pool: the queue's 64 (kPoolSlots) line-padded slots plus one
+// line-padded size word per NUMA partition.
+std::int64_t segment_pool_bytes() {
+  return 64 * 64 +
+         static_cast<std::int64_t>(Topology::instance().node_count()) * 64;
+}
 
 template <typename Q>
 std::int64_t construction_delta(Q*& out, typename Q::Options opt) {
@@ -89,27 +109,57 @@ TEST(MemoryFootprint, BoundedMpscIsItsPartsExactly) {
 
 TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
   using Q = UnboundedQueue<u64>;
-  const unsigned nodes = Topology::instance().node_count();
-  // The queue's private hazard domain is one fixed-size table whose layout
-  // is internal to the domain; measure it standalone.
-  std::int64_t hazard_domain = 0;
-  {
-    const std::int64_t before = alloc_meter::live_bytes();
-    HazardDomain hd(2);
-    hazard_domain = alloc_meter::live_bytes() - before;
-  }
+  const std::int64_t hazard_domain = hazard_domain_bytes();
   Q* q = nullptr;
   const std::int64_t delta =
       construction_delta(q, Q::Options{.segment_order = kOrder});
-  // Segment pool: the queue's 64 (kPoolSlots) line-padded slots plus one
-  // line-padded size word per NUMA partition.
-  const std::int64_t pool = 64 * 64 + static_cast<std::int64_t>(nodes) * 64;
-  const std::int64_t segment =
-      2 * kWcqEntries + 2 * kWcqRecords + kData + kWcqMagazines +
-      static_cast<std::int64_t>(Q::segment_object_bytes());
-  EXPECT_EQ(delta, segment + pool + hazard_domain +
-                       static_cast<std::int64_t>(sizeof(Q)));
+  // A segment is one wCQ ring (entries and thread records) and its payload
+  // slots: no free-index ring, no magazines. Its object is the ring object
+  // plus three lines: the cold fields (payload pointer, generation, home
+  // node), the fresh-index counter, and the finalized flag with the next
+  // link.
+  const std::int64_t object = static_cast<std::int64_t>(
+      AlignedArray<char>::round_up(sizeof(WCQ) + 3 * kCacheLine,
+                                   alignof(WCQ)));
+  const std::int64_t segment = kWcqEntries + kWcqRecords + kData + object;
+  EXPECT_EQ(static_cast<std::int64_t>(q->segment_bytes()), segment);
+  EXPECT_EQ(delta, segment + kWcqSpanRows + segment_pool_bytes() +
+                       hazard_domain + static_cast<std::int64_t>(sizeof(Q)));
   alloc_meter::destroy(q);
+}
+
+// The steady-state bound (ROADMAP item 4): after each wave of MPMC churn on
+// 4-element segments, with every thread joined, the queue owns exactly its
+// fixed parts, the hazard domain's retire-list buffers, and one
+// segment_bytes() for every segment it still holds — linked, parked in the
+// pool, or retired and awaiting its grace period. A segment leaked past the
+// pool cap, an unmetered array or a segment that grew on reuse breaks the
+// equality.
+TEST(MemoryFootprint, MpmcChurnLiveBytesAreSegmentsExactly) {
+  using Q = UnboundedQueue<u64>;
+  Q* q = nullptr;
+  const std::int64_t before = alloc_meter::live_bytes();
+  const std::int64_t delta =
+      construction_delta(q, Q::Options{.segment_order = 2});
+  const std::int64_t segment = static_cast<std::int64_t>(q->segment_bytes());
+  const std::int64_t fixed = delta - segment;  // the first segment is live
+  testing::MpmcConfig cfg;
+  cfg.producers = 3;
+  cfg.consumers = 3;
+  cfg.items_per_producer = 3000;
+  for (int wave = 0; wave < 4; ++wave) {
+    testing::run_mpmc_exactly_once(*q, cfg);
+    const std::int64_t segments = static_cast<std::int64_t>(
+        q->live_segments() + q->pooled_segments() + q->retired_segments());
+    EXPECT_EQ(alloc_meter::live_bytes() - before,
+              fixed + static_cast<std::int64_t>(q->reclaim_buffer_bytes()) +
+                  segments * segment)
+        << "wave " << wave << ": " << q->live_segments() << " live, "
+        << q->pooled_segments() << " pooled, " << q->retired_segments()
+        << " retired";
+  }
+  alloc_meter::destroy(q);
+  EXPECT_EQ(alloc_meter::live_bytes(), before);
 }
 
 }  // namespace

@@ -341,11 +341,11 @@ TEST(SegmentMeterAuditTest, SegmentBytesAndCountsAllMetered) {
     UnboundedQueue<u64> q(o);
     const std::int64_t delta = alloc_meter::live_bytes() - live_before;
     // Lower bound on what one segment *really* owns beyond its top-level
-    // node: two rings' entry arrays (2^(order+1) slots x 16-byte pairs for
-    // wCQ) plus the Fig 2 payload array (2^order x 8 bytes). If any of
-    // those allocated outside the meter, the delta could not reach this.
+    // node: its one ring's entry array (2^(order+1) slots x 16-byte pairs
+    // for wCQ) plus the payload array (2^order x 8 bytes). If any of those
+    // allocated outside the meter, the delta could not reach this.
     const std::int64_t ring_entries =
-        2 * (std::int64_t{16} << (kOrder + 1));        // aq + fq entry pairs
+        std::int64_t{16} << (kOrder + 1);               // aq entry pairs
     const std::int64_t payload = std::int64_t{8} << kOrder;
     EXPECT_GE(delta, ring_entries + payload + 1024)
         << "segment-owned bytes are escaping the alloc meter";

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <functional>
+#include <mutex>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"
@@ -94,6 +101,115 @@ TYPED_TEST(UnboundedQueueTest, NoBackpressureEver) {
   for (u64 i = 0; i < 5000; ++i) {
     ASSERT_EQ(q.dequeue().value(), i);
   }
+}
+
+// Runs closures on one dedicated thread, one at a time, so a test can
+// interleave two threads' operations in a fixed order while each thread
+// keeps its own tid (and so its own span row).
+class StepThread {
+ public:
+  StepThread() : th_([this] { loop(); }) {}
+  ~StepThread() {
+    {
+      const std::lock_guard<std::mutex> lk(mu_);
+      quit_ = true;
+    }
+    cv_.notify_all();
+    th_.join();
+  }
+  StepThread(const StepThread&) = delete;
+  StepThread& operator=(const StepThread&) = delete;
+
+  // Runs `fn` on this thread and returns once it has finished.
+  void run(const std::function<void()>& fn) {
+    std::unique_lock<std::mutex> lk(mu_);
+    job_ = &fn;
+    cv_.notify_all();
+    cv_.wait(lk, [&] { return job_ == nullptr; });
+  }
+
+ private:
+  void loop() {
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+      cv_.wait(lk, [&] { return quit_ || job_ != nullptr; });
+      if (job_ == nullptr) return;
+      (*job_)();
+      job_ = nullptr;
+      cv_.notify_all();
+    }
+  }
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  const std::function<void()>* job_ = nullptr;
+  bool quit_ = false;
+  std::thread th_;
+};
+
+// A span row left on a segment must never match the segment's next
+// incarnation (DESIGN.md §4). Each round, thread A caches a span on the
+// tail segment S; thread B fills S past finalization, drains the queue and
+// flushes the retirements, so S is reset into the pool (recycle on) or
+// freed (off). B then fills the next segment until a new one is linked
+// with B's span on it: S again from the pool, or a fresh allocation that
+// lands at S's address whenever the allocator reuses it. Then A enqueues
+// once and B uses its span. A row matched by address alone, or by a
+// generation that restarts with every segment object, hands A an index
+// B's span holds: one element is delivered twice and A's is lost.
+void run_stale_span_row(bool recycle) {
+  UnboundedQueue<u64>::Options o;
+  o.segment_order = 6;  // 64 elements; a claim takes 9 indices
+  o.recycle = recycle;
+  UnboundedQueue<u64> q(o);
+  StepThread a, b;
+  std::vector<u64> sent_a, sent_b, got;
+  auto send = [&](std::vector<u64>& log, u64 producer) {
+    const u64 v = (producer << 32) | log.size();
+    ASSERT_TRUE(q.enqueue(v));
+    log.push_back(v);
+  };
+  auto drain = [&] {
+    while (auto v = q.dequeue()) got.push_back(*v);
+  };
+  auto fill_until_new_segment = [&] {
+    while (q.live_segments() < 2) send(sent_b, 2);
+  };
+  auto drain_and_flush = [&] {
+    drain();
+    q.reclaim_flush();
+  };
+  for (int round = 0; round < 64; ++round) {
+    b.run(drain_and_flush);
+    ASSERT_EQ(q.live_segments(), 1u);
+    a.run([&] { send(sent_a, 1); });  // A's row now names S
+    b.run(fill_until_new_segment);
+    b.run(drain_and_flush);           // S leaves the list
+    ASSERT_EQ(q.live_segments(), 1u);
+    b.run(fill_until_new_segment);    // B's span on the new segment
+    a.run([&] { send(sent_a, 1); });
+    b.run([&] {
+      for (int i = 0; i < 8; ++i) send(sent_b, 2);
+    });
+  }
+  b.run(drain);
+
+  std::set<u64> unique(got.begin(), got.end());
+  EXPECT_EQ(unique.size(), got.size()) << "an element was delivered twice";
+  EXPECT_EQ(got.size(), sent_a.size() + sent_b.size())
+      << "an element was lost or duplicated";
+  std::vector<u64> order_a, order_b;
+  for (u64 v : got) ((v >> 32) == 1 ? order_a : order_b).push_back(v);
+  EXPECT_EQ(order_a, sent_a) << "producer A's elements out of order";
+  EXPECT_EQ(order_b, sent_b) << "producer B's elements out of order";
+}
+
+TEST(SpanRowReuse, StaleRowNeverMatchesRecycledSegment) {
+  run_stale_span_row(/*recycle=*/true);
+}
+
+TEST(SpanRowReuse, StaleRowNeverMatchesReallocatedSegment) {
+  run_stale_span_row(/*recycle=*/false);
 }
 
 }  // namespace
