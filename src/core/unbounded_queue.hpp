@@ -179,14 +179,10 @@ class UnboundedQueue {
         HazardDomain::clear(*h.hp_row_, kEnqSlot);
         return true;
       }
-      // Ring full: it is now finalized. If a successor is already linked,
-      // retry there (the loop top swings tail_) rather than acquire a
-      // segment only to lose the append race.
-      if (ltail->next.load(std::memory_order_acquire) != nullptr) continue;
-      // Otherwise append a fresh ring seeded with the value (Fig 13 lines
-      // 7-8, 21-23). The announcement ends here, so a dequeuer waiting on
-      // ltail never waits on the growth path; slot 0 keeps ltail protected
-      // for the append CASes.
+      // Ring full: it is now finalized; append a fresh ring seeded with the
+      // value (Fig 13 lines 7-8, 21-23). The announcement ends here, so a
+      // dequeuer waiting on ltail never waits on the growth path; slot 0
+      // keeps ltail protected for the append CASes.
       HazardDomain::set(*h.hp_row_, 0, ltail);
       HazardDomain::clear(*h.hp_row_, kEnqSlot);
       Segment* fresh = acquire_segment(h);
@@ -376,10 +372,12 @@ class UnboundedQueue {
     // it holds one for this incarnation, else from a fresh claim; a claim
     // past the counter's end is what finalizes the segment. Indices other
     // threads still hold in their rows then go unused, so under contention
-    // a segment can finalize holding fewer than capacity() elements. On a
-    // published segment the caller must hold it in its enqueue slot: that
-    // hazard, stored before the gate load below, is the announcement the
-    // dequeuers' quiescence check scans for.
+    // a segment can finalize holding fewer than capacity() elements, but
+    // not fewer than 7/8 of them while the registered thread count holds
+    // still (claim() sizes the rows for that). On a published segment the
+    // caller must hold it in its enqueue slot: that hazard, stored before
+    // the gate load below, is the announcement the dequeuers' quiescence
+    // check scans for.
     bool enqueue(unsigned tid, SpanRow* rows, T& v) {
       if (finalized.load(std::memory_order_seq_cst)) return false;
       auto ah = aq.handle_for(tid);  // traps on a tid past the ring's records
@@ -409,14 +407,19 @@ class UnboundedQueue {
 
     // Issue a span of never-issued indices through one F&A on the counter,
     // the first to the caller and the rest into its row; false once all
-    // are issued (then a relaxed load, no RMW). Relaxed is enough (SEG-SPAN,
-    // DESIGN.md §11): the F&A's atomicity alone makes the ranges disjoint,
-    // and a fresh index's slot holds no payload whose destruction a claimer
-    // must observe. Racers past the end over-advance the counter by at
-    // most one span each; reset() rewinds it.
+    // are issued (then a relaxed load, no RMW). A row keeps at most
+    // n / (8 * registered tids) indices, so rows sized for the current
+    // thread count strand at most an eighth of the segment when it
+    // finalizes; a row claimed before more threads registered is sized for
+    // fewer and can strand more, once per registration. Relaxed is enough
+    // (SEG-SPAN, DESIGN.md §11): the F&A's atomicity alone makes the ranges
+    // disjoint, and a fresh index's slot holds no payload whose destruction
+    // a claimer must observe. Racers past the end over-advance the counter
+    // by at most one span each; reset() rewinds it.
     bool claim(SpanRow& row, u64& idx) {
       const u64 n = aq.capacity();
-      const u64 span = 1 + std::min(kSpanCache, n / 4) / 2;
+      const u64 tids = std::max(1u, ThreadRegistry::high_water());
+      const u64 span = 1 + std::min(kRowIndices, n / (8 * tids));
       if (fresh.load(std::memory_order_relaxed) >= n) return false;
       opcount::count_faa();
       WCQ_SCHED_POINT(kSegmentClaim);
@@ -542,10 +545,10 @@ class UnboundedQueue {
   // Hard ceiling on parked segments; the effective cap also scales with
   // registered threads (SegmentPool::cap).
   static constexpr std::size_t kPoolSlots = 64;
-  // Span rows hold at most this many unused indices, clamped to a quarter
-  // of the segment: a claim takes 1 + half of it (9 indices at order 10),
-  // the span of a default BoundedQueue magazine refill.
-  static constexpr u64 kSpanCache = 16;
+  // A span row holds at most this many unused indices, so a claim takes
+  // at most 9 (at order 10 with up to 16 registered threads), the span of
+  // a default BoundedQueue magazine refill.
+  static constexpr u64 kRowIndices = 8;
 
   // Hazard slot held only by an enqueue in progress, on the tail segment it
   // targets: the in-flight announcement quiescent() scans for. Slot 0

@@ -70,6 +70,10 @@ class PctScheduler {
     // it observes stall_resumed() — see tests/analysis/test_stall_injection.
     int stall_victim = -1;        // worker index; -1 disables
     std::size_t stall_after = 1;  // own-step count at which the stall hits
+    // Scripted stall: with a site named, the stall hits at the victim's
+    // first step at that site from its stall_after-th step on (kSiteCount:
+    // any site).
+    analysis::Site stall_site = analysis::Site::kSiteCount;
     // Optional bounded-suspension mode: resume the victim once the *other*
     // workers have taken this many scheduling steps since the stall (0 =
     // only the quiescence trigger above). Use it for shapes where the peers
@@ -217,7 +221,10 @@ class PctScheduler {
         stall_resumed_ = true;
       }
     }
-    if (w == cfg_.stall_victim && !stall_hit_ && st.steps >= cfg_.stall_after) {
+    if (w == cfg_.stall_victim && !stall_hit_ &&
+        st.steps >= cfg_.stall_after &&
+        (cfg_.stall_site == analysis::Site::kSiteCount ||
+         site == cfg_.stall_site)) {
       // The victim is suspended *at* this sched point: it keeps the grant
       // request below but schedule_locked will never pick it while stalled,
       // so it blocks here until the resume condition fires.

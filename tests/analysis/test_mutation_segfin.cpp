@@ -51,8 +51,9 @@ constexpr std::uint64_t kMaxSchedules = 512;
 // the run length is the PCT bound's own parameterization, not a seed hunt.
 // One-shot segments left a narrow window — the claim F&A and the ring's
 // Tail F&A — so about 4 schedules in 512 catch the loss here (1 in 55 with
-// the Fig 2 ring pair segments had), and the unmutated queue stays clean on
-// the same scripts over thousands of schedules.
+// the Fig 2 ring pair segments had); ScriptedClaimStallCaught below holds
+// w0 inside that window on purpose. The unmutated queue stays clean on the
+// same scripts over thousands of schedules.
 constexpr std::size_t kHorizon = 120;
 
 // Two-item segments. w0 enqueues one element, then dequeues twice; w1
@@ -91,6 +92,39 @@ TEST(SchedMutationSegfin, UnannouncedEnqueueLossCaught) {
   FAIL() << kMaxSchedules
          << " schedules missed the lost enqueue — the explorer has lost its "
             "detection power over the segment finalize/unlink path";
+}
+
+// The same window, scripted: w0 is suspended at its first ring Tail F&A —
+// after its segment claim, before its index reaches the ring — and resumes
+// only once w1 and w2 have finished. A schedule loses w0's element when w0
+// claimed before w1 filled the segment and w2 drains it after w1
+// finalized it: about one in five (104 of 512 seeds), so the catch no
+// longer rests on PCT drawing a preemption inside that two-step window.
+constexpr std::uint64_t kMaxScriptedSchedules = 32;
+
+TEST(SchedMutationSegfin, ScriptedClaimStallCaught) {
+  const auto scripts = mutation_scripts();
+  for (std::uint64_t seed = 1; seed <= kMaxScriptedSchedules; ++seed) {
+    auto q = std::make_unique<UnboundedU64>(
+        UnboundedU64::Options{.segment_order = 1});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+    cfg.horizon = kHorizon;
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kTailFaa;
+    const auto r = run_schedule<Adapter>(*q, scripts, cfg);
+    ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
+    if (!linearizable_fifo(r.history, 64, false)) {
+      std::cout << "UnboundedQueue: stalled-claim enqueue loss caught at "
+                   "schedule "
+                << seed << " of " << kMaxScriptedSchedules << "\n";
+      SUCCEED();
+      return;
+    }
+  }
+  FAIL() << kMaxScriptedSchedules
+         << " scripted-stall schedules missed the lost enqueue";
 }
 
 // With no scheduler installed the mutated check still runs, but the lost-

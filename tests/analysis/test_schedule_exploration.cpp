@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
@@ -152,6 +153,38 @@ TEST(SchedExplore, UnboundedTinySegments) {
         if (q.live_segments() + q.pooled_segments() > 1) ++grew;
       });
   EXPECT_EQ(grew, kSeeds) << "a schedule never left the first segment";
+}
+
+// The SEG-FIN window held open (the unmutated twin of
+// SchedMutationSegfin.ScriptedClaimStallCaught): w0 stalls between its
+// segment claim and its ring Tail F&A while w1 fills and finalizes the
+// two-element segment and w2 drains it. w2 must wait on w0's announcement
+// instead of unlinking the segment, so once w0 resumes its element is
+// delivered and every history stays linearizable.
+TEST(SchedExplore, UnboundedClaimStallKeepsElement) {
+  std::vector<Script> scripts(3);
+  scripts[0] = {{OpKind::kEnq, 100}, {OpKind::kDeq, 0}, {OpKind::kDeq, 0}};
+  scripts[1] = {{OpKind::kEnq, 1}, {OpKind::kEnq, 2}, {OpKind::kEnq, 3}};
+  scripts[2] = {{OpKind::kDeq, 0}, {OpKind::kDeq, 0}, {OpKind::kDeq, 0},
+                {OpKind::kDeq, 0}};
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    auto q = std::make_unique<UnboundedU64>(
+        UnboundedU64::Options{.segment_order = 1});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+    cfg.horizon = 120;
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kTailFaa;
+    // w2 spins on w0's announcement, so the stall must end on its own.
+    cfg.stall_duration = 300;
+    const auto r =
+        run_schedule<analysis_test::UnboundedAdapter<UnboundedU64>>(
+            *q, scripts, cfg);
+    ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
+    ASSERT_TRUE(linearizable_fifo(r.history, 64, false))
+        << "non-linearizable history, seed " << seed;
+  }
 }
 
 }  // namespace

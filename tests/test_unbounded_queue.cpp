@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -14,6 +15,7 @@
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 namespace {
@@ -159,7 +161,7 @@ class StepThread {
 // B's span holds: one element is delivered twice and A's is lost.
 void run_stale_span_row(bool recycle) {
   UnboundedQueue<u64>::Options o;
-  o.segment_order = 6;  // 64 elements; a claim takes 9 indices
+  o.segment_order = 8;  // 256 elements; a claim takes up to 9 indices
   o.recycle = recycle;
   UnboundedQueue<u64> q(o);
   StepThread a, b;
@@ -210,6 +212,80 @@ TEST(SpanRowReuse, StaleRowNeverMatchesRecycledSegment) {
 
 TEST(SpanRowReuse, StaleRowNeverMatchesReallocatedSegment) {
   run_stale_span_row(/*recycle=*/false);
+}
+
+// Span rows strand at most an eighth of a segment when it finalizes
+// (DESIGN.md §4): a row keeps at most n / (8 * registered tids) indices.
+// The worst case is producers that claim a span, enqueue once and go idle
+// while they stay registered. Seven register, then do that on 64-element
+// segments, where unclamped 9-index spans would strand 56 of the first
+// segment's 64 indices; then one thread enqueues two segments' worth.
+// Every segment that finalizes must hold at least 56 elements, and the
+// drain must return the idle producers' elements first and the rest in
+// order.
+TYPED_TEST(UnboundedQueueTest, IdleProducersStrandAtMostAnEighth) {
+  constexpr unsigned kOrder = 6;
+  constexpr u64 kCap = u64{1} << kOrder;
+  constexpr unsigned kIdle = 7;
+  constexpr u64 kBusy = 2 * kCap;
+  constexpr u64 kIdleBase = 1000;
+  UnboundedQueue<u64, TypeParam> q(kOrder);
+  std::atomic<unsigned> registered{0};
+  std::atomic<unsigned> enqueued{0};
+  std::atomic<bool> release{false};
+  std::vector<std::thread> idle;
+  for (unsigned p = 0; p < kIdle; ++p) {
+    idle.emplace_back([&, p] {
+      (void)ThreadRegistry::tid();
+      registered.fetch_add(1, std::memory_order_release);
+      while (registered.load(std::memory_order_acquire) < kIdle) {
+        std::this_thread::yield();
+      }
+      q.enqueue(kIdleBase + p);
+      enqueued.fetch_add(1, std::memory_order_release);
+      // Stay registered, so this tid's row stays in use.
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+  }
+  while (enqueued.load(std::memory_order_acquire) < kIdle) {
+    std::this_thread::yield();
+  }
+  // The enqueue that links a new segment lands in it, so the count up to
+  // there is what the finalized segment holds.
+  std::vector<u64> held;
+  u64 in_segment = kIdle;
+  u64 segments = q.live_segments();
+  for (u64 i = 0; i < kBusy; ++i) {
+    ASSERT_TRUE(q.enqueue(i));
+    const u64 now = q.live_segments();
+    if (now != segments) {
+      held.push_back(in_segment);
+      in_segment = 0;
+      segments = now;
+    }
+    ++in_segment;
+  }
+  ASSERT_GE(held.size(), 1u);
+  for (std::size_t k = 0; k < held.size(); ++k) {
+    EXPECT_GE(held[k], kCap - kCap / 8)
+        << "segment " << k << " finalized holding " << held[k] << " of "
+        << kCap;
+  }
+  release.store(true, std::memory_order_release);
+  for (auto& t : idle) t.join();
+  std::vector<bool> seen(kIdle, false);
+  for (unsigned n = 0; n < kIdle; ++n) {
+    const auto v = q.dequeue();
+    ASSERT_TRUE(v.has_value());
+    ASSERT_GE(*v, kIdleBase) << "an idle producer's element came late";
+    ASSERT_LT(*v, kIdleBase + kIdle);
+    ASSERT_FALSE(seen[*v - kIdleBase]) << "delivered twice";
+    seen[*v - kIdleBase] = true;
+  }
+  for (u64 i = 0; i < kBusy; ++i) ASSERT_EQ(q.dequeue().value(), i);
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 }  // namespace
