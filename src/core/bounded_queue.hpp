@@ -8,11 +8,12 @@
 // indices exist, the rings' "Enqueue never checks full" precondition holds
 // by construction, and "queue full" is simply "no free index left".
 //
-// Fresh indices (DESIGN.md §9): fq starts empty. Indices never issued since
-// construction or reset() come from one counter instead, so neither the
-// constructor nor reset() enqueues 0..n-1, and the first n claims take one
-// relaxed F&A per span rather than a ring dequeue each. Once the counter
-// passes n, free indices exist only in fq and the magazines.
+// Fresh indices (DESIGN.md §9): fq starts empty. Indices never issued
+// come from one counter instead, so the constructor enqueues no 0..n-1,
+// and the first n claims take one relaxed F&A per span rather than a ring
+// dequeue each. Once the counter passes n, free indices exist only in fq
+// and the magazines. A queue lives once: it has no reset(), and only the
+// destructor drains it.
 //
 // Index magazines (DESIGN.md §9): fq is a free list — FIFO order among free
 // indices is unobservable — so with Options::magazine (the default) each
@@ -45,18 +46,17 @@
 // the composition's progress class is unchanged.
 //
 // Degree-specialized rings (DESIGN.md §13): `BoundedQueue<T, MpscRing>` /
-// `<T, SpmcRing>` restrict the *data* ring only. The free ring is chosen
-// separately (the FreeRing parameter, defaulted by detail::DefaultFreeRing)
-// because fq's degree profile never matches aq's — free indices flow back
-// from consumers, exit hooks and reset paths on arbitrary threads — so
-// specialized aqs pair with an MPMC SCQ fq by default.
+// `<T, SpmcRing>` restrict the *data* ring only. The free ring is derived
+// from aq's by detail::DefaultFreeRing because fq's degree profile never
+// matches aq's — free indices flow back from consumers, exit hooks and
+// handle releases on arbitrary threads — so specialized aqs pair with an
+// MPMC SCQ fq.
 #pragma once
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstddef>
-#include <mutex>
 #include <new>
 #include <optional>
 #include <type_traits>
@@ -75,13 +75,13 @@ namespace wcq {
 namespace detail {
 
 // The fq ring for a given aq ring (DESIGN.md §13). fq's degree profile is
-// NOT aq's: cross-thread magazine exit flushes and owned-handle destruction
-// enqueue free indices into fq from arbitrary threads, and every enqueuer of
-// the data queue dequeues from fq. So when aq is degree-specialized the
-// free ring falls back to the MPMC SCQ — `BoundedQueue<T, MpscRing>` stays
-// a drop-in instantiation while keeping the index-recycling paths
-// unrestricted. Symmetric rings keep the historic
-// fq == aq choice (wCQ's fq wait-freedom matters for the Fig 2 contract).
+// NOT aq's: every dequeuer of the data queue enqueues its freed index into
+// fq, cross-thread magazine exit flushes and owned-handle destruction do so
+// from arbitrary threads, and every enqueuer of the data queue dequeues
+// from fq. So when aq is degree-specialized the free ring falls back to the
+// MPMC SCQ — `BoundedQueue<T, MpscRing>` stays a drop-in instantiation
+// while keeping the index-recycling paths unrestricted. Symmetric rings
+// keep fq == aq (wCQ's fq wait-freedom matters for the Fig 2 contract).
 template <typename Ring>
 struct DefaultFreeRing {
   using type = Ring;
@@ -95,11 +95,12 @@ struct DefaultFreeRing<Ring> {
 
 }  // namespace detail
 
-template <typename T, typename Ring = WCQ,
-          typename FreeRing = typename detail::DefaultFreeRing<Ring>::type>
+template <typename T, typename Ring = WCQ>
 class BoundedQueue {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "payloads move across threads; moves must not throw");
+
+  using FreeRing = typename detail::DefaultFreeRing<Ring>::type;
 
  public:
   struct Options {
@@ -164,32 +165,15 @@ class BoundedQueue {
       // thread can touch fq_/mags_ through the hook path.
       ThreadRegistry::unregister_exit_hook(hook_handle_);
     }
-    destroy_stragglers();
-  }
-
-  // Re-initialize to the freshly-constructed state: destroy any payloads
-  // still in flight, rewind both rings (fq to empty) and the fresh-index
-  // counter to 0, which returns every index to the unissued state. No ring
-  // enqueue runs. Same exclusivity precondition as the rings' reset()
-  // (DESIGN.md §8): no thread may still touch this queue... with one
-  // exception: a thread-exit hook (or an owned handle's destructor) needs no
-  // hazard to flush a magazine, so the magazine/fq rewind serializes with
-  // flushes on this queue's flush lock. Either the flush completed first
-  // (its indices land in the old fq and are discarded by the rewind) or it
-  // runs after (the magazine is already empty — a no-op); both orders
-  // preserve the exactly-one-of-each-index invariant (DESIGN.md §9). The
-  // lock is per-queue and taken only here and in the flush paths — never by
-  // enqueue/dequeue — so operation progress is unaffected and resets of
-  // unrelated queues do not serialize.
-  void reset() {
-    destroy_stragglers();
-    aq_.reset();
-    if (mags_.enabled()) {
-      const std::lock_guard<std::mutex> lk(mag_flush_mu_);
-      reset_free_indices();
-    } else {
-      reset_free_indices();
+    // Destroy any payloads still in flight. Single-threaded drain:
+    // successful dequeues never burn threshold, so this loop empties the
+    // queue exactly. The destructor has exclusive access, so a degree-
+    // specialized aq may legally rebind to this thread for the drain.
+    detail::release_ring_sessions(aq_);
+    while (auto idx = aq_.dequeue()) {
+      slot(*idx)->~T();
     }
+    detail::release_ring_sessions(aq_);
   }
 
   BoundedQueue(const BoundedQueue&) = delete;
@@ -319,7 +303,6 @@ class BoundedQueue {
 
   // Ring access for diagnostics (e.g., threshold inspection in tests).
   const Ring& aq() const { return aq_; }
-  const FreeRing& fq() const { return fq_; }
   // Free indices currently cached in magazines (exact at quiescence).
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }
@@ -388,7 +371,7 @@ class BoundedQueue {
   // is enough (FQ-FRESH, DESIGN.md §11): the F&A's atomicity alone makes
   // the ranges disjoint, and a fresh index's slot holds no payload whose
   // destruction a claimer must observe. Racers past the end over-advance
-  // the counter by at most one span each; reset() rewinds it.
+  // the counter by at most one span each.
   std::size_t claim_fresh(u64* idx, std::size_t want) {
     const u64 n = capacity();
     if (fresh_.load(std::memory_order_relaxed) >= n) return 0;
@@ -452,25 +435,22 @@ class BoundedQueue {
   }
 
  public:
-  // Flush `tid`'s magazine back to fq, serialized with reset() by this
-  // queue's flush lock — a flush landing mid-rewind would duplicate free
-  // indices (DESIGN.md §9). Shared by the thread-exit hook (which runs on
-  // the exiting thread, whose tid is still valid), an owned handle's
-  // destructor, and the sharded front-end's session teardown. Public so
-  // composed layers can return a released session's cached capacity
-  // promptly; safe to call from any thread at any time.
+  // Flush `tid`'s magazine back to fq. Shared by the thread-exit hook
+  // (which runs on the exiting thread, whose tid is still valid), an owned
+  // handle's destructor, and the sharded front-end's session teardown.
+  // Public so composed layers can return a released session's cached
+  // capacity promptly; safe to call from any thread at any time, and
+  // concurrently with other flushes of the same tid (DESIGN.md §9):
+  // drain_tid takes each slot by CAS, so every cached index leaves the
+  // magazine exactly once, and no lock is needed.
   //
   // The fq enqueue runs through the *calling* thread's ring session, never
   // `tid`'s: a handle may be destroyed on a different thread than the one
   // that used it (or after that thread exited and its tid was recycled to
   // a live thread), and driving the ring through records_[tid] from here
-  // would race that thread's concurrent operations. The magazine side is
-  // already cross-thread safe (drain_tid takes slots by CAS). Lock order
-  // is registry hook lock → flush lock; nothing takes them in the other
-  // order.
+  // would race that thread's concurrent operations.
   void flush_magazine(unsigned tid) {
     if (!mags_.enabled()) return;
-    const std::lock_guard<std::mutex> lk(mag_flush_mu_);
     u64 buf[IndexMagazines::kMaxSlots];
     const std::size_t got =
         mags_.drain_tid(tid, buf, IndexMagazines::kMaxSlots);
@@ -496,27 +476,6 @@ class BoundedQueue {
     sessions_.remove();
   }
 
-  // Magazine + fq + fresh-counter rewind (under the flush lock when
-  // magazines are on). The relaxed store is published by the caller's
-  // exclusive-access hand-off, like the rings' own reset stores.
-  void reset_free_indices() {
-    mags_.clear();
-    fq_.reset();
-    fresh_.store(0, std::memory_order_relaxed);
-  }
-
-  // Destroy any payloads still in flight. Single-threaded drain: successful
-  // dequeues never burn threshold, so this loop empties the queue exactly.
-  // The caller has exclusive access (destructor or reset), so a degree-
-  // specialized aq may legally rebind to this thread for the drain.
-  void destroy_stragglers() {
-    detail::release_ring_sessions(aq_);
-    while (auto idx = aq_.dequeue()) {
-      slot(*idx)->~T();
-    }
-    detail::release_ring_sessions(aq_);
-  }
-
   struct alignas(alignof(T)) Storage {
     unsigned char bytes[sizeof(T)];
   };
@@ -537,11 +496,6 @@ class BoundedQueue {
   // code touching the member, measured ~10% slower on the sharded pipeline
   // benchmark (DESIGN.md §9).
   alignas(kCacheLine) std::atomic<u64> fresh_{0};
-  // Serializes magazine flushes (exit hook, handle destruction) against
-  // reset()'s magazine/fq rewind. Never touched by enqueue/dequeue, so the
-  // operations' progress class is untouched; contention is session
-  // teardown × this queue's reset, both rare.
-  std::mutex mag_flush_mu_;
   std::uint64_t hook_handle_ = 0;
   LiveSessions sessions_;
 };

@@ -23,7 +23,7 @@
 //
 // One-shot segments (DESIGN.md §4): a segment is its data ring, its payload
 // slots and one fresh-index counter — not Appendix A's Fig 2 ring pair — so
-// this layer has no free-index ring, magazine, exit hook or flush lock.
+// this layer has no free-index ring, magazine or exit hook.
 //
 // Segment recycling (DESIGN.md §8): with Options::recycle (the default), a
 // retired segment is reset and parked in a SegmentPool once its hazard

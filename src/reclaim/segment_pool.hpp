@@ -18,15 +18,14 @@
 // another thread still scans; slots only ever hold whole pointers).
 //
 // NUMA partitioning (DESIGN.md §12): the slot array is split into
-// `numa_nodes` contiguous partitions. The node-keyed overloads park and
-// claim only within one partition, so a segment whose backing store was
+// `numa_nodes` contiguous partitions. Puts and gets are keyed by node and
+// stay within its partition, so a segment whose backing store was
 // first-touched on node k is recycled to node-k threads and never silently
 // migrates its pages across the interconnect through the free list. A full
 // partition rejects the put even when another partition has room — the
 // caller frees the segment, which is exactly the §8 overflow behavior; the
-// memory bound is node-count-independent. The legacy node-less overloads
-// scan the whole array (the single-partition shape is the pre-topology
-// pool, byte for byte).
+// memory bound is node-count-independent. A one-partition pool is the flat
+// pool: node 0's scan covers the whole array.
 //
 // Memory bound: the pool never holds more than cap() nodes, where cap is
 // min(slot-array size, kPerThread * (registered threads + 1)), so total
@@ -44,7 +43,6 @@
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
 
 #include "analysis/sched_point.hpp"
 #include "common/align.hpp"
@@ -66,42 +64,63 @@ class SegmentPool {
   // just uncached.
   explicit SegmentPool(std::size_t slots = 64, unsigned numa_nodes = 1)
       : slots_(slots, kCacheLine),
-        part_of_(slots),
         psize_(numa_nodes == 0 ? 1 : numa_nodes, kCacheLine),
-        parts_(numa_nodes == 0 ? 1 : numa_nodes) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      // Inverse of the [p*S/P, (p+1)*S/P) partition bounds.
-      part_of_[i] = static_cast<unsigned>(i * parts_ / slots_.size());
-    }
-  }
+        parts_(numa_nodes == 0 ? 1 : numa_nodes) {}
 
   SegmentPool(const SegmentPool&) = delete;
   SegmentPool& operator=(const SegmentPool&) = delete;
 
   unsigned partitions() const { return parts_; }
 
-  // Take a parked node from any partition, or nullptr when the pool is
-  // empty (caller allocates).
-  Node* try_get() { return get_range(0, slots_.size(), ~0u); }
-
-  // Take a parked node from `node`'s partition only. A miss does NOT mean
-  // the whole pool is empty — the caller allocates locally rather than
-  // adopting a remote segment.
+  // Take a parked node from `node`'s partition only, by a bounded claim
+  // scan of its slots. A miss does NOT mean the whole pool is empty — the
+  // caller allocates locally rather than adopting a remote segment.
   Node* try_get(unsigned node) {
     const unsigned p = node < parts_ ? node : 0;
     if (psize_[p].value.load(std::memory_order_relaxed) == 0) return nullptr;
-    return get_range(lo(p), hi(p), p);
+    if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
+    for (std::size_t i = lo(p); i < hi(p); ++i) {
+      Node* n = slots_[i].value.load(std::memory_order_relaxed);
+      WCQ_SCHED_POINT(kPoolOp);
+      if (n != nullptr &&
+          slots_[i].value.compare_exchange_strong(
+              n, nullptr, std::memory_order_acquire,
+              std::memory_order_relaxed)) {
+        size_.fetch_sub(1, std::memory_order_relaxed);
+        psize_[p].value.fetch_sub(1, std::memory_order_relaxed);
+        return n;
+      }
+    }
+    return nullptr;
   }
 
-  // Park `n`; false when the pool is at its cap (caller frees the node).
-  // On success the pool owns the node until a try_get claims it.
-  bool try_put(Node* n) { return put_range(n, 0, slots_.size(), ~0u); }
-
   // Park `n` in `node`'s partition only; false when that partition (or the
-  // global cap) is full — the caller frees, same as the flat overflow path.
+  // global cap) is full — the caller frees the node. On success the pool
+  // owns the node until a try_get claims it.
+  //
+  // Reserve-then-claim: the F&A admits at most cap() reservations at once
+  // (a racer that lands past the cap undoes its own), and only a reserved
+  // put may park, so parked ≤ cap() holds at every instant.
   bool try_put(unsigned node, Node* n) {
     const unsigned p = node < parts_ ? node : 0;
-    return put_range(n, lo(p), hi(p), p);
+    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
+    if (size_.fetch_add(1, std::memory_order_relaxed) >= cap()) {
+      size_.fetch_sub(1, std::memory_order_relaxed);
+      return false;
+    }
+    for (std::size_t i = lo(p); i < hi(p); ++i) {
+      Node* expected = nullptr;
+      WCQ_SCHED_POINT(kPoolOp);
+      if (slots_[i].value.load(std::memory_order_relaxed) == nullptr &&
+          slots_[i].value.compare_exchange_strong(
+              expected, n, std::memory_order_release,
+              std::memory_order_relaxed)) {
+        psize_[p].value.fetch_add(1, std::memory_order_relaxed);
+        return true;
+      }
+    }
+    size_.fetch_sub(1, std::memory_order_relaxed);  // partition full
+    return false;
   }
 
   // Parked-node cap: scales with the registered-thread high water so idle
@@ -126,12 +145,14 @@ class SegmentPool {
   // the owning queue's destructor calls this after draining reclamation.
   template <typename F>
   void drain(F&& release) {
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Node* n = slots_[i].value.exchange(nullptr, std::memory_order_acquire);
-      if (n != nullptr) {
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        psize_[part_of_[i]].value.fetch_sub(1, std::memory_order_relaxed);
-        release(n);
+    for (unsigned p = 0; p < parts_; ++p) {
+      for (std::size_t i = lo(p); i < hi(p); ++i) {
+        Node* n = slots_[i].value.exchange(nullptr, std::memory_order_acquire);
+        if (n != nullptr) {
+          size_.fetch_sub(1, std::memory_order_relaxed);
+          psize_[p].value.fetch_sub(1, std::memory_order_relaxed);
+          release(n);
+        }
       }
     }
   }
@@ -142,53 +163,7 @@ class SegmentPool {
     return (p + 1) * slots_.size() / parts_;
   }
 
-  // Bounded claim scan over [b, e); `p` == ~0u means "whichever partition
-  // the slot belongs to" (the node-less whole-array paths).
-  Node* get_range(std::size_t b, std::size_t e, unsigned p) {
-    if (size_.load(std::memory_order_relaxed) == 0) return nullptr;
-    for (std::size_t i = b; i < e; ++i) {
-      Node* n = slots_[i].value.load(std::memory_order_relaxed);
-      WCQ_SCHED_POINT(kPoolOp);
-      if (n != nullptr &&
-          slots_[i].value.compare_exchange_strong(
-              n, nullptr, std::memory_order_acquire,
-              std::memory_order_relaxed)) {
-        size_.fetch_sub(1, std::memory_order_relaxed);
-        const unsigned owner = p != ~0u ? p : part_of_[i];
-        psize_[owner].value.fetch_sub(1, std::memory_order_relaxed);
-        return n;
-      }
-    }
-    return nullptr;
-  }
-
-  // Reserve-then-claim: the F&A admits at most cap() reservations at once
-  // (a racer that lands past the cap undoes its own), and only a reserved
-  // put may park, so parked ≤ cap() holds at every instant.
-  bool put_range(Node* n, std::size_t b, std::size_t e, unsigned p) {
-    if (size_.load(std::memory_order_relaxed) >= cap()) return false;
-    if (size_.fetch_add(1, std::memory_order_relaxed) >= cap()) {
-      size_.fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    for (std::size_t i = b; i < e; ++i) {
-      Node* expected = nullptr;
-      WCQ_SCHED_POINT(kPoolOp);
-      if (slots_[i].value.load(std::memory_order_relaxed) == nullptr &&
-          slots_[i].value.compare_exchange_strong(
-              expected, n, std::memory_order_release,
-              std::memory_order_relaxed)) {
-        const unsigned owner = p != ~0u ? p : part_of_[i];
-        psize_[owner].value.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    size_.fetch_sub(1, std::memory_order_relaxed);  // partition full
-    return false;
-  }
-
   AlignedArray<CacheAligned<std::atomic<Node*>>> slots_;
-  std::vector<unsigned> part_of_;  // slot -> partition, immutable
   AlignedArray<CacheAligned<std::atomic<std::size_t>>> psize_;
   unsigned parts_ = 1;
   alignas(kCacheLine) std::atomic<std::size_t> size_{0};

@@ -16,10 +16,9 @@
 // operations under the dying tid). Hooks run serialized under one internal
 // lock; unregister_exit_hook() blocks until any in-flight invocation
 // completes, so after it returns the hook's context can be torn down.
-// Mutual exclusion between a hook body and other work on its per-queue
-// state (the reset-vs-flush race) is the registrant's job — BoundedQueue
-// uses its own flush lock, keeping this registry lock out of queue reset
-// paths.
+// A hook body that races other work on its per-queue state must be safe
+// on its own: BoundedQueue's magazine flush takes each cached index by CAS
+// and needs no lock of its own.
 #pragma once
 
 #include <atomic>

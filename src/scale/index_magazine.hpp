@@ -173,22 +173,6 @@ class IndexMagazines {
     return take_some_from(block(tid), out, n);
   }
 
-  // Exclusive-access rewind (the reset path, DESIGN.md §8/§9): empty every
-  // magazine. The caller guarantees no concurrent operation and no
-  // concurrent exit flush (BoundedQueue serializes both on its flush lock).
-  // Only rows below the registry high water can hold an index: row t is
-  // written only by tid t, which registered (raising the never-decreasing
-  // high water past t) before its first put.
-  void clear() {
-    const unsigned n = rows_in_use();
-    for (unsigned t = 0; t < n; ++t) {
-      std::atomic<u64>* m = block(t);
-      for (std::size_t i = 0; i < cap_; ++i) {
-        m[i].store(kNone, std::memory_order_relaxed);
-      }
-    }
-  }
-
   // Diagnostic: cached indices across all magazines (exact at quiescence).
   std::size_t cached_total() const {
     std::size_t total = 0;

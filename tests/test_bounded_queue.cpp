@@ -118,6 +118,30 @@ TYPED_TEST(BoundedQueueTest, DestructorReleasesInFlightPayloads) {
   EXPECT_EQ(g_payload_live, 0) << "payloads leaked by queue destructor";
 }
 
+// A full queue whose indices have been through the free-index path (the
+// magazine and fq, not only the fresh counter) still destroys every payload
+// it holds when it goes out of scope.
+TYPED_TEST(BoundedQueueTest, DestructorReleasesFullQueue) {
+  g_payload_live = 0;
+  {
+    BoundedQueue<CountedPayload, TypeParam> q(3);
+    for (int round = 0; round < 2; ++round) {
+      for (u64 i = 0; i < q.capacity(); ++i) {
+        ASSERT_TRUE(q.enqueue(CountedPayload{})) << "round " << round;
+      }
+      ASSERT_FALSE(q.enqueue(CountedPayload{})) << "round " << round;
+      EXPECT_EQ(g_payload_live, static_cast<int>(q.capacity()));
+      if (round == 0) {
+        for (u64 i = 0; i < q.capacity(); ++i) {
+          ASSERT_TRUE(q.dequeue().has_value());
+        }
+        EXPECT_EQ(g_payload_live, 0);
+      }
+    }
+  }
+  EXPECT_EQ(g_payload_live, 0) << "payloads leaked by queue destructor";
+}
+
 // Construction/destruction ledger: every constructed instance must be
 // destroyed exactly once. The heap canary turns a double-destruction into a
 // double-free and a missed destruction into a leak, which the ASan preset

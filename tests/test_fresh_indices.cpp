@@ -1,11 +1,11 @@
 // Fresh-index counter and retired indices (DESIGN.md §8, §9).
 //
 // BoundedQueue's fq starts empty: never-issued indices come from one
-// counter, so construction and reset() run no ring operation, and each of
-// the capacity() indices is issued once per generation. UnboundedQueue's
-// finalized segments retire freed indices instead of recycling them; only
-// reset() brings them back. These tests pin both halves over every ring,
-// with magazines on and off.
+// counter, so construction runs no ring operation, and each of the
+// capacity() indices is issued once. UnboundedQueue's finalized segments
+// retire freed indices instead of recycling them; only a segment reset()
+// brings them back. These tests pin both halves over every ring, with
+// magazines on and off.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 namespace {
@@ -61,113 +60,45 @@ struct SlotProbe {
 };
 std::vector<const void*>* SlotProbe::log = nullptr;
 
-TYPED_TEST(FreshIndexTest, ConstructionAndResetCostNoRingFaa) {
+TYPED_TEST(FreshIndexTest, ConstructionCostsNoRingFaa) {
   const u64 before = faa_count();
   typename TestFixture::template Queue<u64> q(
       TestFixture::template options<u64>(4));
   EXPECT_EQ(faa_count() - before, 0u) << "construction pre-filled fq";
-
-  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
-  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_EQ(q.dequeue().value(), i);
-  // Spend aq's threshold so reset()'s straggler drain is a pure threshold
-  // check; what remains is the free-index rewind under test.
-  for (u64 k = 0; k < 4 * q.capacity() && q.aq().threshold() >= 0; ++k) {
-    ASSERT_FALSE(q.dequeue().has_value());
-  }
-  ASSERT_LT(q.aq().threshold(), 0);
-
-  const u64 pre_reset = faa_count();
-  q.reset();
-  EXPECT_EQ(faa_count() - pre_reset, 0u) << "reset() refilled fq";
 }
 
-TYPED_TEST(FreshIndexTest, FillIsExactWithDistinctSlotsAfterConstructAndReset) {
+TYPED_TEST(FreshIndexTest, FillIsExactWithDistinctSlotsAfterConstruct) {
   using Probe = SlotProbe;
   typename TestFixture::template Queue<Probe> q(
       TestFixture::template options<Probe>(4));
-  for (int gen = 0; gen < 3; ++gen) {
-    std::vector<const void*> slots;
-    SlotProbe::log = &slots;
-    for (u64 i = 0; i < q.capacity(); ++i) {
-      ASSERT_TRUE(q.enqueue(Probe(i))) << "gen " << gen << ": full at " << i;
-    }
-    SlotProbe::log = nullptr;
-    EXPECT_FALSE(q.enqueue(Probe(999))) << "gen " << gen << ": over capacity";
-    ASSERT_EQ(slots.size(), q.capacity());
-    EXPECT_EQ(std::set<const void*>(slots.begin(), slots.end()).size(),
-              q.capacity())
-        << "gen " << gen << ": two enqueues shared a payload slot";
-    // Even generations reset full (stragglers), odd ones after a drain.
-    if (gen % 2 == 1) {
-      for (u64 i = 0; i < q.capacity(); ++i) {
-        ASSERT_EQ(q.dequeue().value().v, i);
-      }
-    }
-    q.reset();
-    EXPECT_FALSE(q.dequeue().has_value());
+  std::vector<const void*> slots;
+  SlotProbe::log = &slots;
+  for (u64 i = 0; i < q.capacity(); ++i) {
+    ASSERT_TRUE(q.enqueue(Probe(i))) << "full at " << i;
   }
-}
-
-// reset() rewinds only what a registered tid can have written: the wCQ
-// records and magazine rows below the registry high water. A thread that
-// registers after the reset with a tid at or past that high water runs on
-// a record and a magazine row the reset never touched, and must still find
-// exactly capacity() free indices. This thread's magazine holds freed
-// indices at reset time, so a rewind that skipped a written row would hand
-// the newcomer's full-edge sweep stale indices and over-fill the queue.
-TYPED_TEST(FreshIndexTest, TidPastResetHighWaterFillsExactly) {
-  typename TestFixture::template Queue<u64> q(
-      TestFixture::template options<u64>(6));
-  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
-  for (u64 i = 0; i < q.capacity() / 2; ++i) {
-    ASSERT_TRUE(q.dequeue().has_value());
+  SlotProbe::log = nullptr;
+  EXPECT_FALSE(q.enqueue(Probe(999))) << "over capacity";
+  ASSERT_EQ(slots.size(), q.capacity());
+  EXPECT_EQ(std::set<const void*>(slots.begin(), slots.end()).size(),
+            q.capacity())
+      << "two enqueues shared a payload slot";
+  for (u64 i = 0; i < q.capacity(); ++i) {
+    ASSERT_EQ(q.dequeue().value().v, i);
   }
-  if (TypeParam::kMagazine) {
-    ASSERT_GT(q.magazine_cached(), 0u);
-  }
-  q.reset();
-  const unsigned hw = ThreadRegistry::high_water();
-  if (hw >= 64) GTEST_SKIP() << "registry high water too high to pass";
-
-  // Park holder threads on every free tid below the high water, so the
-  // next thread to register gets one at or past it.
-  std::atomic<bool> release{false};
-  std::vector<std::thread> holders;
-  while (ThreadRegistry::live_threads() < hw) {
-    std::atomic<bool> registered{false};
-    holders.emplace_back([&] {
-      (void)ThreadRegistry::tid();
-      registered.store(true, std::memory_order_release);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (!registered.load(std::memory_order_acquire)) {
-    }
-  }
-  std::thread newcomer([&] {
-    EXPECT_GE(ThreadRegistry::tid(), hw);
-    u64 filled = 0;
-    while (filled <= q.capacity() && q.enqueue(filled)) ++filled;
-    EXPECT_EQ(filled, q.capacity());
-    for (u64 i = 0; i < filled; ++i) ASSERT_EQ(q.dequeue().value(), i);
-    EXPECT_FALSE(q.dequeue().has_value());
-  });
-  newcomer.join();
-  release.store(true, std::memory_order_release);
-  for (auto& t : holders) t.join();
+  EXPECT_FALSE(q.dequeue().has_value());
 }
 
 // Four threads race for the last few fresh indices of a nearly full queue.
 // Each enqueues until it sees full; together they must admit exactly the
 // remaining capacity — a lost index would admit fewer, a duplicated one
-// more (and show up twice in the drain).
+// more (and show up twice in the drain). Each round builds a new queue, so
+// every index the racers take comes from the fresh counter.
 TYPED_TEST(FreshIndexTest, ConcurrentRaceForLastFreshIndicesIsExact) {
   constexpr unsigned kThreads = 4;
-  typename TestFixture::template Queue<u64> q(
-      TestFixture::template options<u64>(6));
-  const u64 n = q.capacity();
   for (int round = 0; round < 20; ++round) {
+    typename TestFixture::template Queue<u64> q(
+        TestFixture::template options<u64>(6));
+    const u64 n = q.capacity();
     const u64 prefill = n - 2 * kThreads - static_cast<u64>(round % 3);
     for (u64 i = 0; i < prefill; ++i) ASSERT_TRUE(q.enqueue(i));
 
@@ -191,7 +122,6 @@ TYPED_TEST(FreshIndexTest, ConcurrentRaceForLastFreshIndicesIsExact) {
       EXPECT_TRUE(seen.insert(*v).second) << "duplicate " << *v;
     }
     EXPECT_EQ(seen.size(), n) << "round " << round;
-    q.reset();
   }
 }
 

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <future>
 #include <optional>
+#include <set>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -413,10 +415,10 @@ TEST(HandleUnbounded, MpmcExplicitHandleExactlyOnceTinySegments) {
 // The workload the handle API is for: many short-lived pool workers, far
 // more over the run than ThreadRegistry::kMaxThreads, each acquiring a
 // session, working, and releasing it as it exits. Sessions flush their
-// magazines on destruction and dead tids are recycled, so across waves and
-// queue generations (reset() between them) capacity stays exact — no index
-// leaks into a dead magazine, none is duplicated by the flush/reset race.
-TEST(HandleChurn, PoolWorkersAcrossGenerationsCapacityExact) {
+// magazines on destruction and dead tids are recycled, so across waves
+// capacity stays exact — no index leaks into a dead magazine, none is
+// duplicated by a flush.
+TEST(HandleChurn, PoolWorkersCapacityExact) {
   typename BoundedQueue<u64>::Options opt{6};  // capacity 64
   opt.magazine.capacity = 16;
   BoundedQueue<u64> q(opt);
@@ -443,11 +445,6 @@ TEST(HandleChurn, PoolWorkersAcrossGenerationsCapacityExact) {
       });
     }
     for (auto& t : pool) t.join();
-    if ((w & 7) == 7) {
-      // New queue generation mid-churn: the reset serializes with any
-      // handle/exit flush on the flush lock (DESIGN.md §9/§10).
-      q.reset();
-    }
   }
   ASSERT_EQ(q.live_handles(), 0);
   // Drain whatever the last waves left, then prove capacity is exact: all
@@ -461,6 +458,77 @@ TEST(HandleChurn, PoolWorkersAcrossGenerationsCapacityExact) {
     ASSERT_EQ(q.dequeue().value(), i);
   }
   EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// Flushes of one tid take no lock (DESIGN.md §9): four threads flush a
+// parked worker's magazine while a fifth destroys the worker's owned handle,
+// which flushes it too. Every cached index must leave the magazine exactly
+// once, so the queue then admits exactly capacity() elements and the drain
+// holds no duplicate.
+TEST(HandleChurn, ConcurrentFlushesOfOneTidAreExact) {
+  constexpr unsigned kRacers = 5;  // four flushers + the handle's destroyer
+  typename BoundedQueue<u64>::Options opt{6};  // capacity 64
+  opt.magazine.capacity = 16;
+  for (int round = 0; round < 20; ++round) {
+    BoundedQueue<u64> q(opt);
+    std::optional<BoundedQueue<u64>::Handle> parked;
+    std::promise<void> filled;
+    std::promise<void> exit_worker;
+    std::thread worker([&] {
+      auto h = q.acquire();
+      // Dequeues cache their freed indices in this tid's magazine.
+      for (u64 k = 0; k < q.capacity() / 2; ++k) EXPECT_TRUE(q.enqueue(h, k));
+      for (u64 k = 0; k < q.capacity() / 2; ++k) {
+        EXPECT_TRUE(q.dequeue(h).has_value());
+      }
+      parked.emplace(std::move(h));
+      filled.set_value();
+      exit_worker.get_future().wait();  // alive, so no exit-hook flush yet
+    });
+    filled.get_future().wait();
+    EXPECT_GT(q.magazine_cached(), 0u) << "round " << round;
+    const unsigned tid = parked->tid();
+
+    // Two-phase start line: arrive with yields, then spin until all five
+    // are awake, so their flushes start within a flush's length of each
+    // other (after a yield alone they start microseconds apart and rarely
+    // overlap). The spin falls back to yields so that five racers on fewer
+    // cores still get through.
+    std::atomic<unsigned> ready{0};
+    auto await_start = [&] {
+      ready.fetch_add(1);
+      while (ready.load() < kRacers) std::this_thread::yield();
+      ready.fetch_add(1);
+      for (unsigned spins = 0; ready.load() < 2 * kRacers; ++spins) {
+        if (spins > (1u << 16)) std::this_thread::yield();
+      }
+    };
+    std::vector<std::thread> ts;
+    for (unsigned t = 0; t + 1 < kRacers; ++t) {
+      ts.emplace_back([&] {
+        await_start();
+        q.flush_magazine(tid);
+      });
+    }
+    ts.emplace_back([&] {
+      await_start();
+      parked.reset();  // owned-handle release flushes the magazine
+    });
+    for (auto& th : ts) th.join();
+    exit_worker.set_value();
+    worker.join();
+    ASSERT_EQ(q.live_handles(), 0);
+    EXPECT_EQ(q.magazine_cached(), 0u) << "round " << round;
+
+    u64 n = 0;
+    while (n <= q.capacity() && q.enqueue(n)) ++n;
+    EXPECT_EQ(n, q.capacity()) << "round " << round;
+    std::set<u64> seen;
+    while (auto v = q.dequeue()) {
+      EXPECT_TRUE(seen.insert(*v).second) << "duplicate " << *v;
+    }
+    EXPECT_EQ(seen.size(), n) << "round " << round;
+  }
 }
 
 // --- lifetime misuse ---------------------------------------------------------

@@ -16,7 +16,7 @@
 #include "common/alloc_meter.hpp"
 #include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
-#include "core/mpsc_ring.hpp"
+#include "core/scq.hpp"
 #include "core/unbounded_queue.hpp"
 #include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"

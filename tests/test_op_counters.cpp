@@ -11,7 +11,6 @@
 #include <cstdint>
 
 #include "core/bounded_queue.hpp"
-#include "core/mpsc_ring.hpp"
 #include "core/scq.hpp"
 #include "core/wcq.hpp"
 
