@@ -17,6 +17,7 @@
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 namespace {
@@ -86,6 +87,55 @@ TYPED_TEST(FreshIndexTest, FillIsExactWithDistinctSlotsAfterConstruct) {
     ASSERT_EQ(q.dequeue().value().v, i);
   }
   EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// A thread that registers with a tid at or past the registry high water
+// runs on a wCQ record and a magazine row no thread has written. This
+// thread's half-drain leaves freed indices in its own magazine, so the
+// newcomer reaches the last free indices only through fq and the full-edge
+// sweep; it must admit exactly the free half, and the drain must see both
+// halves once each in FIFO order.
+TYPED_TEST(FreshIndexTest, TidPastHighWaterFillsExactly) {
+  typename TestFixture::template Queue<u64> q(
+      TestFixture::template options<u64>(6));
+  const u64 n = q.capacity();
+  for (u64 i = 0; i < n; ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < n / 2; ++i) ASSERT_EQ(q.dequeue().value(), i);
+  if (TypeParam::kMagazine) {
+    ASSERT_GT(q.magazine_cached(), 0u);
+  }
+  const unsigned hw = ThreadRegistry::high_water();
+  if (hw >= 64) GTEST_SKIP() << "registry high water too high to pass";
+
+  // Park holder threads on every free tid below the high water, so the
+  // next thread to register gets one at or past it.
+  std::atomic<bool> release{false};
+  std::vector<std::thread> holders;
+  while (ThreadRegistry::live_threads() < hw) {
+    std::atomic<bool> registered{false};
+    holders.emplace_back([&] {
+      (void)ThreadRegistry::tid();
+      registered.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+    });
+    while (!registered.load(std::memory_order_acquire)) {
+    }
+  }
+  std::thread newcomer([&] {
+    EXPECT_GE(ThreadRegistry::tid(), hw);
+    u64 filled = 0;
+    while (filled <= n && q.enqueue(n + filled)) ++filled;
+    EXPECT_EQ(filled, n / 2);
+    for (u64 i = n / 2; i < n + filled; ++i) {
+      ASSERT_EQ(q.dequeue().value(), i);
+    }
+    EXPECT_FALSE(q.dequeue().has_value());
+  });
+  newcomer.join();
+  release.store(true, std::memory_order_release);
+  for (auto& t : holders) t.join();
 }
 
 // Four threads race for the last few fresh indices of a nearly full queue.
