@@ -57,6 +57,7 @@ using u64 = std::uint64_t;
 enum class Metric {
   kMops,       // millions of executed operations per second, per run
   kLiveBytes,  // allocator-live delta after each run
+  kOverhead,   // (live bytes - payload bytes) / capacity, bounded queues only
   kPeakBytes,  // allocator peak during each run
   kRssBytes,   // process RSS sampled after each run
   kAllocs,     // metered allocation events per run (count, not bytes;
@@ -98,6 +99,7 @@ struct MetricInfo {
 inline constexpr MetricInfo kMetrics[kMetricCount] = {
     {"mops_mean", "%.6f", "Mops/sec", "%.2f"},
     {"live_bytes_mean", "%.1f"},
+    {"overhead_bytes_per_elem_mean", "%.3f"},
     {"peak_bytes_mean", "%.1f", "peak MB allocated during run", "%.2f", 1e-6},
     {"rss_bytes_mean", "%.1f"},
     {"allocs_mean", "%.1f", "allocations per run, count", "%.0f"},
@@ -516,8 +518,16 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
       }
     }
 
-    sample(Metric::kLiveBytes,
-           static_cast<double>(alloc_meter::live_bytes() - live_before));
+    const std::int64_t live = alloc_meter::live_bytes() - live_before;
+    sample(Metric::kLiveBytes, static_cast<double>(live));
+    // Bytes the queue holds beyond its elements' own u64 payloads, per
+    // element it can hold: the overhead Aksenov et al. bound. Only queues
+    // with a fixed capacity report it; the others leave it unsampled.
+    if constexpr (requires { q->capacity(); }) {
+      const double cap = static_cast<double>(q->capacity());
+      sample(Metric::kOverhead,
+             (static_cast<double>(live) - cap * sizeof(u64)) / cap);
+    }
     sample(Metric::kPeakBytes,
            static_cast<double>(alloc_meter::peak_bytes() - live_before));
     sample(Metric::kRssBytes, static_cast<double>(current_rss_bytes()));

@@ -144,6 +144,10 @@ bool JsonReport::write(const std::string& path) const {
         std::fprintf(f, "        {\"threads\": %u", pt.threads);
         for (std::size_t m = 0; m < kMetricCount; ++m) {
           std::fprintf(f, ", \"%s\": ", kMetrics[m].key);
+          if (pt.metrics[m].n == 0) {
+            std::fprintf(f, "null");  // not defined for this queue
+            continue;
+          }
           std::fprintf(f, kMetrics[m].json_fmt, pt.metrics[m].mean);
           if (static_cast<Metric>(m) == Metric::kMops) {
             std::fprintf(f, ", \"mops_cv\": %.6f", pt.metrics[m].cv);

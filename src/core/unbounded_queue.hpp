@@ -47,6 +47,7 @@
 #include "common/alloc_meter.hpp"
 #include "common/backoff.hpp"
 #include "common/op_counters.hpp"
+#include "common/tid_table.hpp"
 #include "common/topology.hpp"
 #include "core/scq.hpp"
 #include "core/session.hpp"
@@ -67,8 +68,8 @@ class UnboundedQueue {
   // Per-thread session (DESIGN.md §10): the dense tid plus this queue's
   // hazard-slot row for it, resolved once. Segment-level ring state cannot
   // be cached here — segments come and go — so the handle carries the tid
-  // and each segment rebuilds its ring session and finds the tid's span row
-  // from it by pure arithmetic (zero registry lookups). Owned handles pin
+  // and each segment rebuilds its ring session from it, and each enqueue
+  // finds the tid's span row, with zero registry lookups. Owned handles pin
   // the queue like BoundedQueue's (core/session.hpp). Release has nothing
   // to flush: a span row left behind is simply never matched again once its
   // segment finalizes or is reset.
@@ -114,8 +115,9 @@ class UnboundedQueue {
         pool_(kPoolSlots, topo_->node_count()),
         hp_(kRetireScanThreshold) {
     Segment* first = create_segment(topo_->current_node());
-    // One span row per tid the segment ring accepts (DESIGN.md §4).
-    rows_ = AlignedArray<SpanRow>(detail::ring_tids(first->aq), kCacheLine);
+    // One span row per tid the segment ring accepts (DESIGN.md §4), in
+    // chunks of 16 tids installed on a tid's first enqueue.
+    rows_ = TidTable<SpanRow>(detail::ring_tids(first->aq), 1);
     segment_bytes_ = first->bytes();
     head_.value.store(first, std::memory_order_relaxed);
     tail_.value.store(first, std::memory_order_relaxed);
@@ -162,6 +164,7 @@ class UnboundedQueue {
   }
 
   bool enqueue(Handle& h, T value) {
+    SpanRow& row = *rows_.row(h.tid());
     for (;;) {
       // The enqueue-slot hazard is also this enqueue's in-flight
       // announcement: from here until it is cleared, no dequeuer unlinks
@@ -175,7 +178,7 @@ class UnboundedQueue {
                                             std::memory_order_seq_cst);
         continue;
       }
-      if (ltail->enqueue(h.tid(), rows_.data(), value)) {
+      if (ltail->enqueue(h.tid(), row, value)) {
         HazardDomain::clear(*h.hp_row_, kEnqSlot);
         return true;
       }
@@ -187,7 +190,7 @@ class UnboundedQueue {
       HazardDomain::clear(*h.hp_row_, kEnqSlot);
       Segment* fresh = acquire_segment(h);
       // Empty open ring: cannot fail.
-      (void)fresh->enqueue(h.tid(), rows_.data(), value);
+      (void)fresh->enqueue(h.tid(), row, value);
       Segment* expected = nullptr;
       const bool linked = ltail->next.compare_exchange_strong(
           expected, fresh, std::memory_order_seq_cst);
@@ -294,8 +297,10 @@ class UnboundedQueue {
   int live_handles() const { return sessions_.live(); }
   std::size_t pooled_segments() const { return pool_.size(); }
   const Options& options() const { return opt_; }
-  // Metered bytes one segment owns: the object plus its ring's and payload
-  // slots' arrays. Every segment of a queue has the same size.
+  // Metered bytes a segment owns at creation: the object, its ring's
+  // entries and record chunk 0 (with the record directory), and its
+  // payload slots. A tid of 16 or more grows the segment it first uses by
+  // one record chunk, which stays with the segment across recycling.
   std::size_t segment_bytes() const { return segment_bytes_; }
   // Segments retired but not yet past their grace period, and the metered
   // bytes of the hazard domain's retire-list buffers (quiescent-only).
@@ -378,10 +383,9 @@ class UnboundedQueue {
     // caller must hold it in its enqueue slot: that hazard, stored before
     // the gate load below, is the announcement the dequeuers' quiescence
     // check scans for.
-    bool enqueue(unsigned tid, SpanRow* rows, T& v) {
+    bool enqueue(unsigned tid, SpanRow& row, T& v) {
       if (finalized.load(std::memory_order_seq_cst)) return false;
       auto ah = aq.handle_for(tid);  // traps on a tid past the ring's records
-      SpanRow& row = rows[tid];
       u64 idx;
       if (row.seg == this && row.gen == gen && row.next < row.end) {
         idx = row.next++;
@@ -562,7 +566,7 @@ class UnboundedQueue {
   // find the pool alive (the destructor body drains both explicitly anyway).
   SegmentPool<Segment> pool_;
   mutable HazardDomain hp_;
-  AlignedArray<SpanRow> rows_;
+  TidTable<SpanRow> rows_;
   std::atomic<u64> generations_{0};
   std::size_t segment_bytes_ = 0;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Segment*>> head_;

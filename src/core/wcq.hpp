@@ -50,6 +50,7 @@
 #include "common/backoff.hpp"
 #include "common/dwcas.hpp"
 #include "common/op_counters.hpp"
+#include "common/tid_table.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "runtime/thread_registry.hpp"
@@ -95,7 +96,7 @@ class BasicWCQ {
  public:
   struct Options {
     unsigned order = 15;        // capacity 2^order; ring allocates 2^(order+1)
-    unsigned max_threads = 128;  // size of the per-queue record array
+    unsigned max_threads = 128;  // tids the per-queue record table serves
     int enq_patience = 16;      // paper §6: 16 for Enqueue
     int deq_patience = 64;      // paper §6: 64 for Dequeue
     unsigned help_delay = 16;   // Fig 6 HELP_DELAY
@@ -111,6 +112,8 @@ class BasicWCQ {
   // help scan's high_water snapshot, taken once per HELP_DELAY operations
   // when the periodic check fires (see help_threads). A handle is valid
   // only while the queue is alive and only on the thread owning the tid.
+  // The record pointer is stable for the queue's lifetime: record chunks
+  // are installed once and never move (common/tid_table.hpp).
   class Handle {
    public:
     Handle() = default;
@@ -128,7 +131,7 @@ class BasicWCQ {
         codec_(opt.order),
         remap_(codec_.ring_size(), sizeof(AtomicPair128), opt.cache_remap),
         entries_(codec_.ring_size(), kCacheLine),
-        records_(opt.max_threads, kDestructiveRange) {
+        records_(opt.max_threads, 1) {
     assert(opt.enq_patience >= 1 && opt.deq_patience >= 1);
     assert(opt.help_delay >= 1);
     assert(opt.max_threads >= 1 &&
@@ -154,23 +157,26 @@ class BasicWCQ {
   u64 ring_size() const { return codec_.ring_size(); }
   // Tids this ring serves: handle_for traps on any tid at or past it.
   unsigned max_threads() const { return opt_.max_threads; }
-  // Metered bytes the ring allocated: its entries and thread records.
+  // Metered bytes the ring holds: its entries, the record directory and
+  // the record chunks installed so far.
   std::size_t heap_bytes() const { return entries_.bytes() + records_.bytes(); }
 
   // Acquire a session for the calling thread (exactly one registry lookup).
   Handle handle() { return handle_for(ThreadRegistry::tid()); }
 
-  // Build the session for a known dense tid: pure pointer arithmetic, no
-  // registry or thread_local access. Composed layers (BoundedQueue,
-  // UnboundedQueue segments) carry the tid in their own handles and rebuild
-  // ring sessions through this. Traps on a tid beyond max_threads — the
-  // same documented hard limit the implicit path enforces.
+  // Build the session for a known dense tid: no registry or thread_local
+  // access. Composed layers (BoundedQueue, UnboundedQueue segments) carry
+  // the tid in their own handles and rebuild ring sessions through this.
+  // Traps on a tid beyond max_threads — the same documented hard limit the
+  // implicit path enforces. A tid's first session installs its record
+  // chunk (one allocation per 16 tids, at most once per ring; DESIGN.md
+  // §10); every later one is pointer arithmetic.
   Handle handle_for(unsigned tid) {
     if (tid >= opt_.max_threads) {
       assert(false && "thread id exceeds WCQ max_threads");
       __builtin_trap();
     }
-    return Handle(tid, &records_[tid]);
+    return Handle(tid, records_.row(tid));
   }
 
   // Inserts `index` (< capacity()). The caller guarantees at most
@@ -358,10 +364,11 @@ class BasicWCQ {
     // record t is written by tid t (registered, so t < high water) or by a
     // helper scan already bounded by n_records(). The high water never
     // decreases, so the records past it still hold their constructed
-    // values, which are the values rewound here.
-    const unsigned n = n_records();
-    for (unsigned i = 0; i < n; ++i) {
-      ThreadRec& r = records_[i];
+    // values, which are the values rewound here. An absent chunk holds
+    // only constructed records; present chunks stay installed, so a
+    // recycled segment reopens without allocating.
+    records_.for_each_present(n_records(), [](unsigned, ThreadRec* rp) {
+      ThreadRec& r = *rp;
       r.next_check = 1;
       r.next_tid = 0;
       r.phase2.seq1.store(1, std::memory_order_relaxed);
@@ -377,7 +384,7 @@ class BasicWCQ {
       r.init_head.store(0, std::memory_order_relaxed);
       r.index.store(0, std::memory_order_relaxed);
       r.seq2.store(0, std::memory_order_relaxed);
-    }
+    });
   }
 
   // --- introspection hooks (tests / benches) -------------------------------
@@ -388,10 +395,9 @@ class BasicWCQ {
   u64 tail() const { return tail_.lo.load(std::memory_order_acquire); }
   // True if any registered thread currently advertises a pending request.
   bool any_pending() const {
-    for (unsigned i = 0; i < n_records(); ++i) {
-      if (records_[i].pending.load(std::memory_order_acquire)) return true;
-    }
-    return false;
+    return records_.any_present(n_records(), [](unsigned, const ThreadRec* r) {
+      return r->pending.load(std::memory_order_acquire);
+    });
   }
 
  private:
@@ -618,14 +624,19 @@ class BasicWCQ {
   // unterminated while the slot recycles, and they could re-produce the
   // element at a later rank (a duplicate). This path runs only when an
   // Enq=0 entry is consumed, i.e. once per slow-path enqueue, so the
-  // lookup does not register on the per-op budget.
+  // lookup does not register on the per-op budget. Absent record chunks
+  // are skipped: the enqueuer installed its chunk before publishing the
+  // request this entry answers, and that install happens-before the
+  // produce CAS this thread's entry load read from (TID-CHUNK, DESIGN.md
+  // §11), so the enqueuer's record is always found.
   void finalize_request(Handle& me, u64 h) {
     opcount::count_wcq_finalize();
     const unsigned self = me.tid_;
     const unsigned n = n_records();
     for (unsigned step = 1; step < n; ++step) {
-      const unsigned i = (self + step) % n;
-      std::atomic<u64>& lt = records_[i].local_tail;
+      ThreadRec* r = records_.find((self + step) % n);
+      if (r == nullptr) continue;
+      std::atomic<u64>& lt = r->local_tail;
       const u64 cur = lt.load(std::memory_order_acquire);
       if ((cur & kCounterMask) == h) {
         u64 expect = h;  // only a clean (flag-free) value is finalized
@@ -648,15 +659,19 @@ class BasicWCQ {
     // what keeps the explicit-handle path under the ≤1-lookup budget
     // (DESIGN.md §10). A snapshot taken here may miss a thread that
     // registers mid-window; it is seen one help_delay window later, a
-    // bounded delay, so the helping bound is preserved.
+    // bounded delay, so the helping bound is preserved. A tid whose record
+    // chunk is absent has never opened a session on this ring, so it has
+    // no request to help; a requester's install precedes its request, so
+    // a later round finds it (DESIGN.md §10).
     const unsigned n = n_records();
     if (rec.next_tid >= n) rec.next_tid = 0;
-    ThreadRec& thr = records_[rec.next_tid];
-    if (&thr != &rec && thr.pending.load(std::memory_order_acquire)) {
-      if (thr.is_enqueue.load(std::memory_order_acquire)) {
-        help_enqueue(me, thr);
+    ThreadRec* thr = records_.find(rec.next_tid);
+    if (thr != nullptr && thr != &rec &&
+        thr->pending.load(std::memory_order_acquire)) {
+      if (thr->is_enqueue.load(std::memory_order_acquire)) {
+        help_enqueue(me, *thr);
       } else {
-        help_dequeue(me, thr);
+        help_dequeue(me, *thr);
       }
     }
     rec.next_tid = (rec.next_tid + 1) % n;
@@ -904,8 +919,11 @@ class BasicWCQ {
       // Help the publisher identified by the (tid, generation) tag. The help
       // CAS only fires if the record still holds that generation's data
       // (deviation 1), which also proves the increment was published.
+      // The publisher installed its record chunk before its publishing
+      // dwcas, which this thread's acquire load of gref read from, so the
+      // chunk is present (TID-CHUNK).
       opcount::count_wcq_phase2_help();
-      Phase2Rec& p2 = records_[ref_tid(gref)].phase2;
+      Phase2Rec& p2 = records_.find(ref_tid(gref))->phase2;
       const u64 s2 = p2.seq2.load(std::memory_order_acquire);
       if ((s2 & kRefSeqMask) == ref_seq(gref)) {
         const u64 laddr = p2.local.load(std::memory_order_acquire);
@@ -942,7 +960,9 @@ class BasicWCQ {
   char pad_h_[kDestructiveRange - sizeof(AtomicPair128)];
   CacheAligned<std::atomic<i64>> threshold_;
   AlignedArray<AtomicPair128> entries_;
-  AlignedArray<ThreadRec> records_;
+  // One ThreadRec per tid, in chunks installed by handle_for (DESIGN.md §9
+  // "Footprint").
+  TidTable<ThreadRec> records_;
 };
 
 // The paper's wCQ: CAS2-based entry updates (x86-64 / AArch64).

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/alloc_meter.hpp"
+#include "common/tid_table.hpp"
 
 namespace wcq {
 
@@ -40,10 +41,15 @@ struct HazardDomain::Impl {
     std::vector<void*, alloc_meter::MeteredAllocator<void*>> hazard_scratch;
   };
 
-  explicit Impl(std::size_t threshold) : retire_threshold(threshold) {}
+  explicit Impl(std::size_t threshold)
+      : rows(kMaxThreads, 1), retired(kMaxThreads, 1),
+        retire_threshold(threshold) {}
 
-  SlotRow rows[kMaxThreads] = {};
-  RetireRow retired[kMaxThreads] = {};
+  // Both tables grow 16 tids at a time (common/tid_table.hpp): the owner
+  // paths install (slots_for, protect_raw, retire), scans and drains read
+  // present chunks only.
+  TidTable<SlotRow> rows;
+  TidTable<RetireRow> retired;
   std::atomic<std::size_t> retired_total{0};
   std::size_t retire_threshold;  // 0 = adaptive (see header)
 };
@@ -61,12 +67,12 @@ HazardDomain& HazardDomain::global() {
 }
 
 HazardDomain::ThreadSlots* HazardDomain::slots_for(unsigned tid) {
-  return &impl_->rows[tid];
+  return impl_->rows.row(tid);
 }
 
 void* HazardDomain::protect_raw(unsigned slot,
                                 const std::atomic<void*>& src) {
-  auto& cell = impl_->rows[ThreadRegistry::tid()].slots[slot];
+  auto& cell = slots_for(ThreadRegistry::tid())->slots[slot];
   void* p = src.load(std::memory_order_acquire);
   for (;;) {
     WCQ_SCHED_POINT(kHazardProtect);
@@ -79,18 +85,18 @@ void* HazardDomain::protect_raw(unsigned slot,
 
 void HazardDomain::set_raw(unsigned slot, void* p) {
   WCQ_SCHED_POINT(kHazardProtect);
-  impl_->rows[ThreadRegistry::tid()].slots[slot].store(
+  slots_for(ThreadRegistry::tid())->slots[slot].store(
       p, std::memory_order_seq_cst);
 }
 
 void HazardDomain::clear(unsigned slot) {
   WCQ_SCHED_POINT(kHazardClear);
-  impl_->rows[ThreadRegistry::tid()].slots[slot].store(
+  slots_for(ThreadRegistry::tid())->slots[slot].store(
       nullptr, std::memory_order_release);
 }
 
 void HazardDomain::clear_all() {
-  auto& row = impl_->rows[ThreadRegistry::tid()];
+  auto& row = *slots_for(ThreadRegistry::tid());
   WCQ_SCHED_POINT(kHazardClear);
   for (auto& s : row.slots) s.store(nullptr, std::memory_order_release);
 }
@@ -99,16 +105,14 @@ bool HazardDomain::held_in_slot(unsigned slot, const void* p) const {
   // The fence orders the caller's preceding seq_cst load (of the state the
   // announcers check after publishing) before every slot load; high_water()
   // is read after it, so every row whose publish precedes the fence is
-  // swept.
+  // swept. A row chunk is installed before its first publish, so an absent
+  // chunk holds no hazard to sweep (TID-CHUNK).
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  const unsigned hw = ThreadRegistry::high_water();
-  for (unsigned t = 0; t < hw; ++t) {
-    WCQ_SCHED_POINT(kHazardScan);
-    if (impl_->rows[t].slots[slot].load(std::memory_order_acquire) == p) {
-      return true;
-    }
-  }
-  return false;
+  return impl_->rows.any_present(
+      ThreadRegistry::high_water(), [&](unsigned, const ThreadSlots* row) {
+        WCQ_SCHED_POINT(kHazardScan);
+        return row->slots[slot].load(std::memory_order_acquire) == p;
+      });
 }
 
 void HazardDomain::retire(void* p, void (*deleter)(void*)) {
@@ -126,7 +130,7 @@ void HazardDomain::retire(unsigned tid, void* p, void (*deleter)(void*, void*),
 
 void HazardDomain::retire_common(unsigned tid, void* p, void (*deleter)(void*),
                                  void (*deleter2)(void*, void*), void* ctx) {
-  auto& list = impl_->retired[tid].list;
+  auto& list = impl_->retired.row(tid)->list;
   WCQ_SCHED_POINT(kHazardRetire);
   list.push_back(Impl::Retired{p, deleter, deleter2, ctx});
   impl_->retired_total.fetch_add(1, std::memory_order_relaxed);
@@ -142,7 +146,7 @@ void HazardDomain::retire_common(unsigned tid, void* p, void (*deleter)(void*),
 
 void HazardDomain::scan(unsigned tid) {
   // Snapshot all published hazards into the row's retained scratch buffer.
-  auto& row = impl_->retired[tid];
+  auto& row = *impl_->retired.row(tid);
   auto& hazards = row.hazard_scratch;
   hazards.clear();
   const unsigned hw = ThreadRegistry::high_water();
@@ -161,9 +165,9 @@ void HazardDomain::scan(unsigned tid) {
   // accesses before the deleter below; its builds load acquire, release
   // builds keep the relaxed loads.
   std::atomic_thread_fence(std::memory_order_seq_cst);
-  for (unsigned t = 0; t < hw; ++t) {
+  impl_->rows.for_each_present(hw, [&](unsigned, const ThreadSlots* slot_row) {
     WCQ_SCHED_POINT(kHazardScan);
-    for (const auto& s : impl_->rows[t].slots) {
+    for (const auto& s : slot_row->slots) {
 #if defined(__SANITIZE_THREAD__)
       void* p = s.load(std::memory_order_acquire);
 #else
@@ -171,7 +175,7 @@ void HazardDomain::scan(unsigned tid) {
 #endif
       if (p != nullptr) hazards.push_back(p);
     }
-  }
+  });
   std::sort(hazards.begin(), hazards.end());
 
   auto& list = row.list;
@@ -190,14 +194,14 @@ void HazardDomain::scan(unsigned tid) {
 }
 
 void HazardDomain::drain() {
-  for (unsigned t = 0; t < kMaxThreads; ++t) {
-    auto& list = impl_->retired[t].list;
-    for (const auto& r : list) {
-      impl_->retired_total.fetch_sub(1, std::memory_order_relaxed);
-      r.run();
-    }
-    list.clear();
-  }
+  impl_->retired.for_each_present(
+      kMaxThreads, [&](unsigned, Impl::RetireRow* row) {
+        for (const auto& r : row->list) {
+          impl_->retired_total.fetch_sub(1, std::memory_order_relaxed);
+          r.run();
+        }
+        row->list.clear();
+      });
 }
 
 std::size_t HazardDomain::retired_count() const {
@@ -206,11 +210,12 @@ std::size_t HazardDomain::retired_count() const {
 
 std::size_t HazardDomain::buffer_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& row : impl_->retired) {
-    bytes += row.list.capacity() * sizeof(Impl::Retired) +
-             row.keep_scratch.capacity() * sizeof(Impl::Retired) +
-             row.hazard_scratch.capacity() * sizeof(void*);
-  }
+  impl_->retired.for_each_present(
+      kMaxThreads, [&](unsigned, const Impl::RetireRow* row) {
+        bytes += row->list.capacity() * sizeof(Impl::Retired) +
+                 row->keep_scratch.capacity() * sizeof(Impl::Retired) +
+                 row->hazard_scratch.capacity() * sizeof(void*);
+      });
   return bytes;
 }
 

@@ -3,9 +3,10 @@
 // The paper's evaluation uses hazard pointers for the node/ring reclamation
 // of MSQueue, LCRQ and CRTurn (§6: "we use customized reclamation for YMC
 // and hazard pointers elsewhere"). This is a classic bounded implementation:
-// a fixed table of per-thread hazard slots (indexed by the process-wide
-// ThreadRegistry tid) and per-thread retire lists scanned when they exceed a
-// threshold proportional to the number of registered threads.
+// a table of per-thread hazard slots (indexed by the process-wide
+// ThreadRegistry tid, grown 16 tids at a time on a tid's first use;
+// common/tid_table.hpp) and per-thread retire lists scanned when they
+// exceed a threshold proportional to the number of registered threads.
 //
 // Retired-but-unreclaimed memory stays visible to the Fig 10 alloc meter
 // because the owning queues allocate their nodes through alloc_meter and the
@@ -52,8 +53,9 @@ class HazardDomain {
   // Process-wide default domain (queues may also own private domains).
   static HazardDomain& global();
 
-  // The calling thread's (or an explicit tid's) row; constant-time, stable
-  // for the domain's lifetime. Handles cache this.
+  // The calling thread's (or an explicit tid's) row, stable for the
+  // domain's lifetime. Handles cache this. A tid's first call may install
+  // its row chunk (one allocation per 16 tids); later calls are arithmetic.
   ThreadSlots* slots_for(unsigned tid);
 
   // Publish `src`'s current value in the calling thread's hazard slot and

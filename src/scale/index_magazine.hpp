@@ -18,12 +18,17 @@
 //    kNone or one free index. There is no count word: the slots are the
 //    only state, so a put is a slot scan plus one release store and a take
 //    a slot scan plus one CAS. A row is round_up(capacity, 8) words — the
-//    default 16 slots are exactly two cache lines — and the row array is
-//    aligned to kDestructiveRange, so a two-line row is one adjacent-line
-//    prefetch pair and dense neighboring tids never share a line or a pair.
-//  * The set holds one row per tid the owning queue can actually serve:
+//    default 16 slots are exactly two cache lines — and the rows come in
+//    chunks aligned to kDestructiveRange, so a two-line row is one
+//    adjacent-line prefetch pair and dense neighboring tids never share a
+//    line or a pair.
+//  * The set serves every tid the owning queue can actually serve:
 //    BoundedQueue passes the data ring's thread limit (128 for a WCQ ring,
-//    which traps larger tids) or, for rings without one, every registry tid.
+//    which traps larger tids) or, for rings without one, every registry
+//    tid. Rows are allocated 16 tids at a time (common/tid_table.hpp):
+//    chunk 0 at construction, any other on the first session of a tid in
+//    it. Cross-thread scans and the exit flush read present chunks only,
+//    so a thread that never used the queue never grows it.
 //  * Only the owning thread stores indices into its slots, so a slot the
 //    owner observed empty stays empty until the owner writes it — puts are
 //    a plain check-then-store (release), no RMW.
@@ -48,6 +53,7 @@
 
 #include "analysis/sched_point.hpp"
 #include "common/align.hpp"
+#include "common/tid_table.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -69,18 +75,14 @@ class IndexMagazines {
   IndexMagazines() = default;
 
   // `capacity` == 0 constructs a disabled set. One row per tid in
-  // [0, rows), sized once at queue construction (metered, Fig 10):
-  // round_up(capacity, 8) atomic words per row.
+  // [0, rows), round_up(capacity, 8) atomic words each, in metered chunks
+  // of 16 rows (Fig 10).
   IndexMagazines(std::size_t capacity, unsigned rows)
       : cap_(capacity < kMaxSlots ? capacity : kMaxSlots) {
     if (cap_ != 0) {
       constexpr std::size_t kWordsPerLine = kCacheLine / sizeof(u64);
-      stride_ = AlignedArray<std::atomic<u64>>::round_up(cap_, kWordsPerLine);
-      words_ = AlignedArray<std::atomic<u64>>(rows * stride_,
-                                              kDestructiveRange);
-      for (std::size_t i = 0; i < words_.size(); ++i) {
-        words_[i].store(kNone, std::memory_order_relaxed);
-      }
+      rows_ = Rows(rows, static_cast<unsigned>(AlignedArray<u64>::round_up(
+                             cap_, kWordsPerLine)));
     }
   }
 
@@ -89,10 +91,8 @@ class IndexMagazines {
 
   bool enabled() const { return cap_ != 0; }
   std::size_t capacity() const { return cap_; }
-  // Rows allocated (tids served); 0 when disabled.
-  unsigned rows() const {
-    return stride_ == 0 ? 0u : static_cast<unsigned>(words_.size() / stride_);
-  }
+  // Tids served; 0 when disabled.
+  unsigned rows() const { return rows_.limit(); }
   // Refill span: indices pulled from fq beyond the one the triggering
   // enqueue consumes. Half-magazine spans give hysteresis: a freshly
   // refilled/spilled magazine is half full, so the next spill/refill is a
@@ -105,9 +105,10 @@ class IndexMagazines {
   // The magazine row for a tid, cached once in a queue's per-thread
   // session handle so the owner operations below run with zero registry
   // lookups. nullptr when magazines are disabled (callers branch on
-  // enabled() anyway). Stable for the queue's lifetime.
-  std::atomic<u64>* block_for(unsigned tid) const {
-    return enabled() && tid < rows() ? block(tid) : nullptr;
+  // enabled() anyway). Installs the tid's row chunk on its first session;
+  // stable for the queue's lifetime.
+  std::atomic<u64>* block_for(unsigned tid) {
+    return enabled() && tid < rows() ? rows_.row(tid) : nullptr;
   }
 
   // --- owner operations (the row is the caller's own magazine) ------------
@@ -148,54 +149,59 @@ class IndexMagazines {
   // --- cross-thread operations --------------------------------------------
 
   // Reclaim sweep: steal one cached index from any magazine but `self`'s.
-  // Bounded: one pass over the registered-tid range. A miss does not prove
+  // Bounded: one pass over the registered-tid range, present row chunks
+  // only (an absent chunk caches nothing). A miss does not prove
   // no index is cached anywhere (an in-flight put/flush can slip past the
   // scan) — that transient is the same class as an index held by an
   // in-flight enqueuer, which the "full" contract already tolerates
   // (DESIGN.md §9). Runs only at the full edge, so its registry lookup is
   // off the steady-state budget.
   bool steal_for(unsigned self, u64& out) {
-    const unsigned n = rows_in_use();
-    for (unsigned t = 0; t < n; ++t) {
-      if (t == self) continue;
-      WCQ_SCHED_POINT(kMagazineSteal);
-      if (take_some_from(block(t), &out, 1) == 1) return true;
-    }
-    return false;
+    return rows_.any_present(
+        ThreadRegistry::high_water(), [&](unsigned t, std::atomic<u64>* m) {
+          if (t == self) return false;
+          WCQ_SCHED_POINT(kMagazineSteal);
+          return take_some_from(m, &out, 1) == 1;
+        });
   }
 
   bool steal(u64& out) { return steal_for(ThreadRegistry::tid(), out); }
 
   // Claim every index cached in `tid`'s magazine (thread-exit flush; also
-  // usable cross-thread since takes are CASes).
+  // usable cross-thread since takes are CASes). Never installs: a tid
+  // whose chunk is absent has nothing cached.
   std::size_t drain_tid(unsigned tid, u64* out, std::size_t n) {
     if (!enabled() || tid >= rows()) return 0;
-    return take_some_from(block(tid), out, n);
+    std::atomic<u64>* m = rows_.find(tid);
+    return m == nullptr ? 0 : take_some_from(m, out, n);
   }
 
   // Diagnostic: cached indices across all magazines (exact at quiescence).
   std::size_t cached_total() const {
     std::size_t total = 0;
-    for (unsigned t = 0; t < rows(); ++t) {
-      std::atomic<u64>* m = block(t);
+    rows_.for_each_present(rows(), [&](unsigned, std::atomic<u64>* m) {
       for (std::size_t i = 0; i < cap_; ++i) {
         if (m[i].load(std::memory_order_relaxed) != kNone) ++total;
       }
-    }
+    });
     return total;
   }
 
  private:
+  // A fresh row chunk holds no index (construction-time stores, exclusive
+  // access until the chunk is published).
+  struct EmptySlots {
+    void operator()(std::atomic<u64>* w, std::size_t n) const {
+      for (std::size_t i = 0; i < n; ++i) {
+        w[i].store(kNone, std::memory_order_relaxed);
+      }
+    }
+  };
   // Row layout per tid: words 0..cap_-1 are the slots, then padding to
-  // the row stride.
-  std::atomic<u64>* block(unsigned tid) const {
-    return const_cast<std::atomic<u64>*>(words_.data()) + tid * stride_;
-  }
-  std::atomic<u64>* mine() const { return block(ThreadRegistry::tid()); }
-  unsigned rows_in_use() const {
-    const unsigned hw = ThreadRegistry::high_water();
-    return hw < rows() ? hw : rows();
-  }
+  // the row stride (the table's row width).
+  using Rows = TidTable<std::atomic<u64>, kDestructiveRange, EmptySlots>;
+
+  std::atomic<u64>* mine() { return rows_.row(ThreadRegistry::tid()); }
 
   std::size_t take_some_from(std::atomic<u64>* m, u64* out, std::size_t n) {
     std::size_t got = 0;
@@ -212,8 +218,7 @@ class IndexMagazines {
   }
 
   std::size_t cap_ = 0;
-  std::size_t stride_ = 0;
-  AlignedArray<std::atomic<u64>> words_;
+  Rows rows_;
 };
 
 }  // namespace wcq

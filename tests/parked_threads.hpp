@@ -1,0 +1,44 @@
+// Registered threads that hold their registry tids and do nothing else, so
+// a test can push the next thread's tid past a per-tid table's first chunk
+// (common/tid_table.hpp) without touching any queue.
+#pragma once
+
+#include <future>
+#include <thread>
+#include <vector>
+
+#include "runtime/thread_registry.hpp"
+
+namespace wcq::testing {
+
+class ParkedThreads {
+ public:
+  // Starts `n` threads; returns once each holds a registry tid.
+  explicit ParkedThreads(unsigned n) {
+    std::shared_future<void> release = release_.get_future().share();
+    for (unsigned i = 0; i < n; ++i) {
+      std::promise<void> registered;
+      std::future<void> done = registered.get_future();
+      threads_.emplace_back([release, p = std::move(registered)]() mutable {
+        (void)ThreadRegistry::tid();
+        p.set_value();
+        release.wait();
+      });
+      done.wait();
+    }
+  }
+
+  ~ParkedThreads() {
+    release_.set_value();
+    for (auto& t : threads_) t.join();
+  }
+
+  ParkedThreads(const ParkedThreads&) = delete;
+  ParkedThreads& operator=(const ParkedThreads&) = delete;
+
+ private:
+  std::promise<void> release_;
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace wcq::testing
