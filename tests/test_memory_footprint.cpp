@@ -20,6 +20,7 @@
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
 #include "core/unbounded_queue.hpp"
+#include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 #include "parked_threads.hpp"
 #include "reclaim/hazard_pointers.hpp"
@@ -37,6 +38,12 @@ namespace {
 static_assert(sizeof(BoundedQueue<u64>) == 1152);
 static_assert(sizeof(BoundedQueue<u64, MpscRing>) == 1024);
 static_assert(sizeof(UnboundedQueue<u64>) == 512);
+// The rings themselves (x86-64, GCC 12), which the layers above embed.
+static_assert(sizeof(WCQ) == 512);
+static_assert(sizeof(WCQLLSC) == 512);
+static_assert(sizeof(SCQ) == 512);
+static_assert(sizeof(SpmcRing) == 512);
+static_assert(sizeof(MpscRing) == 384);
 
 constexpr std::int64_t kOrder = 8;
 constexpr std::int64_t kCap = std::int64_t{1} << kOrder;  // 256 elements
