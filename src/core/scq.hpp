@@ -1,6 +1,7 @@
 // SCQ — the lock-free Scalable Circular Queue of Nikolaev (DISC'19), exactly
-// as reproduced in the wCQ paper's Figure 3. It is both (a) the substrate
-// wCQ's fast path is built from and (b) one of the benchmark subjects.
+// as reproduced in the wCQ paper's Figure 3. It is both (a) wCQ's fast path
+// (core/wcq.hpp builds on the MPMC arms below) and (b) one of the benchmark
+// subjects.
 //
 // SCQ is an index ring: it stores values in [0, capacity()) ("indices"),
 // which in the full queue (core/bounded_queue.hpp, paper Fig 2) refer into a
@@ -9,7 +10,7 @@
 // lets Enqueue skip full-queue checks and what makes the 3n-1 Threshold
 // bound (paper §2) valid.
 //
-// One template, three rings (DESIGN.md §13). BasicScq<Producers, Consumers>
+// One template, four rings (DESIGN.md §13). BasicScq<Producers, Consumers>
 // is SCQ with some machinery deleted once a side has a single thread:
 //
 //   SCQ      : BasicScq<kMulti, kMulti>   Fig 3 verbatim.
@@ -19,6 +20,10 @@
 //   SpmcRing : BasicScq<kSingle, kMulti>  Tail reserved by a single-writer
 //              store from max(Tail, Head) instead of the F&A; dequeuers keep
 //              SCQ's machinery minus catchup; the re-arm is a release store.
+//   BasicWCQ : BasicScq<kMulti, kMulti, PairSlots>, privately. wCQ's fast
+//              path is SCQ's; its entries and Head/Tail are {Value, Note}
+//              pairs its slow path CAS2s, and the fast path touches only the
+//              first word of each (Fig 7: "use only .cnt for fast paths").
 //
 // Each deletion is an `if constexpr` branch carrying its DESIGN.md argument
 // id. The single side is enforced, not assumed: a SessionGuard binds the
@@ -32,6 +37,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <type_traits>
@@ -39,17 +45,40 @@
 #include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/backoff.hpp"
+#include "common/dwcas.hpp"
 #include "common/op_counters.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"
 #include "core/session_guard.hpp"
+
+// Rank tap for the rank-accounting test (tests/test_wcq_accounting.cpp): each
+// produce and consume reports the Head/Tail counter value ("rank") it used.
+// Compiled in only when the including TU defines WCQ_TEST_RANK_HOOK(kind,
+// rank) before any include; kind is the token `produced` or `consumed`.
+// Elsewhere it expands to nothing, so no build carries a hook check.
+#if defined(WCQ_TEST_RANK_HOOK)
+#define WCQ_RANK_EVENT(kind, rank) WCQ_TEST_RANK_HOOK(kind, rank)
+#else
+#define WCQ_RANK_EVENT(kind, rank) ((void)0)
+#endif
 
 namespace wcq {
 
 // How many threads may drive one side of a ring.
 enum Degree { kSingle, kMulti };
 
-template <Degree Producers, Degree Consumers>
+// Entry and counter layouts. SCQ keeps one word per entry and per Head/Tail
+// counter. wCQ pairs each with a second word its slow path CAS2s together
+// with the first: an entry's Note (Fig 4) and a counter's phase-2 tag
+// (Fig 7). The fast path reads and writes the first word only.
+struct WordSlots {
+  using Slot = std::atomic<u64>;
+};
+struct PairSlots {
+  using Slot = AtomicPair128;
+};
+
+template <Degree Producers, Degree Consumers, typename Slots = WordSlots>
 class BasicScq {
   static_assert(Producers == kMulti || Consumers == kMulti,
                 "no SPSC ring: nothing instantiates one, so none is argued");
@@ -57,8 +86,14 @@ class BasicScq {
   static constexpr bool kMultiProducer = Producers == kMulti;
   static constexpr bool kMultiConsumer = Consumers == kMulti;
   static constexpr bool kGuarded = !(kMultiProducer && kMultiConsumer);
+  static constexpr bool kPairSlots = std::is_same_v<Slots, PairSlots>;
   static constexpr const char* kName = kMultiConsumer ? "SpmcRing"
                                                       : "MpscRing";
+  static_assert(!kPairSlots || !kGuarded,
+                "pair entries are wCQ's, and wCQ is MPMC: no single-side arm "
+                "is argued for the two-word layout");
+
+  using Slot = typename Slots::Slot;
 
  public:
   // Session handle (DESIGN.md §10). The ring keeps no per-thread state — no
@@ -75,7 +110,7 @@ class BasicScq {
   // slots. The paper's benchmark configuration is order 15 (2^16 slots).
   explicit BasicScq(unsigned order, bool cache_remap = true)
       : codec_(order),
-        remap_(codec_.ring_size(), sizeof(std::atomic<u64>), cache_remap),
+        remap_(codec_.ring_size(), sizeof(Slot), cache_remap),
         entries_(codec_.ring_size(), kCacheLine) {
     reset();
     if constexpr (kMultiConsumer) {
@@ -102,35 +137,23 @@ class BasicScq {
   }
 
   // Batch insert (DESIGN.md §7, the BasicWCQ contract): all `n` indices are
-  // inserted. One reservation covers n consecutive ranks and the threshold is
-  // re-armed once for the whole span; a rank whose slot is unusable is
-  // abandoned (exactly as a failed single enqueue abandons its rank) and the
-  // affected indices fall back to the single-op path. Deferring the re-arm
-  // is safe for the same reason as in BasicWCQ: the bulk call has not
-  // returned, so a dequeuer reading the stale negative threshold linearizes
-  // its "empty" before these enqueues.
+  // inserted; the ranks enq_span could not use fall back to the single-op
+  // path.
   void enqueue_bulk(const u64* indices, std::size_t n) {
     if (n == 0) return;
     if (n == 1) return enqueue(indices[0]);
-    const u64 base = reserve(n);
-    std::size_t done = 0;
-    for (std::size_t k = 0; k < n && done < n; ++k) {
-      if (enq_at(base + k, indices[done], /*rearm=*/false)) ++done;
+    for (std::size_t done = enq_span(indices, n); done < n; ++done) {
+      enqueue(indices[done]);
     }
-    reset_threshold();  // one re-arm for the whole span
-    for (; done < n; ++done) enqueue(indices[done]);
   }
 
   // Removes and returns the oldest index, or nullopt when empty.
   std::optional<u64> dequeue() {
     if constexpr (kMultiConsumer) {
-      WCQ_SCHED_POINT(kThresholdCheck);
-      if (threshold_.value.load(std::memory_order_acquire) < 0) {
-        return std::nullopt;  // empty fast-exit (Fig 3 line 7)
-      }
+      if (threshold_empty()) return std::nullopt;  // Fig 3 line 7
       for (;;) {
         u64 index;
-        switch (deq_at(claim(1), index)) {
+        switch (deq_at(claim(1), index, kEnqAlwaysSet)) {
           case DeqStatus::kOk:
             return index;
           case DeqStatus::kEmpty:
@@ -155,25 +178,14 @@ class BasicScq {
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
     if (n == 0) return 0;
     if constexpr (kMultiConsumer) {
-      WCQ_SCHED_POINT(kThresholdCheck);
-      if (threshold_.value.load(std::memory_order_acquire) < 0) {
-        return 0;  // empty fast-exit, no ranks burned
-      }
+      if (threshold_empty()) return 0;  // no ranks burned
       if (n == 1) {
         const auto v = dequeue();
         if (!v) return 0;
         out[0] = *v;
         return 1;
       }
-      // One Head F&A for the whole span; every reserved rank is processed
-      // (see deq_at).
-      const u64 base = claim(n);
-      std::size_t got = 0;
-      for (std::size_t k = 0; k < n; ++k) {
-        u64 idx;
-        if (deq_at(base + k, idx) == DeqStatus::kOk) out[got++] = idx;
-      }
-      return got;
+      return deq_span(out, n, kEnqAlwaysSet);
     } else {
       // Peek-before-commit (§13 MPSC-HEAD): the consumer inspects rank Head
       // WITHOUT reserving it, so an empty probe burns nothing and needs no
@@ -182,7 +194,7 @@ class BasicScq {
       // F&A would have; the store also publishes the dead ranks skipped on
       // an empty probe, so the next probe starts past them.
       guard_.enter(kName, "consumer");
-      const u64 h0 = head_.value.load(std::memory_order_relaxed);
+      const u64 h0 = word(head_.value).load(std::memory_order_relaxed);
       u64 h = h0;
       std::size_t got = 0;
       while (got < n) {
@@ -192,7 +204,7 @@ class BasicScq {
         if (s == Step::kGot) out[got++] = index;
         ++h;  // kGot and kSkip both advance past the rank
       }
-      if (h != h0) head_.value.store(h, std::memory_order_release);
+      if (h != h0) word(head_.value).store(h, std::memory_order_release);
       return got;
     }
   }
@@ -219,10 +231,10 @@ class BasicScq {
   // by a different thread than the retired ring's.
   void reset() {
     for (u64 i = 0; i < codec_.ring_size(); ++i) {
-      entries_[i].store(codec_.initial(), std::memory_order_relaxed);
+      init(entries_[i], codec_.initial());
     }
-    tail_.value.store(codec_.ring_size(), std::memory_order_relaxed);
-    head_.value.store(codec_.ring_size(), std::memory_order_relaxed);
+    init(tail_.value, codec_.ring_size());
+    init(head_.value, codec_.ring_size());
     if constexpr (kMultiConsumer) {
       threshold_.value.store(-1, std::memory_order_relaxed);  // empty
     }
@@ -244,17 +256,48 @@ class BasicScq {
   {
     return threshold_.value.load(std::memory_order_acquire);
   }
-  u64 head() const { return head_.value.load(std::memory_order_acquire); }
-  u64 tail() const { return tail_.value.load(std::memory_order_acquire); }
+  u64 head() const { return word(head_.value).load(std::memory_order_acquire); }
+  u64 tail() const { return word(tail_.value).load(std::memory_order_acquire); }
 
- private:
+  // BasicWCQ (core/wcq.hpp) builds its slow path on the MPMC arms below and
+  // on the ring state itself.
+ protected:
   enum class DeqStatus { kOk, kEmpty, kRetry };
   enum class Step { kGot, kEmpty, kSkip };
   struct Absent {};
 
+  // deq_at's pre-consume hook for SCQ: SCQ produces every entry with Enq=1
+  // (entry.hpp), so the hook, which runs only on Enq=0, is never reached.
+  static constexpr auto kEnqAlwaysSet = [](u64 /*rank*/) {};
+
+  // The word of a slot or counter the fast path uses: the whole word, or a
+  // pair's first.
+  template <typename S>
+  static auto& word(S& s) {
+    if constexpr (kPairSlots) {
+      return s.lo;
+    } else {
+      return s;
+    }
+  }
+
+  // Relaxed (exclusive-access) initial store; a pair's second word starts
+  // at 0: Note "never" for an entry, no phase-2 tag for a counter.
+  static void init(Slot& s, u64 v) {
+    word(s).store(v, std::memory_order_relaxed);
+    if constexpr (kPairSlots) s.hi.store(0, std::memory_order_relaxed);
+  }
+
   i64 threshold_max() const {
     // 3n - 1 for a 2n-slot ring holding at most n indices (paper §2).
     return static_cast<i64>(codec_.half() * 3 - 1);
+  }
+
+  // Fig 3 line 7's empty fast-exit: a negative threshold means no dequeuer
+  // can find an element, so none need reserve a rank to look.
+  bool threshold_empty() const {
+    WCQ_SCHED_POINT(kThresholdCheck);
+    return threshold_.value.load(std::memory_order_acquire) < 0;
   }
 
   // Reserves `n` consecutive Tail ranks (single and bulk enqueue share this)
@@ -262,7 +305,7 @@ class BasicScq {
   u64 reserve(std::size_t n) {
     if constexpr (kMultiProducer) {
       WCQ_SCHED_POINT(kTailFaa);
-      const u64 t = tail_.value.fetch_add(n, std::memory_order_seq_cst);
+      const u64 t = word(tail_.value).fetch_add(n, std::memory_order_seq_cst);
       opcount::count_faa();
       return t;
     } else {
@@ -282,11 +325,11 @@ class BasicScq {
       // Head consultation on the unsafe arm) and the producer walks forward.
       // Wasted probes, never a wrong insert.
       guard_.enter(kName, "producer");
-      u64 t = tail_.value.load(std::memory_order_relaxed);
-      const u64 hd = head_.value.load(std::memory_order_relaxed);
+      u64 t = word(tail_.value).load(std::memory_order_relaxed);
+      const u64 hd = word(head_.value).load(std::memory_order_relaxed);
       if (t < hd) t = hd;  // producer-side catchup: ranks below Head are dead
       WCQ_SCHED_POINT(kTailFaa);
-      tail_.value.store(t + n, std::memory_order_seq_cst);
+      word(tail_.value).store(t + n, std::memory_order_seq_cst);
       return t;
     }
   }
@@ -294,10 +337,11 @@ class BasicScq {
   // Fig 3, try_enq after the reservation: process one reserved tail rank.
   // Returns true on success; false means "reserve again" (the slot was
   // unusable for this tail value). Bulk spans defer the re-arm to the end
-  // of the span.
+  // of the span. The fast path inserts in one step, Enq=1 right away
+  // (wCQ Thm 5.9).
   //
-  // The Head consultation on IsSafe=0 is shared by all three rings. With
-  // one consumer it is dynamically dead (§13 MPSC-SAFE: that consumer never
+  // The Head consultation on IsSafe=0 is shared by all rings. With one
+  // consumer it is dynamically dead (§13 MPSC-SAFE: that consumer never
   // strands a live older-cycle element, so it never clears IsSafe) but kept
   // byte-for-byte, so the §13 argument only reasons about consumer-side
   // deletions. With one producer the entry CAS still races consumers'
@@ -305,18 +349,19 @@ class BasicScq {
   bool enq_at(u64 t, u64 index, bool rearm) {
     const u64 j = remap_(codec_.pos_of(t));
     const u64 cycle_t = codec_.cycle_of(t);
-    u64 raw = entries_[j].load(std::memory_order_acquire);
+    u64 raw = word(entries_[j]).load(std::memory_order_acquire);
     for (;;) {
       const Entry e = codec_.unpack(raw);
       if (e.cycle < cycle_t &&
-          (e.safe || head_.value.load(std::memory_order_seq_cst) <= t) &&
+          (e.safe || word(head_.value).load(std::memory_order_seq_cst) <= t) &&
           !codec_.is_live_index(e.index)) {
         const u64 fresh = codec_.pack(cycle_t, true, true, index);
         WCQ_SCHED_POINT(kEntryUpdate);
-        if (!entries_[j].compare_exchange_strong(raw, fresh,
-                                                 std::memory_order_seq_cst)) {
+        if (!word(entries_[j]).compare_exchange_strong(
+                raw, fresh, std::memory_order_seq_cst)) {
           continue;  // Fig 3 line 25: re-check with the observed entry
         }
+        WCQ_RANK_EVENT(produced, t);
         if (rearm) reset_threshold();
         return true;
       }
@@ -324,15 +369,34 @@ class BasicScq {
     }
   }
 
+  // Enqueue span (DESIGN.md §7): one reservation covers n consecutive ranks
+  // and the threshold is re-armed once for the whole span. A rank whose slot
+  // is unusable is abandoned, exactly as a failed single enqueue abandons
+  // its rank. Returns how many of `indices` landed (a prefix); the caller
+  // inserts the rest through its own single-op path. Deferring the re-arm
+  // is safe because the bulk call has not returned, so a dequeuer reading
+  // the stale negative threshold linearizes its "empty" before these
+  // enqueues (the argument of wCQ deviation 7, DESIGN.md §3).
+  std::size_t enq_span(const u64* indices, std::size_t n) {
+    const u64 base = reserve(n);
+    std::size_t done = 0;
+    for (std::size_t k = 0; k < n && done < n; ++k) {
+      if (enq_at(base + k, indices[done], /*rearm=*/false)) ++done;
+    }
+    reset_threshold();  // one re-arm for the whole span
+    return done;
+  }
+
   // Threshold re-arm. With one consumer there is nothing to re-arm
   // (§13 MPSC-THLD). Otherwise a relaxed dirty pre-check (DESIGN.md §15
-  // THLD-PRECHECK): the same argument as BasicWCQ::reset_threshold's PR 4
-  // downgrade, which this mirrors — the pre-check only *skips* the re-arm
-  // when it reads threshold_max, a value some thread's re-arm stored;
-  // staleness or store-buffer reordering can under-arm the budget by at
-  // most the handful of seq_cst RMWs one drain window admits, well inside
-  // the 3n-1 slack. All cross-thread ordering flows through the guarded
-  // store.
+  // THLD-PRECHECK): it only *skips* the re-arm when it reads threshold_max,
+  // a value some thread's re-arm stored. Staleness is not produced by
+  // coherent hardware for a plain load; store-buffer reordering (non-TSO
+  // ISAs: the entry-publishing CAS still buffered) can under-arm the budget
+  // by at most the handful of seq_cst RMWs one drain window admits, well
+  // inside the 3n-1 slack (x86's locked CAS is a full fence: none there).
+  // All cross-thread ordering flows through the guarded store; the L4
+  // empty-window history check is the regression net.
   void reset_threshold() {
     if constexpr (kMultiConsumer) {
       if (threshold_.value.load(std::memory_order_relaxed) !=
@@ -377,43 +441,47 @@ class BasicScq {
   // Fig 3, try_deq's rank reservation: one Head F&A for `n` ranks.
   u64 claim(std::size_t n) {
     WCQ_SCHED_POINT(kHeadFaa);
-    const u64 h = head_.value.fetch_add(n, std::memory_order_seq_cst);
+    const u64 h = word(head_.value).fetch_add(n, std::memory_order_seq_cst);
     opcount::count_faa();
     return h;
   }
 
-  // Process one already-reserved head rank. As in BasicWCQ::deq_at, every
-  // reserved rank MUST pass through here: a claimed rank whose slot holds a
-  // cycle-matching element is the only dequeuer that will ever consume it,
-  // so abandoning a reservation would leak the element forever.
-  DeqStatus deq_at(u64 h, u64& index_out) {
+  // Process one already-reserved head rank. Every reserved rank MUST pass
+  // through here: a claimed rank whose slot holds a cycle-matching element
+  // is the only dequeuer that will ever consume it (later cycles ⊥-mark or
+  // unsafe-mark, never consume), so abandoning a reservation would leak the
+  // element and its Fig 2 index forever. `pre_consume` is consume's hook.
+  template <typename PreConsume>
+  DeqStatus deq_at(u64 h, u64& index_out, PreConsume& pre_consume) {
     const u64 j = remap_(codec_.pos_of(h));
     const u64 cycle_h = codec_.cycle_of(h);
-    u64 raw = entries_[j].load(std::memory_order_acquire);
+    u64 raw = word(entries_[j]).load(std::memory_order_acquire);
     for (;;) {
       WCQ_SCHED_POINT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
       if (e.cycle == cycle_h) {
-        // Our enqueuer arrived first: consume (atomic OR keeps Cycle/IsSafe).
-        entries_[j].fetch_or(codec_.consume_mask(), std::memory_order_seq_cst);
+        // Our enqueuer arrived first.
+        assert(codec_.is_live_index(e.index) && "owner sees non-live index");
+        consume(h, j, e, pre_consume);
         index_out = e.index;
         return DeqStatus::kOk;
       }
       u64 fresh;
       if (!codec_.is_live_index(e.index)) {
-        // Mark the slot with our cycle so our (late) enqueuer skips it.
-        fresh = codec_.pack(cycle_h, e.safe, e.enq, codec_.bottom());
+        // Mark the slot with our cycle so our (late) enqueuer skips it. A ⊥
+        // has no slow-path request to finalize, so its Enq bit is 1.
+        fresh = codec_.pack(cycle_h, e.safe, true, codec_.bottom());
       } else {
         // An older-cycle element is still here; strip IsSafe so enqueuers
         // must consult Head before reusing the slot.
         fresh = codec_.pack(e.cycle, false, e.enq, e.index);
       }
       if (e.cycle < cycle_h) {
-        if (!entries_[j].compare_exchange_strong(raw, fresh,
-                                                 std::memory_order_seq_cst)) {
+        if (!word(entries_[j]).compare_exchange_strong(
+                raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        const u64 t = tail_.value.load(std::memory_order_seq_cst);
+        const u64 t = word(tail_.value).load(std::memory_order_seq_cst);
         if (t <= h + 1) {
           // With one producer there is no catchup here (§13 SPMC-CATCHUP):
           // the producer pulls Tail forward itself on its next reservation.
@@ -435,22 +503,51 @@ class BasicScq {
     }
   }
 
+  // Dequeue span (DESIGN.md §7): one Head F&A for `n` ranks; every reserved
+  // rank is processed (see deq_at). Returns the number of indices written.
+  template <typename PreConsume>
+  std::size_t deq_span(u64* out, std::size_t n, PreConsume& pre_consume) {
+    const u64 base = claim(n);
+    std::size_t got = 0;
+    for (std::size_t k = 0; k < n; ++k) {
+      u64 idx;
+      if (deq_at(base + k, idx, pre_consume) == DeqStatus::kOk) {
+        out[got++] = idx;
+      }
+    }
+    return got;
+  }
+
+  // Consume the element rank h found in slot j: an atomic OR of ⊥c keeps
+  // Cycle/IsSafe (Fig 3 line 12, Fig 5 consume). An Enq=0 entry was produced
+  // by a wCQ slow-path enqueuer whose request must be finalized before the
+  // slot can recycle (Fig 5 lines 2-3): `pre_consume(h)` does that. With
+  // pair entries a scheduling point separates that step from the OR.
+  template <typename PreConsume>
+  void consume(u64 h, u64 j, const Entry& e, PreConsume& pre_consume) {
+    if (!e.enq) pre_consume(h);
+    if constexpr (kPairSlots) WCQ_SCHED_POINT(kEntryUpdate);
+    word(entries_[j]).fetch_or(codec_.consume_mask(),
+                               std::memory_order_seq_cst);
+    WCQ_RANK_EVENT(consumed, h);
+  }
+
   // Fig 3, catchup: pull Tail forward to Head after draining past it. Purely
   // a contention optimization; iterations are capped (harmless, and wCQ
   // requires the cap for wait-freedom — paper §3.2 "Bounding catchup").
   void catchup(u64 tail, u64 head) {
     for (int i = 0; i < kCatchupMax; ++i) {
       WCQ_SCHED_POINT(kCatchup);
-      if (tail_.value.compare_exchange_strong(tail, head,
-                                              std::memory_order_seq_cst)) {
+      if (word(tail_.value).compare_exchange_strong(
+              tail, head, std::memory_order_seq_cst)) {
         return;
       }
       // Relaxed re-loads (DESIGN.md §15 CATCHUP-RELOAD): they only steer
       // this bounded heuristic — a stale pair either retries the CAS (which
       // re-validates and publishes with seq_cst) or exits early, and early
       // exit is always correct for a pure contention optimization.
-      head = head_.value.load(std::memory_order_relaxed);
-      tail = tail_.value.load(std::memory_order_relaxed);
+      head = word(head_.value).load(std::memory_order_relaxed);
+      tail = word(tail_.value).load(std::memory_order_relaxed);
       if (tail >= head) return;
     }
   }
@@ -469,7 +566,7 @@ class BasicScq {
   Step step_at(u64 h, u64& index_out) {
     const u64 j = remap_(codec_.pos_of(h));
     const u64 cycle_h = codec_.cycle_of(h);
-    u64 raw = entries_[j].load(std::memory_order_acquire);
+    u64 raw = word(entries_[j]).load(std::memory_order_acquire);
     for (;;) {
       WCQ_SCHED_POINT(kEntryUpdate);
       const Entry e = codec_.unpack(raw);
@@ -479,7 +576,7 @@ class BasicScq {
           // and producers refuse live slots (enq_at's !is_live_index arm),
           // so between our acquire load and this store nobody else can
           // write the slot: a plain release store replaces SCQ's fetch_or.
-          entries_[j].store(
+          word(entries_[j]).store(
               codec_.pack(cycle_h, e.safe, e.enq, codec_.bottom_c()),
               std::memory_order_release);
           index_out = e.index;
@@ -498,7 +595,7 @@ class BasicScq {
       // completed-unconsumed enqueue exists. Emptiness is O(1) without the
       // 3n-1 counter, which is why the threshold is deleted.
       WCQ_SCHED_POINT(kThresholdCheck);
-      if (tail_.value.load(std::memory_order_seq_cst) <= h) {
+      if (word(tail_.value).load(std::memory_order_seq_cst) <= h) {
         return Step::kEmpty;
       }
 #if defined(WCQ_ANALYSIS_MUTATE_MPSC)
@@ -514,9 +611,9 @@ class BasicScq {
       // consumer write that races a producer (the late owner landing right
       // now) — on failure re-examine, the element may have just arrived.
       const u64 dead = codec_.pack(cycle_h, e.safe, e.enq, codec_.bottom());
-      if (entries_[j].compare_exchange_strong(raw, dead,
-                                              std::memory_order_seq_cst,
-                                              std::memory_order_acquire)) {
+      if (word(entries_[j]).compare_exchange_strong(
+              raw, dead, std::memory_order_seq_cst,
+              std::memory_order_acquire)) {
         return Step::kSkip;
       }
 #endif
@@ -527,23 +624,26 @@ class BasicScq {
 
   EntryCodec codec_;
   CacheRemap remap_;
-  alignas(kDestructiveRange) CacheAligned<std::atomic<u64>> tail_;
+  // Read-mostly, so it shares the line before Tail with the codec. That
+  // also leaves the ring's tail padding free for BasicWCQ's members, which
+  // keeps wCQ the same size as SCQ.
+  AlignedArray<Slot> entries_;
+  alignas(kDestructiveRange) CacheAligned<Slot> tail_;
   // With one consumer, Head is consumer-private for writes and producers
   // read it only on the IsSafe=0 arm §13 shows unreachable; the separate
   // line keeps the consumer's publishes off Tail's line. With one producer,
   // Tail is the private one and consumers read it on the emptiness arm.
-  alignas(kDestructiveRange) CacheAligned<std::atomic<u64>> head_;
+  alignas(kDestructiveRange) CacheAligned<Slot> head_;
   // Deleted, member and all, with one consumer (§13 MPSC-THLD).
   alignas(kDestructiveRange) [[no_unique_address]] std::conditional_t<
       kMultiConsumer, CacheAligned<std::atomic<i64>>, Absent> threshold_;
   [[no_unique_address]] std::conditional_t<kGuarded, SessionGuard, Absent>
       guard_;
-  AlignedArray<std::atomic<u64>> entries_;
 };
 
-// The three rings. Named classes rather than aliases, so each keeps its own
-// type name wherever one is printed (typed-test ids, diagnostics); they add
-// no members, so each has exactly its BasicScq's layout.
+// The three SCQ rings. Named classes rather than aliases, so each keeps its
+// own type name wherever one is printed (typed-test ids, diagnostics); they
+// add no members, so each has exactly its BasicScq's layout.
 struct SCQ : BasicScq<kMulti, kMulti> {
   using BasicScq::BasicScq;
 };

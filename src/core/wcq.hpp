@@ -3,8 +3,10 @@
 // wCQ is SCQ (core/scq.hpp) plus a fast-path-slow-path construction that
 // makes both operations wait-free while keeping memory statically bounded:
 //
-//  * Fast path: identical to SCQ (F&A on Head/Tail, single-word CAS/OR on
-//    the entry's Value word), tried MAX_PATIENCE times.
+//  * Fast path: SCQ's own. BasicWCQ privately derives from the MPMC
+//    BasicScq over pair slots and runs its Head/Tail F&A, enq_at, deq_at,
+//    re-arm and catchup (single-word CAS/OR on the entry's Value word),
+//    tried MAX_PATIENCE times. This file holds only what Figs 4-7 add.
 //  * Slow path: the thread publishes a help request in its per-queue thread
 //    record; every thread polls for requests (one candidate every HELP_DELAY
 //    operations) and replays the stuck operation cooperatively. The global
@@ -12,11 +14,13 @@
 //    that all cooperating threads agree on via the request's localTail /
 //    localHead word (counter + INC/FIN flag bits).
 //
-// Entries become 16-byte pairs {Value, Note}: Note is a cycle watermark that
-// forces late helpers to skip any slot one cooperating thread already
-// skipped, and the extra Enq bit supports two-step insertion (produce with
-// Enq=0, finalize the request, flip Enq=1) so helpers can be terminated
-// before a produced entry is consumed and its slot recycled.
+// Entries become 16-byte pairs {Value, Note}, and Head/Tail {counter, phase-2
+// tag} pairs for slow_F&A; the fast path uses the first word only. Note is
+// a cycle watermark that forces late helpers to skip any slot one
+// cooperating thread already skipped, and the extra Enq bit supports
+// two-step insertion (produce with Enq=0, finalize the request, flip Enq=1)
+// so helpers can be terminated before a produced entry is consumed and its
+// slot recycled.
 //
 // Deviations from the paper's pseudocode (justified in DESIGN.md §3):
 //  1. The second-phase reference stored in global Head/Tail is not a raw
@@ -52,19 +56,8 @@
 #include "common/op_counters.hpp"
 #include "common/tid_table.hpp"
 #include "core/entry.hpp"
-#include "core/remap.hpp"
+#include "core/scq.hpp"
 #include "runtime/thread_registry.hpp"
-
-// Rank tap for the rank-accounting test (tests/test_wcq_accounting.cpp): each
-// produce and consume reports the Head/Tail counter value ("rank") it used.
-// Compiled in only when the including TU defines WCQ_TEST_RANK_HOOK(kind,
-// rank) before any include; kind is the token `produced` or `consumed`.
-// Elsewhere it expands to nothing, so no build carries a hook check.
-#if defined(WCQ_TEST_RANK_HOOK)
-#define WCQ_RANK_EVENT(kind, rank) WCQ_TEST_RANK_HOOK(kind, rank)
-#else
-#define WCQ_RANK_EVENT(kind, rank) ((void)0)
-#endif
 
 namespace wcq {
 
@@ -89,8 +82,8 @@ struct Cas2EntryOps {
 };
 
 template <typename EntryOps>
-class BasicWCQ {
- private:
+class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
+  using Ring = BasicScq<kMulti, kMulti, PairSlots>;
   struct ThreadRec;  // defined below; named here so Handle can hold one
 
  public:
@@ -127,24 +120,13 @@ class BasicWCQ {
   };
 
   explicit BasicWCQ(Options opt)
-      : opt_(opt),
-        codec_(opt.order),
-        remap_(codec_.ring_size(), sizeof(AtomicPair128), opt.cache_remap),
-        entries_(codec_.ring_size(), kCacheLine),
+      : Ring(opt.order, opt.cache_remap),
+        opt_(opt),
         records_(opt.max_threads, 1) {
     assert(opt.enq_patience >= 1 && opt.deq_patience >= 1);
     assert(opt.help_delay >= 1);
     assert(opt.max_threads >= 1 &&
            opt.max_threads <= ThreadRegistry::kMaxThreads);
-    for (u64 i = 0; i < codec_.ring_size(); ++i) {
-      entries_[i].lo.store(codec_.initial(), std::memory_order_relaxed);
-      entries_[i].hi.store(0, std::memory_order_relaxed);  // Note: "never"
-    }
-    tail_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
-    tail_.hi.store(0, std::memory_order_relaxed);
-    head_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
-    head_.hi.store(0, std::memory_order_relaxed);
-    threshold_.value.store(-1, std::memory_order_release);
   }
 
   explicit BasicWCQ(unsigned order) : BasicWCQ(Options{.order = order}) {}
@@ -153,13 +135,15 @@ class BasicWCQ {
   BasicWCQ(const BasicWCQ&) = delete;
   BasicWCQ& operator=(const BasicWCQ&) = delete;
 
-  u64 capacity() const { return codec_.half(); }
-  u64 ring_size() const { return codec_.ring_size(); }
+  using Ring::capacity;
+  using Ring::ring_size;
   // Tids this ring serves: handle_for traps on any tid at or past it.
   unsigned max_threads() const { return opt_.max_threads; }
   // Metered bytes the ring holds: its entries, the record directory and
   // the record chunks installed so far.
-  std::size_t heap_bytes() const { return entries_.bytes() + records_.bytes(); }
+  std::size_t heap_bytes() const {
+    return Ring::heap_bytes() + records_.bytes();
+  }
 
   // Acquire a session for the calling thread (exactly one registry lookup).
   Handle handle() { return handle_for(ThreadRegistry::tid()); }
@@ -192,7 +176,8 @@ class BasicWCQ {
     // == Fast path (SCQ) ==
     u64 tail = 0;
     for (int i = 0; i < opt_.enq_patience; ++i) {
-      if (try_enq(index, tail)) return;
+      tail = reserve(1);
+      if (enq_at(tail, index, /*rearm=*/true)) return;
     }
     // == Slow path ==
     opcount::count_wcq_enq_slow();
@@ -218,26 +203,23 @@ class BasicWCQ {
 
   // Removes and returns the oldest index, or nullopt when empty. Wait-free.
   std::optional<u64> dequeue() {
-    WCQ_SCHED_POINT(kThresholdCheck);
-    if (threshold_.value.load(std::memory_order_acquire) < 0) {
-      return std::nullopt;  // empty fast-exit (before paying for a session)
-    }
+    // Empty fast-exit before paying for a session.
+    if (threshold_empty()) return std::nullopt;
     Handle h = handle();
     return dequeue(h);
   }
 
   std::optional<u64> dequeue(Handle& sh) {
-    WCQ_SCHED_POINT(kThresholdCheck);
-    if (threshold_.value.load(std::memory_order_acquire) < 0) {
-      return std::nullopt;  // empty fast-exit
-    }
+    if (threshold_empty()) return std::nullopt;
     ThreadRec& rec = *sh.rec_;
     help_threads(sh);
+    auto finalize = finalizer(sh);
     // == Fast path (SCQ) ==
     u64 head = 0;
     for (int i = 0; i < opt_.deq_patience; ++i) {
+      head = claim(1);
       u64 index;
-      switch (try_deq(sh, index, head)) {
+      switch (deq_at(head, index, finalize)) {
         case DeqStatus::kOk:
           return index;
         case DeqStatus::kEmpty:
@@ -261,23 +243,21 @@ class BasicWCQ {
     // is in local_head; only the requester consumes it.
     const u64 h = rec.local_head.load(std::memory_order_acquire) & kCounterMask;
     const u64 j = remap_(codec_.pos_of(h));
-    const u64 raw = entries_[j].lo.load(std::memory_order_acquire);
+    const u64 raw = word(entries_[j]).load(std::memory_order_acquire);
     const Entry e = codec_.unpack(raw);
     if (e.cycle == codec_.cycle_of(h) && e.index != codec_.bottom()) {
       assert(e.index != codec_.bottom_c() && "slot consumed by non-owner");
-      consume(sh, h, j, e);
+      consume(h, j, e, finalize);
       return e.index;
     }
     return std::nullopt;
   }
 
-  // Batch insert (DESIGN.md §7): all `n` indices are inserted. One Tail F&A
-  // reserves n consecutive ranks and the threshold is re-armed once for the
-  // whole span instead of once per element; ranks whose slot is unusable are
-  // abandoned (exactly as a failed fast-path attempt abandons its rank) and
-  // the affected indices fall back to the wait-free single-op path. The
-  // caller's "at most capacity() live indices" precondition covers the whole
-  // batch.
+  // Batch insert (DESIGN.md §7): all `n` indices are inserted. The ring's
+  // enqueue span reserves n consecutive ranks with one Tail F&A and re-arms
+  // the threshold once; the indices it could not place fall back to the
+  // wait-free single-op path. The caller's "at most capacity() live
+  // indices" precondition covers the whole batch.
   void enqueue_bulk(const u64* indices, std::size_t n) {
     if (n == 0) return;
     Handle h = handle();
@@ -288,38 +268,27 @@ class BasicWCQ {
     if (n == 0) return;
     if (n == 1) return enqueue(h, indices[0]);
     help_threads(h);
-    WCQ_SCHED_POINT(kTailFaa);
-    const u64 base = tail_.lo.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
-    std::size_t done = 0;
-    for (std::size_t k = 0; k < n && done < n; ++k) {
-      if (enq_at(base + k, indices[done], /*reset_thld=*/false)) ++done;
+    for (std::size_t done = enq_span(indices, n); done < n; ++done) {
+      enqueue(h, indices[done]);
     }
-    reset_threshold();  // one re-arm for the whole span
-    for (; done < n; ++done) enqueue(h, indices[done]);
   }
 
   // Batch remove (DESIGN.md §7): pops up to `n` indices into `out`, one Head
   // F&A for the whole span. Returns the number actually dequeued; fewer than
   // n does not imply emptiness (a rank can be contended away, the same
   // transient a single-op fast-path retry absorbs) — partial success is the
-  // batch contract. Every reserved rank is processed (see deq_at).
+  // batch contract.
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
-    if (threshold_.value.load(std::memory_order_acquire) < 0) {
-      return 0;  // empty fast-exit, no ranks burned (and no session paid)
-    }
+    // Empty fast-exit: no ranks burned and no session paid.
+    if (threshold_empty()) return 0;
     Handle h = handle();
     return dequeue_bulk(h, out, n);
   }
 
   std::size_t dequeue_bulk(Handle& h, u64* out, std::size_t n) {
     if (n == 0) return 0;
-    WCQ_SCHED_POINT(kThresholdCheck);
-    if (threshold_.value.load(std::memory_order_acquire) < 0) {
-      return 0;  // empty fast-exit, no ranks burned
-    }
+    if (threshold_empty()) return 0;  // no ranks burned
     if (n == 1) {
       const auto v = dequeue(h);
       if (!v) return 0;
@@ -327,15 +296,8 @@ class BasicWCQ {
       return 1;
     }
     help_threads(h);
-    WCQ_SCHED_POINT(kHeadFaa);
-    const u64 base = head_.lo.fetch_add(n, std::memory_order_seq_cst);
-    opcount::count_faa();
-    std::size_t got = 0;
-    for (std::size_t k = 0; k < n; ++k) {
-      u64 idx;
-      if (deq_at(h, base + k, idx) == DeqStatus::kOk) out[got++] = idx;
-    }
-    return got;
+    auto finalize = finalizer(h);
+    return deq_span(out, n, finalize);
   }
 
   // Re-initialize the ring to its freshly-constructed (empty) state so a
@@ -351,15 +313,7 @@ class BasicWCQ {
   // back to 1 is safe precisely because no helper holds a generation to
   // confuse (the reuse-ABA argument, DESIGN.md §8).
   void reset() {
-    for (u64 i = 0; i < codec_.ring_size(); ++i) {
-      entries_[i].lo.store(codec_.initial(), std::memory_order_relaxed);
-      entries_[i].hi.store(0, std::memory_order_relaxed);  // Note: "never"
-    }
-    tail_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
-    tail_.hi.store(0, std::memory_order_relaxed);
-    head_.lo.store(codec_.ring_size(), std::memory_order_relaxed);
-    head_.hi.store(0, std::memory_order_relaxed);
-    threshold_.value.store(-1, std::memory_order_relaxed);
+    Ring::reset();
     // Only records below the registry high water can have been written:
     // record t is written by tid t (registered, so t < high water) or by a
     // helper scan already bounded by n_records(). The high water never
@@ -388,11 +342,9 @@ class BasicWCQ {
   }
 
   // --- introspection hooks (tests / benches) -------------------------------
-  i64 threshold() const {
-    return threshold_.value.load(std::memory_order_acquire);
-  }
-  u64 head() const { return head_.lo.load(std::memory_order_acquire); }
-  u64 tail() const { return tail_.lo.load(std::memory_order_acquire); }
+  using Ring::head;
+  using Ring::tail;
+  using Ring::threshold;
   // True if any registered thread currently advertises a pending request.
   bool any_pending() const {
     return records_.any_present(n_records(), [](unsigned, const ThreadRec* r) {
@@ -446,175 +398,16 @@ class BasicWCQ {
   }
   static u64 ref_seq(u64 ref) { return ref & kRefSeqMask; }
 
-  enum class DeqStatus { kOk, kEmpty, kRetry };
-
-  i64 threshold_max() const {
-    return static_cast<i64>(codec_.half() * 3 - 1);
-  }
-
   unsigned n_records() const {
     const unsigned hw = ThreadRegistry::high_water();
     return hw < opt_.max_threads ? hw : opt_.max_threads;
   }
 
-  // ---- fast path (identical to SCQ modulo the pair layout) ----------------
+  // ---- consume's finalize (Fig 5 lines 1-11) ------------------------------
 
-  bool try_enq(u64 index, u64& tail_out) {
-    WCQ_SCHED_POINT(kTailFaa);
-    const u64 t = tail_.lo.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
-    tail_out = t;
-    return enq_at(t, index, /*reset_thld=*/true);
-  }
-
-  DeqStatus try_deq(Handle& me, u64& index_out, u64& head_out) {
-    WCQ_SCHED_POINT(kHeadFaa);
-    const u64 h = head_.lo.fetch_add(1, std::memory_order_seq_cst);
-    opcount::count_faa();
-    head_out = h;
-    return deq_at(me, h, index_out);
-  }
-
-  // Process one already-reserved tail rank. Batch enqueues reserve a span of
-  // ranks with a single F&A and defer the threshold re-arm to the end of the
-  // span (reset_thld=false); deferring is safe because the bulk call has not
-  // returned, so a dequeuer reading the stale negative threshold linearizes
-  // its "empty" before these enqueues (same argument as deviation 7).
-  bool enq_at(u64 t, u64 index, bool reset_thld) {
-    const u64 j = remap_(codec_.pos_of(t));
-    const u64 cycle_t = codec_.cycle_of(t);
-    u64 raw = entries_[j].lo.load(std::memory_order_acquire);
-    for (;;) {
-      const Entry e = codec_.unpack(raw);
-      if (e.cycle < cycle_t &&
-          (e.safe || head_.lo.load(std::memory_order_seq_cst) <= t) &&
-          !codec_.is_live_index(e.index)) {
-        // One-step insertion on the fast path: Enq=1 right away (Thm 5.9).
-        const u64 fresh = codec_.pack(cycle_t, true, true, index);
-        WCQ_SCHED_POINT(kEntryUpdate);
-        if (!entries_[j].lo.compare_exchange_strong(
-                raw, fresh, std::memory_order_seq_cst)) {
-          continue;
-        }
-        WCQ_RANK_EVENT(produced, t);
-        if (reset_thld) reset_threshold();
-        return true;
-      }
-      return false;
-    }
-  }
-
-  // Process one already-reserved head rank. Every reserved rank MUST pass
-  // through here: a claimed rank whose slot holds a cycle-matching element is
-  // the only dequeuer that will ever consume it (later cycles ⊥-mark or
-  // unsafe-mark, never consume), so abandoning a reservation would leak the
-  // element and its Fig 2 index forever.
-  DeqStatus deq_at(Handle& me, u64 h, u64& index_out) {
-    const u64 j = remap_(codec_.pos_of(h));
-    const u64 cycle_h = codec_.cycle_of(h);
-    u64 raw = entries_[j].lo.load(std::memory_order_acquire);
-    for (;;) {
-      WCQ_SCHED_POINT(kEntryUpdate);
-      const Entry e = codec_.unpack(raw);
-      if (e.cycle == cycle_h) {
-        assert(codec_.is_live_index(e.index) && "owner sees non-live index");
-        consume(me, h, j, e);
-        index_out = e.index;
-        return DeqStatus::kOk;
-      }
-      u64 fresh;
-      const bool live = codec_.is_live_index(e.index);
-      if (!live) {
-        fresh = codec_.pack(cycle_h, e.safe, true, codec_.bottom());
-      } else {
-        fresh = codec_.pack(e.cycle, false, e.enq, e.index);
-      }
-      if (e.cycle < cycle_h) {
-        if (!entries_[j].lo.compare_exchange_strong(
-                raw, fresh, std::memory_order_seq_cst)) {
-          continue;
-        }
-        const u64 t = tail_.lo.load(std::memory_order_seq_cst);
-        if (t <= h + 1) {
-          catchup(t, h + 1);
-          WCQ_SCHED_POINT(kThresholdDec);
-          threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
-          opcount::count_threshold();
-          return DeqStatus::kEmpty;
-        }
-      }
-      opcount::count_threshold();
-      WCQ_SCHED_POINT(kThresholdDec);
-      if (threshold_.value.fetch_sub(1, std::memory_order_seq_cst) <= 0) {
-        return DeqStatus::kEmpty;
-      }
-      return DeqStatus::kRetry;
-    }
-  }
-
-  void reset_threshold() {
-    // The dirty pre-check is a heuristic that skips the seq_cst store when
-    // the threshold is already re-armed; relaxed suffices for it. A skip is
-    // taken only when the load returns threshold_max, a value some thread's
-    // re-arm stored, and there are two ways that can be "wrong":
-    //  * Staleness — reading a threshold_max that decrements have already
-    //    buried. Coherent hardware does not produce this for a plain load
-    //    (the load returns the line's current committed value); decrements
-    //    landing after the read are indistinguishable from decrements
-    //    landing right after a performed store, which the seq_cst version
-    //    tolerates too.
-    //  * Store-load reordering — on non-TSO ISAs the relaxed load may be
-    //    satisfied while this thread's entry-publishing CAS still sits in
-    //    the store buffer, so decrements by dequeuers that missed the
-    //    not-yet-visible entry can predate the read. The skip then leaves
-    //    the budget short by k, where k is bounded by the seq_cst RMWs
-    //    other cores can complete inside one store-buffer drain window —
-    //    a handful of contended line transfers, far under the ~n slack the
-    //    3n-1 bound carries over the <= 2n failed probes needed to reach a
-    //    present element (x86's locked CAS is a full fence: k = 0 there).
-    // All cross-thread ordering still flows through the guarded store,
-    // which stays seq_cst (Lemma 5.5 ordering); the L4 empty-window history
-    // check is the regression net for this argument.
-    if (threshold_.value.load(std::memory_order_relaxed) != threshold_max()) {
-      WCQ_SCHED_POINT(kThresholdArm);
-#if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
-      // Mutation self-test (DESIGN.md §11): model the re-arm downgraded to a
-      // relaxed store whose visibility is delayed past the next scheduling
-      // point. tests/analysis must catch the false-empty window this opens.
-      analysis::mutate_deferred_store(&threshold_.value, threshold_max());
-#else
-      threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
-#endif
-      opcount::count_threshold();
-    }
-  }
-
-  void catchup(u64 tail, u64 head) {
-    for (int i = 0; i < kCatchupMax; ++i) {
-      WCQ_SCHED_POINT(kCatchup);
-      if (tail_.lo.compare_exchange_strong(tail, head,
-                                           std::memory_order_seq_cst)) {
-        return;
-      }
-      // Relaxed re-loads (DESIGN.md §15 CATCHUP-RELOAD): these only steer a
-      // bounded contention heuristic. A stale pair either retries the CAS —
-      // which re-validates against the real Tail and publishes with seq_cst
-      // — or exits early, and exiting early is always correct: catchup is
-      // purely an optimization, the dequeuer's own path tolerates Tail
-      // lagging Head.
-      head = head_.lo.load(std::memory_order_relaxed);
-      tail = tail_.lo.load(std::memory_order_relaxed);
-      if (tail >= head) return;
-    }
-  }
-
-  // ---- consume / finalize (Fig 5 lines 1-11) ------------------------------
-
-  void consume(Handle& me, u64 h, u64 j, const Entry& e) {
-    if (!e.enq) finalize_request(me, h);
-    WCQ_SCHED_POINT(kEntryUpdate);
-    entries_[j].lo.fetch_or(codec_.consume_mask(), std::memory_order_seq_cst);
-    WCQ_RANK_EVENT(consumed, h);
+  // The ring's pre-consume hook (deq_at, consume): runs on an Enq=0 entry.
+  auto finalizer(Handle& me) {
+    return [this, &me](u64 h) { finalize_request(me, h); };
   }
 
   // An entry produced by a slow-path enqueuer (Enq=0) is being consumed:
@@ -704,7 +497,7 @@ class BasicWCQ {
 
   void enqueue_slow(Handle& me, u64 t, u64 index, ThreadRec& rec, u64 seq) {
     u64 v = t;
-    while (slow_faa(me, tail_, rec.local_tail, v, /*thld=*/nullptr, rec, seq,
+    while (slow_faa(me, tail_.value, rec.local_tail, v, /*thld=*/nullptr, rec, seq,
                     /*init=*/t)) {
       if (try_enq_slow(v, index, rec)) break;
     }
@@ -712,7 +505,7 @@ class BasicWCQ {
 
   void dequeue_slow(Handle& me, u64 h, ThreadRec& rec, u64 seq) {
     u64 v = h;
-    while (slow_faa(me, head_, rec.local_head, v, &threshold_.value, rec, seq,
+    while (slow_faa(me, head_.value, rec.local_head, v, &threshold_.value, rec, seq,
                     /*init=*/h)) {
       if (try_deq_slow(v, rec)) break;
     }
@@ -729,7 +522,7 @@ class BasicWCQ {
       const Entry e = codec_.unpack(pair.lo);
       const u64 note = pair.hi;
       if (e.cycle < cycle_t && note < cycle_t) {
-        if (!(e.safe || head_.lo.load(std::memory_order_seq_cst) <= t) ||
+        if (!(e.safe || word(head_.value).load(std::memory_order_seq_cst) <= t) ||
             codec_.is_live_index(e.index)) {
           // Unusable: watermark Note so every cooperating thread skips this
           // slot even if the condition later turns true for them.
@@ -798,7 +591,7 @@ class BasicWCQ {
       if (e.cycle < cycle_h) {
         if (!EntryOps::update_value(entries_[j], pair, val)) continue;
       }
-      const u64 t = tail_.lo.load(std::memory_order_seq_cst);
+      const u64 t = word(tail_.value).load(std::memory_order_seq_cst);
       if (t <= h + 1) {
         catchup(t, h + 1);
         WCQ_SCHED_POINT(kThresholdCheck);
@@ -949,17 +742,7 @@ class BasicWCQ {
     }
   }
 
-  static constexpr int kCatchupMax = 8;
-
   Options opt_;
-  EntryCodec codec_;
-  CacheRemap remap_;
-  alignas(kDestructiveRange) AtomicPair128 tail_;
-  char pad_t_[kDestructiveRange - sizeof(AtomicPair128)];
-  AtomicPair128 head_;
-  char pad_h_[kDestructiveRange - sizeof(AtomicPair128)];
-  CacheAligned<std::atomic<i64>> threshold_;
-  AlignedArray<AtomicPair128> entries_;
   // One ThreadRec per tid, in chunks installed by handle_for (DESIGN.md §9
   // "Footprint").
   TidTable<ThreadRec> records_;

@@ -13,7 +13,10 @@ namespace {
 
 struct Tracked {
   static std::atomic<int> live;
-  int payload = 0;
+  // Atomic (accessed relaxed) so the concurrent test below checks object
+  // lifetimes only: a writer may still store to a swapped-out object while
+  // a protecting reader loads it.
+  std::atomic<int> payload{0};
   Tracked() { live.fetch_add(1); }
   ~Tracked() { live.fetch_sub(1); }
   static void deleter(void* p) { alloc_meter::destroy(static_cast<Tracked*>(p)); }
@@ -42,7 +45,7 @@ TEST(HazardPointers, ProtectedPointerSurvivesRetirement) {
     d.retire(junk, &Tracked::deleter);
   }
   EXPECT_GE(Tracked::live.load(), 1);
-  EXPECT_EQ(p->payload, 0);  // still dereferenceable
+  EXPECT_EQ(p->payload.load(std::memory_order_relaxed), 0);  // still live
   d.clear_all();
   d.drain();
   EXPECT_EQ(Tracked::live.load(), 0);
@@ -123,9 +126,10 @@ TEST(HazardPointers, ConcurrentReadersNeverTouchFreedMemory) {
     threads.emplace_back([&] {
       for (int i = 0; i < kSwaps; ++i) {
         Tracked* fresh = alloc_meter::create<Tracked>();
-        fresh->payload = 1234;
+        fresh->payload.store(1234, std::memory_order_relaxed);
         Tracked* old = shared.exchange(fresh, std::memory_order_acq_rel);
-        old->payload = 1234;  // still-valid write before retirement
+        // Still-valid write before retirement.
+        old->payload.store(1234, std::memory_order_relaxed);
         d.retire(old, &Tracked::deleter);
       }
     });
@@ -135,7 +139,7 @@ TEST(HazardPointers, ConcurrentReadersNeverTouchFreedMemory) {
       while (!stop.load(std::memory_order_acquire)) {
         Tracked* p = d.protect(0, shared);
         // Either 0 (fresh) or 1234 (touched); anything else is corruption.
-        const int v = p->payload;
+        const int v = p->payload.load(std::memory_order_relaxed);
         ASSERT_TRUE(v == 0 || v == 1234) << "corrupted payload " << v;
         d.clear(0);
       }

@@ -9,12 +9,15 @@
 // which manifested as produced-but-never-consumed ranks roughly once per
 // 10^4 operations in these configurations.
 //
-// The tap is core/wcq.hpp's compile-time WCQ_RANK_EVENT, enabled by defining
-// WCQ_TEST_RANK_HOOK ahead of every include. It must stay that way, and this
-// must stay the only TU of its binary that includes core/wcq.hpp: a second
-// TU instantiating BasicWCQ without the hook would be an ODR violation whose
-// untapped copy the linker may pick. The "hook saw every rank" assertions
-// below fail rather than pass vacuously if the tap ever compiles out.
+// The tap is the compile-time WCQ_RANK_EVENT, enabled by defining
+// WCQ_TEST_RANK_HOOK ahead of every include. It lives in core/scq.hpp, in the
+// ring fast path (enq_at, consume) that BasicWCQ shares with SCQ, and in
+// wCQ's slow-path produce. It must stay that way, and this must stay the
+// only TU of its binary that includes core/scq.hpp (directly or through
+// core/wcq.hpp): a second TU instantiating the ring without the hook would
+// be an ODR violation whose untapped copy the linker may pick. The "hook saw
+// every rank" assertions below fail rather than pass vacuously if the tap
+// ever compiles out.
 namespace wcq_test {
 void rank_produced(unsigned long long rank);
 void rank_consumed(unsigned long long rank);
