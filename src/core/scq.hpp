@@ -126,22 +126,29 @@ class BasicScq {
   std::size_t heap_bytes() const { return entries_.bytes(); }
   u64 ring_size() const { return codec_.ring_size(); }
 
-  // Inserts `index` (< capacity()). Never fails; the caller guarantees at
-  // most capacity() live indices (Fig 2's fq/aq usage provides that).
-  // A rank only fails while a dequeuer that ⊥-marked the target slot has
-  // not yet caught up, so on oversubscribed hosts the retry loop must back
-  // off to let that (descheduled) dequeuer run.
-  void enqueue(u64 index) {
+  // Inserts `index` (< capacity()); the caller guarantees at most
+  // capacity() live indices (Fig 2's fq/aq usage provides that). Fails only
+  // on a finalized ring (finalize() below). A rank only fails while a
+  // dequeuer that ⊥-marked the target slot has not yet caught up, so on
+  // oversubscribed hosts the retry loop must back off to let that
+  // (descheduled) dequeuer run.
+  bool enqueue(u64 index) {
     Backoff bo;
-    while (!enq_at(reserve(1), index, /*rearm=*/true)) bo.pause();
+    for (u64 t; reserve(1, t); bo.pause()) {
+      if (enq_at(t, index, /*rearm=*/true)) return true;
+    }
+    return false;
   }
 
-  // Batch insert (DESIGN.md §7, the BasicWCQ contract): all `n` indices are
-  // inserted; the ranks enq_span could not use fall back to the single-op
-  // path.
+  // Batch insert (DESIGN.md §7, the BasicWCQ contract): on a ring that is
+  // never finalized all `n` indices are inserted; the ranks enq_span could
+  // not use fall back to the single-op path.
   void enqueue_bulk(const u64* indices, std::size_t n) {
     if (n == 0) return;
-    if (n == 1) return enqueue(indices[0]);
+    if (n == 1) {
+      enqueue(indices[0]);
+      return;
+    }
     for (std::size_t done = enq_span(indices, n); done < n; ++done) {
       enqueue(indices[done]);
     }
@@ -211,7 +218,7 @@ class BasicScq {
 
   // Handle overloads: the handle is stateless, so these forward. They give
   // BoundedQueue one call shape across all Ring parameters.
-  void enqueue(Handle&, u64 index) { enqueue(index); }
+  bool enqueue(Handle&, u64 index) { return enqueue(index); }
   std::optional<u64> dequeue(Handle&) { return dequeue(); }
   void enqueue_bulk(Handle&, const u64* indices, std::size_t n) {
     enqueue_bulk(indices, n);
@@ -241,6 +248,71 @@ class BasicScq {
     if constexpr (kGuarded) guard_.release();
   }
 
+  // Appendix A's finalize, as in LSCQ: set FIN in Tail's counter word.
+  // Every reservation drawn after it fails, so the ring takes no new
+  // element. A rank drawn before it is consumed or ⊥-marked by the
+  // dequeuer that claims it, and a ⊥-marked enqueuer reserves again, meets
+  // FIN and fails. Any producer may call it, any number of times; reset()
+  // reopens the ring.
+  void finalize()
+    requires kMultiProducer
+  {
+    word(tail_.value).fetch_or(kTailFin, std::memory_order_seq_cst);
+  }
+
+  // Threshold re-arm, after an insert and before UnboundedQueue's drain
+  // pass over a finalized segment. With one consumer there is nothing to
+  // re-arm (§13 MPSC-THLD). Otherwise a relaxed dirty pre-check (DESIGN.md
+  // §15 THLD-PRECHECK): it only *skips* the re-arm when it reads
+  // threshold_max, a value some thread's re-arm stored. Staleness is not
+  // produced by coherent hardware for a plain load; store-buffer
+  // reordering (non-TSO ISAs: the entry-publishing CAS still buffered) can
+  // under-arm the budget by at most the handful of seq_cst RMWs one drain
+  // window admits, well inside the 3n-1 slack (x86's locked CAS is a full
+  // fence: none there). All cross-thread ordering flows through the
+  // guarded store; the L4 empty-window history check is the regression
+  // net.
+  void reset_threshold() {
+    if constexpr (kMultiConsumer) {
+      if (threshold_.value.load(std::memory_order_relaxed) !=
+          threshold_max()) {
+        WCQ_SCHED_POINT(kThresholdArm);
+        if constexpr (kMultiProducer) {
+#if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
+          // Mutation self-test (DESIGN.md §11): model the re-arm downgraded
+          // to a relaxed store whose visibility is delayed past the next
+          // scheduling point. tests/analysis must catch the false-empty
+          // window this opens.
+          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
+#else
+          threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
+#endif
+        } else {
+          // §15 SPMC-REARM: one producer ⇒ one writer of threshold_max, so
+          // the store is downgraded seq_cst → release. Consumers only read
+          // the threshold through seq_cst fetch_subs, and a fetch_sub that
+          // reads-from this store synchronizes-with it, so the producer's
+          // earlier entry publication (seq_cst CAS, sequenced-before the
+          // store) is visible before any consumer can act on the re-armed
+          // budget. A consumer that decrements *before* the store lands sees
+          // the stale budget — a history seq_cst also admits (the store
+          // merely lands later in S) and one the 3n-1 slack already
+          // tolerates. On x86 this turns the re-arm's xchg into a plain mov.
+#if defined(WCQ_ANALYSIS_MUTATE_RELAXED)
+          // Mutation self-test: the argued release store over-weakened to a
+          // relaxed store whose visibility is deferred past the next
+          // scheduling point — the false-empty window the PCT explorer must
+          // catch (the §15 falsifiability contract).
+          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
+#else
+          threshold_.value.store(threshold_max(), std::memory_order_release);
+#endif
+        }
+        opcount::count_threshold();
+      }
+    }
+  }
+
   // Clear session bindings without touching ring contents. Exclusive-access
   // only; lets destructor and straggler-drain paths running on an arbitrary
   // thread adopt the single role (BoundedQueue::destroy_stragglers).
@@ -257,11 +329,16 @@ class BasicScq {
     return threshold_.value.load(std::memory_order_acquire);
   }
   u64 head() const { return word(head_.value).load(std::memory_order_acquire); }
-  u64 tail() const { return word(tail_.value).load(std::memory_order_acquire); }
+  u64 tail() const {
+    return word(tail_.value).load(std::memory_order_acquire) & ~kTailFin;
+  }
 
   // BasicWCQ (core/wcq.hpp) builds its slow path on the MPMC arms below and
   // on the ring state itself.
  protected:
+  // finalize()'s bit in Tail's counter word; counters stay below 2^62.
+  static constexpr u64 kTailFin = u64{1} << 63;
+
   enum class DeqStatus { kOk, kEmpty, kRetry };
   enum class Step { kGot, kEmpty, kSkip };
   struct Absent {};
@@ -301,13 +378,22 @@ class BasicScq {
   }
 
   // Reserves `n` consecutive Tail ranks (single and bulk enqueue share this)
-  // and returns the first.
-  u64 reserve(std::size_t n) {
+  // into `first`; false when the F&A drew a FIN'd Tail, so the ring is
+  // closed and the ranks are not the caller's.
+  bool reserve(std::size_t n, u64& first) {
     if constexpr (kMultiProducer) {
       WCQ_SCHED_POINT(kTailFaa);
-      const u64 t = word(tail_.value).fetch_add(n, std::memory_order_seq_cst);
+      first = word(tail_.value).fetch_add(n, std::memory_order_seq_cst);
       opcount::count_faa();
-      return t;
+#if defined(WCQ_ANALYSIS_MUTATE_FIN)
+      // Mutation self-test (tests/analysis/test_mutation_fin.cpp): ignore
+      // FIN and use the rank, so a late enqueuer can land its element in a
+      // segment that dequeuers already drained and unlinked.
+      first &= ~kTailFin;
+      return true;
+#else
+      return (first & kTailFin) == 0;
+#endif
     } else {
       // §13 SPMC-TAIL: one writer, so a plain load + seq_cst store occupies
       // exactly the slot in Tail's modification order the F&A would have.
@@ -330,7 +416,8 @@ class BasicScq {
       if (t < hd) t = hd;  // producer-side catchup: ranks below Head are dead
       WCQ_SCHED_POINT(kTailFaa);
       word(tail_.value).store(t + n, std::memory_order_seq_cst);
-      return t;
+      first = t;
+      return true;  // no finalize() on a single-producer ring
     }
   }
 
@@ -378,64 +465,14 @@ class BasicScq {
   // the stale negative threshold linearizes its "empty" before these
   // enqueues (the argument of wCQ deviation 7, DESIGN.md §3).
   std::size_t enq_span(const u64* indices, std::size_t n) {
-    const u64 base = reserve(n);
+    u64 base;
+    if (!reserve(n, base)) return 0;
     std::size_t done = 0;
     for (std::size_t k = 0; k < n && done < n; ++k) {
       if (enq_at(base + k, indices[done], /*rearm=*/false)) ++done;
     }
     reset_threshold();  // one re-arm for the whole span
     return done;
-  }
-
-  // Threshold re-arm. With one consumer there is nothing to re-arm
-  // (§13 MPSC-THLD). Otherwise a relaxed dirty pre-check (DESIGN.md §15
-  // THLD-PRECHECK): it only *skips* the re-arm when it reads threshold_max,
-  // a value some thread's re-arm stored. Staleness is not produced by
-  // coherent hardware for a plain load; store-buffer reordering (non-TSO
-  // ISAs: the entry-publishing CAS still buffered) can under-arm the budget
-  // by at most the handful of seq_cst RMWs one drain window admits, well
-  // inside the 3n-1 slack (x86's locked CAS is a full fence: none there).
-  // All cross-thread ordering flows through the guarded store; the L4
-  // empty-window history check is the regression net.
-  void reset_threshold() {
-    if constexpr (kMultiConsumer) {
-      if (threshold_.value.load(std::memory_order_relaxed) !=
-          threshold_max()) {
-        WCQ_SCHED_POINT(kThresholdArm);
-        if constexpr (kMultiProducer) {
-#if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
-          // Mutation self-test (DESIGN.md §11): model the re-arm downgraded
-          // to a relaxed store whose visibility is delayed past the next
-          // scheduling point. tests/analysis must catch the false-empty
-          // window this opens.
-          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
-#else
-          threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
-#endif
-        } else {
-          // §15 SPMC-REARM: one producer ⇒ one writer of threshold_max, so
-          // the store is downgraded seq_cst → release. Consumers only read
-          // the threshold through seq_cst fetch_subs, and a fetch_sub that
-          // reads-from this store synchronizes-with it, so the producer's
-          // earlier entry publication (seq_cst CAS, sequenced-before the
-          // store) is visible before any consumer can act on the re-armed
-          // budget. A consumer that decrements *before* the store lands sees
-          // the stale budget — a history seq_cst also admits (the store
-          // merely lands later in S) and one the 3n-1 slack already
-          // tolerates. On x86 this turns the re-arm's xchg into a plain mov.
-#if defined(WCQ_ANALYSIS_MUTATE_RELAXED)
-          // Mutation self-test: the argued release store over-weakened to a
-          // relaxed store whose visibility is deferred past the next
-          // scheduling point — the false-empty window the PCT explorer must
-          // catch (the §15 falsifiability contract).
-          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
-#else
-          threshold_.value.store(threshold_max(), std::memory_order_release);
-#endif
-        }
-        opcount::count_threshold();
-      }
-    }
   }
 
   // Fig 3, try_deq's rank reservation: one Head F&A for `n` ranks.
@@ -481,7 +518,7 @@ class BasicScq {
                 raw, fresh, std::memory_order_seq_cst)) {
           continue;
         }
-        const u64 t = word(tail_.value).load(std::memory_order_seq_cst);
+        const u64 t = tail_rank();
         if (t <= h + 1) {
           // With one producer there is no catchup here (§13 SPMC-CATCHUP):
           // the producer pulls Tail forward itself on its next reservation.
@@ -532,9 +569,16 @@ class BasicScq {
     WCQ_RANK_EVENT(consumed, h);
   }
 
+  // Tail's rank, FIN masked off: what every comparison with Head reads.
+  u64 tail_rank() const {
+    return word(tail_.value).load(std::memory_order_seq_cst) & ~kTailFin;
+  }
+
   // Fig 3, catchup: pull Tail forward to Head after draining past it. Purely
   // a contention optimization; iterations are capped (harmless, and wCQ
   // requires the cap for wait-freedom — paper §3.2 "Bounding catchup").
+  // It never clears FIN: `tail` is a masked rank, so the CAS fails against
+  // a FIN'd Tail, and the unmasked reload compares above any Head.
   void catchup(u64 tail, u64 head) {
     for (int i = 0; i < kCatchupMax; ++i) {
       WCQ_SCHED_POINT(kCatchup);
@@ -595,9 +639,7 @@ class BasicScq {
       // completed-unconsumed enqueue exists. Emptiness is O(1) without the
       // 3n-1 counter, which is why the threshold is deleted.
       WCQ_SCHED_POINT(kThresholdCheck);
-      if (word(tail_.value).load(std::memory_order_seq_cst) <= h) {
-        return Step::kEmpty;
-      }
+      if (tail_rank() <= h) return Step::kEmpty;
 #if defined(WCQ_ANALYSIS_MUTATE_MPSC)
       // Mutation self-test (DESIGN.md §13): skip the dead rank WITHOUT
       // ⊥-marking it. A descheduled rank-h producer can then land its

@@ -13,13 +13,17 @@
 //    the outer list here is Michael&Scott-style (lock-free) with hazard
 //    pointers, which preserves the appendix's structure and memory behavior
 //    while the inner rings remain wait-free.
-//  * Finalization is implemented with a segment-level gate instead of the
-//    appendix's Tail finalize bit (which lives inside the ring's F&A word).
-//    An enqueuer announces itself through the hazard it already publishes
-//    on the tail segment, in a slot reserved for enqueues (kEnqSlot): a
-//    segment is unlinked only when it is finalized, drained, and no
-//    thread's enqueue slot holds it, which makes "help finalize, then
-//    append" (Fig 13 lines 21-22) unnecessary.
+//  * Finalization is the appendix's: a FIN bit in the ring's Tail F&A word
+//    (BasicScq::finalize). The claim that runs past a segment's fresh
+//    counter sets it, and an enqueue whose ring reservation draws it fails
+//    and moves on to the successor. A dequeuer that finds the head segment
+//    empty with a successor re-arms its threshold and dequeues once more,
+//    as LSCQ does. That walks Head past every rank drawn before FIN; each
+//    is consumed or ⊥-marked, so no enqueue can land any more and the
+//    segment is unlinked without waiting for anyone.
+//
+// Progress: the outer list is lock-free and the rings are wait-free; no
+// dequeuer waits on an enqueuer's step.
 //
 // One-shot segments (DESIGN.md §4): a segment is its data ring, its payload
 // slots and one fresh-index counter — not Appendix A's Fig 2 ring pair — so
@@ -155,7 +159,7 @@ class UnboundedQueue {
     return Handle(this, tid, /*owned=*/false);
   }
 
-  // Never fails (appends a ring when the last one fills/finalizes; the ring
+  // Never fails (appends a ring when the last one finalizes; the ring
   // comes from the segment pool when one is parked there). The payload moves
   // down the whole chain into its slot and is never copied.
   bool enqueue(T value) {
@@ -166,11 +170,7 @@ class UnboundedQueue {
   bool enqueue(Handle& h, T value) {
     SpanRow& row = *rows_.row(h.tid());
     for (;;) {
-      // The enqueue-slot hazard is also this enqueue's in-flight
-      // announcement: from here until it is cleared, no dequeuer unlinks
-      // ltail (SEG-FIN, DESIGN.md §11).
-      Segment* ltail =
-          HazardDomain::protect(*h.hp_row_, kEnqSlot, tail_.value);
+      Segment* ltail = HazardDomain::protect(*h.hp_row_, 0, tail_.value);
       Segment* next = ltail->next.load(std::memory_order_acquire);
       if (next != nullptr) {
         // Outer tail lags; help swing it (Fig 13 lines 24-27).
@@ -179,15 +179,12 @@ class UnboundedQueue {
         continue;
       }
       if (ltail->enqueue(h.tid(), row, value)) {
-        HazardDomain::clear(*h.hp_row_, kEnqSlot);
+        HazardDomain::clear(*h.hp_row_, 0);
         return true;
       }
-      // Ring full: it is now finalized; append a fresh ring seeded with the
-      // value (Fig 13 lines 7-8, 21-23). The announcement ends here, so a
-      // dequeuer waiting on ltail never waits on the growth path; slot 0
-      // keeps ltail protected for the append CASes.
-      HazardDomain::set(*h.hp_row_, 0, ltail);
-      HazardDomain::clear(*h.hp_row_, kEnqSlot);
+      // The ring is finalized: append a fresh ring seeded with the value
+      // (Fig 13 lines 7-8, 21-23). The hazard keeps ltail alive for the
+      // append CASes.
       Segment* fresh = acquire_segment(h);
       // Empty open ring: cannot fail.
       (void)fresh->enqueue(h.tid(), row, value);
@@ -215,31 +212,29 @@ class UnboundedQueue {
   }
 
   std::optional<T> dequeue(Handle& h) {
-    Backoff bo;
     for (;;) {
       Segment* lhead = HazardDomain::protect(*h.hp_row_, 0, head_.value);
-      if (auto v = lhead->dequeue(h.tid())) {
+      auto v = lhead->dequeue(h.tid());
+      Segment* next =
+          v ? nullptr : lhead->next.load(std::memory_order_acquire);
+      if (next != nullptr) {
+        // Only an enqueue refused by FIN appends, so lhead's Tail carries
+        // FIN: no reservation drawn from now on succeeds there. Re-arm the
+        // threshold and dequeue once more (LSCQ's drain): that walks Head
+        // over the ranks drawn before FIN, consuming or ⊥-marking each, so
+        // a late enqueuer's retry meets FIN and moves on.
+        lhead->aq.reset_threshold();
+        v = lhead->dequeue(h.tid());
+      }
+      if (v || next == nullptr) {
         HazardDomain::clear(*h.hp_row_, 0);
-        return v;
+        return v;  // an element, or empty with no successor
       }
-      Segment* next = lhead->next.load(std::memory_order_acquire);
-      if (next == nullptr) {
-        HazardDomain::clear(*h.hp_row_, 0);
-        return std::nullopt;  // no successor: the queue is empty
-      }
-      // A successor exists, so lhead is finalized. It may only be unlinked
-      // once no enqueuer can still complete on it and it is drained.
-      if (!quiescent(lhead)) {
-        // An announced enqueue may still land here; try dequeuing again.
-        // The announcing enqueuer may be descheduled, so this wait must
-        // back off or it livelocks an oversubscribed host.
-        bo.pause();
-        continue;
-      }
-      if (auto v = lhead->dequeue(h.tid())) {  // drained-check must re-validate
-        HazardDomain::clear(*h.hp_row_, 0);
-        return v;
-      }
+      // Other dequeuers' pending decrements can spend the re-armed 3n-1
+      // budget before the pass reaches Tail (2n+1 of them on an n-element
+      // segment); then walk again. Each pass claims ranks itself, and Tail
+      // moves only by the one F&A of each enqueue that met FIN.
+      if (!lhead->drained()) continue;
       Segment* expected = lhead;
       if (head_.value.compare_exchange_strong(expected, next,
                                               std::memory_order_seq_cst)) {
@@ -252,26 +247,26 @@ class UnboundedQueue {
   // Diagnostic: number of linked segments, safe to call concurrently with
   // enqueue/dequeue on other threads.
   //
-  // The walk is hazard-protected hand-over-hand in slots 0, 2 and 3 (slot 0
-  // is free outside an operation; the enqueue slot is never touched, so the
-  // walk is never mistaken for an in-flight enqueue). The liveness argument
-  // leans on the list's shape: segments are unlinked *only at the head*, so
-  // every node reachable from the current head is linked. The walker pins
-  // the head it started from in slot 0 for the whole walk; after publishing
-  // a hazard on each `next` it re-reads head_ — if head_ still equals the
-  // pinned start, no unlink (and hence no retirement) has happened since
-  // the walk began, so `next` is linked and now protected. If head_ moved,
-  // `next` may already be retired-and-freed (our hazard was published too
-  // late to be seen by that scan), so the walk restarts. head_ cannot ABA
-  // back to the pinned segment: re-linking requires recycling, which the
-  // slot-0 hazard blocks (DESIGN.md §8).
+  // The walk is hazard-protected hand-over-hand in slots 0, 1 and 2 (slot 0
+  // is free outside an operation, and operations use no other slot). The
+  // liveness argument leans on the list's shape: segments are unlinked
+  // *only at the head*, so every node reachable from the current head is
+  // linked. The walker pins the head it started from in slot 0 for the
+  // whole walk; after publishing a hazard on each `next` it re-reads
+  // head_ — if head_ still equals the pinned start, no unlink (and hence
+  // no retirement) has happened since the walk began, so `next` is linked
+  // and now protected. If head_ moved, `next` may already be
+  // retired-and-freed (our hazard was published too late to be seen by
+  // that scan), so the walk restarts. head_ cannot ABA back to the pinned
+  // segment: re-linking requires recycling, which the slot-0 hazard blocks
+  // (DESIGN.md §8).
   u64 live_segments() const {
     Backoff bo;
     for (;;) {
       Segment* h0 = hp_.protect(0, head_.value);
       Segment* s = h0;
       u64 n = 1;
-      unsigned slot = 2;
+      unsigned slot = 1;
       bool restart = false;
       for (;;) {
         Segment* next = s->next.load(std::memory_order_acquire);
@@ -283,11 +278,11 @@ class UnboundedQueue {
         }
         s = next;
         ++n;
-        slot = slot == 2 ? 3 : 2;  // keep the previous hop protected
+        slot = slot == 1 ? 2 : 1;  // keep the previous hop protected
       }
       hp_.clear(0);
+      hp_.clear(1);
       hp_.clear(2);
-      hp_.clear(3);
       if (!restart) return n;
       bo.pause();
     }
@@ -357,46 +352,52 @@ class UnboundedQueue {
       return sizeof(Segment) + aq.heap_bytes() + data.bytes();
     }
 
-    // Reopen a finalized, drained, quiescent segment (exclusive access; the
-    // recycler holds the only reference): rewind the ring and the counter,
-    // detach it from the dead list tail and retag it, so span rows left on
-    // the old incarnation go stale.
+    // Reopen a finalized, drained segment (exclusive access; the recycler
+    // holds the only reference): rewind the ring, clearing FIN, and the
+    // counter, detach it from the dead list tail and retag it, so span
+    // rows left on the old incarnation go stale.
     void reset(u64 generation) {
       destroy_stragglers();
       aq.reset();
       fresh.store(0, std::memory_order_relaxed);
-      finalized.store(false, std::memory_order_relaxed);
       next.store(nullptr, std::memory_order_relaxed);
       gen = generation;
     }
 
     // False once the segment is full: the segment finalizes and no enqueue
     // will ever succeed on it again (so FIFO order across segments holds).
-    // On success `v` is moved-from; on failure it is left intact, so the
+    // On success `v` is moved-from; on failure it holds the value, so the
     // caller can retarget it. The index comes from the tid's span row when
     // it holds one for this incarnation, else from a fresh claim; a claim
     // past the counter's end is what finalizes the segment. Indices other
     // threads still hold in their rows then go unused, so under contention
     // a segment can finalize holding fewer than capacity() elements, but
     // not fewer than 7/8 of them while the registered thread count holds
-    // still (claim() sizes the rows for that). On a published segment the
-    // caller must hold it in its enqueue slot: that hazard, stored before
-    // the gate load below, is the announcement the dequeuers' quiescence
-    // check scans for.
+    // still (claim() sizes the rows for that). A ring enqueue that draws
+    // FIN fails too; the payload then moves back into `v` and the index
+    // stays spent.
     bool enqueue(unsigned tid, SpanRow& row, T& v) {
-      if (finalized.load(std::memory_order_seq_cst)) return false;
       auto ah = aq.handle_for(tid);  // traps on a tid past the ring's records
       u64 idx;
       if (row.seg == this && row.gen == gen && row.next < row.end) {
         idx = row.next++;
       } else if (!claim(row, idx)) {
-        finalized.store(true, std::memory_order_seq_cst);
+        aq.finalize();
         return false;
       }
-      ::new (static_cast<void*>(slot(idx))) T(std::move(v));
-      aq.enqueue(ah, idx);
-      return true;
+      T* p = ::new (static_cast<void*>(slot(idx))) T(std::move(v));
+      if (aq.enqueue(ah, idx)) return true;
+      v = std::move(*p);
+      p->~T();
+      return false;
     }
+
+    // True once Head has passed Tail: every rank an enqueuer drew before
+    // FIN was claimed by a dequeuer, which consumes or ⊥-marks it, so no
+    // enqueue can land here any more. Both loads are each location's own
+    // coherence order: Head only grows, and the Tail read after the
+    // successor's acquire load is at or past the FIN'd value.
+    bool drained() const { return aq.head() >= aq.tail(); }
 
     // The dequeued index is spent until reset(): nothing to recycle.
     std::optional<T> dequeue(unsigned tid) {
@@ -463,30 +464,10 @@ class UnboundedQueue {
     unsigned home_node = 0;
     // Next never-issued index; ≥ capacity() once every index is issued.
     alignas(kCacheLine) std::atomic<u64> fresh{0};
-    // Read by every enqueue attempt, each written once per incarnation:
-    // one shared line.
-    alignas(kCacheLine) std::atomic<bool> finalized{false};
-    std::atomic<Segment*> next{nullptr};
+    // Read by every enqueue attempt, written once per incarnation: its own
+    // line, off the claimers' F&A line.
+    alignas(kCacheLine) std::atomic<Segment*> next{nullptr};
   };
-
-  // True when no enqueuer can still add an element to `s`: it is finalized
-  // and no thread announces an enqueue on it. The finalized load and the
-  // scan's fence pair with the enqueuer's announce-then-gate-load (a Dekker):
-  // an enqueuer the scan misses announced after the fence, so its gate load
-  // sees `finalized` and it backs off. The scan's acquire loads make the
-  // ring writes of an enqueue whose announcement they see cleared visible
-  // to the caller's re-dequeue (SEG-FIN, DESIGN.md §11).
-  bool quiescent(const Segment* s) const {
-    if (!s->finalized.load(std::memory_order_seq_cst)) return false;
-#if defined(WCQ_ANALYSIS_MUTATE_SEGFIN)
-    // Mutation self-test (tests/analysis/test_mutation_segfin.cpp): trust
-    // the gate alone, so an enqueuer that passed it before finalization can
-    // still land its element after the segment is unlinked.
-    return true;
-#else
-    return !hp_.held_in_slot(kEnqSlot, s);
-#endif
-  }
 
   // A generation number no incarnation of this queue's segments has had.
   u64 next_generation() {
@@ -553,11 +534,6 @@ class UnboundedQueue {
   // at most 9 (at order 10 with up to 16 registered threads), the span of
   // a default BoundedQueue magazine refill.
   static constexpr u64 kRowIndices = 8;
-
-  // Hazard slot held only by an enqueue in progress, on the tail segment it
-  // targets: the in-flight announcement quiescent() scans for. Slot 0
-  // protects segments on every other path; live_segments() walks in 0, 2, 3.
-  static constexpr unsigned kEnqSlot = 1;
 
   Options opt_;
   const Topology* topo_ = nullptr;

@@ -42,6 +42,11 @@
 //     never handed out as a reservation by the bare-read path.
 //  6. catchup is iteration-capped (the paper requires this, §3.2).
 //
+// Appendix A's ring finalization is the FIN bit in the first word of the
+// Tail pair (BasicScq::finalize). A fast-path reservation that draws it
+// fails, and so does a slow-path request: slow_faa closes it instead of
+// reserving, and the requester returns false.
+//
 // Progress: wait-free, bounded memory (Theorems 5.8-5.10).
 #pragma once
 
@@ -136,6 +141,8 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
   BasicWCQ& operator=(const BasicWCQ&) = delete;
 
   using Ring::capacity;
+  using Ring::finalize;
+  using Ring::reset_threshold;
   using Ring::ring_size;
   // Tids this ring serves: handle_for traps on any tid at or past it.
   unsigned max_threads() const { return opt_.max_threads; }
@@ -164,20 +171,22 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
   }
 
   // Inserts `index` (< capacity()). The caller guarantees at most
-  // capacity() live indices (Fig 2 indirection provides that). Wait-free.
-  void enqueue(u64 index) {
+  // capacity() live indices (Fig 2 indirection provides that). Fails only
+  // on a finalized ring (Appendix A: a reservation that draws FIN fails,
+  // on either path). Wait-free.
+  bool enqueue(u64 index) {
     Handle h = handle();
-    enqueue(h, index);
+    return enqueue(h, index);
   }
 
-  void enqueue(Handle& h, u64 index) {
+  bool enqueue(Handle& h, u64 index) {
     ThreadRec& rec = *h.rec_;
     help_threads(h);
     // == Fast path (SCQ) ==
     u64 tail = 0;
     for (int i = 0; i < opt_.enq_patience; ++i) {
-      tail = reserve(1);
-      if (enq_at(tail, index, /*rearm=*/true)) return;
+      if (!reserve(1, tail)) return false;
+      if (enq_at(tail, index, /*rearm=*/true)) return true;
     }
     // == Slow path ==
     opcount::count_wcq_enq_slow();
@@ -197,8 +206,11 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
     // caught by the L4 history check (deviation 7, DESIGN.md §3). Re-arm
     // the threshold before responding; an extra reset is always safe.
     reset_threshold();
+    const bool closed =
+        rec.local_tail.load(std::memory_order_acquire) == kClosed;
     rec.pending.store(false, std::memory_order_release);
     rec.seq1.store(seq + 1, std::memory_order_release);
+    return !closed;
   }
 
   // Removes and returns the oldest index, or nullopt when empty. Wait-free.
@@ -266,7 +278,10 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
 
   void enqueue_bulk(Handle& h, const u64* indices, std::size_t n) {
     if (n == 0) return;
-    if (n == 1) return enqueue(h, indices[0]);
+    if (n == 1) {
+      enqueue(h, indices[0]);
+      return;
+    }
     help_threads(h);
     for (std::size_t done = enq_span(indices, n); done < n; ++done) {
       enqueue(h, indices[done]);
@@ -385,6 +400,9 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
   static constexpr u64 kFin = u64{1} << 63;  // request finished: stop helping
   static constexpr u64 kInc = u64{1} << 62;  // Phase 1 done, Phase 2 pending
   static constexpr u64 kCounterMask = kInc - 1;
+  // A request ended by a FIN'd Tail (slow_faa). Its counter bits are all
+  // ones, a rank no finalize_request scan can match.
+  static constexpr u64 kClosed = kFin | kCounterMask;
 
   // Packed (tid, phase2 generation) tag published in the global pair's
   // second word while an increment's Phase 2 is outstanding (deviation 1).
@@ -591,7 +609,7 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
       if (e.cycle < cycle_h) {
         if (!EntryOps::update_value(entries_[j], pair, val)) continue;
       }
-      const u64 t = word(tail_.value).load(std::memory_order_seq_cst);
+      const u64 t = tail_rank();
       if (t <= h + 1) {
         catchup(t, h + 1);
         WCQ_SCHED_POINT(kThresholdCheck);
@@ -614,7 +632,12 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
   // Head/Tail pair. All cooperating threads of one request agree on each
   // reserved counter value through the request's local word; the global
   // counter moves exactly once per reservation. On return `v` holds the
-  // reserved counter (true) or the request is finished (false).
+  // reserved counter (true) or the request is finished (false): done, or
+  // closed because the global counter carries FIN (Appendix A). The close
+  // CASes `local` from `v` to kClosed, the anchor an advance would CAS
+  // from, so the safety argument is the advance's: `v` is the baseline,
+  // a rank the group found dead, or a Phase 1 whose increment can no
+  // longer publish, so no element of this request is produced at it.
   bool slow_faa(Handle& me, AtomicPair128& global, std::atomic<u64>& local,
                 u64& v, std::atomic<i64>* thld, ThreadRec& req_rec,
                 u64 req_seq, u64 init) {
@@ -626,10 +649,12 @@ class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
       const bool have_cnt = load_global_help_phase2(global, local, cnt);
       bool advanced = false;
       if (have_cnt) {
+        const bool fin = (cnt & kTailFin) != 0;
         u64 expect = v;
         WCQ_SCHED_POINT(kSlowLocal);
-        if (local.compare_exchange_strong(expect, cnt | kInc,
+        if (local.compare_exchange_strong(expect, fin ? kClosed : cnt | kInc,
                                           std::memory_order_seq_cst)) {
+          if (fin) return false;
           v = cnt | kInc;  // Phase 1 complete (for this attempt)
           advanced = true;
         }

@@ -101,20 +101,6 @@ void HazardDomain::clear_all() {
   for (auto& s : row.slots) s.store(nullptr, std::memory_order_release);
 }
 
-bool HazardDomain::held_in_slot(unsigned slot, const void* p) const {
-  // The fence orders the caller's preceding seq_cst load (of the state the
-  // announcers check after publishing) before every slot load; high_water()
-  // is read after it, so every row whose publish precedes the fence is
-  // swept. A row chunk is installed before its first publish, so an absent
-  // chunk holds no hazard to sweep (TID-CHUNK).
-  std::atomic_thread_fence(std::memory_order_seq_cst);
-  return impl_->rows.any_present(
-      ThreadRegistry::high_water(), [&](unsigned, const ThreadSlots* row) {
-        WCQ_SCHED_POINT(kHazardScan);
-        return row->slots[slot].load(std::memory_order_acquire) == p;
-      });
-}
-
 void HazardDomain::retire(void* p, void (*deleter)(void*)) {
   retire_common(ThreadRegistry::tid(), p, deleter, nullptr, nullptr);
 }

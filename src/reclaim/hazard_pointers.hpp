@@ -101,14 +101,6 @@ class HazardDomain {
     row.slots[slot].store(nullptr, std::memory_order_release);
   }
 
-  // True when some registered thread's hazard `slot` holds `p`. A slot
-  // reserved for one kind of operation thereby doubles as an announcement
-  // of it (UnboundedQueue's in-flight enqueues, DESIGN.md §4). One seq_cst
-  // fence, then acquire loads of that slot in the rows below high_water():
-  // a publish the scan misses follows the fence in the seq_cst order, and a
-  // clear the scan observes publishes everything the clearer did before it.
-  bool held_in_slot(unsigned slot, const void* p) const;
-
   // Hand `p` to the domain; `deleter(p)` runs once no thread protects it.
   void retire(void* p, void (*deleter)(void*));
 
@@ -141,18 +133,6 @@ class HazardDomain {
 
   struct Impl;
   Impl* impl_;
-};
-
-// RAII guard clearing a domain's slots on scope exit.
-class HazardGuard {
- public:
-  explicit HazardGuard(HazardDomain& d) : d_(d) {}
-  ~HazardGuard() { d_.clear_all(); }
-  HazardGuard(const HazardGuard&) = delete;
-  HazardGuard& operator=(const HazardGuard&) = delete;
-
- private:
-  HazardDomain& d_;
 };
 
 }  // namespace wcq

@@ -137,15 +137,6 @@ class IndexMagazines {
     return take_some_from(m, out, n);
   }
 
-  // Implicit-path wrappers: resolve the calling thread's row through the
-  // registry (one lookup), then run the row-based operation. Unit tests
-  // and any caller without a session handle use these.
-  bool try_take(u64& out) { return try_take_at(mine(), out); }
-  bool try_put(u64 idx) { return try_put_at(mine(), idx); }
-  std::size_t take_some(u64* out, std::size_t n) {
-    return take_some_at(mine(), out, n);
-  }
-
   // --- cross-thread operations --------------------------------------------
 
   // Reclaim sweep: steal one cached index from any magazine but `self`'s.
@@ -164,8 +155,6 @@ class IndexMagazines {
           return take_some_from(m, &out, 1) == 1;
         });
   }
-
-  bool steal(u64& out) { return steal_for(ThreadRegistry::tid(), out); }
 
   // Claim every index cached in `tid`'s magazine (thread-exit flush; also
   // usable cross-thread since takes are CASes). Never installs: a tid
@@ -200,8 +189,6 @@ class IndexMagazines {
   // Row layout per tid: words 0..cap_-1 are the slots, then padding to
   // the row stride (the table's row width).
   using Rows = TidTable<std::atomic<u64>, kDestructiveRange, EmptySlots>;
-
-  std::atomic<u64>* mine() { return rows_.row(ThreadRegistry::tid()); }
 
   std::size_t take_some_from(std::atomic<u64>* m, u64* out, std::size_t n) {
     std::size_t got = 0;

@@ -1,18 +1,19 @@
-// Mutation self-test for UnboundedQueue's segment gate (DESIGN.md §4, §15
-// SEG-FIN): this binary is compiled with WCQ_ANALYSIS_MUTATE_SEGFIN, which
-// makes the dequeuer's quiescence check read `finalized` alone and skip the
-// scan for announced enqueuers. The window: an enqueuer passes the gate and
-// is preempted before its element lands in the segment's ring; a peer fills
-// the segment, finalizes it and appends a new one; a dequeuer drains the
-// old segment and, under the mutation, unlinks it. The stalled enqueuer
-// then lands its element in the unlinked segment, where no dequeue can ever
-// reach it — its own later dequeue on the provably non-empty queue returns
-// empty, which the linearizability checker rejects.
+// Mutation self-test for segment finalization (DESIGN.md §4, §11 RING-FIN):
+// this binary is compiled with WCQ_ANALYSIS_MUTATE_FIN, which makes the
+// ring's Tail reservation ignore the FIN bit and use the rank anyway. The
+// window: an enqueuer claims an index in its segment and is preempted
+// before its ring Tail F&A; a peer fills the segment, finalizes it and
+// appends a new one; a dequeuer drains the old segment and unlinks it.
+// The stalled enqueuer's F&A then draws a FIN'd Tail, and under the
+// mutation it lands its element past the ranks the drain walked, in the
+// unlinked segment, where no dequeue can ever reach it. Its own later
+// dequeues on the provably non-empty queue return empty, which the
+// linearizability checker rejects.
 //
-// This is the detection-power half of the announcement argument: the same
-// explorer that finds nothing wrong with the announcement scan
-// (SchedExplore.UnboundedTinySegments) demonstrably catches the lost
-// element once the scan is removed.
+// This is the detection-power half of the FIN argument: the same explorer
+// that finds nothing wrong with the unmutated queue
+// (SchedExplore.UnboundedTinySegments, UnboundedClaimStallKeepsElement)
+// demonstrably catches the lost element once a reservation ignores FIN.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,8 +24,8 @@
 #include "core/wcq.hpp"
 #include "explore.hpp"
 
-#if !defined(WCQ_ANALYSIS_MUTATE_SEGFIN)
-#error "this binary must be compiled with WCQ_ANALYSIS_MUTATE_SEGFIN"
+#if !defined(WCQ_ANALYSIS_MUTATE_FIN)
+#error "this binary must be compiled with WCQ_ANALYSIS_MUTATE_FIN"
 #endif
 
 namespace wcq {
@@ -39,21 +40,16 @@ using analysis_test::run_schedule;
 using UnboundedU64 = UnboundedQueue<std::uint64_t, WCQ>;
 using Adapter = analysis_test::UnboundedAdapter<UnboundedU64>;
 
-// The catching interleaving needs w0 parked inside its ring enqueue while
-// w1 fills and finalizes the segment and w2 drains and unlinks it — the
-// same order of constraint as the MPSC dead-rank mutation, so the same
-// budget.
+// The catching interleaving needs w0 parked between its segment claim and
+// its ring Tail F&A while w1 fills and finalizes the segment and w2 drains
+// and unlinks it — the same order of constraint as the MPSC dead-rank
+// mutation, so the same budget.
 constexpr std::uint64_t kMaxSchedules = 512;
 
 // PCT draws its change points from [1, horizon]; the default 600 is several
-// times this shape's whole run (~50-110 steps with one-shot segments), so
-// most demotions would land after the last step. Matching the horizon to
-// the run length is the PCT bound's own parameterization, not a seed hunt.
-// One-shot segments left a narrow window — the claim F&A and the ring's
-// Tail F&A — so about 4 schedules in 512 catch the loss here (1 in 55 with
-// the Fig 2 ring pair segments had); ScriptedClaimStallCaught below holds
-// w0 inside that window on purpose. The unmutated queue stays clean on the
-// same scripts over thousands of schedules.
+// times this shape's whole run, so most demotions would land after the
+// last step. Matching the horizon to the run length is the PCT bound's own
+// parameterization, not a seed hunt.
 constexpr std::size_t kHorizon = 120;
 
 // Two-item segments. w0 enqueues one element, then dequeues twice; w1
@@ -70,7 +66,7 @@ std::vector<Script> mutation_scripts() {
   return scripts;
 }
 
-TEST(SchedMutationSegfin, UnannouncedEnqueueLossCaught) {
+TEST(SchedMutationFin, LateEnqueuePastFinCaught) {
   const auto scripts = mutation_scripts();
   for (std::uint64_t seed = 1; seed <= kMaxSchedules; ++seed) {
     auto q = std::make_unique<UnboundedU64>(
@@ -82,8 +78,7 @@ TEST(SchedMutationSegfin, UnannouncedEnqueueLossCaught) {
     const auto r = run_schedule<Adapter>(*q, scripts, cfg);
     ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
     if (!linearizable_fifo(r.history, 64, false)) {
-      std::cout << "UnboundedQueue: unannounced enqueue loss caught at "
-                   "schedule "
+      std::cout << "UnboundedQueue: enqueue past FIN caught at schedule "
                 << seed << " of " << kMaxSchedules << "\n";
       SUCCEED();
       return;
@@ -97,12 +92,12 @@ TEST(SchedMutationSegfin, UnannouncedEnqueueLossCaught) {
 // The same window, scripted: w0 is suspended at its first ring Tail F&A —
 // after its segment claim, before its index reaches the ring — and resumes
 // only once w1 and w2 have finished. A schedule loses w0's element when w0
-// claimed before w1 filled the segment and w2 drains it after w1
-// finalized it: about one in five (104 of 512 seeds), so the catch no
-// longer rests on PCT drawing a preemption inside that two-step window.
+// claimed before w1 filled the segment and w2 drained it after w1
+// finalized it, so the catch does not rest on PCT drawing a preemption
+// inside that two-step window.
 constexpr std::uint64_t kMaxScriptedSchedules = 32;
 
-TEST(SchedMutationSegfin, ScriptedClaimStallCaught) {
+TEST(SchedMutationFin, ScriptedClaimStallCaught) {
   const auto scripts = mutation_scripts();
   for (std::uint64_t seed = 1; seed <= kMaxScriptedSchedules; ++seed) {
     auto q = std::make_unique<UnboundedU64>(
@@ -116,8 +111,8 @@ TEST(SchedMutationSegfin, ScriptedClaimStallCaught) {
     const auto r = run_schedule<Adapter>(*q, scripts, cfg);
     ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
     if (!linearizable_fifo(r.history, 64, false)) {
-      std::cout << "UnboundedQueue: stalled-claim enqueue loss caught at "
-                   "schedule "
+      std::cout << "UnboundedQueue: stalled-claim enqueue past FIN caught "
+                   "at schedule "
                 << seed << " of " << kMaxScriptedSchedules << "\n";
       SUCCEED();
       return;
@@ -127,11 +122,11 @@ TEST(SchedMutationSegfin, ScriptedClaimStallCaught) {
          << " scripted-stall schedules missed the lost enqueue";
 }
 
-// With no scheduler installed the mutated check still runs, but the lost-
-// element window needs an enqueuer stalled inside the gate while peers
-// finalize and unlink its segment, which a sequential run never produces:
-// elements still cross segments in FIFO order.
-TEST(SchedMutationSegfin, PassThroughWithoutScheduler) {
+// With no scheduler installed the mutated reservation still runs, but the
+// lost-element window needs an enqueuer stalled before its F&A while peers
+// finalize, drain and unlink its segment, which a sequential run never
+// produces: elements still cross segments in FIFO order.
+TEST(SchedMutationFin, PassThroughWithoutScheduler) {
   UnboundedU64 q(UnboundedU64::Options{.segment_order = 1});
   for (std::uint64_t v = 0; v < 7; ++v) q.enqueue(v);
   for (std::uint64_t v = 0; v < 7; ++v) {

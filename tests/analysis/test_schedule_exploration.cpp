@@ -10,7 +10,11 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
+#include <thread>
 #include <vector>
+
+#include "common/op_counters.hpp"
 
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
@@ -136,9 +140,8 @@ using UnboundedU64 = UnboundedQueue<std::uint64_t, WCQ>;
 
 // Two-item segments under three-element bursts: every schedule finalizes a
 // segment and appends the next, and dequeues drain and unlink finalized
-// segments — the enqueue-slot announcement (SEG-FIN) under the preemption
-// schedule. The
-// queue is unbounded; occupancy never exceeds the nine scripted elements,
+// segments — the Tail FIN bit (RING-FIN) under the preemption schedule.
+// The queue is unbounded; occupancy never exceeds the nine scripted elements,
 // so any larger capacity makes the checker's full rule inert. The after-run
 // check confirms the run really crossed segments.
 TEST(SchedExplore, UnboundedTinySegments) {
@@ -155,12 +158,13 @@ TEST(SchedExplore, UnboundedTinySegments) {
   EXPECT_EQ(grew, kSeeds) << "a schedule never left the first segment";
 }
 
-// The SEG-FIN window held open (the unmutated twin of
-// SchedMutationSegfin.ScriptedClaimStallCaught): w0 stalls between its
+// The FIN window held open (the unmutated twin of
+// SchedMutationFin.ScriptedClaimStallCaught): w0 stalls between its
 // segment claim and its ring Tail F&A while w1 fills and finalizes the
-// two-element segment and w2 drains it. w2 must wait on w0's announcement
-// instead of unlinking the segment, so once w0 resumes its element is
-// delivered and every history stays linearizable.
+// two-element segment and w2 drains it. The stall lasts until w1 and w2
+// have finished their scripts: w2 unlinks the segment without waiting for
+// w0, whose F&A then draws FIN and moves its element to the successor, so
+// it is delivered and every history stays linearizable.
 TEST(SchedExplore, UnboundedClaimStallKeepsElement) {
   std::vector<Script> scripts(3);
   scripts[0] = {{OpKind::kEnq, 100}, {OpKind::kDeq, 0}, {OpKind::kDeq, 0}};
@@ -176,8 +180,6 @@ TEST(SchedExplore, UnboundedClaimStallKeepsElement) {
     cfg.horizon = 120;
     cfg.stall_victim = 0;
     cfg.stall_site = analysis::Site::kTailFaa;
-    // w2 spins on w0's announcement, so the stall must end on its own.
-    cfg.stall_duration = 300;
     const auto r =
         run_schedule<analysis_test::UnboundedAdapter<UnboundedU64>>(
             *q, scripts, cfg);
@@ -185,6 +187,57 @@ TEST(SchedExplore, UnboundedClaimStallKeepsElement) {
     ASSERT_TRUE(linearizable_fifo(r.history, 64, false))
         << "non-linearizable history, seed " << seed;
   }
+}
+
+// A slow-path enqueue that meets FIN. w0's fast path (patience 1) draws a
+// rank and stalls at its entry update; w1's dequeue claims that rank,
+// ⊥-marks its slot and pulls Tail past it, then w1 finalizes the ring.
+// w0 resumes, fails the rank, and its slow-path request reads a FIN'd
+// Tail in slow_faa: the request closes instead of reserving, and the
+// enqueue returns false with nothing inserted. Where w1 runs first, w0's
+// fast-path F&A draws FIN and fails before any entry update. Either way
+// the enqueue is refused and the ring stays empty; the first shape must
+// occur in some schedule.
+TEST(SchedExplore, WcqSlowEnqueueClosedByFin) {
+  unsigned slow_closes = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    WCQ q(WCQ::Options{.order = 1, .enq_patience = 1, .deq_patience = 1});
+    // Arm the threshold, so w1's dequeue claims a rank instead of taking
+    // the empty fast exit.
+    q.enqueue(0);
+    ASSERT_EQ(q.dequeue(), std::optional<u64>{0});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.workers = 2;
+    cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kEntryUpdate;
+    bool enqueued = true;
+    bool slow = false;
+    {
+      PctScheduler sched(cfg);
+      std::thread enq([&] {
+        sched.attach(0);
+        const auto before = opcount::snapshot();
+        enqueued = q.enqueue(1);
+        slow = (opcount::snapshot() - before).wcq_enq_slow != 0;
+        sched.finish();
+      });
+      std::thread fin([&] {
+        sched.attach(1);
+        (void)q.dequeue();
+        q.finalize();
+        sched.finish();
+      });
+      enq.join();
+      fin.join();
+      ASSERT_FALSE(sched.watchdog_fired()) << "seed " << seed;
+    }
+    EXPECT_FALSE(enqueued) << "seed " << seed;
+    EXPECT_EQ(q.dequeue(), std::nullopt) << "seed " << seed;
+    if (slow) ++slow_closes;
+  }
+  EXPECT_GT(slow_closes, 0u) << "no schedule closed a slow-path request";
 }
 
 }  // namespace

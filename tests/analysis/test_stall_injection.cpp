@@ -13,7 +13,10 @@
 //     the kill: it does nothing further). Producers spill past the dead
 //     consumer's shard via the hierarchical sweep and complete every send;
 //     the surviving consumer and a post-mortem drain account for every
-//     element.
+//     element;
+//   * the "killed enqueuer" unbounded variant — an enqueuer frozen inside
+//     its segment's ring enqueue never holds up the dequeuers: they drain,
+//     unlink and pass the segment it claimed an index in.
 //
 // The PctScheduler's stall mode (Config::stall_victim/stall_after) freezes
 // the victim the first time it reaches its N-th own scheduling point; the
@@ -26,6 +29,8 @@
 #include <thread>
 #include <vector>
 
+#include "core/unbounded_queue.hpp"
+#include "core/wcq.hpp"
 #include "pct_scheduler.hpp"
 #include "runtime/channel.hpp"
 #include "scale/sharded_queue.hpp"
@@ -240,6 +245,71 @@ TEST(StallInjection, KilledPipelineConsumerDoesNotWedgeProducers) {
     EXPECT_EQ(sum, std::uint64_t{kCount} * (kCount - 1) / 2)
         << "seed " << seed;
     EXPECT_EQ(ch.stats().stranded, 0u) << "seed " << seed;
+  }
+}
+
+// Killed enqueuer on an UnboundedQueue of two-item WCQ segments: the
+// victim stalls at its first ring Tail F&A — after claiming an index in the
+// current segment, before the index reaches the ring — and abandons its
+// script when it resumes. The peers fill that segment, finalize it, append
+// more and drain them all while the victim sits frozen: no dequeue waits
+// for the victim, so every element but its own is delivered exactly once
+// and both peers return. The victim's one enqueue completes on resume, and
+// a post-mortem drain finds its element exactly once too.
+TEST(StallInjection, KilledUnboundedEnqueuerDoesNotWedgeDequeuers) {
+  using UQ = UnboundedQueue<std::uint64_t, WCQ>;
+  constexpr unsigned kCount = 8;  // four segments' worth
+  constexpr std::uint64_t kVictimValue = 100;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    UQ q(UQ::Options{.segment_order = 1});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.workers = 3;
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kTailFaa;
+    std::vector<std::uint64_t> got;
+    unsigned victim_enqueued = 0;
+    {
+      PctScheduler sched(cfg);
+      std::thread victim([&] {
+        sched.attach(0);
+        for (unsigned i = 0; i < kCount; ++i) {
+          if (sched.stall_resumed()) break;  // "killed": abandon the script
+          q.enqueue(kVictimValue + i);
+          ++victim_enqueued;
+        }
+        sched.finish();
+      });
+      std::thread producer([&] {
+        sched.attach(1);
+        for (std::uint64_t v = 0; v < kCount; ++v) q.enqueue(v);
+        sched.finish();
+      });
+      std::thread consumer([&] {
+        sched.attach(2);
+        while (got.size() < kCount) {
+          if (auto v = q.dequeue()) got.push_back(*v);
+        }
+        sched.finish();
+      });
+      victim.join();
+      producer.join();
+      consumer.join();
+      ASSERT_FALSE(sched.watchdog_fired())
+          << "a dequeuer waited on the stalled enqueuer, seed " << seed;
+      ASSERT_TRUE(sched.stall_hit()) << "seed " << seed;
+      ASSERT_GT(sched.steps_during_stall(), 0u) << "seed " << seed;
+    }
+    // The stall hits the victim's first enqueue, so it made exactly one.
+    ASSERT_EQ(victim_enqueued, 1u) << "seed " << seed;
+    std::vector<std::uint64_t> want(kCount);
+    for (unsigned i = 0; i < kCount; ++i) want[i] = i;
+    EXPECT_EQ(got, want) << "the producer's elements, in order, seed "
+                         << seed;
+    std::vector<std::uint64_t> rest;
+    while (auto v = q.dequeue()) rest.push_back(*v);
+    EXPECT_EQ(rest, std::vector<std::uint64_t>{kVictimValue})
+        << "seed " << seed;
   }
 }
 

@@ -62,54 +62,6 @@ TEST(HazardPointers, UnprotectedRetireesGetFreedByScans) {
   EXPECT_EQ(Tracked::live.load(), 0);
 }
 
-// held_in_slot() sweeps one slot column across threads: it sees a peer's
-// pointer there, ignores the same pointer held in any other slot (by the
-// peer or by the caller), and stops seeing it once the peer clears.
-TEST(HazardPointers, HeldInSlotSeesOnlyThatSlot) {
-  HazardDomain d;
-  int obj = 0;
-  int other = 0;
-  std::atomic<int> step{0};
-  auto await = [&step](int s) {
-    while (step.load(std::memory_order_acquire) != s) {
-      std::this_thread::yield();
-    }
-  };
-  std::thread peer([&] {
-    d.set(1, &obj);
-    step.store(1, std::memory_order_release);
-    await(2);
-    d.clear(1);
-    step.store(3, std::memory_order_release);
-    await(4);
-    d.set(0, &obj);
-    d.set(2, &obj);
-    d.set(3, &obj);
-    step.store(5, std::memory_order_release);
-    await(6);
-    d.clear_all();
-  });
-
-  await(1);
-  EXPECT_TRUE(d.held_in_slot(1, &obj));
-  EXPECT_FALSE(d.held_in_slot(1, &other));
-  EXPECT_FALSE(d.held_in_slot(0, &obj));
-  step.store(2, std::memory_order_release);
-
-  await(3);
-  EXPECT_FALSE(d.held_in_slot(1, &obj));
-  step.store(4, std::memory_order_release);
-
-  await(5);
-  d.set(0, &obj);
-  EXPECT_FALSE(d.held_in_slot(1, &obj));
-  EXPECT_TRUE(d.held_in_slot(0, &obj));
-  EXPECT_TRUE(d.held_in_slot(2, &obj));
-  d.clear_all();
-  step.store(6, std::memory_order_release);
-  peer.join();
-}
-
 TEST(HazardPointers, ConcurrentReadersNeverTouchFreedMemory) {
   // Writers continuously swap and retire the shared object; readers protect
   // and dereference. Any reclamation bug shows up as a crash/ASAN report,

@@ -40,25 +40,28 @@ TEST(IndexMagazineUnit, DisabledSetIsInert) {
 TEST(IndexMagazineUnit, PutTakeRoundTrip) {
   IndexMagazines mags(8, ThreadRegistry::kMaxThreads);
   ASSERT_TRUE(mags.enabled());
+  std::atomic<u64>* mine = mags.block_for(ThreadRegistry::tid());
   for (u64 i = 0; i < 5; ++i) {
-    ASSERT_TRUE(mags.try_put(100 + i));
+    ASSERT_TRUE(mags.try_put_at(mine, 100 + i));
   }
   EXPECT_EQ(mags.cached_total(), 5u);
   std::set<u64> got;
   u64 v;
-  while (mags.try_take(v)) got.insert(v);
+  while (mags.try_take_at(mine, v)) got.insert(v);
   EXPECT_EQ(got, (std::set<u64>{100, 101, 102, 103, 104}));
   EXPECT_EQ(mags.cached_total(), 0u);
-  EXPECT_FALSE(mags.try_take(v));
+  EXPECT_FALSE(mags.try_take_at(mine, v));
 }
 
 TEST(IndexMagazineUnit, CapacityBound) {
   IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
-  for (u64 i = 0; i < 4; ++i) ASSERT_TRUE(mags.try_put(i));
-  EXPECT_FALSE(mags.try_put(99)) << "a full magazine must reject puts";
+  std::atomic<u64>* mine = mags.block_for(ThreadRegistry::tid());
+  for (u64 i = 0; i < 4; ++i) ASSERT_TRUE(mags.try_put_at(mine, i));
+  EXPECT_FALSE(mags.try_put_at(mine, 99))
+      << "a full magazine must reject puts";
   u64 buf[8];
-  EXPECT_EQ(mags.take_some(buf, 8), 4u);
-  EXPECT_TRUE(mags.try_put(99));
+  EXPECT_EQ(mags.take_some_at(mine, buf, 8), 4u);
+  EXPECT_TRUE(mags.try_put_at(mine, 99));
 }
 
 TEST(IndexMagazineUnit, ConfigCapacityClampsToMaxSlots) {
@@ -68,29 +71,32 @@ TEST(IndexMagazineUnit, ConfigCapacityClampsToMaxSlots) {
 
 TEST(IndexMagazineUnit, StealTakesFromPeerNotSelf) {
   IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
+  const unsigned self = ThreadRegistry::tid();
+  std::atomic<u64>* mine = mags.block_for(self);
   // Our own cached indices are not steal targets (steal is the full-edge
-  // path that runs after try_take already missed).
-  ASSERT_TRUE(mags.try_put(7));
+  // path that runs after try_take_at already missed).
+  ASSERT_TRUE(mags.try_put_at(mine, 7));
   u64 v;
-  EXPECT_FALSE(mags.steal(v));
-  ASSERT_TRUE(mags.try_take(v));
+  EXPECT_FALSE(mags.steal_for(self, v));
+  ASSERT_TRUE(mags.try_take_at(mine, v));
 
   // A parked peer's cached indices are.
   std::atomic<bool> parked{false}, release{false};
   std::thread peer([&] {
-    ASSERT_TRUE(mags.try_put(41));
-    ASSERT_TRUE(mags.try_put(42));
+    std::atomic<u64>* row = mags.block_for(ThreadRegistry::tid());
+    ASSERT_TRUE(mags.try_put_at(row, 41));
+    ASSERT_TRUE(mags.try_put_at(row, 42));
     parked.store(true, std::memory_order_release);
     while (!release.load(std::memory_order_acquire)) {
     }
     // Whatever main did not steal is still drainable by the owner.
     u64 rest[4];
-    const std::size_t left = mags.take_some(rest, 4);
+    const std::size_t left = mags.take_some_at(row, rest, 4);
     EXPECT_EQ(left, 1u);
   });
   while (!parked.load(std::memory_order_acquire)) {
   }
-  ASSERT_TRUE(mags.steal(v));
+  ASSERT_TRUE(mags.steal_for(self, v));
   EXPECT_TRUE(v == 41 || v == 42);
   release.store(true, std::memory_order_release);
   peer.join();
@@ -102,7 +108,8 @@ TEST(IndexMagazineUnit, DrainTidCollectsEverySlot) {
   unsigned peer_tid = 0;
   std::thread peer([&] {
     peer_tid = ThreadRegistry::tid();
-    for (u64 i = 0; i < 6; ++i) ASSERT_TRUE(mags.try_put(i));
+    std::atomic<u64>* row = mags.block_for(peer_tid);
+    for (u64 i = 0; i < 6; ++i) ASSERT_TRUE(mags.try_put_at(row, i));
   });
   peer.join();
   u64 buf[IndexMagazines::kMaxSlots];

@@ -149,8 +149,8 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
   // A segment is one wCQ ring (entries and a record chunk) and its payload
   // slots: no free-index ring, no magazines. Its object is the ring object
   // plus three lines: the cold fields (payload pointer, generation, home
-  // node), the fresh-index counter, and the finalized flag with the next
-  // link.
+  // node), the fresh-index counter, and the next link. Finalization is a
+  // bit in the ring's Tail word and costs no byte.
   const std::int64_t object = static_cast<std::int64_t>(
       AlignedArray<char>::round_up(sizeof(WCQ) + 3 * kCacheLine,
                                    alignof(WCQ)));
