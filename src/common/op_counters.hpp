@@ -17,6 +17,9 @@
 //                  peer's request (enq/deq), a help of a peer's published
 //                  Phase-2 increment, the consume of a two-step (Enq=0) entry
 //                  that finalizes its slow enqueuer's request
+//   hazard_publish — seq_cst hazard-slot stores in HazardDomain's publish
+//                  paths (protect, set), the barrier an UnboundedQueue
+//                  session pays to pin a segment
 //
 // WCQ_EVENTS is the table, one row per counter: X(field, json_key_stem,
 // description). The Counters field, its operator-/operator+=, count_<field>()
@@ -40,7 +43,8 @@
   X(wcq_help_enq, "wcq_help_enq", "wCQ helped peer enqueues per op")          \
   X(wcq_help_deq, "wcq_help_deq", "wCQ helped peer dequeues per op")          \
   X(wcq_phase2_help, "wcq_phase2_help", "wCQ Phase-2 helps per op")           \
-  X(wcq_finalize, "wcq_finalize", "wCQ slow enqueues finalized per op")
+  X(wcq_finalize, "wcq_finalize", "wCQ slow enqueues finalized per op")       \
+  X(hazard_publish, "hazard_publish", "hazard-slot publishes per op")
 // clang-format on
 
 namespace wcq::opcount {

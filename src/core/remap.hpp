@@ -10,6 +10,8 @@
 // 16K (wCQ) operations apart.
 #pragma once
 
+#include <bit>
+#include <cassert>
 #include <cstddef>
 
 #include "common/align.hpp"
@@ -21,27 +23,31 @@ class CacheRemap {
  public:
   // `slot_bytes` is sizeof of one ring slot (8 for SCQ entries, 16 for wCQ
   // entry pairs). `enabled=false` gives the identity map (ablation bench).
+  // Ring sizes and slot sizes are powers of two, so lines is one too and
+  // the map is a mask and two shifts, not a runtime division.
   CacheRemap(u64 ring_size, std::size_t slot_bytes, bool enabled = true) {
     const u64 per_line = kCacheLine / slot_bytes;
+    assert(std::has_single_bit(ring_size) && std::has_single_bit(per_line));
     if (enabled && ring_size > per_line) {
-      per_line_ = per_line;
-      lines_ = ring_size / per_line;
-    } else {
-      per_line_ = 0;  // identity
-      lines_ = 0;
+      const u64 lines = ring_size / per_line;
+      line_mask_ = lines - 1;
+      line_shift_ = static_cast<unsigned>(std::countr_zero(lines));
+      per_line_shift_ = static_cast<unsigned>(std::countr_zero(per_line));
     }
   }
 
+  // (pos % lines) * per_line + pos / lines.
   u64 operator()(u64 pos) const {
-    if (per_line_ == 0) return pos;
-    return (pos % lines_) * per_line_ + pos / lines_;
+    if (line_mask_ == 0) return pos;
+    return ((pos & line_mask_) << per_line_shift_) + (pos >> line_shift_);
   }
 
-  bool enabled() const { return per_line_ != 0; }
+  bool enabled() const { return line_mask_ != 0; }
 
  private:
-  u64 per_line_;
-  u64 lines_;
+  u64 line_mask_ = 0;  // lines - 1; 0 = identity
+  unsigned line_shift_ = 0;
+  unsigned per_line_shift_ = 0;
 };
 
 }  // namespace wcq

@@ -74,8 +74,11 @@ class UnboundedQueue {
   // be cached here — segments come and go — so the handle carries the tid
   // and each segment rebuilds its ring session from it, and each enqueue
   // finds the tid's span row, with zero registry lookups. Owned handles pin
-  // the queue like BoundedQueue's (core/session.hpp). Release has nothing
-  // to flush: a span row left behind is simply never matched again once its
+  // the queue like BoundedQueue's (core/session.hpp), and keep the segment
+  // they last touched published in hazard slot 0 between operations (pin),
+  // so they republish once per segment, not once per operation. Release
+  // clears that slot when it runs on the tid's thread; there is nothing to
+  // flush: a span row left behind is simply never matched again once its
   // segment finalizes or is reset.
   class Handle {
    public:
@@ -170,17 +173,19 @@ class UnboundedQueue {
   bool enqueue(Handle& h, T value) {
     SpanRow& row = *rows_.row(h.tid());
     for (;;) {
-      Segment* ltail = HazardDomain::protect(*h.hp_row_, 0, tail_.value);
+      Segment* ltail = pin(h, tail_.value);
+      if (ltail->enqueue(h.tid(), row, value)) {
+        unpin(h);
+        return true;
+      }
+      // Refused: ltail's Tail carries FIN. Every append follows a refusal,
+      // so only now can ltail have a successor; then the outer tail lags,
+      // and we help swing it (Fig 13 lines 24-27).
       Segment* next = ltail->next.load(std::memory_order_acquire);
       if (next != nullptr) {
-        // Outer tail lags; help swing it (Fig 13 lines 24-27).
         tail_.value.compare_exchange_strong(ltail, next,
                                             std::memory_order_seq_cst);
         continue;
-      }
-      if (ltail->enqueue(h.tid(), row, value)) {
-        HazardDomain::clear(*h.hp_row_, 0);
-        return true;
       }
       // The ring is finalized: append a fresh ring seeded with the value
       // (Fig 13 lines 7-8, 21-23). The hazard keeps ltail alive for the
@@ -189,14 +194,13 @@ class UnboundedQueue {
       // Empty open ring: cannot fail.
       (void)fresh->enqueue(h.tid(), row, value);
       Segment* expected = nullptr;
-      const bool linked = ltail->next.compare_exchange_strong(
-          expected, fresh, std::memory_order_seq_cst);
-      if (linked) {
+      if (ltail->next.compare_exchange_strong(expected, fresh,
+                                              std::memory_order_seq_cst)) {
         tail_.value.compare_exchange_strong(ltail, fresh,
                                             std::memory_order_seq_cst);
+        unpin(h);
+        return true;
       }
-      HazardDomain::clear(*h.hp_row_, 0);
-      if (linked) return true;
       // Somebody appended first; take the seeded element back (we own fresh
       // exclusively, so this dequeue cannot fail) and retry there. The reset
       // in release_segment gives fresh a new generation, so the span row
@@ -213,7 +217,7 @@ class UnboundedQueue {
 
   std::optional<T> dequeue(Handle& h) {
     for (;;) {
-      Segment* lhead = HazardDomain::protect(*h.hp_row_, 0, head_.value);
+      Segment* lhead = pin(h, head_.value);
       auto v = lhead->dequeue(h.tid());
       Segment* next =
           v ? nullptr : lhead->next.load(std::memory_order_acquire);
@@ -227,7 +231,7 @@ class UnboundedQueue {
         v = lhead->dequeue(h.tid());
       }
       if (v || next == nullptr) {
-        HazardDomain::clear(*h.hp_row_, 0);
+        unpin(h);
         return v;  // an element, or empty with no successor
       }
       // Other dequeuers' pending decrements can spend the re-armed 3n-1
@@ -238,6 +242,7 @@ class UnboundedQueue {
       Segment* expected = lhead;
       if (head_.value.compare_exchange_strong(expected, next,
                                               std::memory_order_seq_cst)) {
+        // Even an owned session's slot must not pin what it retires.
         HazardDomain::clear(*h.hp_row_, 0);
         hp_.retire(h.tid(), lhead, &UnboundedQueue::recycle_cb, this);
       }
@@ -247,19 +252,20 @@ class UnboundedQueue {
   // Diagnostic: number of linked segments, safe to call concurrently with
   // enqueue/dequeue on other threads.
   //
-  // The walk is hazard-protected hand-over-hand in slots 0, 1 and 2 (slot 0
-  // is free outside an operation, and operations use no other slot). The
-  // liveness argument leans on the list's shape: segments are unlinked
-  // *only at the head*, so every node reachable from the current head is
-  // linked. The walker pins the head it started from in slot 0 for the
-  // whole walk; after publishing a hazard on each `next` it re-reads
-  // head_ — if head_ still equals the pinned start, no unlink (and hence
-  // no retirement) has happened since the walk began, so `next` is linked
-  // and now protected. If head_ moved, `next` may already be
-  // retired-and-freed (our hazard was published too late to be seen by
-  // that scan), so the walk restarts. head_ cannot ABA back to the pinned
-  // segment: re-linking requires recycling, which the slot-0 hazard blocks
-  // (DESIGN.md §8).
+  // The walk is hazard-protected hand-over-hand in slots 0, 1 and 2
+  // (operations use no other slot, and none runs on this thread meanwhile;
+  // an owned session whose slot 0 the walk overwrites and clears publishes
+  // again on its next operation). The liveness argument leans on the
+  // list's shape: segments are unlinked *only at the head*, so every node
+  // reachable from the current head is linked. The walker pins the head
+  // it started from in slot 0 for the whole walk; after publishing a
+  // hazard on each `next` it re-reads head_ — if head_ still equals the
+  // pinned start, no unlink (and hence no retirement) has happened since
+  // the walk began, so `next` is linked and now protected. If head_ moved,
+  // `next` may already be retired-and-freed (our hazard was published too
+  // late to be seen by that scan), so the walk restarts. head_ cannot ABA
+  // back to the pinned segment: re-linking requires recycling, which the
+  // slot-0 hazard blocks (DESIGN.md §8).
   u64 live_segments() const {
     Backoff bo;
     for (;;) {
@@ -308,9 +314,37 @@ class UnboundedQueue {
 
  private:
   friend class SessionOwner<UnboundedQueue>;
-  void release_session(unsigned /*tid*/) { sessions_.remove(); }
+  // An owned session's slot 0 outlives its operations (pin); clear it when
+  // the session ends on the thread that holds its tid. Another thread must
+  // leave it: the tid's owner may be mid-operation on that slot. The slot
+  // then pins at most one segment until the tid's next operation.
+  void release_session(unsigned tid) {
+    if (ThreadRegistry::holds(tid)) {
+      HazardDomain::clear(*hp_.slots_for(tid), 0);
+    }
+    sessions_.remove();
+  }
 
   struct Segment;
+
+  // Protect the segment `src` points to in the session's slot 0. A view
+  // publishes it on every operation. An owned session's slot stays set
+  // between operations (DESIGN.md §8), so it publishes only when its
+  // slot holds another segment: one relaxed load of its own slot in place
+  // of a seq_cst store. Enqueues and dequeues share the slot, so a session
+  // pins only the segment it last touched.
+  static Segment* pin(const Handle& h, const std::atomic<Segment*>& src) {
+    if (h.owner_.owned()) {
+      Segment* s = src.load(std::memory_order_acquire);
+      if (HazardDomain::holds(*h.hp_row_, 0, s)) return s;
+    }
+    return HazardDomain::protect(*h.hp_row_, 0, src);
+  }
+
+  // End of an operation: a view clears its slot, an owned session keeps it.
+  static void unpin(const Handle& h) {
+    if (!h.owner_.owned()) HazardDomain::clear(*h.hp_row_, 0);
+  }
 
   // One tid's unused claimed indices (DESIGN.md §4): [next, end) of the
   // segment `seg` at generation `gen`. Only the tid's thread touches its

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/alloc_meter.hpp"
+#include "common/op_counters.hpp"
 #include "common/tid_table.hpp"
 
 namespace wcq {
@@ -76,6 +77,7 @@ void* HazardDomain::protect_raw(unsigned slot,
   void* p = src.load(std::memory_order_acquire);
   for (;;) {
     WCQ_SCHED_POINT(kHazardProtect);
+    opcount::count_hazard_publish();
     cell.store(p, std::memory_order_seq_cst);
     void* again = src.load(std::memory_order_acquire);
     if (again == p) return p;
@@ -85,6 +87,7 @@ void* HazardDomain::protect_raw(unsigned slot,
 
 void HazardDomain::set_raw(unsigned slot, void* p) {
   WCQ_SCHED_POINT(kHazardProtect);
+  opcount::count_hazard_publish();
   slots_for(ThreadRegistry::tid())->slots[slot].store(
       p, std::memory_order_seq_cst);
 }

@@ -18,6 +18,7 @@
 
 #include "analysis/sched_point.hpp"
 #include "common/align.hpp"
+#include "common/op_counters.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -59,7 +60,8 @@ class HazardDomain {
   ThreadSlots* slots_for(unsigned tid);
 
   // Publish `src`'s current value in the calling thread's hazard slot and
-  // re-validate until stable. Returns the protected pointer.
+  // re-validate until stable. Returns the protected pointer. Every publish
+  // path counts each seq_cst slot store (opcount hazard_publish).
   template <typename T>
   T* protect(unsigned slot, const std::atomic<T*>& src) {
     void* p = protect_raw(slot, reinterpret_cast<const std::atomic<void*>&>(src));
@@ -75,6 +77,7 @@ class HazardDomain {
     T* p = src.load(std::memory_order_acquire);
     for (;;) {
       WCQ_SCHED_POINT(kHazardProtect);
+      opcount::count_hazard_publish();
       row.slots[slot].store(static_cast<void*>(p), std::memory_order_seq_cst);
       T* again = src.load(std::memory_order_acquire);
       if (again == p) return p;
@@ -91,7 +94,16 @@ class HazardDomain {
   template <typename T>
   static void set(ThreadSlots& row, unsigned slot, T* p) {
     WCQ_SCHED_POINT(kHazardProtect);
+    opcount::count_hazard_publish();
     row.slots[slot].store(static_cast<void*>(p), std::memory_order_seq_cst);
+  }
+
+  // Whether `row`'s `slot` holds `p`. Only the thread that owns the row may
+  // ask: it is the slot's only writer, so the relaxed load reads its own
+  // last publish or clear (HP-OWN, DESIGN.md §11). A session that finds its
+  // segment still published skips the seq_cst store of a fresh protect.
+  static bool holds(const ThreadSlots& row, unsigned slot, const void* p) {
+    return row.slots[slot].load(std::memory_order_relaxed) == p;
   }
 
   void clear(unsigned slot);

@@ -91,15 +91,20 @@ void release_slot(unsigned slot) {
   g_live.fetch_sub(1, std::memory_order_relaxed);
 }
 
+// The calling thread's slot while it holds one, else -1 (holds() reads it
+// without constructing the SlotHolder).
+thread_local int tl_slot = -1;
+
 struct SlotHolder {
   unsigned slot;
-  SlotHolder() : slot(acquire_slot()) {}
+  SlotHolder() : slot(acquire_slot()) { tl_slot = static_cast<int>(slot); }
   ~SlotHolder() {
     // Hooks run first: the slot is still this thread's, so a hook may issue
     // queue operations (the magazine flush enqueues into fq, whose ring
     // reads ThreadRegistry::tid() — re-entering tid() here returns this
     // holder's still-alive `slot` member, valid for the whole dtor body).
     run_exit_hooks(slot);
+    tl_slot = -1;
     release_slot(slot);
   }
 };
@@ -110,6 +115,10 @@ unsigned ThreadRegistry::tid() {
   thread_local SlotHolder holder;
   opcount::count_registry();
   return holder.slot;
+}
+
+bool ThreadRegistry::holds(unsigned tid) {
+  return tl_slot == static_cast<int>(tid);
 }
 
 unsigned ThreadRegistry::high_water() {

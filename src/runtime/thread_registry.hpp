@@ -42,6 +42,11 @@ class ThreadRegistry {
   // operation, and the bench gate asserts that reduction.
   static unsigned tid();
 
+  // Whether the calling thread holds `tid` now. Registers nothing and is
+  // not metered: a session released on a thread other than its owner's
+  // uses it to leave the owner's per-tid state alone.
+  static bool holds(unsigned tid);
+
   // One past the highest slot ever acquired; helping loops iterate only
   // [0, high_water()) instead of the full kMaxThreads. The acquire load here
   // pairs with the release advance in acquire_slot(), so a scan that

@@ -112,6 +112,33 @@ struct BoundedAdapter {
 template <typename Unbounded>
 using UnboundedAdapter = BoundedAdapter<Unbounded, false>;
 
+// UnboundedQueue through owned sessions: each worker acquires one on its
+// first op and keeps it, so its hazard slot stays published between ops
+// (DESIGN.md §8); run_schedule ends it on the worker's thread, still under
+// the scheduler, through end_session().
+template <typename Unbounded>
+struct OwnedUnboundedAdapter {
+  using Queue = Unbounded;
+  static constexpr bool kAllowSpuriousFull = false;
+  static bool enq(Queue& q, std::uint64_t v) {
+    return q.enqueue(session(q), v);
+  }
+  static std::optional<std::uint64_t> deq(Queue& q) {
+    return q.dequeue(session(q));
+  }
+  static void end_session() { held().reset(); }
+
+ private:
+  static std::optional<typename Queue::Handle>& held() {
+    thread_local std::optional<typename Queue::Handle> h;
+    return h;
+  }
+  static typename Queue::Handle& session(Queue& q) {
+    if (!held()) held().emplace(q.acquire());
+    return *held();
+  }
+};
+
 struct ScheduleResult {
   std::vector<OpRec> history;
   std::vector<std::uint8_t> trace;
@@ -158,6 +185,9 @@ ScheduleResult run_schedule(typename Adapter::Queue& q,
           recs[w].push_back(r);
           const std::size_t steps = sched.own_steps(w) - s0;
           if (steps > max_steps[w]) max_steps[w] = steps;
+        }
+        if constexpr (requires { Adapter::end_session(); }) {
+          Adapter::end_session();
         }
         sched.finish();
       });

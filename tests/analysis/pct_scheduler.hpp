@@ -25,10 +25,12 @@
 //    gets the processor — the scheduling-fairness analogue the algorithms'
 //    lock-freedom arguments assume.
 //
-//  * A wall-clock watchdog is the wedge net: if no grant can be handed out
-//    for `watchdog` (a worker blocked in uninstrumented code, a real
-//    deadlock), the scheduler flips to free-running so the test fails with a
-//    diagnosis instead of hanging CTest.
+//  * A wall-clock watchdog is the wedge net: once a schedule has run for
+//    `watchdog` (a worker blocked in uninstrumented code, a real deadlock,
+//    or runnable workers spinning on a stalled peer), the scheduler flips to
+//    free-running so the test fails with a diagnosis instead of hanging
+//    CTest. It is checked at every step as well as on every idle poll: a
+//    schedule that keeps granting steps never times a poll out.
 //
 // Threads the scheduler never attached (the test's main thread constructing
 // the queue, detached teardown work) pass through sched points untouched.
@@ -213,6 +215,8 @@ class PctScheduler {
     ++total_steps_;
     ++st.steps;
     ++st.consecutive;
+    check_watchdog();
+    if (free_run_) return;
     if (stall_hit_ && !stall_resumed_ && w != cfg_.stall_victim) {
       ++steps_during_stall_;
       if (cfg_.stall_duration != 0 &&
@@ -291,7 +295,7 @@ class PctScheduler {
     return true;
   }
 
-  // Called with mu_ held after a poll timeout.
+  // Called with mu_ held at every step and after every poll timeout.
   void check_watchdog() {
     if (std::chrono::steady_clock::now() - start_ > cfg_.watchdog) {
       free_run_ = true;

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,43 @@ TEST(SchedExplore, UnboundedClaimStallKeepsElement) {
     ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
     ASSERT_TRUE(linearizable_fifo(r.history, 64, false))
         << "non-linearizable history, seed " << seed;
+  }
+}
+
+// The same FIN window with every worker on an owned session, whose hazard
+// slot stays published between its ops: w0's slot keeps the segment its
+// stalled enqueue claimed in, so w2 retires that segment under it. The
+// history must linearize, and the dequeued elements plus a post-run drain
+// must hold each enqueued element exactly once.
+TEST(SchedExplore, UnboundedClaimStallOwnedSessionsExactlyOnce) {
+  std::vector<Script> scripts(3);
+  scripts[0] = {{OpKind::kEnq, 100}, {OpKind::kDeq, 0}, {OpKind::kDeq, 0}};
+  scripts[1] = {{OpKind::kEnq, 1}, {OpKind::kEnq, 2}, {OpKind::kEnq, 3}};
+  scripts[2] = {{OpKind::kDeq, 0}, {OpKind::kDeq, 0}, {OpKind::kDeq, 0},
+                {OpKind::kDeq, 0}};
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    auto q = std::make_unique<UnboundedU64>(
+        UnboundedU64::Options{.segment_order = 1});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+    cfg.horizon = 120;
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kTailFaa;
+    const auto r =
+        run_schedule<analysis_test::OwnedUnboundedAdapter<UnboundedU64>>(
+            *q, scripts, cfg);
+    ASSERT_FALSE(r.watchdog_fired) << "scheduler wedged, seed " << seed;
+    ASSERT_TRUE(linearizable_fifo(r.history, 64, false))
+        << "non-linearizable history, seed " << seed;
+    std::multiset<std::uint64_t> sent, got;
+    for (const auto& op : r.history) {
+      if (op.is_enq) sent.insert(op.value);
+      if (!op.is_enq && op.ok) got.insert(op.value);
+    }
+    while (auto v = q->dequeue()) got.insert(*v);
+    ASSERT_EQ(got, sent) << "lost or duplicated element, seed " << seed;
+    ASSERT_EQ(q->live_handles(), 0) << "seed " << seed;
   }
 }
 

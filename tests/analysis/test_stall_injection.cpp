@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -39,6 +40,42 @@ namespace wcq {
 namespace {
 
 using analysis_test::PctScheduler;
+
+// The watchdog ends a schedule that never idles: w1 spins, one step per
+// pass, on a flag only the stalled w0 sets. w1 is always grantable, so no
+// poll ever times out and only the check on the step path can fire the
+// watchdog; free-running then releases w0, which sets the flag.
+TEST(StallInjection, WatchdogEndsPeerSpinningOnStalledVictim) {
+  PctScheduler::Config cfg;
+  cfg.workers = 2;
+  cfg.stall_victim = 0;
+  cfg.watchdog = std::chrono::milliseconds(200);
+  std::atomic<bool> flag{false};
+  bool fired = false;
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    PctScheduler sched(cfg);
+    std::thread victim([&] {
+      sched.attach(0);
+      WCQ_SCHED_POINT(kOpBoundary);  // the stall hits here
+      flag.store(true, std::memory_order_release);
+      sched.finish();
+    });
+    std::thread spinner([&] {
+      sched.attach(1);
+      while (!flag.load(std::memory_order_acquire)) {
+        WCQ_SCHED_POINT(kOpBoundary);
+      }
+      sched.finish();
+    });
+    victim.join();
+    spinner.join();
+    fired = sched.watchdog_fired();
+    EXPECT_TRUE(sched.stall_hit());
+  }
+  EXPECT_TRUE(fired);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(10));
+}
 
 // Victim receiver frozen mid-dequeue; producer + second receiver complete
 // the entire workload against it; close() terminates everyone.

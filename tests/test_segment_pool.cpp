@@ -265,13 +265,16 @@ TEST(SegmentPoolTest, ConcurrentOwnershipExactlyOnce) {
 // Racing puts respect the cap together, not only one at a time: with a
 // check-then-put every racer can pass the same below-cap check and park,
 // which is how MpmcChurnBoundedAndWalkSafe saw one segment over the cap.
-// Each round releases four threads at an emptied pool at once.
+// Each round releases four threads at an emptied pool at once. The slot
+// array is sized past any registry high water, so the cap under test is
+// always the dynamic one, however many threads earlier tests registered.
 TEST(SegmentPoolTest, ConcurrentPutsNeverExceedCap) {
   constexpr unsigned kThreads = 4;
+  constexpr std::size_t kSlots = 2 * (ThreadRegistry::kMaxThreads + 1);
   (void)ThreadRegistry::tid();
-  SegmentPool<int> pool(64);
+  SegmentPool<int> pool(kSlots);
   const std::size_t cap = pool.cap();
-  ASSERT_LT(cap, 64u) << "the slot ceiling would hide the dynamic cap";
+  ASSERT_LT(cap, kSlots) << "the slot ceiling would hide the dynamic cap";
   const u64 rounds = testing::scale_items(4000);
   std::vector<int> nodes(kThreads * cap);
 

@@ -8,10 +8,12 @@
 #include <condition_variable>
 #include <functional>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "common/op_counters.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
 #include "reclaim/hazard_pointers.hpp"
@@ -286,6 +288,110 @@ TYPED_TEST(UnboundedQueueTest, IdleProducersStrandAtMostAnEighth) {
   }
   for (u64 i = 0; i < kBusy; ++i) ASSERT_EQ(q.dequeue().value(), i);
   EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// Hazard publishes (opcount hazard_publish, DESIGN.md §8): one thread puts
+// 8 segments' worth of elements through order-6 segments, then takes them
+// all back. An owned session republishes slot 0 only when the segment it
+// touches changes: each phase visits every segment once.
+constexpr unsigned kPubOrder = 6;
+constexpr u64 kPubSegments = 8;
+constexpr u64 kPubItems = kPubSegments << kPubOrder;
+
+TEST(UnboundedHazardPublish, OwnedSessionPublishesOncePerSegment) {
+  UnboundedQueue<u64> q(kPubOrder);
+  auto h = q.acquire();
+  const auto before = opcount::snapshot();
+  for (u64 i = 0; i < kPubItems; ++i) ASSERT_TRUE(q.enqueue(h, i));
+  for (u64 i = 0; i < kPubItems; ++i) ASSERT_EQ(q.dequeue(h).value(), i);
+  const u64 published = (opcount::snapshot() - before).hazard_publish;
+  const u64 visits = 2 * kPubSegments;
+  EXPECT_LE(published, visits + 2) << "segment visits " << visits;
+}
+
+// The same traffic through the implicit API (per-op views) publishes once
+// per operation, and once more for each dequeue that unlinks a drained
+// segment and moves on to its successor: 7 of the 8.
+TEST(UnboundedHazardPublish, ImplicitOpsPublishEveryOperation) {
+  UnboundedQueue<u64> q(kPubOrder);
+  const auto before = opcount::snapshot();
+  for (u64 i = 0; i < kPubItems; ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < kPubItems; ++i) ASSERT_EQ(q.dequeue().value(), i);
+  const u64 published = (opcount::snapshot() - before).hazard_publish;
+  EXPECT_EQ(published, 2 * kPubItems + (kPubSegments - 1));
+}
+
+// An idle owned session pins the one segment it last touched (DESIGN.md
+// §8). B fills five 4-element segments; A takes one element from the first,
+// S, and goes idle; B drains S, unlinks it and retires it. Each later
+// segment B drains is retired with a scan (the queue's domain scans every
+// 2 retirements), which must keep S retired and out of the pool while it
+// pools the other one, until A's slot lets go of S.
+class PinnedSegment {
+ public:
+  using Q = UnboundedQueue<u64>;
+  static constexpr u64 kCap = 4;
+
+  PinnedSegment() : q_(2) {
+    a_.run([&] { ha_.emplace(q_.acquire()); });
+    b_.run([&] {
+      hb_.emplace(q_.acquire());
+      for (u64 i = 0; i < 5 * kCap; ++i) EXPECT_TRUE(q_.enqueue(*hb_, i));
+    });
+    a_.run([&] { EXPECT_EQ(q_.dequeue(*ha_), std::optional<u64>{0}); });
+    retire_next();  // S
+  }
+
+  ~PinnedSegment() {
+    b_.run([&] { hb_.reset(); });
+    a_.run([&] { ha_.reset(); });
+  }
+
+  // B dequeues the next kCap elements; the last crosses into the next
+  // segment, so B unlinks and retires the one it drained.
+  void retire_next() {
+    b_.run([&] {
+      for (u64 k = 0; k < kCap; ++k) {
+        EXPECT_EQ(q_.dequeue(*hb_), std::optional<u64>{next_++});
+      }
+    });
+  }
+
+  Q q_;
+  StepThread a_, b_;
+  std::optional<Q::Handle> ha_, hb_;
+  u64 next_ = 1;
+};
+
+TEST(UnboundedHazardPin, IdleSessionPinsItsSegmentUntilReleased) {
+  PinnedSegment t;
+  for (u64 k = 1; k <= 2; ++k) {
+    t.retire_next();
+    EXPECT_EQ(t.q_.retired_segments(), 1u) << "S was recycled under A's slot";
+    EXPECT_EQ(t.q_.pooled_segments(), k);
+  }
+  t.a_.run([&] { t.ha_.reset(); });  // released on A's own thread
+  t.retire_next();
+  EXPECT_EQ(t.q_.retired_segments(), 0u) << "the release left S pinned";
+  EXPECT_EQ(t.q_.pooled_segments(), 4u);
+}
+
+// A release on another thread must leave the slot alone (the tid's owner
+// could be mid-operation on it), so S stays pinned until that tid's next
+// operation moves the slot on.
+TEST(UnboundedHazardPin, CrossThreadReleaseKeepsPinUntilTidsNextOp) {
+  PinnedSegment t;
+  t.ha_.reset();  // released on this thread, not A's
+  t.retire_next();
+  EXPECT_EQ(t.q_.retired_segments(), 1u)
+      << "a foreign release cleared A's slot";
+  EXPECT_EQ(t.q_.pooled_segments(), 1u);
+  // A's tid moves on: its enqueue of the next element in line publishes
+  // on the full tail segment, appends the pooled one and clears.
+  t.a_.run([&] { EXPECT_TRUE(t.q_.enqueue(5 * PinnedSegment::kCap)); });
+  t.retire_next();
+  EXPECT_EQ(t.q_.retired_segments(), 0u) << "S stayed pinned";
+  EXPECT_EQ(t.q_.pooled_segments(), 2u);
 }
 
 }  // namespace
