@@ -14,8 +14,6 @@ Each check then asserts one of these on every record:
   "le": [a, b, ...]     a <= b <= ...
   "min_reduction": x    1 - metric / vs-metric >= x
   "min_ratio": x        metric / vs-metric >= x
-  "on_node": k          the per-node list "metric" is non-empty and all of
-                        its sum sits at index k
 where a, b, ... are numbers or dotted keys into the record. A missing
 panel, series or key, or a check with no comparable points, fails the gate.
 Counter and accounting properties only: the gates hold on a 1-core host.
@@ -97,11 +95,6 @@ def verdict(check, rec, ref):
         return all(x <= y for x, y in zip(vals, vals[1:])), what
     metric = check["metric"]
     v = value(rec, metric)
-    if "on_node" in check:
-        k = check["on_node"]
-        total = sum(v) if v else 0
-        ok = bool(v) and (total == 0 or (k < len(v) and v[k] == total))
-        return ok, f"{metric}={v} (all on node {k})"
     base = value(ref, metric)
     if base <= 0:
         raise GateError(f"{check['vs']} {metric}={base}, expected > 0")

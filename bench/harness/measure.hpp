@@ -120,9 +120,6 @@ inline const MetricInfo& info(Metric m) {
 struct PointResult {
   unsigned threads = 0;
   std::array<Summary, kMetricCount> metrics;
-  // Per-node throughput, node_mops[k] = Mops executed by workers placed on
-  // node k under the pin policy (empty when unpinned: placement unknown).
-  std::vector<Summary> node_mops;
 
   const Summary& operator[](Metric m) const {
     return metrics[static_cast<std::size_t>(m)];
@@ -415,18 +412,12 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
   // force that outside the measured window so the first hazard-using
   // series does not absorb a one-time charge into its run-0 samples.
   (void)HazardDomain::global();
-  const Topology& topo = Topology::instance();
-  const Topology::PinSpec pin_spec =
-      Topology::parse_pin_spec(p.pin_policy).value_or(Topology::PinSpec{});
-  // Per-node attribution needs a known placement; unpinned workers float.
-  const unsigned node_buckets = p.pin ? topo.node_count() : 0;
   PointResult result;
   result.threads = threads;
   std::array<std::vector<double>, kMetricCount> samples;
   auto sample = [&samples](Metric m, double v) {
     samples[static_cast<std::size_t>(m)].push_back(v);
   };
-  std::vector<std::vector<double>> node_samples(node_buckets);
 
   for (unsigned run = 0; run < p.runs; ++run) {
     alloc_meter::reset_peak();
@@ -451,7 +442,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     ts.reserve(threads);
     for (unsigned t = 0; t < threads; ++t) {
       ts.emplace_back([&, t] {
-        if (p.pin) pin_thread(t, pin_spec, topo);
+        if (p.pin) pin_thread(t);
         const u64 my_ops = per_thread + (t < remainder ? 1 : 0);
         // Session attach (handle adapters) happens here, outside the
         // measured window and the counter snapshots: a pool worker pays it
@@ -505,19 +496,6 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     sample(Metric::kProdFaa, prod.per_op(prod.c.faa));
     sample(Metric::kProdThld, prod.per_op(prod.c.threshold));
 
-    // Per-node throughput: worker t's executed ops are attributed to the
-    // node the pin policy placed it on (deterministic by construction).
-    if (node_buckets > 0) {
-      std::vector<u64> node_ops(node_buckets, 0);
-      for (unsigned t = 0; t < threads; ++t) {
-        node_ops[topo.node_for(pin_spec, t)] += executed[t];
-      }
-      for (unsigned k = 0; k < node_buckets; ++k) {
-        node_samples[k].push_back(static_cast<double>(node_ops[k]) / secs /
-                                  1e6);
-      }
-    }
-
     const std::int64_t live = alloc_meter::live_bytes() - live_before;
     sample(Metric::kLiveBytes, static_cast<double>(live));
     // Bytes the queue holds beyond its elements' own u64 payloads, per
@@ -538,9 +516,6 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
   }
   for (std::size_t m = 0; m < kMetricCount; ++m) {
     result.metrics[m] = summarize(samples[m]);
-  }
-  for (const auto& node : node_samples) {
-    result.node_mops.push_back(summarize(node));
   }
   return result;
 }

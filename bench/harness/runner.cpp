@@ -9,10 +9,9 @@ namespace wcq::bench {
 void print_preamble(const std::string& figure, const std::string& caption,
                     const BenchParams& p) {
   std::printf("# %s — %s\n", figure.c_str(), caption.c_str());
-  std::printf("# workload=%s ops=%llu runs=%u pin=%d policy=%s\n",
+  std::printf("# workload=%s ops=%llu runs=%u pin=%d\n",
               workload_name(p.workload),
-              static_cast<unsigned long long>(p.ops), p.runs, p.pin ? 1 : 0,
-              p.pin_policy.c_str());
+              static_cast<unsigned long long>(p.ops), p.runs, p.pin ? 1 : 0);
   std::printf(
       "# (paper scale: WCQ_BENCH_FULL=1 or --full → 10 runs x 10M ops)\n");
 }
@@ -45,35 +44,6 @@ void print_metric_table(Metric m, const std::vector<Series>& series,
       } else {
         std::printf(",-");
       }
-    }
-    std::printf("\n");
-  }
-}
-
-void print_node_table(const std::vector<Series>& series,
-                      const std::vector<unsigned>& threads) {
-  std::printf("threads");
-  for (const auto& s : series) {
-    std::printf(",%s[node*|steals]", s.name.c_str());
-  }
-  std::printf("   (per-node Mops | remote steals per op)\n");
-  for (unsigned t : threads) {
-    std::printf("%7u", t);
-    for (const auto& s : series) {
-      const PointResult* pt = find_point(s, t);
-      if (pt == nullptr) {
-        std::printf(",-");
-        continue;
-      }
-      std::printf(",");
-      if (pt->node_mops.empty()) {
-        std::printf("unpinned");
-      } else {
-        for (std::size_t k = 0; k < pt->node_mops.size(); ++k) {
-          std::printf("%s%.2f", k == 0 ? "" : "/", pt->node_mops[k].mean);
-        }
-      }
-      std::printf("|%.3f", (*pt)[Metric::remote_steal_per_op].mean);
     }
     std::printf("\n");
   }
@@ -153,12 +123,7 @@ bool JsonReport::write(const std::string& path) const {
             std::fprintf(f, ", \"mops_cv\": %.6f", pt.metrics[m].cv);
           }
         }
-        std::fprintf(f, ", \"node_mops_mean\": [");
-        for (std::size_t k = 0; k < pt.node_mops.size(); ++k) {
-          std::fprintf(f, "%s%.6f", k == 0 ? "" : ", ",
-                       pt.node_mops[k].mean);
-        }
-        std::fprintf(f, "]}%s\n", qi + 1 < s.points.size() ? "," : "");
+        std::fprintf(f, "}%s\n", qi + 1 < s.points.size() ? "," : "");
       }
       std::fprintf(f, "      ]}%s\n",
                    si + 1 < p.series.size() ? "," : "");

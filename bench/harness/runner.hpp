@@ -26,12 +26,6 @@ void print_preamble(const std::string& figure, const std::string& caption,
 // on the 1-core CI host.
 void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads);
-// Topology placement metrics (DESIGN.md §12): per-node Mops under the pin
-// policy plus ShardedQueue ops that completed on a remote node's shard per
-// executed op (0.000 everywhere under node-confined placement — the
-// topology CI gate).
-void print_node_table(const std::vector<Series>& series,
-                      const std::vector<unsigned>& threads);
 // Role-split ring counters for the skewed workloads (p8to1/p1to8,
 // DESIGN.md §13): consumer-role and producer-role F&As + threshold RMWs per
 // op executed by that role. The consumer column is the degree-specialization

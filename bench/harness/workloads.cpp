@@ -60,8 +60,7 @@ void BenchParams::usage_error(const std::string& arg,
                "%s: bad argument '%s': %s\n"
                "usage: %s [--threads=N,...] [--ops=N] [--runs=N] "
                "[--batch=N] [--json=PATH] [--only=NAME,...] "
-               "[--pin-policy=rr|compact|scatter|node:<k>] [--no-pin] "
-               "[--full]",
+               "[--no-pin] [--full]",
                prog.c_str(), arg.c_str(), why.c_str(), prog.c_str());
   for (const auto& [name, value] : extra) {
     std::fprintf(stderr, " [%s=...]", name.c_str());
@@ -103,7 +102,6 @@ BenchParams BenchParams::parse(int argc, char** argv,
   p.ops = env_u64("WCQ_BENCH_OPS", p.ops);
   p.runs = static_cast<unsigned>(env_u64("WCQ_BENCH_RUNS", p.runs));
   p.pin = env_flag("WCQ_BENCH_PIN", p.pin);
-  p.pin_policy = env_str("WCQ_BENCH_PIN_POLICY", p.pin_policy);
   p.batch = static_cast<unsigned>(env_u64("WCQ_BENCH_BATCH", p.batch));
   p.batch_set = std::getenv("WCQ_BENCH_BATCH") != nullptr;
   if (env_flag("WCQ_BENCH_FULL", false)) {
@@ -138,8 +136,6 @@ BenchParams BenchParams::parse(int argc, char** argv,
       p.batch_set = true;
     } else if (name == "--json") {
       p.json_path = v;
-    } else if (name == "--pin-policy") {
-      p.pin_policy = v;
     } else if (name == "--only") {
       p.only = split_list(v);
     } else if (auto it = p.extra.find(name); it != p.extra.end()) {
@@ -151,11 +147,6 @@ BenchParams BenchParams::parse(int argc, char** argv,
   if (p.runs == 0) p.runs = 1;
   if (p.batch == 0) p.batch = 1;
   if (p.batch > kMaxBatch) p.batch = kMaxBatch;
-  if (!Topology::parse_pin_spec(p.pin_policy)) {
-    std::fprintf(stderr, "wcq-bench: unknown pin policy '%s', using rr\n",
-                 p.pin_policy.c_str());
-    p.pin_policy = "rr";
-  }
   return p;
 }
 

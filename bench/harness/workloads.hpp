@@ -69,13 +69,7 @@ struct BenchParams {
   std::vector<unsigned> thread_counts;
   std::uint64_t ops = 200000;  // total operations per measurement run
   unsigned runs = 3;
-  bool pin = true;
-  // Placement policy when pinning: "rr" (round-robin over all CPUs, the
-  // legacy default), "compact" (fill a node, one hyperthread per core
-  // first), "scatter" (round-robin across nodes), "node:<k>" (confine to
-  // node k — the shape behind the remote_steal==0 gate). Resolved against
-  // Topology::instance(), so WCQ_TOPOLOGY simulated shapes apply.
-  std::string pin_policy = "rr";
+  bool pin = true;  // worker t pins to cpu t % cpu_count()
   // Set by each panel, not by a flag: a panel is one workload.
   Workload workload = Workload::kPairs;
   // memory workload: delay up to this many spin iterations between ops
@@ -93,7 +87,7 @@ struct BenchParams {
   std::string prog;  // argv[0] basename, for usage errors
 
   // Parse --threads=1,2,4 --ops=N --runs=N --batch=N --json=PATH
-  // --no-pin --pin-policy=rr|compact|scatter|node:<k> --full
+  // --no-pin --full
   // --only=wCQ,SCQ  plus WCQ_BENCH_* env fallbacks. Any other flag, or a
   // zero or non-numeric count, exits 2 through usage_error().
   static BenchParams parse(int argc, char** argv,

@@ -20,7 +20,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 FIXTURES = {
     "ringops": "bench_smoke_bench_magazine.json",
-    "topology": "bench_smoke_bench_topology.json",
     "pipeline": "bench_smoke_bench_pipeline.json",
     "pipeline_speedup": "BENCH_PR8.json",
     "latency": "bench_smoke_bench_latency.json",
@@ -72,13 +71,6 @@ DEFECTS = [
         point(r, "p5050", "Bounded-handle"), "registry_per_op_mean", 1.01)),
     ("ringops", "deleted Bounded-nomag series",
      lambda r: drop(r, "p5050", "Bounded-nomag")),
-    ("topology", "one remote steal", lambda r: set_key(
-        point(r, "p5050", "Sharded node:0"), "remote_steal_per_op_mean",
-        1.0 / panel(r, "p5050")["ops"])),
-    ("topology", "node-1 throughput", lambda r: set_key(
-        point(r, "p5050", "Sharded node:0")["node_mops_mean"], 1, 0.01)),
-    ("topology", "deleted node:0 series",
-     lambda r: drop(r, "p5050", "Sharded node:0")),
     ("pipeline", "MPSC consumer faa/op of 1e-6", lambda r: set_key(
         point(r, "p8to1", "Mpsc"), "cons_faa_per_op_mean", 1e-6)),
     ("pipeline", "MPSC consumer thld/op of 1e-6", lambda r: set_key(

@@ -32,7 +32,6 @@
 //   ablation  MAX_PATIENCE, Cache_Remap, HELP_DELAY and entry-width sweeps.
 //   sharding  shard-count sweep (burst) and batch-vs-single (p5050).
 //   magazine  index-magazine and session-handle A/B (DESIGN.md §9/§10).
-//   topology  pin-policy sweep over the sharded queue (DESIGN.md §12).
 //   pipeline  degree-specialized rings on skewed workloads (DESIGN.md §13).
 //
 // fig11 and fig12 also name their single panels (fig11a ... fig12c).
@@ -42,7 +41,6 @@
 #include <vector>
 
 #include "common/dwcas.hpp"
-#include "common/topology.hpp"
 #include "harness/adapters.hpp"
 #include "harness/runner.hpp"
 #include "portability/llsc_native.hpp"
@@ -296,38 +294,6 @@ void magazine(const BenchParams& base, JsonReport& report) {
   }
 }
 
-// Topology placement sweep (src/common/topology.hpp, DESIGN.md §12): the
-// same sharded queue on p5050 under rr, compact, scatter and node:0
-// placement. Per-node Mops show where the work ran; the remote-steal column
-// how often payload crossed the interconnect. Under node:0 every worker
-// homes on a node-0 shard and the other nodes' shards are never populated,
-// so remote steals are exactly 0 — the deterministic property the topology
-// gate checks (it holds on the 1-core runner because WCQ_TOPOLOGY simulates
-// the 2-node shape and placement flows through the thread-node override,
-// not real affinity). --pin-policy is superseded by the per-series
-// policies; run under WCQ_TOPOLOGY="0-1;2-3" to see multi-node behavior.
-void topology(const BenchParams& base, JsonReport& report) {
-  const Topology& topo = Topology::instance();
-  BenchParams q = base;
-  q.workload = Workload::kP5050;
-  print_preamble("Topology T1",
-                 "pin-policy sweep, p5050 workload, sharded front-end", q);
-  std::printf("# topology: %u node(s), %u cpu(s)%s, shards=%u\n",
-              topo.node_count(), topo.cpu_count(),
-              topo.simulated() ? " (simulated via WCQ_TOPOLOGY)" : "",
-              sharded_shard_count());
-  std::vector<Series> series;
-  for (const char* pol : {"rr", "compact", "scatter", "node:0"}) {
-    BenchParams r = q;
-    r.pin_policy = pol;
-    run_series<ShardedAdapter<>>(r, series, std::string("Sharded ") + pol);
-  }
-  print_metric_table(Metric::kMops, series, q.thread_counts);
-  print_node_table(series, q.thread_counts);
-  print_cv_note(series);
-  report.add_panel("T1 pin-policy sweep (p5050, sharded)", q, series);
-}
-
 // Degree-specialized ring A/B (MpscRing/SpmcRing in src/core/scq.hpp,
 // DESIGN.md §13): what deleting the consumer-side F&A/threshold machinery
 // buys when the workload actually has one consumer (or one producer).
@@ -419,7 +385,6 @@ constexpr PanelDef kPanels[] = {
     {"ablation", "", ablation},
     {"sharding", "", sharding},
     {"magazine", "", magazine},
-    {"topology", "", topology},
     {"pipeline", "", pipeline},
 };
 
@@ -439,7 +404,7 @@ int run(int argc, char** argv) {
       p.usage_error("--panel=" + panel_arg,
                     "unknown panel '" + name +
                         "'; panels: fig10, fig11[a-c], fig12[a-c], "
-                        "ablation, sharding, magazine, topology, pipeline");
+                        "ablation, sharding, magazine, pipeline");
     }
   }
   JsonReport report;

@@ -10,9 +10,9 @@
 //   * Stage-1 workers take ordinary `acquire()` sessions and enqueue in
 //     batches; backpressure is real (bulk reports partial success on full
 //     and the producer retries the unsent tail).
-//   * Stage-2 workers take `acquire_consumer(shard)` sessions — one worker
-//     per shard, the session pins the thread to the shard's home NUMA node
-//     and its sweep is exactly that shard. A plain `dequeue()` (or any
+//   * Stage-2 workers pin themselves with `pin_thread(shard)` and then take
+//     `acquire_consumer(shard)` sessions — one worker per shard, whose
+//     session sweep is exactly that shard. A plain `dequeue()` (or any
 //     non-consumer session) would trap: in pipeline mode a stray dequeue
 //     would bind a shard's single-consumer ring to a thread that will
 //     never drain it.
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/cpu.hpp"
 #include "core/scq.hpp"
 #include "scale/sharded_queue.hpp"
 
@@ -90,8 +91,9 @@ int main() {
   }
   for (unsigned s = 0; s < queue.shard_count(); ++s) {
     threads.emplace_back([&, s] {
-      // The owning-consumer session: pinned to shard s's home node, sweep
-      // = {s}, and the only session allowed to dequeue in pipeline mode.
+      // One core per consumer, then the owning-consumer session: sweep =
+      // {s}, and the only session allowed to dequeue in pipeline mode.
+      pin_thread(s);
       auto handle = queue.acquire_consumer(s);
       Backoff bo;
       u64 buf[kBatch];

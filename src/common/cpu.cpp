@@ -8,29 +8,16 @@
 
 namespace wcq {
 
-namespace {
-
-void set_affinity(unsigned cpu) {
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-}
-
-}  // namespace
-
 unsigned cpu_count() {
   const long n = ::sysconf(_SC_NPROCESSORS_ONLN);
   return n > 0 ? static_cast<unsigned>(n) : 1u;
 }
 
-void pin_thread(unsigned index) { set_affinity(index % cpu_count()); }
-
-void pin_thread(unsigned index, const Topology::PinSpec& spec,
-                const Topology& topo) {
-  const unsigned cpu = topo.cpu_for(spec, index);
-  Topology::set_thread_node(topo.node_of_cpu(cpu));
-  if (!topo.simulated()) set_affinity(cpu);
+void pin_thread(unsigned index) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(index % cpu_count(), &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 }
 
 std::uint64_t current_rss_bytes() {

@@ -1,40 +1,21 @@
-// CPU affinity and spin-wait primitives, over the Topology subsystem
-// (common/topology.hpp, DESIGN.md §12).
+// CPU affinity and spin-wait primitives.
 //
 // The paper pins measurement threads ("x86-64's throughput peaks for 18
-// threads (all 18 threads can fit just one physical CPU)"); placement is a
-// first-class policy here — round-robin, compact (fill a node, real cores
-// before hyperthreads), scatter (across nodes first), or confined to one
-// node — because on a multi-socket box the placement decides whether the
-// rings' cache lines cross the interconnect. Benchmarks, shard construction
-// and tests all pin through these helpers.
+// threads (all 18 threads can fit just one physical CPU)"); benchmarks,
+// examples and tests pin round-robin through pin_thread.
 #pragma once
 
 #include <cstdint>
 
-#include "common/topology.hpp"
-
 namespace wcq {
 
-// Number of online CPUs (the live machine, not a simulated topology).
+// Number of online CPUs.
 unsigned cpu_count();
 
 // Pin the calling thread to cpu `index % cpu_count()` — round-robin over the
-// live machine, the legacy policy. No-op on failure (restricted cpusets,
-// missing CPUs): callers still run, just unpinned; nothing reports or
-// retries, by contract (see README "Topology").
+// machine. No-op on failure (restricted cpusets, missing CPUs): callers
+// still run, just unpinned; nothing reports or retries, by contract.
 void pin_thread(unsigned index);
-
-// Policy-aware pinning: map thread `index` through `spec` on `topo`, set the
-// calling thread's node override to the target CPU's node, and — unless the
-// topology is simulated, whose CPU ids are nominal — pin to that CPU.
-// The same no-op-on-failure contract as pin_thread(index): a failed affinity
-// syscall leaves the thread unpinned but the node override is ALWAYS set, so
-// node-keyed placement (home shards, segment pools) stays deterministic even
-// where pinning is impossible (1-core CI under a simulated multi-node
-// topology).
-void pin_thread(unsigned index, const Topology::PinSpec& spec,
-                const Topology& topo = Topology::instance());
 
 // A few-cycle pause to play nice with the sibling hyperthread inside spin
 // loops. PAUSE on x86; ISB on AArch64 — YIELD is architecturally a NOP on

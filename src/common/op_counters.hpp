@@ -3,15 +3,18 @@
 // The counters make wall-clock-independent claims measurable on hosts where
 // throughput is noise (the 1-core CI runner): the magazines' amortization of
 // the Fig 2 fq half (faa, threshold), the session handles' lookup budget
-// (registry), node-confined placement (remote_steal), and how often wCQ's
-// slow path — the paper's contribution, rare by design — runs at all:
+// (registry), and how often wCQ's slow path — the paper's contribution,
+// rare by design — runs at all:
 //   faa          — F&A (or the slow path's published-increment CAS2) on a
 //                  shared Head/Tail counter line
 //   threshold    — RMW/store traffic on a shared Threshold line
 //   registry     — ThreadRegistry::tid()/high_water() resolutions, counted
 //                  inside the registry so every layer's lookup is captured
-//   remote_steal — ShardedQueue ops that *succeeded* on a shard homed on
-//                  another NUMA node (failed remote probes are free)
+//   remote_steal — always 0: nothing increments it since the NUMA topology
+//                  layer was retired (DESIGN.md §12). The row stays only
+//                  because perfbench still reads the field and reports
+//                  scale.sharded.remote_steal_per_op; it goes together with
+//                  those two reads (ROADMAP item 7).
 //   wcq_*        — wCQ slow-path arms (core/wcq.hpp), each counted once where
 //                  taken: patience ran out (enq/deq), a validated help of a
 //                  peer's request (enq/deq), a help of a peer's published
@@ -37,7 +40,7 @@
   X(faa, "ring_faa", "shared Head/Tail F&As per op")                          \
   X(threshold, "ring_thld", "shared Threshold RMWs/stores per op")            \
   X(registry, "registry", "registry/thread_local lookups per op")             \
-  X(remote_steal, "remote_steal", "remote-node shard ops per op")             \
+  X(remote_steal, "remote_steal", "always 0 (kept for perfbench)")            \
   X(wcq_enq_slow, "wcq_enq_slow", "wCQ slow-path enqueues per op")            \
   X(wcq_deq_slow, "wcq_deq_slow", "wCQ slow-path dequeues per op")            \
   X(wcq_help_enq, "wcq_help_enq", "wCQ helped peer enqueues per op")          \

@@ -52,7 +52,6 @@
 #include "common/backoff.hpp"
 #include "common/op_counters.hpp"
 #include "common/tid_table.hpp"
-#include "common/topology.hpp"
 #include "core/scq.hpp"
 #include "core/session.hpp"
 #include "core/session_guard.hpp"
@@ -88,16 +87,11 @@ class UnboundedQueue {
 
    private:
     friend class UnboundedQueue;
-    // Owned sessions resolve their node now (topology cached for the
-    // growth path, DESIGN.md §12); the per-op unowned views leave it unset
-    // and the growth path — rare, once per 2^order ops — resolves lazily.
     Handle(UnboundedQueue* q, unsigned tid, bool owned)
-        : owner_(owned ? q : nullptr, tid), hp_row_(q->hp_.slots_for(tid)),
-          node_(owned ? q->topo_->current_node() : Topology::kUnsetNode) {}
+        : owner_(owned ? q : nullptr, tid), hp_row_(q->hp_.slots_for(tid)) {}
 
     SessionOwner<UnboundedQueue> owner_;
     HazardDomain::ThreadSlots* hp_row_ = nullptr;
-    unsigned node_ = Topology::kUnsetNode;
   };
 
   struct Options {
@@ -107,21 +101,11 @@ class UnboundedQueue {
     // segment, the pre-recycling behavior; kept as an A/B toggle for
     // the wcq_bench fig10 panel).
     bool recycle = true;
-    // Placement source for the node-partitioned segment pool (DESIGN.md
-    // §12); nullptr means the process topology (Topology::instance()). A
-    // segment's home node is the node of the thread that first allocated it
-    // (its first-touch node), and it recycles only through that node's pool
-    // partition.
-    const Topology* topology = nullptr;
   };
 
   explicit UnboundedQueue(Options opt)
-      : opt_(opt),
-        topo_(opt.topology != nullptr ? opt.topology
-                                      : &Topology::instance()),
-        pool_(kPoolSlots, topo_->node_count()),
-        hp_(kRetireScanThreshold) {
-    Segment* first = create_segment(topo_->current_node());
+      : opt_(opt), pool_(kPoolSlots), hp_(kRetireScanThreshold) {
+    Segment* first = create_segment();
     // One span row per tid the segment ring accepts (DESIGN.md §4), in
     // chunks of 16 tids installed on a tid's first enqueue.
     rows_ = TidTable<SpanRow>(detail::ring_tids(first->aq), 1);
@@ -190,7 +174,7 @@ class UnboundedQueue {
       // The ring is finalized: append a fresh ring seeded with the value
       // (Fig 13 lines 7-8, 21-23). The hazard keeps ltail alive for the
       // append CASes.
-      Segment* fresh = acquire_segment(h);
+      Segment* fresh = acquire_segment();
       // Empty open ring: cannot fail.
       (void)fresh->enqueue(h.tid(), row, value);
       Segment* expected = nullptr;
@@ -491,11 +475,6 @@ class UnboundedQueue {
     // Incarnation tag for span rows. Written only under exclusive access
     // (creation, reset) and published with the segment itself.
     u64 gen;
-    // Node whose thread first allocated this segment — where first-touch
-    // put its pages. Written only under exclusive ownership (creation);
-    // recycling keys the pool partition off it so the pages never migrate
-    // through the free list (DESIGN.md §12).
-    unsigned home_node = 0;
     // Next never-issued index; ≥ capacity() once every index is issued.
     alignas(kCacheLine) std::atomic<u64> fresh{0};
     // Read by every enqueue attempt, written once per incarnation: its own
@@ -508,39 +487,28 @@ class UnboundedQueue {
     return generations_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  Segment* create_segment(unsigned node) {
-    Segment* s = Segment::create(opt_.segment_order, next_generation());
-    s->home_node = node;
-    return s;
+  Segment* create_segment() {
+    return Segment::create(opt_.segment_order, next_generation());
   }
 
   // Growth path: reuse a parked segment when one is available. A pooled
   // segment was reset by its recycler; the pool's release/acquire hand-off
   // publishes those writes to us, and the list-append CAS publishes them to
-  // everyone else (DESIGN.md §8). The session's cached node is used when it
-  // has one (owned handles), else resolved now — once per growth, not per
-  // operation.
-  Segment* acquire_segment(const Handle& h) {
-    const unsigned node = h.node_ != Topology::kUnsetNode
-                              ? h.node_
-                              : topo_->current_node();
+  // everyone else (DESIGN.md §8).
+  Segment* acquire_segment() {
     if (opt_.recycle) {
-      // Local partition only: a miss allocates a fresh local segment
-      // rather than adopting one whose pages live on another node.
-      if (Segment* s = pool_.try_get(node)) return s;
+      if (Segment* s = pool_.try_get()) return s;
     }
-    return create_segment(node);
+    return create_segment();
   }
 
   // Give back a segment this thread exclusively owns (never published, or
   // publication lost its race). It may hold the one seeded element; reset
-  // destroys it along with any other straggler. The segment parks in its
-  // *home* node's partition — not the releasing thread's — so its pages
-  // stay keyed to where they physically are.
+  // destroys it along with any other straggler.
   void release_segment(Segment* s) {
     if (opt_.recycle) {
       s->reset(next_generation());
-      if (pool_.try_put(s->home_node, s)) return;
+      if (pool_.try_put(s)) return;
     }
     Segment::destroy(s);
   }
@@ -570,7 +538,6 @@ class UnboundedQueue {
   static constexpr u64 kRowIndices = 8;
 
   Options opt_;
-  const Topology* topo_ = nullptr;
   // Declaration order is load-bearing for destruction: hp_ is declared after
   // pool_ so that any late recycle_cb run by a member destructor would still
   // find the pool alive (the destructor body drains both explicitly anyway).

@@ -20,7 +20,6 @@
 #include "common/op_counters.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
-#include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/entry.hpp"
 #include "core/remap.hpp"

@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/alloc_meter.hpp"
-#include "common/topology.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
 #include "core/unbounded_queue.hpp"
@@ -87,12 +86,8 @@ std::int64_t hazard_domain_bytes() {
   return alloc_meter::live_bytes() - before;
 }
 
-// Segment pool: the queue's 64 (kPoolSlots) line-padded slots plus one
-// line-padded size word per NUMA partition.
-std::int64_t segment_pool_bytes() {
-  return 64 * 64 +
-         static_cast<std::int64_t>(Topology::instance().node_count()) * 64;
-}
+// Segment pool: the queue's 64 (kPoolSlots) line-padded slots.
+std::int64_t segment_pool_bytes() { return 64 * 64; }
 
 template <typename Q>
 std::int64_t construction_delta(Q*& out, typename Q::Options opt) {
@@ -163,16 +158,14 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
 
 // A pipeline-mode sharded queue is its shards' parts: each shard an MPSC
 // data ring, an MPMC SCQ free ring, payload slots and a magazine chunk
-// with its 256-tid directory. The shard objects and the placement tables
-// are std-allocated and so outside the meter; the equality covers every
+// with its 256-tid directory. The shard objects and the shard table are
+// std-allocated and so outside the meter; the equality covers every
 // metered byte.
 TEST(MemoryFootprint, ShardedMpscIsItsShardsExactly) {
   using Q = ShardedQueue<u64, MpscRing>;
-  const Topology topo = *Topology::from_spec("0-3");
   Q::Options opt;
   opt.shards = 4;
   opt.shard_order = kOrder;
-  opt.topology = &topo;
   opt.mode = Q::Mode::kPipeline;
   Q* q = nullptr;
   const std::int64_t delta = construction_delta(q, opt);

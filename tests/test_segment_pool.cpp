@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "common/alloc_meter.hpp"
-#include "common/topology.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
@@ -106,22 +105,22 @@ TYPED_TEST(RingResetTest, TidPastResetHighWaterFillsExactly) {
 TEST(SegmentPoolTest, PutGetRoundtrip) {
   (void)ThreadRegistry::tid();  // cap() scales with registered threads
   SegmentPool<int> pool(8);
-  EXPECT_EQ(pool.try_get(0), nullptr) << "new pool must be empty";
+  EXPECT_EQ(pool.try_get(), nullptr) << "new pool must be empty";
   EXPECT_EQ(pool.size(), 0u);
   ASSERT_GE(pool.cap(), 2u);
 
   int a = 1, b = 2;
-  EXPECT_TRUE(pool.try_put(0, &a));
-  EXPECT_TRUE(pool.try_put(0, &b));
+  EXPECT_TRUE(pool.try_put(&a));
+  EXPECT_TRUE(pool.try_put(&b));
   EXPECT_EQ(pool.size(), 2u);
 
-  int* g1 = pool.try_get(0);
-  int* g2 = pool.try_get(0);
+  int* g1 = pool.try_get();
+  int* g2 = pool.try_get();
   ASSERT_NE(g1, nullptr);
   ASSERT_NE(g2, nullptr);
   EXPECT_NE(g1, g2) << "pool handed out the same node twice";
   EXPECT_TRUE((g1 == &a && g2 == &b) || (g1 == &b && g2 == &a));
-  EXPECT_EQ(pool.try_get(0), nullptr);
+  EXPECT_EQ(pool.try_get(), nullptr);
   EXPECT_EQ(pool.size(), 0u);
 }
 
@@ -129,83 +128,22 @@ TEST(SegmentPoolTest, CapBoundsParkedNodes) {
   SegmentPool<int> pool(2);  // slot ceiling below the per-thread cap
   int n[3] = {0, 1, 2};
   EXPECT_EQ(pool.cap(), 2u);
-  EXPECT_TRUE(pool.try_put(0, &n[0]));
-  EXPECT_TRUE(pool.try_put(0, &n[1]));
-  EXPECT_FALSE(pool.try_put(0, &n[2])) << "put past the cap must be rejected";
+  EXPECT_TRUE(pool.try_put(&n[0]));
+  EXPECT_TRUE(pool.try_put(&n[1]));
+  EXPECT_FALSE(pool.try_put(&n[2])) << "put past the cap must be rejected";
   EXPECT_EQ(pool.size(), 2u);
 }
 
 TEST(SegmentPoolTest, DrainReleasesEverything) {
   SegmentPool<int> pool(4);
   int n[2] = {0, 1};
-  ASSERT_TRUE(pool.try_put(0, &n[0]));
-  ASSERT_TRUE(pool.try_put(0, &n[1]));
+  ASSERT_TRUE(pool.try_put(&n[0]));
+  ASSERT_TRUE(pool.try_put(&n[1]));
   int released = 0;
   pool.drain([&](int*) { ++released; });
   EXPECT_EQ(released, 2);
   EXPECT_EQ(pool.size(), 0u);
-  EXPECT_EQ(pool.try_get(0), nullptr);
-}
-
-// ---- NUMA partitions (DESIGN.md §12) --------------------------------------
-
-TEST(SegmentPoolTest, PartitionedPutGetStayLocal) {
-  (void)ThreadRegistry::tid();
-  SegmentPool<int> pool(8, 2);
-  EXPECT_EQ(pool.partitions(), 2u);
-  int a = 1, b = 2;
-  ASSERT_TRUE(pool.try_put(0, &a));
-  EXPECT_EQ(pool.size(0), 1u);
-  EXPECT_EQ(pool.size(1), 0u);
-  // A node-keyed miss is local: partition 1 is empty even though the pool
-  // as a whole is not — the caller allocates locally rather than adopting
-  // node 0's pages.
-  EXPECT_EQ(pool.try_get(1), nullptr);
-  EXPECT_EQ(pool.try_get(0), &a);
-  ASSERT_TRUE(pool.try_put(1, &b));
-  EXPECT_EQ(pool.size(1), 1u);
-  EXPECT_EQ(pool.try_get(0), nullptr);
-  EXPECT_EQ(pool.try_get(1), &b);
-  EXPECT_EQ(pool.size(), 0u);
-}
-
-TEST(SegmentPoolTest, PartitionFullRejectsDespiteRoomElsewhere) {
-  (void)ThreadRegistry::tid();  // high_water >= 1 so cap() == slots
-  SegmentPool<int> pool(4, 2);  // two slots per partition
-  int n[3] = {0, 1, 2};
-  ASSERT_TRUE(pool.try_put(0, &n[0]));
-  ASSERT_TRUE(pool.try_put(0, &n[1]));
-  // Partition 0 is full: the put is rejected (caller frees, the §8 overflow
-  // path) even though partition 1 has room — pages never migrate through
-  // the free list.
-  EXPECT_FALSE(pool.try_put(0, &n[2]));
-  EXPECT_TRUE(pool.try_put(1, &n[2]));
-  EXPECT_EQ(pool.size(0), 2u);
-  EXPECT_EQ(pool.size(1), 1u);
-}
-
-TEST(SegmentPoolTest, OutOfRangeNodeMapsToPartitionZero) {
-  SegmentPool<int> pool(4, 2);
-  int a = 1;
-  ASSERT_TRUE(pool.try_put(99, &a));  // degrade, never fault
-  EXPECT_EQ(pool.size(0), 1u);
-  EXPECT_EQ(pool.try_get(99), &a);
-}
-
-TEST(SegmentPoolTest, DrainResetsPartitionCounts) {
-  (void)ThreadRegistry::tid();  // thread-scaled cap must admit three puts
-  SegmentPool<int> pool(8, 2);
-  int n[3] = {0, 1, 2};
-  ASSERT_TRUE(pool.try_put(0, &n[0]));
-  ASSERT_TRUE(pool.try_put(1, &n[1]));
-  ASSERT_TRUE(pool.try_put(1, &n[2]));
-  int released = 0;
-  pool.drain([&](int*) { ++released; });
-  EXPECT_EQ(released, 3);
-  EXPECT_EQ(pool.size(0), 0u);
-  EXPECT_EQ(pool.size(1), 0u);
-  EXPECT_EQ(pool.try_get(0), nullptr);
-  EXPECT_EQ(pool.try_get(1), nullptr);
+  EXPECT_EQ(pool.try_get(), nullptr);
 }
 
 // Ownership-transfer safety under contention: a node claimed from the pool
@@ -239,12 +177,12 @@ TEST(SegmentPoolTest, ConcurrentOwnershipExactlyOnce) {
           int expected = 0;
           ASSERT_TRUE(n->compare_exchange_strong(expected, 1))
               << "double ownership on put";
-          if (pool.try_put(0, n)) {
+          if (pool.try_put(n)) {
             held.pop_back();
           } else {
             ASSERT_EQ(n->exchange(0), 1);  // rejected: we still own it
           }
-        } else if (std::atomic<int>* n = pool.try_get(0)) {
+        } else if (std::atomic<int>* n = pool.try_get()) {
           int expected = 1;
           ASSERT_TRUE(n->compare_exchange_strong(expected, 0))
               << "pool handed out a node another thread holds";
@@ -290,7 +228,7 @@ TEST(SegmentPoolTest, ConcurrentPutsNeverExceedCap) {
         }
         std::size_t mine = 0;
         for (std::size_t k = 0; k < cap; ++k) {
-          if (pool.try_put(0, &nodes[t * cap + k])) ++mine;
+          if (pool.try_put(&nodes[t * cap + k])) ++mine;
         }
         parked.fetch_add(mine);
         done.fetch_add(1, std::memory_order_acq_rel);
@@ -372,35 +310,6 @@ TYPED_TEST(SegmentRecyclingTypedTest, SteadyStateZeroAllocations) {
       << "steady-state fill/drain must not allocate with the pool enabled";
   EXPECT_GT(q.pooled_segments(), 0u) << "pool never engaged";
   EXPECT_LE(q.live_segments(), 3u);
-}
-
-// With an injected 2-node topology the pool is partitioned, but a thread
-// staged on one node still recycles its own segments: steady-state churn
-// stays allocation-free through the node-keyed pool path.
-TYPED_TEST(SegmentRecyclingTypedTest, SteadyStateZeroAllocationsPartitioned) {
-  const Topology topo = *Topology::from_spec("0-1;2-3");
-  typename UnboundedQueue<u64, TypeParam>::Options o;
-  o.segment_order = 4;
-  o.topology = &topo;
-  // Staged before construction so the first segment first-touches node 1
-  // like everything else; a remote-homed segment would be parked in node
-  // 0's partition and never reclaimed from here, eating into the
-  // thread-scaled cap for the whole run (a local miss allocates — correct,
-  // just uncached).
-  ScopedThreadNode on_node1(1);
-  UnboundedQueue<u64, TypeParam> q(o);
-  auto churn = [&](int rounds) {
-    for (int r = 0; r < rounds; ++r) {
-      for (u64 i = 0; i < 64; ++i) ASSERT_TRUE(q.enqueue(i));
-      for (u64 i = 0; i < 64; ++i) ASSERT_TRUE(q.dequeue().has_value());
-    }
-  };
-  churn(64);  // warm-up: populate node 1's partition
-  const std::int64_t allocs_before = alloc_meter::total_allocations();
-  churn(64);
-  EXPECT_EQ(alloc_meter::total_allocations() - allocs_before, 0)
-      << "node-keyed recycling missed its own partition";
-  EXPECT_GT(q.pooled_segments(), 0u);
 }
 
 TYPED_TEST(SegmentRecyclingTypedTest, NoPoolKeepsAllocating) {

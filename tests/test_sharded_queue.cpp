@@ -14,6 +14,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -115,6 +116,31 @@ TEST(ShardedQueue, MoveOnlyPayload) {
   u64 drained = 0;
   while (q.dequeue()) ++drained;
   EXPECT_EQ(drained, q.capacity());
+}
+
+TEST(ShardedQueue, VisitOrderIsRingFromHomeShard) {
+  // The sweep starts at the home shard tid & (shards-1) and walks the ring,
+  // visiting each shard exactly once.
+  ShardedQueue<u64> q(4, 4);
+  for (unsigned tid = 0; tid < 8; ++tid) {
+    const auto sweep = q.sweep_order(tid);
+    for (unsigned s = 0; s < 4; ++s) {
+      EXPECT_EQ(sweep[s], (tid + s) & 3u) << "tid " << tid << " step " << s;
+    }
+  }
+}
+
+TEST(ShardedQueue, HandleCachesVisitOrderAtAcquire) {
+  // An owned session walks the sweep fixed at acquire(): home shard first,
+  // then the rest of the ring, so an element on the last shard of its sweep
+  // is still found.
+  ShardedQueue<u64> q(4, 4);
+  auto h = q.acquire();
+  EXPECT_EQ(h.home_shard(), q.sweep_order(h.tid()).front());
+  ASSERT_TRUE(q.shard(h.home_shard()).enqueue(11));
+  ASSERT_EQ(q.dequeue(h), std::optional<u64>(11));
+  ASSERT_TRUE(q.shard(q.sweep_order(h.tid()).back()).enqueue(22));
+  ASSERT_EQ(q.dequeue(h), std::optional<u64>(22));
 }
 
 // ---- multi-threaded (stress tier via the *Mpmc* name pattern) -------------
