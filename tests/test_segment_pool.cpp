@@ -146,6 +146,40 @@ TEST(SegmentPoolTest, DrainReleasesEverything) {
   EXPECT_EQ(pool.try_get(), nullptr);
 }
 
+TEST(SegmentPoolTest, FullPoolAcceptsAgainAfterGet) {
+  // A get frees both a slot and a place under the cap: the put rejected at
+  // the cap succeeds once a node has been taken back.
+  SegmentPool<int> pool(2);
+  int n[3] = {0, 1, 2};
+  ASSERT_EQ(pool.cap(), 2u);
+  ASSERT_TRUE(pool.try_put(&n[0]));
+  ASSERT_TRUE(pool.try_put(&n[1]));
+  ASSERT_FALSE(pool.try_put(&n[2]));
+  int* got = pool.try_get();
+  ASSERT_NE(got, nullptr);
+  EXPECT_EQ(pool.size(), 1u);
+  EXPECT_TRUE(pool.try_put(&n[2]));
+  EXPECT_EQ(pool.size(), 2u);
+  EXPECT_FALSE(pool.try_put(got)) << "cap must hold after the refill";
+}
+
+TEST(SegmentPoolTest, DrainResetsSizeSoPoolRefillsToCap) {
+  SegmentPool<int> pool(2);
+  int n[4] = {0, 1, 2, 3};
+  ASSERT_TRUE(pool.try_put(&n[0]));
+  ASSERT_TRUE(pool.try_put(&n[1]));
+  int released = 0;
+  pool.drain([&](int*) { ++released; });
+  EXPECT_EQ(released, 2);
+  EXPECT_EQ(pool.size(), 0u);
+  // The drained count is gone from the size word: the pool takes a full
+  // cap of new nodes again, and no more.
+  EXPECT_TRUE(pool.try_put(&n[2]));
+  EXPECT_TRUE(pool.try_put(&n[3]));
+  EXPECT_FALSE(pool.try_put(&n[0]));
+  EXPECT_EQ(pool.size(), 2u);
+}
+
 // Ownership-transfer safety under contention: a node claimed from the pool
 // is held by exactly one thread at a time, and no node is duplicated or
 // lost. (This is the property the Treiber-stack design could not give
@@ -308,6 +342,28 @@ TYPED_TEST(SegmentRecyclingTypedTest, SteadyStateZeroAllocations) {
   churn(64);  // ~192 segment generations
   EXPECT_EQ(alloc_meter::total_allocations() - allocs_before, 0)
       << "steady-state fill/drain must not allocate with the pool enabled";
+  EXPECT_GT(q.pooled_segments(), 0u) << "pool never engaged";
+  EXPECT_LE(q.live_segments(), 3u);
+}
+
+// The same property through an owned session, whose hazard is published
+// once per segment rather than once per operation.
+TYPED_TEST(SegmentRecyclingTypedTest, SteadyStateZeroAllocationsOwnedSession) {
+  typename UnboundedQueue<u64, TypeParam>::Options o;
+  o.segment_order = 4;
+  UnboundedQueue<u64, TypeParam> q(o);
+  auto h = q.acquire();
+  auto churn = [&](int rounds) {
+    for (int r = 0; r < rounds; ++r) {
+      for (u64 i = 0; i < 64; ++i) ASSERT_TRUE(q.enqueue(h, i));
+      for (u64 i = 0; i < 64; ++i) ASSERT_TRUE(q.dequeue(h).has_value());
+    }
+  };
+  churn(64);
+  const std::int64_t allocs_before = alloc_meter::total_allocations();
+  churn(64);
+  EXPECT_EQ(alloc_meter::total_allocations() - allocs_before, 0)
+      << "owned-session fill/drain must not allocate with the pool enabled";
   EXPECT_GT(q.pooled_segments(), 0u) << "pool never engaged";
   EXPECT_LE(q.live_segments(), 3u);
 }

@@ -10,6 +10,8 @@
 #include "scale/sharded_queue.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <atomic>
 #include <map>
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/op_counters.hpp"
 #include "mpmc_harness.hpp"
 #include "runtime/thread_registry.hpp"
 
@@ -143,6 +146,169 @@ TEST(ShardedQueue, HandleCachesVisitOrderAtAcquire) {
   ASSERT_EQ(q.dequeue(h), std::optional<u64>(22));
 }
 
+TEST(ShardedQueue, RemoteStealCounterStaysZero) {
+  // The remote_steal row outlived the node-placement layer that fed it: a
+  // spill onto a neighbour shard and a steal from one complete without
+  // counting anything.
+  ShardedQueue<u64> q(2, 3);
+  auto h = q.acquire();
+  const u64 base = opcount::snapshot().remote_steal;
+  const u64 cap = q.shard(h.home_shard()).capacity();
+  for (u64 i = 0; i <= cap; ++i) ASSERT_TRUE(q.enqueue(h, i));  // one spills
+  for (u64 i = 0; i <= cap; ++i) ASSERT_TRUE(q.dequeue(h).has_value());
+  ASSERT_TRUE(q.shard(q.sweep_order(h.tid()).back()).enqueue(7));
+  ASSERT_EQ(q.dequeue(h), std::optional<u64>(7));  // a steal
+  EXPECT_EQ(opcount::snapshot().remote_steal, base);
+}
+
+TEST(ShardedQueue, ImplicitOpResolvesTidOnce) {
+  // The implicit wrappers cost one registry lookup per call and nothing
+  // else: the sweep is arithmetic on the tid. SCQ shards, because wCQ's
+  // periodic helping reads the registry high water; roomy enough that no
+  // claim reaches a shard's full-edge reclaim scan, which reads it too.
+  ShardedQueue<u64, SCQ> q(4, 8);
+  ASSERT_TRUE(q.enqueue(1));  // settle first-touch state
+  ASSERT_TRUE(q.dequeue().has_value());
+  const u64 before = opcount::snapshot().registry;
+  for (u64 i = 0; i < 10; ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < 10; ++i) ASSERT_TRUE(q.dequeue().has_value());
+  EXPECT_EQ(opcount::snapshot().registry - before, 20u);
+}
+
+TEST(ShardedQueue, HandleOpsResolveNoTid) {
+  // An owned session resolves its tid once, at acquire() (SCQ shards, as
+  // above).
+  ShardedQueue<u64, SCQ> q(4, 8);
+  auto h = q.acquire();
+  ASSERT_TRUE(q.enqueue(h, 1));  // settle first-touch state
+  ASSERT_TRUE(q.dequeue(h).has_value());
+  const u64 before = opcount::snapshot().registry;
+  for (u64 i = 0; i < 10; ++i) ASSERT_TRUE(q.enqueue(h, i));
+  for (u64 i = 0; i < 10; ++i) ASSERT_TRUE(q.dequeue(h).has_value());
+  EXPECT_EQ(opcount::snapshot().registry - before, 0u);
+}
+
+TEST(ShardedQueue, AcquireConsumerLeavesAffinityAlone) {
+  // A consumer session does not move its thread: pinning is the caller's.
+  ShardedQueue<u64, MpscRing>::Options o;
+  o.shards = 4;
+  o.shard_order = 4;
+  o.mode = ShardedQueue<u64, MpscRing>::Mode::kPipeline;
+  ShardedQueue<u64, MpscRing> q(o);
+  cpu_set_t before;
+  CPU_ZERO(&before);
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(before), &before),
+            0);
+  for (unsigned s = 0; s < q.shard_count(); ++s) {
+    auto c = q.acquire_consumer(s);
+    cpu_set_t now;
+    CPU_ZERO(&now);
+    ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(now), &now), 0);
+    EXPECT_TRUE(CPU_EQUAL(&before, &now)) << "shard " << s;
+  }
+}
+
+// ---- visit order at every shard count -------------------------------------
+
+// A producer's sweep is every shard once, in ring order from its home shard
+// tid & (shards-1); a consumer session's is its own shard alone. The same
+// checks run at each power-of-two shard count the front-end accepts.
+class ShardedVisitOrder : public ::testing::TestWithParam<unsigned> {
+ protected:
+  static constexpr unsigned kOrder = 3;  // 8 slots per shard
+  unsigned shards() const { return GetParam(); }
+};
+
+TEST_P(ShardedVisitOrder, ProducerOrderIsRingFromHome) {
+  ShardedQueue<u64> q(shards(), kOrder);
+  ASSERT_EQ(q.shard_count(), shards());
+  for (unsigned tid = 0; tid < 2 * shards() + 3; ++tid) {
+    const auto order = q.sweep_order(tid);
+    ASSERT_EQ(order.size(), shards());
+    std::vector<bool> seen(shards(), false);
+    for (unsigned s = 0; s < shards(); ++s) {
+      EXPECT_EQ(order[s], (tid + s) & (shards() - 1))
+          << "tid " << tid << " step " << s;
+      ASSERT_LT(order[s], shards());
+      EXPECT_FALSE(seen[order[s]]) << "tid " << tid << " revisits a shard";
+      seen[order[s]] = true;
+    }
+  }
+}
+
+TEST_P(ShardedVisitOrder, EnqueueSpillsAlongTheOrder) {
+  // One session fills the composition: each shard of its sweep fills in
+  // turn, so shard k of the order holds exactly the k-th block of values.
+  ShardedQueue<u64> q(shards(), kOrder);
+  auto h = q.acquire();
+  const u64 per = q.shard(0).capacity();
+  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(h, i));
+  EXPECT_FALSE(q.enqueue(h, 999)) << "every shard full: enqueue must fail";
+  const auto order = q.sweep_order(h.tid());
+  for (unsigned k = 0; k < shards(); ++k) {
+    for (u64 i = 0; i < per; ++i) {
+      EXPECT_EQ(q.shard(order[k]).dequeue(), std::optional<u64>(k * per + i))
+          << "visit " << k << " shard " << order[k];
+    }
+  }
+}
+
+TEST_P(ShardedVisitOrder, BulkEnqueueSpillsAlongTheOrder) {
+  // The bulk path places the same blocks: an over-long span fills the
+  // shards in visit order and reports exactly capacity() taken.
+  ShardedQueue<u64> q(shards(), kOrder);
+  auto h = q.acquire();
+  const u64 per = q.shard(0).capacity();
+  std::vector<u64> in(q.capacity() + 3);
+  for (u64 i = 0; i < in.size(); ++i) in[i] = i;
+  EXPECT_EQ(q.enqueue_bulk(h, in.data(), in.size()), q.capacity());
+  const auto order = q.sweep_order(h.tid());
+  for (unsigned k = 0; k < shards(); ++k) {
+    for (u64 i = 0; i < per; ++i) {
+      EXPECT_EQ(q.shard(order[k]).dequeue(), std::optional<u64>(k * per + i))
+          << "visit " << k << " shard " << order[k];
+    }
+  }
+}
+
+TEST_P(ShardedVisitOrder, DequeueStealsAlongTheOrder) {
+  // One element planted on every shard: a session drains them home first,
+  // then in ring order, and reports empty only after the last.
+  ShardedQueue<u64> q(shards(), kOrder);
+  for (unsigned s = 0; s < shards(); ++s) {
+    ASSERT_TRUE(q.shard(s).enqueue(u64{s}));
+  }
+  auto h = q.acquire();
+  for (const unsigned s : q.sweep_order(h.tid())) {
+    EXPECT_EQ(q.dequeue(h), std::optional<u64>(s));
+  }
+  EXPECT_FALSE(q.dequeue(h).has_value());
+}
+
+TEST_P(ShardedVisitOrder, ConsumerSessionVisitsOnlyItsShard) {
+  using Q = ShardedQueue<u64, MpscRing>;
+  Q::Options o;
+  o.shards = shards();
+  o.shard_order = kOrder;
+  o.mode = Q::Mode::kPipeline;
+  Q q(o);
+  std::vector<Q::Handle> own;
+  for (unsigned s = 0; s < shards(); ++s) {
+    own.push_back(q.acquire_consumer(s));
+    ASSERT_TRUE(q.shard(s).enqueue(u64{s} + 100));
+  }
+  for (unsigned s = 0; s < shards(); ++s) {
+    EXPECT_EQ(own[s].home_shard(), s);
+    EXPECT_EQ(q.dequeue(own[s]), std::optional<u64>(u64{s} + 100));
+    EXPECT_FALSE(q.dequeue(own[s]).has_value())
+        << "consumer of shard " << s << " stole from a neighbour";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Shards, ShardedVisitOrder,
+                         ::testing::Values(1u, 2u, 4u, 8u, 16u),
+                         ::testing::PrintToStringParamName());
+
 // ---- multi-threaded (stress tier via the *Mpmc* name pattern) -------------
 
 TEST(ShardedQueueMpmc, ExactlyOnceFourPlusThreads) {
@@ -172,6 +338,52 @@ TEST(ShardedQueueMpmc, BulkExactlyOnce) {
   cfg.items_per_producer = 16000;
   testing::run_mpmc_bulk_exactly_once(q, cfg, /*max_batch=*/16,
                                       /*check_fifo=*/false);
+}
+
+TEST(ShardedQueueMpmc, HandleSessionsExactlyOnce) {
+  // Two producers and two consumers, each on an owned session whose sweep
+  // was fixed at acquire(): exactly-once must hold through the cached
+  // sweeps.
+  ShardedQueue<u64> q(4, 10);
+  constexpr unsigned kProducers = 2, kConsumers = 2;
+  const u64 per_producer = testing::scale_items(16000);
+  const u64 total = per_producer * kProducers;
+  std::atomic<u64> consumed{0};
+  std::vector<std::vector<u64>> logs(kConsumers);
+  std::vector<std::thread> ts;
+  for (unsigned p = 0; p < kProducers; ++p) {
+    ts.emplace_back([&, p] {
+      auto h = q.acquire();
+      Backoff bo;
+      for (u64 i = 0; i < per_producer; ++i) {
+        bo.reset();
+        while (!q.enqueue(h, testing::tag(p, i))) bo.pause();
+      }
+    });
+  }
+  for (unsigned c = 0; c < kConsumers; ++c) {
+    ts.emplace_back([&, c] {
+      auto h = q.acquire();
+      auto& log = logs[c];
+      Backoff bo;
+      while (consumed.load(std::memory_order_relaxed) < total) {
+        if (auto v = q.dequeue(h)) {
+          log.push_back(*v);
+          consumed.fetch_add(1, std::memory_order_relaxed);
+          bo.reset();
+        } else {
+          bo.pause();
+        }
+      }
+    });
+  }
+  for (auto& t : ts) t.join();
+  ASSERT_EQ(consumed.load(), total);
+  EXPECT_FALSE(q.dequeue().has_value());
+  testing::MpmcConfig cfg;
+  cfg.producers = kProducers;
+  cfg.consumers = kConsumers;
+  testing::check_consumer_logs(logs, cfg, per_producer, /*check_fifo=*/false);
 }
 
 TEST(ShardedQueueMpmc, PerShardFifoFourProducers) {
