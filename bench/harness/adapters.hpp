@@ -52,7 +52,7 @@ inline bool take(std::optional<u64> v, u64& out) {
 }  // namespace detail
 
 // Index rings: wCQ and its LL/SC builds, SCQ, and the degree-specialized
-// MPSC/SPMC rings, all at 2^ring_order() slots. Rings transfer indices
+// MPSC ring, all at 2^ring_order() slots. Rings transfer indices
 // < capacity; the harness masks payloads (the paper's benchmark does the
 // same — throughput, not payload, is measured). Bulk spans are masked
 // through a fixed chunk so the adapter keeps the harness's "payload is
@@ -91,17 +91,15 @@ inline constexpr char kWcqName[] = "wCQ";
 inline constexpr char kWcqLlscName[] = "wCQ-LLSC";
 inline constexpr char kScqName[] = "SCQ";
 inline constexpr char kMpscName[] = "Mpsc";
-inline constexpr char kSpmcName[] = "Spmc";
 
 using WcqAdapter = RingAdapter<WCQ, kWcqName>;
 using WcqLlscAdapter = RingAdapter<WCQLLSC, kWcqLlscName>;
 using ScqAdapter = RingAdapter<SCQ, kScqName>;
-// Degree-specialized rings (DESIGN.md §13). Valid only under workloads that
+// Degree-specialized ring (DESIGN.md §13). Valid only under workloads that
 // respect the degree restriction — the pipeline panel runs Mpsc on p8to1
-// points with exactly one consumer-role worker and Spmc on p1to8 points with
-// one producer; any other shape trips the rings' SessionGuard by design.
+// points with exactly one consumer-role worker; any other shape trips the
+// ring's SessionGuard by design.
 using MpscAdapter = RingAdapter<MpscRing, kMpscName>;
-using SpmcAdapter = RingAdapter<SpmcRing, kSpmcName>;
 
 #if defined(WCQ_HAS_NATIVE_LLSC)
 // Native AArch64 exclusive pairs (DESIGN.md §15, LLSC-NATIVE) — same ring,

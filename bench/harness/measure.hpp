@@ -70,7 +70,7 @@ enum class Metric {
 #define WCQ_EVENT_METRIC(f, key, desc) f##_per_op,
   WCQ_EVENTS(WCQ_EVENT_METRIC)
 #undef WCQ_EVENT_METRIC
-  // Role-split ring counters for the skewed workloads (p8to1/p1to8): F&As
+  // Role-split ring counters for the skewed workload (p8to1): F&As
   // and threshold RMWs per op *executed by that role's workers*. The
   // consumer split is the pipeline gate — an MPSC consumer path must report
   // exactly zero for both — and it is wall-clock-independent, so it holds
@@ -366,8 +366,7 @@ u64 worker_body(OpsCtx<Adapter>& ops, const BenchParams& p, u64 my_ops,
       }
       break;
     }
-    case Workload::kP8to1:
-    case Workload::kP1to8: {
+    case Workload::kP8to1: {
       // Skewed roles (DESIGN.md §13): this worker is a pure producer or a
       // pure consumer for the whole run, by thread index. Attempt-counting
       // exactly as kP5050 (a full enqueue or empty dequeue still counts),

@@ -88,6 +88,12 @@ void JsonReport::add_panel(const std::string& caption, const BenchParams& p,
   panels_.push_back({caption, p, series});
 }
 
+std::size_t JsonReport::series_count() const {
+  std::size_t n = 0;
+  for (const Panel& p : panels_) n += p.series.size();
+  return n;
+}
+
 bool JsonReport::write(const std::string& path) const {
   if (path.empty()) return true;
   std::FILE* f = std::fopen(path.c_str(), "w");

@@ -26,11 +26,11 @@ void print_preamble(const std::string& figure, const std::string& caption,
 // on the 1-core CI host.
 void print_metric_table(Metric m, const std::vector<Series>& series,
                         const std::vector<unsigned>& threads);
-// Role-split ring counters for the skewed workloads (p8to1/p1to8,
-// DESIGN.md §13): consumer-role and producer-role F&As + threshold RMWs per
-// op executed by that role. The consumer column is the degree-specialization
-// claim — an MPSC consumer path must print 0.000|0.000 — and is gated by
-// the pipeline CI gate.
+// Role-split ring counters for the skewed workload (p8to1, DESIGN.md §13):
+// consumer-role and producer-role F&As + threshold RMWs per op executed by
+// that role. The consumer column is the degree-specialization claim — an
+// MPSC consumer path must print 0.000|0.000 — and is gated by the pipeline
+// CI gate.
 void print_roles_table(const std::vector<Series>& series,
                        const std::vector<unsigned>& threads);
 void print_cv_note(const std::vector<Series>& series);
@@ -43,6 +43,7 @@ class JsonReport {
   void add_panel(const std::string& caption, const BenchParams& p,
                  const std::vector<Series>& series);
   bool empty() const { return panels_.empty(); }
+  std::size_t series_count() const;
   // Writes the collected panels; no-op when path is empty. Returns false
   // (with a note on stderr) if the file cannot be opened.
   bool write(const std::string& path) const;

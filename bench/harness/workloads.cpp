@@ -26,8 +26,6 @@ const char* workload_name(Workload w) {
       return "burst";
     case Workload::kP8to1:
       return "p8to1";
-    case Workload::kP1to8:
-      return "p1to8";
   }
   return "?";
 }
@@ -97,13 +95,24 @@ BenchParams BenchParams::parse(int argc, char** argv,
     if (out.empty()) p.usage_error(arg, "expected a positive integer");
     return out;
   };
+  // The count env fallbacks pass the same check as their flags, reported
+  // as NAME=value; unset or empty keeps the default.
+  auto env_count = [&](const char* name, std::uint64_t fallback,
+                       std::uint64_t max) {
+    const std::string v = env_str(name, "");
+    if (v.empty()) return fallback;
+    return count(std::string(name) + "=" + v, v, max);
+  };
 
   p.thread_counts = default_thread_counts();
-  p.ops = env_u64("WCQ_BENCH_OPS", p.ops);
-  p.runs = static_cast<unsigned>(env_u64("WCQ_BENCH_RUNS", p.runs));
+  p.ops = env_count("WCQ_BENCH_OPS", p.ops,
+                    std::numeric_limits<std::uint64_t>::max());
+  p.runs = static_cast<unsigned>(env_count("WCQ_BENCH_RUNS", p.runs,
+                                           kUnsignedMax));
   p.pin = env_flag("WCQ_BENCH_PIN", p.pin);
-  p.batch = static_cast<unsigned>(env_u64("WCQ_BENCH_BATCH", p.batch));
-  p.batch_set = std::getenv("WCQ_BENCH_BATCH") != nullptr;
+  p.batch = static_cast<unsigned>(env_count("WCQ_BENCH_BATCH", p.batch,
+                                            kUnsignedMax));
+  p.batch_set = !env_str("WCQ_BENCH_BATCH", "").empty();
   if (env_flag("WCQ_BENCH_FULL", false)) {
     p.ops = 10'000'000;
     p.runs = 10;
@@ -144,8 +153,6 @@ BenchParams BenchParams::parse(int argc, char** argv,
       p.usage_error(arg, "unknown flag");
     }
   }
-  if (p.runs == 0) p.runs = 1;
-  if (p.batch == 0) p.batch = 1;
   if (p.batch > kMaxBatch) p.batch = kMaxBatch;
   return p;
 }

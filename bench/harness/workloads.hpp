@@ -18,8 +18,6 @@
 //              sharded pipeline mode (DESIGN.md §13): with <= 17 threads
 //              there is exactly one consumer, so the consumer-role counter
 //              split below gates the zero-F&A/zero-threshold claim.
-//   p1to8    — the dual, ~8 consumers per producer (the SPMC stressor):
-//              the minority only enqueues, the rest only dequeue.
 //
 // `batch > 1` routes pairs/p5050/empty/burst through the adapters' batch
 // path (enqueue_bulk/dequeue_bulk) when the adapter provides one; reported
@@ -39,26 +37,22 @@
 
 namespace wcq::bench {
 
-enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory, kBurst, kP8to1,
-                      kP1to8 };
+enum class Workload { kPairs, kP5050, kEmptyDeq, kMemory, kBurst, kP8to1 };
 
 const char* workload_name(Workload w);
 
-// Role split for the skewed-ratio workloads. Both assign the first
-// `skewed_minority(threads)` worker indices to the minority role, so every
-// point has at least one worker of each role and the 8:1 ratio is exact at
-// 9, 18, ... threads. Symmetric workloads have no roles (consumer == false
-// for all, by convention).
-inline bool workload_skewed(Workload w) {
-  return w == Workload::kP8to1 || w == Workload::kP1to8;
-}
+// Role split for the skewed-ratio workload. The first
+// `skewed_minority(threads)` worker indices are consumers, so every point
+// has at least one worker of each role and the 8:1 ratio is exact at 9,
+// 18, ... threads. Symmetric workloads have no roles (consumer == false for
+// all, by convention).
+inline bool workload_skewed(Workload w) { return w == Workload::kP8to1; }
 inline unsigned skewed_minority(unsigned threads) {
   return threads > 9 ? threads / 9 : 1;
 }
 inline bool skewed_consumer(Workload w, unsigned thread_index,
                             unsigned threads) {
-  const unsigned m = skewed_minority(threads);
-  return w == Workload::kP8to1 ? thread_index < m : thread_index >= m;
+  return workload_skewed(w) && thread_index < skewed_minority(threads);
 }
 
 struct BenchParams {

@@ -294,78 +294,59 @@ void magazine(const BenchParams& base, JsonReport& report) {
   }
 }
 
-// Degree-specialized ring A/B (MpscRing/SpmcRing in src/core/scq.hpp,
-// DESIGN.md §13): what deleting the consumer-side F&A/threshold machinery
-// buys when the workload actually has one consumer (or one producer).
-//   P1  p8to1 fan-in — the minority role is the single consumer: the raw
-//       MpscRing against the full-MPMC SCQ it was derived from, and
-//       ShardedQueue Mode::kPipeline (MPSC shards, owning consumers)
-//       against the full-MPMC Sharded-wCQ at the same shard count. The
-//       sharded pair is committed as BENCH_PR8.json and gated at >= 1.2x.
-//   P2  p1to8 fan-out — the minority role is the single producer: the raw
-//       SpmcRing against SCQ.
+// Degree-specialized ring A/B (MpscRing in src/core/scq.hpp, DESIGN.md
+// §13): what deleting the consumer-side F&A/threshold machinery buys when
+// the workload actually has one consumer. On p8to1 fan-in the minority role
+// is the single consumer: the raw MpscRing against the full-MPMC SCQ it was
+// derived from, and ShardedQueue Mode::kPipeline (MPSC shards, owning
+// consumers) against the full-MPMC Sharded-wCQ at the same shard count. The
+// sharded pair is committed as BENCH_PR8.json and gated at >= 1.2x.
 // The roles table / JSON carry the per-role counter split: the MPSC
 // consumer column must read exactly 0 F&As and 0 threshold RMWs per op —
 // the deterministic, 1-core-safe pipeline gate.
 // WCQ_BENCH_ORDER / WCQ_BENCH_SHARDS / WCQ_BENCH_SHARD_ORDER size the rings.
 void pipeline(const BenchParams& base, JsonReport& report) {
-  const struct {
-    Workload w;
-    const char* figure;
-    const char* caption;
-  } panels[] = {
-      {Workload::kP8to1, "Pipeline P1",
-       "fan-in p8to1: MPSC ring / pipeline shards vs MPMC"},
-      {Workload::kP1to8, "Pipeline P2", "fan-out p1to8: SPMC ring vs MPMC"}};
-  for (const auto& panel : panels) {
-    BenchParams q = base;
-    q.workload = panel.w;
-    // Raw-ring points (Mpsc, Spmc and SCQ alike) are measured only where
-    // they can terminate. The skewed workloads enqueue without a matching
-    // drain and a raw index ring cannot report full, so past 2^ring_order()
-    // live indices the producers would loop forever once the consumers have
-    // spent their quota: the producer role's whole quota must fit the ring,
-    // which keeps occupancy <= capacity. The sharded series report full as
-    // real backpressure (a counted attempt) and need no bound.
-    const SkipFn over_capacity = [&q](unsigned t) -> std::string {
-      u64 quota = 0;
-      for (unsigned i = 0; i < t; ++i) {
-        if (skewed_consumer(q.workload, i, t)) continue;
-        quota += q.ops / t + (i < q.ops % t ? 1 : 0);
-      }
-      const u64 capacity = u64{1} << ring_order();
-      if (quota <= capacity) return "";
-      return "producer quota " + std::to_string(quota) +
-             " exceeds ring capacity " + std::to_string(capacity) +
-             "; a raw ring cannot report full";
-    };
-    // Mpsc/Spmc also need the minority role to be exactly one worker: a
-    // wider minority is a second consumer/producer session, which those
-    // rings trap by design.
-    const SkipFn single_minority = [&](unsigned t) -> std::string {
-      const unsigned minority = skewed_minority(t);
-      if (minority == 1) return over_capacity(t);
-      return "minority role is " + std::to_string(minority) +
-             " wide; the ring admits exactly one";
-    };
-    print_preamble(panel.figure, panel.caption, q);
-    std::vector<Series> series;
-    if (q.workload == Workload::kP8to1) {
-      std::printf("# order=%u shards=%u shard_order=%u\n", ring_order(),
-                  sharded_shard_count(), sharded_shard_order());
-      run_series<MpscAdapter>(q, series, MpscAdapter::kName, single_minority);
-      run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
-      AdapterList<ShardedPipelineAdapter, ShardedAdapter<>>::run(q, series);
-    } else {
-      std::printf("# order=%u\n", ring_order());
-      run_series<SpmcAdapter>(q, series, SpmcAdapter::kName, single_minority);
-      run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
+  const char* caption = "fan-in p8to1: MPSC ring / pipeline shards vs MPMC";
+  BenchParams q = base;
+  q.workload = Workload::kP8to1;
+  // Raw-ring points (Mpsc and SCQ alike) are measured only where they can
+  // terminate. The skewed workload enqueues without a matching drain and a
+  // raw index ring cannot report full, so past 2^ring_order() live indices
+  // the producers would loop forever once the consumer has spent its quota:
+  // the producer role's whole quota must fit the ring, which keeps
+  // occupancy <= capacity. The sharded series report full as real
+  // backpressure (a counted attempt) and need no bound.
+  const SkipFn over_capacity = [&q](unsigned t) -> std::string {
+    u64 quota = 0;
+    for (unsigned i = 0; i < t; ++i) {
+      if (skewed_consumer(q.workload, i, t)) continue;
+      quota += q.ops / t + (i < q.ops % t ? 1 : 0);
     }
-    print_metric_table(Metric::kMops, series, q.thread_counts);
-    print_metric_table(Metric::faa_per_op, series, q.thread_counts);
-    print_roles_table(series, q.thread_counts);
-    panel_end(panel.caption, q, series, report);
-  }
+    const u64 capacity = u64{1} << ring_order();
+    if (quota <= capacity) return "";
+    return "producer quota " + std::to_string(quota) +
+           " exceeds ring capacity " + std::to_string(capacity) +
+           "; a raw ring cannot report full";
+  };
+  // Mpsc also needs the consumer role to be exactly one worker: a wider
+  // minority is a second consumer session, which the ring traps by design.
+  const SkipFn single_minority = [&](unsigned t) -> std::string {
+    const unsigned minority = skewed_minority(t);
+    if (minority == 1) return over_capacity(t);
+    return "minority role is " + std::to_string(minority) +
+           " wide; the ring admits exactly one";
+  };
+  print_preamble("Pipeline P1", caption, q);
+  std::printf("# order=%u shards=%u shard_order=%u\n", ring_order(),
+              sharded_shard_count(), sharded_shard_order());
+  std::vector<Series> series;
+  run_series<MpscAdapter>(q, series, MpscAdapter::kName, single_minority);
+  run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
+  AdapterList<ShardedPipelineAdapter, ShardedAdapter<>>::run(q, series);
+  print_metric_table(Metric::kMops, series, q.thread_counts);
+  print_metric_table(Metric::faa_per_op, series, q.thread_counts);
+  print_roles_table(series, q.thread_counts);
+  panel_end(caption, q, series, report);
 }
 
 struct PanelDef {
@@ -408,8 +389,19 @@ int run(int argc, char** argv) {
     }
   }
   JsonReport report;
+  bool unfiltered = false;  // ablation measures no named series
   for (std::size_t i = 0; i < std::size(kPanels); ++i) {
-    if (chosen[i]) kPanels[i].run(p, report);
+    if (!chosen[i]) continue;
+    kPanels[i].run(p, report);
+    unfiltered |= kPanels[i].run == ablation;
+  }
+  // An --only naming no series of the chosen panels measured nothing: a
+  // typo (names are case-sensitive), not an empty result.
+  if (!p.only.empty() && !unfiltered && report.series_count() == 0) {
+    std::string arg = "--only=";
+    for (const std::string& name : p.only) arg += name + ",";
+    arg.pop_back();
+    p.usage_error(arg, "no series of the chosen panels matches");
   }
   if (!report.empty()) report.write(p.json_path);
   return 0;

@@ -45,12 +45,11 @@
 // and every magazine↔ring interaction uses the existing wait-free paths, so
 // the composition's progress class is unchanged.
 //
-// Degree-specialized rings (DESIGN.md §13): `BoundedQueue<T, MpscRing>` /
-// `<T, SpmcRing>` restrict the *data* ring only. The free ring is derived
-// from aq's by detail::DefaultFreeRing because fq's degree profile never
-// matches aq's — free indices flow back from consumers, exit hooks and
-// handle releases on arbitrary threads — so specialized aqs pair with an
-// MPMC SCQ fq.
+// Degree-specialized ring (DESIGN.md §13): `BoundedQueue<T, MpscRing>`
+// restricts the *data* ring only. The free ring is derived from aq's by
+// detail::DefaultFreeRing because fq's degree profile never matches aq's —
+// free indices flow back from consumers, exit hooks and handle releases on
+// arbitrary threads — so an MPSC aq pairs with an MPMC SCQ fq.
 #pragma once
 
 #include <algorithm>
@@ -78,17 +77,16 @@ namespace detail {
 // NOT aq's: every dequeuer of the data queue enqueues its freed index into
 // fq, cross-thread magazine exit flushes and owned-handle destruction do so
 // from arbitrary threads, and every enqueuer of the data queue dequeues
-// from fq. So when aq is degree-specialized the free ring falls back to the
-// MPMC SCQ — `BoundedQueue<T, MpscRing>` stays a drop-in instantiation
-// while keeping the index-recycling paths unrestricted. Symmetric rings
+// from fq. So when aq is MpscRing the free ring falls back to the MPMC
+// SCQ — `BoundedQueue<T, MpscRing>` stays a drop-in instantiation while
+// keeping the index-recycling paths unrestricted. Symmetric rings
 // keep fq == aq (wCQ's fq wait-freedom matters for the Fig 2 contract).
 template <typename Ring>
 struct DefaultFreeRing {
   using type = Ring;
 };
 template <typename Ring>
-  requires std::is_base_of_v<BasicScq<kMulti, kSingle>, Ring> ||
-           std::is_base_of_v<BasicScq<kSingle, kMulti>, Ring>
+  requires std::is_base_of_v<BasicScq<kSingle>, Ring>
 struct DefaultFreeRing<Ring> {
   using type = SCQ;
 };

@@ -1,4 +1,4 @@
-// MpscRing is BasicScq<kMulti, kSingle>, defined in core/scq.hpp with the
+// MpscRing is BasicScq<kSingle>, defined in core/scq.hpp with the
 // rest of the SCQ ring family. This header only forwards there; only the
 // perfbench/ tree still includes it by this name.
 #pragma once

@@ -10,30 +10,26 @@
 // lets Enqueue skip full-queue checks and what makes the 3n-1 Threshold
 // bound (paper §2) valid.
 //
-// One template, four rings (DESIGN.md §13). BasicScq<Producers, Consumers>
-// is SCQ with some machinery deleted once a side has a single thread:
+// One template, three rings (DESIGN.md §13). BasicScq<Consumers> is SCQ,
+// with some machinery deleted once the consumer side has a single thread:
 //
-//   SCQ      : BasicScq<kMulti, kMulti>   Fig 3 verbatim.
-//   MpscRing : BasicScq<kMulti, kSingle>  Peek-before-commit consumer: no
-//              Head F&A, no threshold (member and all), no consume RMW, no
-//              catchup. The producer side is SCQ's, minus the re-arm.
-//   SpmcRing : BasicScq<kSingle, kMulti>  Tail reserved by a single-writer
-//              store from max(Tail, Head) instead of the F&A; dequeuers keep
-//              SCQ's machinery minus catchup; the re-arm is a release store.
-//   BasicWCQ : BasicScq<kMulti, kMulti, PairSlots>, privately. wCQ's fast
-//              path is SCQ's; its entries and Head/Tail are {Value, Note}
-//              pairs its slow path CAS2s, and the fast path touches only the
-//              first word of each (Fig 7: "use only .cnt for fast paths").
+//   SCQ      : BasicScq<kMulti>   Fig 3 verbatim.
+//   MpscRing : BasicScq<kSingle>  Peek-before-commit consumer: no Head F&A,
+//              no threshold (member and all), no consume RMW, no catchup.
+//              The producer side is SCQ's, minus the re-arm.
+//   BasicWCQ : BasicScq<kMulti, PairSlots>, privately. wCQ's fast path is
+//              SCQ's; its entries and Head/Tail are {Value, Note} pairs its
+//              slow path CAS2s, and the fast path touches only the first
+//              word of each (Fig 7: "use only .cnt for fast paths").
 //
 // Each deletion is an `if constexpr` branch carrying its DESIGN.md argument
-// id. The single side is enforced, not assumed: a SessionGuard binds the
-// first thread through it and traps any second one. reset() and
+// id. The single consumer is enforced, not assumed: a SessionGuard binds
+// the first thread through it and traps any second one. reset() and
 // release_sessions() are the exclusive-access rebind points.
 //
 // Progress: operation-wise lock-free. Dequeue on an empty SCQ is O(1) after
 // the Threshold short-circuit kicks in (the property behind Fig 11a); the
-// MPSC consumer is O(1) on empty without one. The SPMC producer's
-// reservation is wait-free (no rival can invalidate its Tail store).
+// MPSC consumer is O(1) on empty without one.
 #pragma once
 
 #include <atomic>
@@ -64,8 +60,11 @@
 
 namespace wcq {
 
-// How many threads may drive one side of a ring.
-enum Degree { kSingle, kMulti };
+// How many threads may drive a ring's consumer side.
+enum Degree {
+  kSingle,  // exactly one, bound by a SessionGuard
+  kMulti,
+};
 
 // Entry and counter layouts. SCQ keeps one word per entry and per Head/Tail
 // counter. wCQ pairs each with a second word its slow path CAS2s together
@@ -78,20 +77,13 @@ struct PairSlots {
   using Slot = AtomicPair128;
 };
 
-template <Degree Producers, Degree Consumers, typename Slots = WordSlots>
+template <Degree Consumers, typename Slots = WordSlots>
 class BasicScq {
-  static_assert(Producers == kMulti || Consumers == kMulti,
-                "no SPSC ring: nothing instantiates one, so none is argued");
-
-  static constexpr bool kMultiProducer = Producers == kMulti;
   static constexpr bool kMultiConsumer = Consumers == kMulti;
-  static constexpr bool kGuarded = !(kMultiProducer && kMultiConsumer);
   static constexpr bool kPairSlots = std::is_same_v<Slots, PairSlots>;
-  static constexpr const char* kName = kMultiConsumer ? "SpmcRing"
-                                                      : "MpscRing";
-  static_assert(!kPairSlots || !kGuarded,
-                "pair entries are wCQ's, and wCQ is MPMC: no single-side arm "
-                "is argued for the two-word layout");
+  static_assert(!kPairSlots || kMultiConsumer,
+                "pair entries are wCQ's, and wCQ is MPMC: no single-consumer "
+                "arm is argued for the two-word layout");
 
   using Slot = typename Slots::Slot;
 
@@ -99,7 +91,7 @@ class BasicScq {
   // Session handle (DESIGN.md §10). The ring keeps no per-thread state — no
   // thread records, no registry use — so its handle is empty; it exists so
   // the Fig 2 layers can thread one handle type through any Ring uniformly.
-  // A single side's owner lives in the SessionGuard (keyed by thread, not by
+  // The single consumer lives in the SessionGuard (keyed by thread, not by
   // handle), so the same handle value cannot smuggle in a second owner.
   struct Handle {};
 
@@ -200,7 +192,7 @@ class BasicScq {
       // ONE release store per span occupy the modification-order slot SCQ's
       // F&A would have; the store also publishes the dead ranks skipped on
       // an empty probe, so the next probe starts past them.
-      guard_.enter(kName, "consumer");
+      guard_.enter("MpscRing");
       const u64 h0 = word(head_.value).load(std::memory_order_relaxed);
       u64 h = h0;
       std::size_t got = 0;
@@ -234,8 +226,8 @@ class BasicScq {
   // is in flight and none can start until the reset is published (the segment
   // pool provides this via hazard-pointer grace + release/acquire hand-off).
   // All stores are relaxed; the publishing edge belongs to the caller. Also
-  // the ownership rebind point: a recycled ring's single side may be driven
-  // by a different thread than the retired ring's.
+  // the ownership rebind point: a recycled ring's single consumer may be a
+  // different thread than the retired ring's.
   void reset() {
     for (u64 i = 0; i < codec_.ring_size(); ++i) {
       init(entries_[i], codec_.initial());
@@ -244,8 +236,9 @@ class BasicScq {
     init(head_.value, codec_.ring_size());
     if constexpr (kMultiConsumer) {
       threshold_.value.store(-1, std::memory_order_relaxed);  // empty
+    } else {
+      guard_.release();
     }
-    if constexpr (kGuarded) guard_.release();
   }
 
   // Appendix A's finalize, as in LSCQ: set FIN in Tail's counter word.
@@ -254,9 +247,7 @@ class BasicScq {
   // dequeuer that claims it, and a ⊥-marked enqueuer reserves again, meets
   // FIN and fails. Any producer may call it, any number of times; reset()
   // reopens the ring.
-  void finalize()
-    requires kMultiProducer
-  {
+  void finalize() {
     word(tail_.value).fetch_or(kTailFin, std::memory_order_seq_cst);
   }
 
@@ -277,47 +268,26 @@ class BasicScq {
       if (threshold_.value.load(std::memory_order_relaxed) !=
           threshold_max()) {
         WCQ_SCHED_POINT(kThresholdArm);
-        if constexpr (kMultiProducer) {
 #if defined(WCQ_ANALYSIS_MUTATE_THRESHOLD)
-          // Mutation self-test (DESIGN.md §11): model the re-arm downgraded
-          // to a relaxed store whose visibility is delayed past the next
-          // scheduling point. tests/analysis must catch the false-empty
-          // window this opens.
-          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
+        // Mutation self-test (DESIGN.md §11, §15): model the re-arm
+        // downgraded to a relaxed store whose visibility is delayed past the
+        // next scheduling point. tests/analysis must catch the false-empty
+        // window this opens.
+        analysis::mutate_deferred_store(&threshold_.value, threshold_max());
 #else
-          threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
+        threshold_.value.store(threshold_max(), std::memory_order_seq_cst);
 #endif
-        } else {
-          // §15 SPMC-REARM: one producer ⇒ one writer of threshold_max, so
-          // the store is downgraded seq_cst → release. Consumers only read
-          // the threshold through seq_cst fetch_subs, and a fetch_sub that
-          // reads-from this store synchronizes-with it, so the producer's
-          // earlier entry publication (seq_cst CAS, sequenced-before the
-          // store) is visible before any consumer can act on the re-armed
-          // budget. A consumer that decrements *before* the store lands sees
-          // the stale budget — a history seq_cst also admits (the store
-          // merely lands later in S) and one the 3n-1 slack already
-          // tolerates. On x86 this turns the re-arm's xchg into a plain mov.
-#if defined(WCQ_ANALYSIS_MUTATE_RELAXED)
-          // Mutation self-test: the argued release store over-weakened to a
-          // relaxed store whose visibility is deferred past the next
-          // scheduling point — the false-empty window the PCT explorer must
-          // catch (the §15 falsifiability contract).
-          analysis::mutate_deferred_store(&threshold_.value, threshold_max());
-#else
-          threshold_.value.store(threshold_max(), std::memory_order_release);
-#endif
-        }
         opcount::count_threshold();
       }
     }
   }
 
-  // Clear session bindings without touching ring contents. Exclusive-access
-  // only; lets destructor and straggler-drain paths running on an arbitrary
-  // thread adopt the single role (BoundedQueue::destroy_stragglers).
+  // Clear the consumer binding without touching ring contents.
+  // Exclusive-access only; lets destructor and straggler-drain paths running
+  // on an arbitrary thread adopt the single consumer
+  // (BoundedQueue::destroy_stragglers).
   void release_sessions()
-    requires kGuarded
+    requires(!kMultiConsumer)
   {
     guard_.release();
   }
@@ -381,44 +351,18 @@ class BasicScq {
   // into `first`; false when the F&A drew a FIN'd Tail, so the ring is
   // closed and the ranks are not the caller's.
   bool reserve(std::size_t n, u64& first) {
-    if constexpr (kMultiProducer) {
-      WCQ_SCHED_POINT(kTailFaa);
-      first = word(tail_.value).fetch_add(n, std::memory_order_seq_cst);
-      opcount::count_faa();
+    WCQ_SCHED_POINT(kTailFaa);
+    first = word(tail_.value).fetch_add(n, std::memory_order_seq_cst);
+    opcount::count_faa();
 #if defined(WCQ_ANALYSIS_MUTATE_FIN)
-      // Mutation self-test (tests/analysis/test_mutation_fin.cpp): ignore
-      // FIN and use the rank, so a late enqueuer can land its element in a
-      // segment that dequeuers already drained and unlinked.
-      first &= ~kTailFin;
-      return true;
+    // Mutation self-test (tests/analysis/test_mutation_fin.cpp): ignore FIN
+    // and use the rank, so a late enqueuer can land its element in a segment
+    // that dequeuers already drained and unlinked.
+    first &= ~kTailFin;
+    return true;
 #else
-      return (first & kTailFin) == 0;
+    return (first & kTailFin) == 0;
 #endif
-    } else {
-      // §13 SPMC-TAIL: one writer, so a plain load + seq_cst store occupies
-      // exactly the slot in Tail's modification order the F&A would have.
-      // It stays seq_cst because dequeuers' emptiness check (deq_at's Tail
-      // load) orders against it.
-      //
-      // §13 SPMC-CATCHUP: dequeuers may not write a producer-owned Tail, so
-      // the producer runs catchup itself — reservation starts from
-      // max(Tail, Head), or a drained ring would leave Head arbitrarily far
-      // ahead and force a walk over every dead rank in between. Both loads
-      // are relaxed (DESIGN.md §15 SPMC-SEED): Tail is producer-private, and
-      // Head only seeds a starting rank — Head is monotonic, so a stale read
-      // is merely lower, and every rank between a stale and the live Head
-      // is dead: enq_at rejects it (⊥-mark/cycle check, with its own seq_cst
-      // Head consultation on the unsafe arm) and the producer walks forward.
-      // Wasted probes, never a wrong insert.
-      guard_.enter(kName, "producer");
-      u64 t = word(tail_.value).load(std::memory_order_relaxed);
-      const u64 hd = word(head_.value).load(std::memory_order_relaxed);
-      if (t < hd) t = hd;  // producer-side catchup: ranks below Head are dead
-      WCQ_SCHED_POINT(kTailFaa);
-      word(tail_.value).store(t + n, std::memory_order_seq_cst);
-      first = t;
-      return true;  // no finalize() on a single-producer ring
-    }
   }
 
   // Fig 3, try_enq after the reservation: process one reserved tail rank.
@@ -431,8 +375,7 @@ class BasicScq {
   // consumer it is dynamically dead (§13 MPSC-SAFE: that consumer never
   // strands a live older-cycle element, so it never clears IsSafe) but kept
   // byte-for-byte, so the §13 argument only reasons about consumer-side
-  // deletions. With one producer the entry CAS still races consumers'
-  // ⊥-marks and multi-consumer stripping is still live.
+  // deletions.
   bool enq_at(u64 t, u64 index, bool rearm) {
     const u64 j = remap_(codec_.pos_of(t));
     const u64 cycle_t = codec_.cycle_of(t);
@@ -520,11 +463,7 @@ class BasicScq {
         }
         const u64 t = tail_rank();
         if (t <= h + 1) {
-          // With one producer there is no catchup here (§13 SPMC-CATCHUP):
-          // the producer pulls Tail forward itself on its next reservation.
-          // The threshold decrement below is the emptiness accounting among
-          // consumers, not part of catchup, so it stays.
-          if constexpr (kMultiProducer) catchup(t, h + 1);
+          catchup(t, h + 1);
           WCQ_SCHED_POINT(kThresholdDec);
           threshold_.value.fetch_sub(1, std::memory_order_seq_cst);
           opcount::count_threshold();
@@ -673,26 +612,23 @@ class BasicScq {
   alignas(kDestructiveRange) CacheAligned<Slot> tail_;
   // With one consumer, Head is consumer-private for writes and producers
   // read it only on the IsSafe=0 arm §13 shows unreachable; the separate
-  // line keeps the consumer's publishes off Tail's line. With one producer,
-  // Tail is the private one and consumers read it on the emptiness arm.
+  // line keeps the consumer's publishes off Tail's line.
   alignas(kDestructiveRange) CacheAligned<Slot> head_;
   // Deleted, member and all, with one consumer (§13 MPSC-THLD).
   alignas(kDestructiveRange) [[no_unique_address]] std::conditional_t<
       kMultiConsumer, CacheAligned<std::atomic<i64>>, Absent> threshold_;
-  [[no_unique_address]] std::conditional_t<kGuarded, SessionGuard, Absent>
+  [[no_unique_address]] std::conditional_t<kMultiConsumer, Absent,
+                                           SessionGuard>
       guard_;
 };
 
-// The three SCQ rings. Named classes rather than aliases, so each keeps its
+// The two SCQ rings. Named classes rather than aliases, so each keeps its
 // own type name wherever one is printed (typed-test ids, diagnostics); they
 // add no members, so each has exactly its BasicScq's layout.
-struct SCQ : BasicScq<kMulti, kMulti> {
+struct SCQ : BasicScq<kMulti> {
   using BasicScq::BasicScq;
 };
-struct MpscRing : BasicScq<kMulti, kSingle> {
-  using BasicScq::BasicScq;
-};
-struct SpmcRing : BasicScq<kSingle, kMulti> {
+struct MpscRing : BasicScq<kSingle> {
   using BasicScq::BasicScq;
 };
 

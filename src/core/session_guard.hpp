@@ -1,14 +1,13 @@
-// Single-owner session guard for the degree-specialized rings, MpscRing and
-// SpmcRing (BasicScq in core/scq.hpp; DESIGN.md §13).
+// Single-owner session guard for the degree-specialized ring, MpscRing
+// (BasicScq in core/scq.hpp; DESIGN.md §13).
 //
-// MpscRing's consumer side and SpmcRing's producer side are correct only
-// under a single-session discipline: exactly one thread may ever drive the
-// specialized side between two exclusive-access points (construction,
-// reset(), release_sessions()). Violating that is not a performance bug —
-// the owner's plain Head/Tail load+store loses updates — so the guard turns
-// the violation into a deterministic diagnosed abort instead of silent
-// corruption, the same policy as the queue-destroyed-with-live-handles
-// check (DESIGN.md §10).
+// MpscRing's consumer side is correct only under a single-session
+// discipline: exactly one thread may ever dequeue between two
+// exclusive-access points (construction, reset(), release_sessions()).
+// Violating that is not a performance bug — the owner's plain Head
+// load+store loses updates — so the guard turns the violation into a
+// deterministic diagnosed abort instead of silent corruption, the same
+// policy as the queue-destroyed-with-live-handles check (DESIGN.md §10).
 //
 // Cost on the owner's hot path: one thread-local address materialization,
 // one relaxed load and a predicted-taken compare — no RMW, no fence — so
@@ -33,7 +32,7 @@ class SessionGuard {
   // (not assert-only) so release builds fail deterministically too — a
   // second consumer racing the first would otherwise corrupt the ring
   // state long before an assert build ever saw it.
-  void enter(const char* ring, const char* role) {
+  void enter(const char* ring) {
     const void* me = self();
     const void* cur = owner_.load(std::memory_order_relaxed);
     if (cur == me) return;
@@ -42,9 +41,10 @@ class SessionGuard {
       return;
     }
     std::fprintf(stderr,
-                 "wcq: second %s session on %s (single-%s ring side); "
-                 "bind exactly one thread between exclusive-access points\n",
-                 role, ring, role);
+                 "wcq: second consumer session on %s (single-consumer "
+                 "ring); bind exactly one thread between exclusive-access "
+                 "points\n",
+                 ring);
     assert(false && "second session on a single-owner ring side");
     __builtin_trap();
   }
@@ -75,7 +75,7 @@ class SessionGuard {
 
 namespace detail {
 
-// Degree-specialized rings pin their owner thread via a SessionGuard; the
+// The single-consumer ring pins its owner thread via a SessionGuard; the
 // exclusive-access paths of the layers above them (destructor drain, reset)
 // legitimately run on a different thread than the bound owner, so they
 // clear the binding first. Symmetric rings have no such method —

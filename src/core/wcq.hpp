@@ -87,8 +87,8 @@ struct Cas2EntryOps {
 };
 
 template <typename EntryOps>
-class BasicWCQ : private BasicScq<kMulti, kMulti, PairSlots> {
-  using Ring = BasicScq<kMulti, kMulti, PairSlots>;
+class BasicWCQ : private BasicScq<kMulti, PairSlots> {
+  using Ring = BasicScq<kMulti, PairSlots>;
   struct ThreadRec;  // defined below; named here so Handle can hold one
 
  public:

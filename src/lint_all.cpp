@@ -44,7 +44,6 @@ template class BoundedQueue<std::uint64_t, WCQ>;
 template class BoundedQueue<std::uint64_t, SCQ>;
 template class BoundedQueue<std::uint64_t, WCQLLSC>;
 template class BoundedQueue<std::uint64_t, MpscRing>;
-template class BoundedQueue<std::uint64_t, SpmcRing>;
 template class Channel<std::uint64_t, BoundedQueue<std::uint64_t, WCQ>>;
 template class Channel<std::uint64_t, ShardedQueue<std::uint64_t, WCQ>>;
 }  // namespace wcq

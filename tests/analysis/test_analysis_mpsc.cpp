@@ -1,11 +1,11 @@
-// Degree-specialized rings under the schedule explorer (DESIGN.md §13):
-// PCT-randomized interleavings over small-scope MpscRing and SpmcRing
-// configurations, asserting linearizability and the bounded-step budget.
+// The degree-specialized ring under the schedule explorer (DESIGN.md §13):
+// PCT-randomized interleavings over small-scope MpscRing configurations,
+// asserting linearizability and the bounded-step budget.
 //
-// Script shapes respect the degree contracts — exactly one worker ever
-// dequeues an MpscRing and exactly one ever enqueues an SpmcRing (the
-// pairs_scripts shape, where every worker does both, would trip the
-// SessionGuard trap by design, so it is deliberately absent here).
+// Script shapes respect the degree contract — exactly one worker ever
+// dequeues an MpscRing (the pairs_scripts shape, where every worker does
+// both, would trip the SessionGuard trap by design, so it is deliberately
+// absent here).
 //
 // The load-bearing case is the re-arm comparison: the SAME seeds and the
 // SAME script run over SCQ (which re-arms the threshold on every enqueue)
@@ -71,16 +71,6 @@ std::vector<Script> two_prod_one_con_scripts() {
   return scripts;
 }
 
-// The SPMC mirror: one producer, two racing consumers (the side the
-// threshold still referees), plus an extra dequeue so empties linearize too.
-std::vector<Script> one_prod_two_con_scripts() {
-  std::vector<Script> scripts(3);
-  scripts[0] = {{OpKind::kEnq, 0}, {OpKind::kEnq, 1}, {OpKind::kEnq, 2}};
-  scripts[1] = {{OpKind::kDeq, 0}, {OpKind::kDeq, 0}};
-  scripts[2] = {{OpKind::kDeq, 0}, {OpKind::kDeq, 0}};
-  return scripts;
-}
-
 TEST(SchedExploreDegree, MpscProdCon) {
   explore<analysis_test::RingAdapter<MpscRing>>(
       [] { return std::make_unique<MpscRing>(2); }, prodcon_scripts(3), 4);
@@ -104,17 +94,6 @@ TEST(SchedExploreDegree, ThresholdRearmRedundantForSingleConsumer) {
       [] { return std::make_unique<SCQ>(2); }, scripts, 4);
   explore<analysis_test::RingAdapter<MpscRing>>(
       [] { return std::make_unique<MpscRing>(2); }, scripts, 4);
-}
-
-TEST(SchedExploreDegree, SpmcProdCon) {
-  explore<analysis_test::RingAdapter<SpmcRing>>(
-      [] { return std::make_unique<SpmcRing>(2); }, prodcon_scripts(3), 4);
-}
-
-TEST(SchedExploreDegree, SpmcOneProducerTwoConsumers) {
-  explore<analysis_test::RingAdapter<SpmcRing>>(
-      [] { return std::make_unique<SpmcRing>(2); }, one_prod_two_con_scripts(),
-      4);
 }
 
 }  // namespace

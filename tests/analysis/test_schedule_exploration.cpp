@@ -278,5 +278,77 @@ TEST(SchedExplore, WcqSlowEnqueueClosedByFin) {
   EXPECT_GT(slow_closes, 0u) << "no schedule closed a slow-path request";
 }
 
+// wCQ's slow dequeue (Fig 5 lines 40-54, Fig 7 try_deq_slow). w0's dequeue
+// (patience 1) draws a Head rank and stalls before looking at its slot,
+// which w1's first enqueue then fills. w1's three dequeues find nothing
+// past that rank, and their catchups pull Tail a lap ahead. w1's next
+// enqueue meets the stalled rank's element, still live, in its next-lap
+// slot, so it abandons that rank and lands one further. w1's last dequeue
+// draws the abandoned rank: an older live element with Tail past it is a
+// retry, and with patience spent the dequeue takes the slow path. The
+// stall sits after the Head F&A, not before it: a victim held before
+// drawing its rank leaves w1 running alone, and a lone thread never fails
+// a fast-path attempt. Every element is delivered exactly once on every
+// seed; the slow shape must occur in some schedule.
+template <typename Ring>
+void slow_dequeue_after_stalled_claim() {
+  unsigned slow_dequeues = 0;
+  for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+    Ring q(typename Ring::Options{.order = 1, .deq_patience = 1});
+    // Arm the threshold, so w0's dequeue claims a rank instead of taking
+    // the empty fast exit.
+    q.enqueue(0);
+    ASSERT_EQ(q.dequeue(), std::optional<u64>{0});
+    PctScheduler::Config cfg;
+    cfg.seed = seed;
+    cfg.workers = 2;
+    cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+    cfg.horizon = 60;
+    cfg.stall_victim = 0;
+    cfg.stall_site = analysis::Site::kEntryUpdate;
+    std::multiset<u64> got;
+    std::optional<u64> stalled_got;
+    bool slow = false;
+    {
+      PctScheduler sched(cfg);
+      std::thread victim([&] {
+        sched.attach(0);
+        stalled_got = q.dequeue();
+        sched.finish();
+      });
+      std::thread peer([&] {
+        sched.attach(1);
+        const auto before = opcount::snapshot();
+        q.enqueue(0);
+        for (int i = 0; i < 3; ++i) {
+          if (auto v = q.dequeue()) got.insert(*v);
+        }
+        q.enqueue(1);
+        if (auto v = q.dequeue()) got.insert(*v);
+        slow = (opcount::snapshot() - before).wcq_deq_slow != 0;
+        sched.finish();
+      });
+      victim.join();
+      peer.join();
+      ASSERT_FALSE(sched.watchdog_fired()) << "seed " << seed;
+    }
+    if (stalled_got) got.insert(*stalled_got);
+    while (auto v = q.dequeue()) got.insert(*v);
+    EXPECT_EQ(got, (std::multiset<u64>{0, 1}))
+        << "lost or duplicated element, seed " << seed;
+    if (slow) ++slow_dequeues;
+  }
+  EXPECT_GT(slow_dequeues, 0u) << "no schedule took the slow dequeue";
+}
+
+TEST(SchedExplore, WcqSlowDequeueAfterStalledClaim) {
+  slow_dequeue_after_stalled_claim<WCQ>();
+}
+
+// The same shape over the LL/SC entry-op backend (Fig 9).
+TEST(SchedExplore, WcqLlscSlowDequeueAfterStalledClaim) {
+  slow_dequeue_after_stalled_claim<WCQLLSC>();
+}
+
 }  // namespace
 }  // namespace wcq

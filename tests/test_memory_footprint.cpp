@@ -41,7 +41,6 @@ static_assert(sizeof(UnboundedQueue<u64>) == 512);
 static_assert(sizeof(WCQ) == 512);
 static_assert(sizeof(WCQLLSC) == 512);
 static_assert(sizeof(SCQ) == 512);
-static_assert(sizeof(SpmcRing) == 512);
 static_assert(sizeof(MpscRing) == 384);
 
 constexpr std::int64_t kOrder = 8;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -186,6 +187,21 @@ TEST(MpscRing, UnboundedSegmentChurnExactlyOnce) {
   cfg.consumers = 1;
   cfg.items_per_producer = 15000;
   testing::run_mpmc_exactly_once(q, cfg);
+}
+
+// The single consumer decides empty by the FIN-masked Tail rank, so the
+// elements inserted before finalize() still drain; the rank a refused
+// enqueue drew is dead and is skipped. reset() reopens the ring.
+TEST(MpscRing, FinalizeRefusesEnqueueAndKeepsElements) {
+  MpscRing q(4);
+  for (u64 i = 0; i < 3; ++i) ASSERT_TRUE(q.enqueue(i));
+  q.finalize();
+  EXPECT_FALSE(q.enqueue(7));
+  for (u64 i = 0; i < 3; ++i) EXPECT_EQ(q.dequeue(), std::optional<u64>{i});
+  EXPECT_FALSE(q.dequeue().has_value());
+  q.reset();
+  ASSERT_TRUE(q.enqueue(5));
+  EXPECT_EQ(q.dequeue(), std::optional<u64>{5});
 }
 
 // Death tests fork the process; under TSan that is unreliable (and the

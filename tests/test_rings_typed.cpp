@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -156,6 +157,52 @@ TYPED_TEST(RingTypedTest, HandleOpsRoundTrip) {
     auto v = q.dequeue(h);
     ASSERT_TRUE(v.has_value());
     ASSERT_EQ(*v, i % q.capacity());
+  }
+}
+
+// Appendix A's finalize (BasicScq::finalize): every reservation drawn
+// after it fails, so single and bulk enqueues insert nothing, while the
+// elements inserted before it still drain in FIFO order.
+TYPED_TEST(RingTypedTest, FinalizeRefusesEnqueueAndKeepsElements) {
+  TypeParam q(4);
+  for (u64 i = 0; i < 3; ++i) ASSERT_TRUE(q.enqueue(i));
+  q.finalize();
+  q.finalize();  // idempotent
+  EXPECT_FALSE(q.enqueue(7));
+  const u64 more[4] = {8, 9, 10, 11};
+  q.enqueue_bulk(more, 4);
+  for (u64 i = 0; i < 3; ++i) EXPECT_EQ(q.dequeue(), std::optional<u64>{i});
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// catchup() compares a FIN-masked Tail rank, so its CAS fails against a
+// finalized Tail: empty dequeues past the end never reopen the ring.
+TYPED_TEST(RingTypedTest, EmptyDequeuesKeepRingFinalized) {
+  TypeParam q(3);
+  ASSERT_TRUE(q.enqueue(0));
+  q.finalize();
+  ASSERT_EQ(q.dequeue(), std::optional<u64>{0});
+  for (u64 i = 0; i < 2 * q.ring_size(); ++i) {
+    ASSERT_FALSE(q.dequeue().has_value());
+  }
+  EXPECT_FALSE(q.enqueue(1));
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+// reset() is the exclusive-access reopen (a recycled segment's ring): it
+// clears FIN and every slot, and the ring works as if freshly built.
+TYPED_TEST(RingTypedTest, ResetReopensFinalizedRing) {
+  TypeParam q(4);
+  ASSERT_TRUE(q.enqueue(1));
+  q.finalize();
+  ASSERT_FALSE(q.enqueue(2));
+  q.reset();
+  EXPECT_EQ(q.threshold(), -1);
+  EXPECT_EQ(q.head(), q.tail());
+  EXPECT_FALSE(q.dequeue().has_value());
+  for (u64 i = 0; i < q.capacity(); ++i) ASSERT_TRUE(q.enqueue(i));
+  for (u64 i = 0; i < q.capacity(); ++i) {
+    ASSERT_EQ(q.dequeue(), std::optional<u64>{i});
   }
 }
 

@@ -1,6 +1,6 @@
 // SCQ (paper Fig 3) unit and concurrency tests, plus the layout checks and
-// round-trip cases every degree of the BasicScq family (SCQ, MpscRing,
-// SpmcRing; DESIGN.md §13) shares.
+// round-trip cases both degrees of the BasicScq family (SCQ, MpscRing;
+// DESIGN.md §13) share.
 #include "core/scq.hpp"
 
 #include <gtest/gtest.h>
@@ -22,14 +22,13 @@ namespace {
 template <class Ring>
 concept HasThreshold = requires(const Ring& r) { r.threshold(); };
 static_assert(!HasThreshold<MpscRing>, "MpscRing must not keep a threshold");
-static_assert(HasThreshold<SCQ> && HasThreshold<SpmcRing>,
-              "multi-consumer rings keep the 3n-1 threshold");
+static_assert(HasThreshold<SCQ>, "SCQ keeps the 3n-1 threshold");
 static_assert(sizeof(MpscRing) < sizeof(SCQ),
               "MpscRing must not carry the threshold's cache line");
 
 // --- Cases every degree of the family passes -------------------------------
-// Written once over the ring type; each alias runs them under its own suite
-// name (Scq.*, MpscRing.*, SpmcRing.*).
+// Written once over the ring type; each ring runs them under its own suite
+// name (Scq.*, MpscRing.*).
 template <class Ring>
 void SingleElementRoundTrip() {
   Ring q(4);
@@ -105,16 +104,6 @@ TEST(MpscRing, WraparoundManyCycles) { WraparoundManyCycles<MpscRing>(); }
 TEST(MpscRing, FullCapacityIsUsable) { FullCapacityIsUsable<MpscRing>(); }
 TEST(MpscRing, BulkRoundTripPreservesFifo) {
   BulkRoundTripPreservesFifo<MpscRing>();
-}
-
-TEST(SpmcRing, SingleElementRoundTrip) { SingleElementRoundTrip<SpmcRing>(); }
-TEST(SpmcRing, FifoOrderWithinCapacity) {
-  FifoOrderWithinCapacity<SpmcRing>();
-}
-TEST(SpmcRing, WraparoundManyCycles) { WraparoundManyCycles<SpmcRing>(); }
-TEST(SpmcRing, FullCapacityIsUsable) { FullCapacityIsUsable<SpmcRing>(); }
-TEST(SpmcRing, BulkRoundTripPreservesFifo) {
-  BulkRoundTripPreservesFifo<SpmcRing>();
 }
 
 // --- SCQ-specific ----------------------------------------------------------
