@@ -35,6 +35,7 @@
 //   pipeline  degree-specialized rings on skewed workloads (DESIGN.md §13).
 //
 // fig11 and fig12 also name their single panels (fig11a ... fig12c).
+#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -50,8 +51,9 @@ namespace {
 
 template <typename... Adapters>
 struct AdapterList {
-  static void run(const BenchParams& p, std::vector<Series>& out) {
-    (run_series<Adapters>(p, out), ...);
+  static void run(const BenchParams& p, std::vector<Series>& out,
+                  const SkipFn& skip = {}) {
+    (run_series<Adapters>(p, out, Adapters::kName, skip), ...);
   }
 };
 
@@ -305,10 +307,29 @@ void magazine(const BenchParams& base, JsonReport& report) {
 // consumer column must read exactly 0 F&As and 0 threshold RMWs per op —
 // the deterministic, 1-core-safe pipeline gate.
 // WCQ_BENCH_ORDER / WCQ_BENCH_SHARDS / WCQ_BENCH_SHARD_ORDER size the rings.
+// p8to1 hands its minority role to one consumer first, so every series
+// skips points below kPipelineMinThreads: a lone worker is only the
+// consumer, and its row would time pure empty dequeues. A sweep with no
+// point left is a bad --threads.
+constexpr unsigned kPipelineMinThreads = 2;
+
 void pipeline(const BenchParams& base, JsonReport& report) {
   const char* caption = "fan-in p8to1: MPSC ring / pipeline shards vs MPMC";
   BenchParams q = base;
   q.workload = Workload::kP8to1;
+  if (std::ranges::none_of(q.thread_counts, [](unsigned t) {
+        return t >= kPipelineMinThreads;
+      })) {
+    std::string arg = "--threads=";
+    for (unsigned t : q.thread_counts) arg += std::to_string(t) + ",";
+    arg.pop_back();
+    q.usage_error(arg, "the pipeline panel needs a point of at least " +
+                           std::to_string(kPipelineMinThreads) + " threads");
+  }
+  const SkipFn no_producer = [](unsigned t) -> std::string {
+    if (t >= kPipelineMinThreads) return "";
+    return "the lone worker is the consumer; p8to1 needs a producer too";
+  };
   // Raw-ring points (Mpsc and SCQ alike) are measured only where they can
   // terminate. The skewed workload enqueues without a matching drain and a
   // raw index ring cannot report full, so past 2^ring_order() live indices
@@ -316,7 +337,8 @@ void pipeline(const BenchParams& base, JsonReport& report) {
   // the producer role's whole quota must fit the ring, which keeps
   // occupancy <= capacity. The sharded series report full as real
   // backpressure (a counted attempt) and need no bound.
-  const SkipFn over_capacity = [&q](unsigned t) -> std::string {
+  const SkipFn over_capacity = [&](unsigned t) -> std::string {
+    if (std::string why = no_producer(t); !why.empty()) return why;
     u64 quota = 0;
     for (unsigned i = 0; i < t; ++i) {
       if (skewed_consumer(q.workload, i, t)) continue;
@@ -342,7 +364,8 @@ void pipeline(const BenchParams& base, JsonReport& report) {
   std::vector<Series> series;
   run_series<MpscAdapter>(q, series, MpscAdapter::kName, single_minority);
   run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
-  AdapterList<ShardedPipelineAdapter, ShardedAdapter<>>::run(q, series);
+  AdapterList<ShardedPipelineAdapter, ShardedAdapter<>>::run(q, series,
+                                                             no_producer);
   print_metric_table(Metric::kMops, series, q.thread_counts);
   print_metric_table(Metric::faa_per_op, series, q.thread_counts);
   print_roles_table(series, q.thread_counts);

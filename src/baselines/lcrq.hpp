@@ -94,7 +94,14 @@ class LCRQ {
         hp.clear(0);
         return std::nullopt;
       }
-      // A successor exists: the ring is closed-and-drained; unlink it.
+      // A successor exists, so the ring is closed, but an enqueue may have
+      // landed between our EMPTY verdict and the close. Morrison & Afek's
+      // LCRQ dequeue (PPoPP'13) tries the CRQ once more before swinging
+      // head; unlinking it first would strand that element.
+      if (crq->dequeue(value)) {
+        hp.clear(0);
+        return value;
+      }
       CRQ* expected = crq;
       if (head_.value.compare_exchange_strong(expected, next,
                                               std::memory_order_seq_cst)) {

@@ -45,6 +45,11 @@
 // and every magazine↔ring interaction uses the existing wait-free paths, so
 // the composition's progress class is unchanged.
 //
+// Free-ring layout (DESIGN.md §9): with magazines on, fq is built without
+// Cache_Remap, because its steady-state traffic is then spans of
+// consecutive ranks from one thread, and such a span wants its ranks to
+// share lines. aq, and fq without magazines, keep the paper's remap.
+//
 // Degree-specialized ring (DESIGN.md §13): `BoundedQueue<T, MpscRing>`
 // restricts the *data* ring only. The free ring is derived from aq's by
 // detail::DefaultFreeRing because fq's degree profile never matches aq's —
@@ -138,7 +143,10 @@ class BoundedQueue {
 
   explicit BoundedQueue(Options opt)
       : aq_(opt.order),
-        fq_(opt.order),
+        // Flat under magazines (DESIGN.md §9). A magazine clamped to 0
+        // leaves single operations on fq, so that fq keeps the remap.
+        fq_(opt.order, /*cache_remap=*/effective_magazine_capacity(
+                           opt.magazine, aq_.capacity()) == 0),
         data_(aq_.capacity(), kCacheLine),
         mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
               detail::ring_tids(aq_)) {
@@ -301,6 +309,7 @@ class BoundedQueue {
 
   // Ring access for diagnostics (e.g., threshold inspection in tests).
   const Ring& aq() const { return aq_; }
+  const FreeRing& fq() const { return fq_; }
   // Free indices currently cached in magazines (exact at quiescence).
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }

@@ -117,6 +117,9 @@ class BasicScq {
   // Metered bytes the ring allocated: its entries.
   std::size_t heap_bytes() const { return entries_.bytes(); }
   u64 ring_size() const { return codec_.ring_size(); }
+  // Whether Cache_Remap spreads consecutive ranks over lines (false when
+  // built flat, or when the whole ring fits one line).
+  bool cache_remap() const { return remap_.enabled(); }
 
   // Inserts `index` (< capacity()); the caller guarantees at most
   // capacity() live indices (Fig 2's fq/aq usage provides that). Fails only

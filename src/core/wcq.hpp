@@ -134,12 +134,16 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
            opt.max_threads <= ThreadRegistry::kMaxThreads);
   }
 
-  explicit BasicWCQ(unsigned order) : BasicWCQ(Options{.order = order}) {}
+  // The (order, cache_remap) shape BasicScq shares, so BoundedQueue builds
+  // either ring through one path.
+  explicit BasicWCQ(unsigned order, bool cache_remap = true)
+      : BasicWCQ(Options{.order = order, .cache_remap = cache_remap}) {}
   BasicWCQ() : BasicWCQ(Options{}) {}
 
   BasicWCQ(const BasicWCQ&) = delete;
   BasicWCQ& operator=(const BasicWCQ&) = delete;
 
+  using Ring::cache_remap;
   using Ring::capacity;
   using Ring::finalize;
   using Ring::reset_threshold;

@@ -177,6 +177,31 @@ TEST(MpscRing, BoundedMagazinesOffExactlyOnce) {
   testing::run_mpmc_exactly_once(q, cfg);
 }
 
+// Bulk spans are the traffic the flat fq is laid out for (DESIGN.md §9):
+// with magazines on, refill, spill and the bulk claim/release paths all
+// reach fq as spans; with them off, fq is remapped and sees the same spans.
+TEST(MpscRing, BoundedMagazinesOnBulkExactlyOnce) {
+  BoundedQueue<u64, MpscRing> q(
+      typename BoundedQueue<u64, MpscRing>::Options{7, {}});
+  ASSERT_FALSE(q.fq().cache_remap());
+  testing::MpmcConfig cfg;
+  cfg.producers = 6;
+  cfg.consumers = 1;
+  cfg.items_per_producer = 20000;
+  testing::run_mpmc_bulk_exactly_once(q, cfg, /*max_batch=*/48);
+}
+
+TEST(MpscRing, BoundedMagazinesOffBulkExactlyOnce) {
+  BoundedQueue<u64, MpscRing> q(typename BoundedQueue<u64, MpscRing>::Options{
+      7, {.enabled = false, .capacity = 16}});
+  ASSERT_TRUE(q.fq().cache_remap());
+  testing::MpmcConfig cfg;
+  cfg.producers = 6;
+  cfg.consumers = 1;
+  cfg.items_per_producer = 20000;
+  testing::run_mpmc_bulk_exactly_once(q, cfg, /*max_batch=*/48);
+}
+
 TEST(MpscRing, UnboundedSegmentChurnExactlyOnce) {
   // Appendix A composition: small segments force constant retire/recycle,
   // so the consumer binds (and reset() unbinds) many segment rings over the

@@ -35,7 +35,10 @@ Modes:
                      budget header exceeds N (the ratchet-down ceiling CI
                      pins, so the header cannot silently regrow)
   --update           rewrite the manifest from the tree, carrying over tags
-                     and downgraded-from by site key (new sites get UNTAGGED;
+                     and downgraded-from by site key (new sites get UNTAGGED,
+                     and so does every site of a hash whose site count
+                     changed, since its ordinals no longer name the same
+                     sites; those rows are printed for re-tagging by hand;
                      a new site whose (file, receiver, op) matches a stale
                      stronger-ordered row inherits downgraded-from=<old
                      order> automatically); --set-budget N moves the seq_cst
@@ -53,6 +56,7 @@ compiler's own preprocessor as the optional assist.
 """
 
 import argparse
+import collections
 import hashlib
 import json
 import os
@@ -219,7 +223,8 @@ class Site:
 
 def scan_file(path):
     rel = os.path.relpath(path, REPO)
-    raw = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as f:
+        raw = f.read()
     text = strip_comments(raw)
     sites = []
 
@@ -450,9 +455,35 @@ def do_check(args):
     return 1 if findings else 0
 
 
+def carry_tags(sites, tags):
+    """Manifest tags carried onto the tree's sites: (tags, reset sites).
+
+    A key's ordinal counts the earlier sites that share its hash, so adding
+    or deleting one of them renumbers the later ones, and carrying by key
+    would hand a deleted site's tag to its successor. Where the number of
+    sites sharing a hash differs between the manifest and the tree, no tag
+    of that hash is carried: each of its sites is returned in `reset` and
+    stays UNTAGGED until it is argued again.
+    """
+    def digest(key):
+        return key.split("#", 1)[0]
+
+    before = collections.Counter(digest(key) for key in tags)
+    after = collections.Counter(digest(s.key) for s in sites)
+    carried, reset = {}, []
+    for s in sites:
+        d = digest(s.key)
+        if before[d] and before[d] != after[d]:
+            reset.append(s)
+        elif s.key in tags:
+            carried[s.key] = tags[s.key]
+    return carried, reset
+
+
 def do_update(args):
     sites = scan_tree()
-    tags, budget, rows, downgrades = read_manifest()
+    old_tags, budget, rows, downgrades = read_manifest()
+    tags, reset = carry_tags(sites, old_tags)
     count = seq_cst_count(sites)
     if args.set_budget is not None:
         budget = args.set_budget
@@ -471,7 +502,7 @@ def do_update(args):
                                        []).append(cols)
     inferred = 0
     for s in sites:
-        if s.key in tags:
+        if s.key in old_tags:
             continue
         for cols in stale_by_triple.get((s.file, s.receiver, s.op), []):
             old_order = cols[6]
@@ -485,6 +516,10 @@ def do_update(args):
                 break
 
     write_manifest(sites, tags, budget, downgrades)
+    for s in reset:
+        print("untagged: %s:%d %s.%s(%s) [%s] — the sites sharing its hash "
+              "were renumbered; tag it by hand"
+              % (s.file, s.line, s.receiver, s.op, s.order, s.key))
     fresh = sum(1 for s in sites if tags.get(s.key, UNTAGGED) == UNTAGGED)
     print("manifest updated: %d sites (%d seq_cst, budget %d), %d untagged, "
           "%d downgraded (%d newly inferred)"
