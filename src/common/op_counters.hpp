@@ -23,6 +23,9 @@
 //   hazard_publish — seq_cst hazard-slot stores in HazardDomain's publish
 //                  paths (protect, set), the barrier an UnboundedQueue
 //                  session pays to pin a segment
+//   mpsc_dead_rank — ranks the MpscRing consumer ⊥-marked because their
+//                  enqueuer had not delivered; each such enqueuer loses its
+//                  rank and reserves again
 //
 // WCQ_EVENTS is the table, one row per counter: X(field, json_key_stem,
 // description). The Counters field, its operator-/operator+=, count_<field>()
@@ -47,7 +50,8 @@
   X(wcq_help_deq, "wcq_help_deq", "wCQ helped peer dequeues per op")          \
   X(wcq_phase2_help, "wcq_phase2_help", "wCQ Phase-2 helps per op")           \
   X(wcq_finalize, "wcq_finalize", "wCQ slow enqueues finalized per op")       \
-  X(hazard_publish, "hazard_publish", "hazard-slot publishes per op")
+  X(hazard_publish, "hazard_publish", "hazard-slot publishes per op")         \
+  X(mpsc_dead_rank, "mpsc_dead_rank", "MPSC consumer dead-rank marks per op")
 // clang-format on
 
 namespace wcq::opcount {
@@ -77,6 +81,9 @@ struct alignas(kCacheLine) Counters {
     return a;
   }
 };
+// Sixteen rows fit two lines; a seventeenth would grow every record that
+// embeds a snapshot by a line.
+static_assert(sizeof(Counters) == 2 * kCacheLine);
 
 // Function-local thread_local rather than an extern TLS object: GCC's
 // -fsanitize=null instrumentation has a long-standing false positive on

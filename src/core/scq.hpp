@@ -16,7 +16,9 @@
 //   SCQ      : BasicScq<kMulti>   Fig 3 verbatim.
 //   MpscRing : BasicScq<kSingle>  Peek-before-commit consumer: no Head F&A,
 //              no threshold (member and all), no consume RMW, no catchup.
-//              The producer side is SCQ's, minus the re-arm.
+//              A bulk span that holds elements stops at an undelivered
+//              rank instead of ⊥-marking it; only a consumer holding
+//              nothing marks. The producer side is SCQ's, minus the re-arm.
 //   BasicWCQ : BasicScq<kMulti, PairSlots>, privately. wCQ's fast path is
 //              SCQ's; its entries and Head/Tail are {Value, Note} pairs its
 //              slow path CAS2s, and the fast path touches only the first
@@ -194,15 +196,16 @@ class BasicScq {
       // threshold to stay O(1). Head has one writer, so a relaxed load and
       // ONE release store per span occupy the modification-order slot SCQ's
       // F&A would have; the store also publishes the dead ranks skipped on
-      // an empty probe, so the next probe starts past them.
+      // an empty probe, so the next probe starts past them. A span that
+      // already holds elements stops at an undelivered rank (§13 MPSC-STOP).
       guard_.enter("MpscRing");
       const u64 h0 = word(head_.value).load(std::memory_order_relaxed);
       u64 h = h0;
       std::size_t got = 0;
       while (got < n) {
         u64 index;
-        const Step s = step_at(h, index);
-        if (s == Step::kEmpty) break;
+        const Step s = step_at(h, index, /*holding=*/got != 0);
+        if (s == Step::kStop) break;
         if (s == Step::kGot) out[got++] = index;
         ++h;  // kGot and kSkip both advance past the rank
       }
@@ -313,7 +316,7 @@ class BasicScq {
   static constexpr u64 kTailFin = u64{1} << 63;
 
   enum class DeqStatus { kOk, kEmpty, kRetry };
-  enum class Step { kGot, kEmpty, kSkip };
+  enum class Step { kGot, kStop, kSkip };
   struct Absent {};
 
   // deq_at's pre-consume hook for SCQ: SCQ produces every entry with Enq=1
@@ -539,17 +542,19 @@ class BasicScq {
   }
 
   // The single consumer's step (§13): examine one head rank without having
-  // reserved it. Outcomes:
-  //   kGot   — rank held a live element for our cycle; it has been consumed
-  //            and the caller must advance past the rank.
-  //   kSkip  — rank is dead (superseded cycle, or ⊥-marked by us just now);
-  //            advance past it and look at the next.
-  //   kEmpty — Tail <= h with the rank unfilled: no completed-unconsumed
-  //            enqueue exists, and Head must NOT advance — the rank stays
-  //            claimable by a future enqueue. Head therefore never overshoots
-  //            Tail, and there is nothing for catchup to pull forward
-  //            (§13 MPSC-CATCHUP).
-  Step step_at(u64 h, u64& index_out) {
+  // reserved it. `holding` says the caller's span already holds elements.
+  // Outcomes:
+  //   kGot  — rank held a live element for our cycle; it has been consumed
+  //           and the caller must advance past the rank.
+  //   kSkip — rank is dead (superseded cycle, or ⊥-marked by us just now);
+  //           advance past it and look at the next.
+  //   kStop — rank unfilled, and either the span is `holding` (§13
+  //           MPSC-STOP: the call returns what it has, the rank's enqueuer
+  //           may still land) or Tail <= h (no completed-unconsumed enqueue
+  //           exists). Head must NOT advance: the rank stays claimable.
+  //           Head therefore never overshoots Tail, and there is nothing
+  //           for catchup to pull forward (§13 MPSC-CATCHUP).
+  Step step_at(u64 h, u64& index_out, bool holding) {
     const u64 j = remap_(codec_.pos_of(h));
     const u64 cycle_h = codec_.cycle_of(h);
     u64 raw = word(entries_[j]).load(std::memory_order_acquire);
@@ -575,13 +580,16 @@ class BasicScq {
         // our cycle at this position is dead.
         return Step::kSkip;
       }
-      // §13 MPSC-THLD: e.cycle < cycle_h, rank h's enqueuer has not
-      // delivered. Decide empty-vs-late by Tail; the seq_cst load orders
-      // against producers' seq_cst Tail F&As, so `tail <= h` proves no
-      // completed-unconsumed enqueue exists. Emptiness is O(1) without the
-      // 3n-1 counter, which is why the threshold is deleted.
+      // e.cycle < cycle_h: rank h's enqueuer has not delivered. §13
+      // MPSC-STOP: a span holding elements ends here, unmarked and without
+      // reading Tail, since empty or late it would stop anyway.
+      if (holding) return Step::kStop;
+      // §13 MPSC-THLD: decide empty-vs-late by Tail; the seq_cst load
+      // orders against producers' seq_cst Tail F&As, so `tail <= h` proves
+      // no completed-unconsumed enqueue exists. Emptiness is O(1) without
+      // the 3n-1 counter, which is why the threshold is deleted.
       WCQ_SCHED_POINT(kThresholdCheck);
-      if (tail_rank() <= h) return Step::kEmpty;
+      if (tail_rank() <= h) return Step::kStop;
 #if defined(WCQ_ANALYSIS_MUTATE_MPSC)
       // Mutation self-test (DESIGN.md §13): skip the dead rank WITHOUT
       // ⊥-marking it. A descheduled rank-h producer can then land its
@@ -589,15 +597,17 @@ class BasicScq {
       // catch the resulting non-linearizable empty.
       return Step::kSkip;
 #else
-      // §13 MPSC-DEADRANK: producers are already past this rank (Tail > h)
-      // but rank h's owner may still land late; ⊥-mark the slot so it
-      // cannot deliver behind Head. CAS, not a store: this is the one
-      // consumer write that races a producer (the late owner landing right
-      // now) — on failure re-examine, the element may have just arrived.
+      // §13 MPSC-DEADRANK: the span holds nothing, producers are already
+      // past this rank (Tail > h), but rank h's owner may still land late;
+      // ⊥-mark the slot so it cannot deliver behind Head. CAS, not a store:
+      // this is the one consumer write that races a producer (the late
+      // owner landing right now) — on failure re-examine, the element may
+      // have just arrived.
       const u64 dead = codec_.pack(cycle_h, e.safe, e.enq, codec_.bottom());
       if (word(entries_[j]).compare_exchange_strong(
               raw, dead, std::memory_order_seq_cst,
               std::memory_order_acquire)) {
+        opcount::count_mpsc_dead_rank();
         return Step::kSkip;
       }
 #endif

@@ -576,8 +576,10 @@ TEST(HandleLifetimeDeathTest, UnboundedQueueDestroyedWithLiveHandleAborts) {
   WCQ_SKIP_UNDER_TSAN();
   EXPECT_DEATH(
       {
+        // The handle is heap-held and leaked: the child aborts inside
+        // `delete q`, so no handle destructor may be seen to run after it.
         auto* q = new UnboundedQueue<u64>(4u);
-        auto h = q->acquire();
+        (void)new UnboundedQueue<u64>::Handle(q->acquire());
         delete q;
       },
       "live session handle");

@@ -70,6 +70,57 @@ TEST(MpscRing, ConsumerPathCountsNothing) {
       << "consumer path issued a threshold RMW";
 }
 
+// A bulk span stops at a rank whose enqueuer has not delivered (DESIGN.md
+// §13 MPSC-STOP); only a consumer holding nothing ⊥-marks one. The
+// subclass exposes the producer's two steps, so a test can hold a rank
+// reserved but unfilled.
+struct StagedMpscRing : MpscRing {
+  using MpscRing::MpscRing;
+  using MpscRing::enq_at;
+  using MpscRing::reserve;
+};
+
+TEST(MpscRing, BulkDequeueStopsAtUndeliveredRank) {
+  StagedMpscRing q(4);
+  u64 t;
+  ASSERT_TRUE(q.reserve(3, t));
+  ASSERT_TRUE(q.enq_at(t, 10, /*rearm=*/true));
+  ASSERT_TRUE(q.enq_at(t + 2, 12, /*rearm=*/true));
+
+  u64 out[4];
+  const auto before = opcount::snapshot();
+  ASSERT_EQ(q.dequeue_bulk(out, 4), 1u);
+  EXPECT_EQ(out[0], 10u);
+  EXPECT_EQ(q.head(), t + 1) << "Head passed the undelivered rank";
+  EXPECT_EQ((opcount::snapshot() - before).mpsc_dead_rank, 0u);
+
+  ASSERT_TRUE(q.enq_at(t + 1, 11, /*rearm=*/true)) << "late rank was killed";
+  ASSERT_EQ(q.dequeue_bulk(out, 4), 2u);
+  EXPECT_EQ(out[0], 11u);
+  EXPECT_EQ(out[1], 12u);
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
+TEST(MpscRing, EmptyHandedDequeueMarksUndeliveredRank) {
+  StagedMpscRing q(4);
+  u64 t;
+  ASSERT_TRUE(q.reserve(3, t));
+  ASSERT_TRUE(q.enq_at(t, 10, /*rearm=*/true));
+  ASSERT_TRUE(q.enq_at(t + 2, 12, /*rearm=*/true));
+  ASSERT_EQ(q.dequeue(), std::optional<u64>{10});
+
+  // Nothing in hand at rank 1 and Tail past it: the old path marks it dead
+  // and moves on, so a stalled producer cannot block the consumer.
+  const auto before = opcount::snapshot();
+  EXPECT_EQ(q.dequeue(), std::optional<u64>{12});
+  EXPECT_EQ((opcount::snapshot() - before).mpsc_dead_rank, 1u);
+
+  EXPECT_FALSE(q.enq_at(t + 1, 11, /*rearm=*/true)) << "dead rank accepted";
+  ASSERT_TRUE(q.enqueue(11));  // the late producer reserves again
+  EXPECT_EQ(q.dequeue(), std::optional<u64>{11});
+  EXPECT_FALSE(q.dequeue().has_value());
+}
+
 TEST(MpscRing, HandleOpsRoundTrip) {
   MpscRing q(5);
   auto h = q.handle();
@@ -195,6 +246,20 @@ TEST(MpscRing, BoundedMagazinesOffBulkExactlyOnce) {
   BoundedQueue<u64, MpscRing> q(typename BoundedQueue<u64, MpscRing>::Options{
       7, {.enabled = false, .capacity = 16}});
   ASSERT_TRUE(q.fq().cache_remap());
+  testing::MpmcConfig cfg;
+  cfg.producers = 6;
+  cfg.consumers = 1;
+  cfg.items_per_producer = 20000;
+  testing::run_mpmc_bulk_exactly_once(q, cfg, /*max_batch=*/48);
+}
+
+// The same harness (exactly once, and per-producer FIFO: one consumer sees
+// each producer's items in order) on a 32-element queue under spans of up
+// to 48: producers see partial enqueues, the ring wraps every few spans,
+// and the consumer's spans keep stopping at ranks still being filled.
+TEST(MpscRing, BoundedTinyQueueBulkExactlyOnce) {
+  BoundedQueue<u64, MpscRing> q(
+      typename BoundedQueue<u64, MpscRing>::Options{5, {}});
   testing::MpmcConfig cfg;
   cfg.producers = 6;
   cfg.consumers = 1;
