@@ -4,7 +4,7 @@
 // records, the index-magazine rows, UnboundedQueue's span rows and the
 // hazard domain's slot and retire rows. The registry recycles low tids, so
 // a process with a handful of threads uses the first few rows of tables
-// sized for every tid a ring could ever accept. TidTable allocates those
+// sized for every tid the registry can hand out. TidTable allocates those
 // rows in chunks of kChunkTids tids instead:
 //
 //  * A heap directory of ⌈limit / kChunkTids⌉ atomic chunk pointers.
@@ -15,7 +15,7 @@
 //    that falls in it: one allocation and one acq_rel CAS into the
 //    directory; the loser of an install race frees its copy. So each
 //    chunk is installed at most once per table, and steady state never
-//    allocates.
+//    allocates. A tid past the directory traps there, on every table.
 //  * find(), any_present() and for_each_present() read present chunks
 //    only and never
 //    install: scans, drains and exit flushes must not grow a table for a
@@ -28,6 +28,7 @@
 #pragma once
 
 #include <atomic>
+#include <cassert>
 #include <cstddef>
 #include <new>
 #include <utility>
@@ -84,10 +85,8 @@ class TidTable {
     return *this;
   }
 
-  unsigned limit() const { return limit_; }
-
-  // The owner path: `tid`'s row, installing its chunk on first use. The
-  // caller guarantees tid < limit().
+  // The owner path: `tid`'s row, installing its chunk on first use. Traps
+  // on a tid whose chunk lies past the directory.
   Row* row(unsigned tid) {
     if (tid < kChunkTids) return chunk0_ + tid * width_;
     return install(tid / kChunkTids) + (tid % kChunkTids) * width_;
@@ -152,6 +151,10 @@ class TidTable {
   // Out of line: callers inline row()'s chunk-0 fast path, and a first
   // session elsewhere is rare.
   [[gnu::noinline, gnu::cold]] Row* install(unsigned c) {
+    if (c >= chunks()) {
+      assert(false && "tid past the per-tid table's limit");
+      __builtin_trap();
+    }
     Row* cur = dir_[c].load(std::memory_order_acquire);
     if (cur != nullptr) return cur;
     Row* fresh = make_chunk();

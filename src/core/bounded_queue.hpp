@@ -148,8 +148,7 @@ class BoundedQueue {
         fq_(opt.order, /*cache_remap=*/effective_magazine_capacity(
                            opt.magazine, aq_.capacity()) == 0),
         data_(aq_.capacity(), kCacheLine),
-        mags_(effective_magazine_capacity(opt.magazine, aq_.capacity()),
-              detail::ring_tids(aq_)) {
+        mags_(effective_magazine_capacity(opt.magazine, aq_.capacity())) {
     if (mags_.enabled()) {
       // A dying thread flushes its cached free indices back to fq; without
       // this an index could only be recovered by a (full-edge) reclaim
@@ -313,7 +312,6 @@ class BoundedQueue {
   // Free indices currently cached in magazines (exact at quiescence).
   std::size_t magazine_cached() const { return mags_.cached_total(); }
   std::size_t magazine_capacity() const { return mags_.capacity(); }
-  unsigned magazine_rows() const { return mags_.rows(); }
   // Owned session handles currently alive (test hook).
   int live_handles() const { return sessions_.live(); }
 

@@ -16,12 +16,9 @@
 // which the guard never performs after binding).
 #pragma once
 
-#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cstdio>
-
-#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
@@ -55,11 +52,6 @@ class SessionGuard {
   // same precondition as the rings' reset() (DESIGN.md §8).
   void release() { owner_.store(nullptr, std::memory_order_relaxed); }
 
-  // True when some thread has bound this side since the last release().
-  bool bound() const {
-    return owner_.load(std::memory_order_relaxed) != nullptr;
-  }
-
  private:
   // Identity of the calling thread: the address of a thread_local tag,
   // stable for the thread's lifetime and resolved without the registry (so
@@ -84,18 +76,6 @@ template <typename R>
 void release_ring_sessions(R& ring) {
   if constexpr (requires { ring.release_sessions(); }) {
     ring.release_sessions();
-  }
-}
-
-// Tids a ring accepts, for the per-tid tables of the layers above it: a WCQ
-// ring traps tids past its record array, so rows past it could never be
-// used. Rings without a thread limit accept every registry tid.
-template <typename R>
-unsigned ring_tids(const R& ring) {
-  if constexpr (requires { ring.max_threads(); }) {
-    return std::min(ThreadRegistry::kMaxThreads, ring.max_threads());
-  } else {
-    return ThreadRegistry::kMaxThreads;
   }
 }
 

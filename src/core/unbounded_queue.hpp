@@ -104,11 +104,13 @@ class UnboundedQueue {
   };
 
   explicit UnboundedQueue(Options opt)
-      : opt_(opt), pool_(kPoolSlots), hp_(kRetireScanThreshold) {
+      : opt_(opt),
+        pool_(kPoolSlots),
+        hp_(kRetireScanThreshold),
+        // One span row per registry tid (DESIGN.md §4), in chunks of 16
+        // tids installed on a tid's first enqueue.
+        rows_(ThreadRegistry::kMaxThreads, 1) {
     Segment* first = create_segment();
-    // One span row per tid the segment ring accepts (DESIGN.md §4), in
-    // chunks of 16 tids installed on a tid's first enqueue.
-    rows_ = TidTable<SpanRow>(detail::ring_tids(first->aq), 1);
     segment_bytes_ = first->bytes();
     head_.value.store(first, std::memory_order_relaxed);
     tail_.value.store(first, std::memory_order_relaxed);
@@ -395,7 +397,7 @@ class UnboundedQueue {
     // FIN fails too; the payload then moves back into `v` and the index
     // stays spent.
     bool enqueue(unsigned tid, SpanRow& row, T& v) {
-      auto ah = aq.handle_for(tid);  // traps on a tid past the ring's records
+      auto ah = aq.handle_for(tid);
       u64 idx;
       if (row.seg == this && row.gen == gen && row.next < row.end) {
         idx = row.next++;

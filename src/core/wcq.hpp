@@ -94,7 +94,6 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
  public:
   struct Options {
     unsigned order = 15;        // capacity 2^order; ring allocates 2^(order+1)
-    unsigned max_threads = 128;  // tids the per-queue record table serves
     int enq_patience = 16;      // paper §6: 16 for Enqueue
     int deq_patience = 64;      // paper §6: 64 for Dequeue
     unsigned help_delay = 16;   // Fig 6 HELP_DELAY
@@ -127,11 +126,9 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   explicit BasicWCQ(Options opt)
       : Ring(opt.order, opt.cache_remap),
         opt_(opt),
-        records_(opt.max_threads, 1) {
+        records_(ThreadRegistry::kMaxThreads, 1) {
     assert(opt.enq_patience >= 1 && opt.deq_patience >= 1);
     assert(opt.help_delay >= 1);
-    assert(opt.max_threads >= 1 &&
-           opt.max_threads <= ThreadRegistry::kMaxThreads);
   }
 
   // The (order, cache_remap) shape BasicScq shares, so BoundedQueue builds
@@ -148,8 +145,6 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   using Ring::finalize;
   using Ring::reset_threshold;
   using Ring::ring_size;
-  // Tids this ring serves: handle_for traps on any tid at or past it.
-  unsigned max_threads() const { return opt_.max_threads; }
   // Metered bytes the ring holds: its entries, the record directory and
   // the record chunks installed so far.
   std::size_t heap_bytes() const {
@@ -162,17 +157,10 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   // Build the session for a known dense tid: no registry or thread_local
   // access. Composed layers (BoundedQueue, UnboundedQueue segments) carry
   // the tid in their own handles and rebuild ring sessions through this.
-  // Traps on a tid beyond max_threads — the same documented hard limit the
-  // implicit path enforces. A tid's first session installs its record
-  // chunk (one allocation per 16 tids, at most once per ring; DESIGN.md
-  // §10); every later one is pointer arithmetic.
-  Handle handle_for(unsigned tid) {
-    if (tid >= opt_.max_threads) {
-      assert(false && "thread id exceeds WCQ max_threads");
-      __builtin_trap();
-    }
-    return Handle(tid, records_.row(tid));
-  }
+  // A tid's first session installs its record chunk (one allocation per 16
+  // tids, at most once per ring; DESIGN.md §10); every later one is
+  // pointer arithmetic.
+  Handle handle_for(unsigned tid) { return Handle(tid, records_.row(tid)); }
 
   // Inserts `index` (< capacity()). The caller guarantees at most
   // capacity() live indices (Fig 2 indirection provides that). Fails only
@@ -335,12 +323,13 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
     Ring::reset();
     // Only records below the registry high water can have been written:
     // record t is written by tid t (registered, so t < high water) or by a
-    // helper scan already bounded by n_records(). The high water never
+    // helper scan already bounded by the high water. The high water never
     // decreases, so the records past it still hold their constructed
     // values, which are the values rewound here. An absent chunk holds
     // only constructed records; present chunks stay installed, so a
     // recycled segment reopens without allocating.
-    records_.for_each_present(n_records(), [](unsigned, ThreadRec* rp) {
+    const unsigned hw = ThreadRegistry::high_water();
+    records_.for_each_present(hw, [](unsigned, ThreadRec* rp) {
       ThreadRec& r = *rp;
       r.next_check = 1;
       r.next_tid = 0;
@@ -366,9 +355,10 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   using Ring::threshold;
   // True if any registered thread currently advertises a pending request.
   bool any_pending() const {
-    return records_.any_present(n_records(), [](unsigned, const ThreadRec* r) {
-      return r->pending.load(std::memory_order_acquire);
-    });
+    return records_.any_present(
+        ThreadRegistry::high_water(), [](unsigned, const ThreadRec* r) {
+          return r->pending.load(std::memory_order_acquire);
+        });
   }
 
  private:
@@ -420,11 +410,6 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   }
   static u64 ref_seq(u64 ref) { return ref & kRefSeqMask; }
 
-  unsigned n_records() const {
-    const unsigned hw = ThreadRegistry::high_water();
-    return hw < opt_.max_threads ? hw : opt_.max_threads;
-  }
-
   // ---- consume's finalize (Fig 5 lines 1-11) ------------------------------
 
   // The ring's pre-consume hook (deq_at, consume): runs on an Enq=0 entry.
@@ -447,7 +432,7 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   void finalize_request(Handle& me, u64 h) {
     opcount::count_wcq_finalize();
     const unsigned self = me.tid_;
-    const unsigned n = n_records();
+    const unsigned n = ThreadRegistry::high_water();
     for (unsigned step = 1; step < n; ++step) {
       ThreadRec* r = records_.find((self + step) % n);
       if (r == nullptr) continue;
@@ -478,7 +463,7 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
     // chunk is absent has never opened a session on this ring, so it has
     // no request to help; a requester's install precedes its request, so
     // a later round finds it (DESIGN.md §10).
-    const unsigned n = n_records();
+    const unsigned n = ThreadRegistry::high_water();
     if (rec.next_tid >= n) rec.next_tid = 0;
     ThreadRec* thr = records_.find(rec.next_tid);
     if (thr != nullptr && thr != &rec &&

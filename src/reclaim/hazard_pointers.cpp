@@ -108,10 +108,6 @@ void HazardDomain::retire(void* p, void (*deleter)(void*)) {
   retire_common(ThreadRegistry::tid(), p, deleter, nullptr, nullptr);
 }
 
-void HazardDomain::retire(void* p, void (*deleter)(void*, void*), void* ctx) {
-  retire_common(ThreadRegistry::tid(), p, nullptr, deleter, ctx);
-}
-
 void HazardDomain::retire(unsigned tid, void* p, void (*deleter)(void*, void*),
                           void* ctx) {
   retire_common(tid, p, nullptr, deleter, ctx);

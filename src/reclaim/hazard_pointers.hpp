@@ -116,15 +116,12 @@ class HazardDomain {
   // Hand `p` to the domain; `deleter(p)` runs once no thread protects it.
   void retire(void* p, void (*deleter)(void*));
 
-  // Contextful variant: `deleter(p, ctx)` runs after the grace period. The
+  // Contextful variant for a caller that holds its dense tid (the retire
+  // list is per-tid): `deleter(p, ctx)` runs after the grace period. The
   // segment-recycling path uses this to route retired segments back into
   // their owning queue's pool instead of freeing them; `ctx` must outlive
   // every pending retirement that references it (a queue guarantees that by
   // owning a private domain and draining it in its destructor).
-  void retire(void* p, void (*deleter)(void*, void*), void* ctx);
-
-  // Handle variant: the caller supplies its dense tid (the retire list is
-  // per-tid) instead of the domain resolving ThreadRegistry::tid().
   void retire(unsigned tid, void* p, void (*deleter)(void*, void*), void* ctx);
 
   // Drain every retire list that can be drained (called by queue dtors;

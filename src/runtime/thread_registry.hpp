@@ -28,8 +28,8 @@ namespace wcq {
 
 class ThreadRegistry {
  public:
-  // Upper bound on simultaneously-live registered threads. Queues may be
-  // configured with a smaller `max_threads`; they reject tids beyond it.
+  // Upper bound on simultaneously-live registered threads, and the one
+  // thread limit: every per-tid table serves all kMaxThreads tids.
   static constexpr unsigned kMaxThreads = 256;
 
   // Dense id of the calling thread; acquires a slot on first call.

@@ -22,13 +22,11 @@
 //    chunks aligned to kDestructiveRange, so a two-line row is one
 //    adjacent-line prefetch pair and dense neighboring tids never share a
 //    line or a pair.
-//  * The set serves every tid the owning queue can actually serve:
-//    BoundedQueue passes the data ring's thread limit (128 for a WCQ ring,
-//    which traps larger tids) or, for rings without one, every registry
-//    tid. Rows are allocated 16 tids at a time (common/tid_table.hpp):
-//    chunk 0 at construction, any other on the first session of a tid in
-//    it. Cross-thread scans and the exit flush read present chunks only,
-//    so a thread that never used the queue never grows it.
+//  * The set serves every registry tid, the one thread limit. Rows are
+//    allocated 16 tids at a time (common/tid_table.hpp): chunk 0 at
+//    construction, any other on the first session of a tid in it.
+//    Cross-thread scans and the exit flush read present chunks only, so a
+//    thread that never used the queue never grows it.
 //  * Only the owning thread stores indices into its slots, so a slot the
 //    owner observed empty stays empty until the owner writes it — puts are
 //    a plain check-then-store (release), no RMW.
@@ -74,15 +72,16 @@ class IndexMagazines {
   // Disabled set: no storage, every operation is a cheap no-op/miss.
   IndexMagazines() = default;
 
-  // `capacity` == 0 constructs a disabled set. One row per tid in
-  // [0, rows), round_up(capacity, 8) atomic words each, in metered chunks
-  // of 16 rows (Fig 10).
-  IndexMagazines(std::size_t capacity, unsigned rows)
+  // `capacity` == 0 constructs a disabled set. One row per registry tid,
+  // round_up(capacity, 8) atomic words each, in metered chunks of 16 rows
+  // (Fig 10).
+  explicit IndexMagazines(std::size_t capacity)
       : cap_(capacity < kMaxSlots ? capacity : kMaxSlots) {
     if (cap_ != 0) {
       constexpr std::size_t kWordsPerLine = kCacheLine / sizeof(u64);
-      rows_ = Rows(rows, static_cast<unsigned>(AlignedArray<u64>::round_up(
-                             cap_, kWordsPerLine)));
+      rows_ = Rows(ThreadRegistry::kMaxThreads,
+                   static_cast<unsigned>(
+                       AlignedArray<u64>::round_up(cap_, kWordsPerLine)));
     }
   }
 
@@ -91,8 +90,6 @@ class IndexMagazines {
 
   bool enabled() const { return cap_ != 0; }
   std::size_t capacity() const { return cap_; }
-  // Tids served; 0 when disabled.
-  unsigned rows() const { return rows_.limit(); }
   // Refill span: indices pulled from fq beyond the one the triggering
   // enqueue consumes. Half-magazine spans give hysteresis: a freshly
   // refilled/spilled magazine is half full, so the next spill/refill is a
@@ -108,7 +105,7 @@ class IndexMagazines {
   // enabled() anyway). Installs the tid's row chunk on its first session;
   // stable for the queue's lifetime.
   std::atomic<u64>* block_for(unsigned tid) {
-    return enabled() && tid < rows() ? rows_.row(tid) : nullptr;
+    return enabled() ? rows_.row(tid) : nullptr;
   }
 
   // --- owner operations (the row is the caller's own magazine) ------------
@@ -160,7 +157,7 @@ class IndexMagazines {
   // usable cross-thread since takes are CASes). Never installs: a tid
   // whose chunk is absent has nothing cached.
   std::size_t drain_tid(unsigned tid, u64* out, std::size_t n) {
-    if (!enabled() || tid >= rows()) return 0;
+    if (!enabled()) return 0;
     std::atomic<u64>* m = rows_.find(tid);
     return m == nullptr ? 0 : take_some_from(m, out, n);
   }
@@ -168,11 +165,12 @@ class IndexMagazines {
   // Diagnostic: cached indices across all magazines (exact at quiescence).
   std::size_t cached_total() const {
     std::size_t total = 0;
-    rows_.for_each_present(rows(), [&](unsigned, std::atomic<u64>* m) {
-      for (std::size_t i = 0; i < cap_; ++i) {
-        if (m[i].load(std::memory_order_relaxed) != kNone) ++total;
-      }
-    });
+    rows_.for_each_present(
+        ThreadRegistry::kMaxThreads, [&](unsigned, std::atomic<u64>* m) {
+          for (std::size_t i = 0; i < cap_; ++i) {
+            if (m[i].load(std::memory_order_relaxed) != kNone) ++total;
+          }
+        });
     return total;
   }
 

@@ -105,7 +105,9 @@ TYPED_TEST(FreshIndexTest, TidPastHighWaterFillsExactly) {
     ASSERT_GT(q.magazine_cached(), 0u);
   }
   const unsigned hw = ThreadRegistry::high_water();
-  if (hw >= 64) GTEST_SKIP() << "registry high water too high to pass";
+  if (hw >= ThreadRegistry::kMaxThreads) {
+    GTEST_SKIP() << "no registry tid at or past the high water";
+  }
 
   // Park holder threads on every free tid below the high water, so the
   // next thread to register gets one at or past it.

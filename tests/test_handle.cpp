@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/tid_table.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/scq.hpp"
 #include "core/unbounded_queue.hpp"
@@ -595,17 +596,22 @@ TEST(HandleLifetimeDeathTest, QueueOutlivesHandleIsFine) {
   EXPECT_EQ(q.dequeue().value(), 1u);
 }
 
-// A tid past the ring's record array is rejected (trap), same as the
-// implicit path's documented hard limit.
+// A tid past a per-tid table's limit is rejected (trap) where the table
+// installs its chunk, so every table diagnoses it instead of overflowing
+// its directory: a ring's records stop at the registry bound, and a table
+// with a partial last chunk (40 tids in three chunks) stops at chunk 3.
 TEST(HandleLifetimeDeathTest, RingHandleForOutOfRangeTidTraps) {
   WCQ_SKIP_UNDER_TSAN();
   EXPECT_DEATH(
       {
-        WCQ::Options o;
-        o.order = 4;
-        o.max_threads = 1;
-        WCQ q(o);
-        (void)q.handle_for(1);
+        WCQ q(4u);
+        (void)q.handle_for(ThreadRegistry::kMaxThreads);
+      },
+      "");
+  EXPECT_DEATH(
+      {
+        TidTable<u64> t(40, 1);
+        (void)t.row(48);
       },
       "");
 }

@@ -33,12 +33,12 @@ TEST(IndexMagazineUnit, DisabledSetIsInert) {
   u64 buf[4];
   EXPECT_EQ(none.drain_tid(0, buf, 4), 0u);
 
-  IndexMagazines zero(0, ThreadRegistry::kMaxThreads);
+  IndexMagazines zero(0);
   EXPECT_FALSE(zero.enabled());
 }
 
 TEST(IndexMagazineUnit, PutTakeRoundTrip) {
-  IndexMagazines mags(8, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(8);
   ASSERT_TRUE(mags.enabled());
   std::atomic<u64>* mine = mags.block_for(ThreadRegistry::tid());
   for (u64 i = 0; i < 5; ++i) {
@@ -54,7 +54,7 @@ TEST(IndexMagazineUnit, PutTakeRoundTrip) {
 }
 
 TEST(IndexMagazineUnit, CapacityBound) {
-  IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(4);
   std::atomic<u64>* mine = mags.block_for(ThreadRegistry::tid());
   for (u64 i = 0; i < 4; ++i) ASSERT_TRUE(mags.try_put_at(mine, i));
   EXPECT_FALSE(mags.try_put_at(mine, 99))
@@ -65,12 +65,12 @@ TEST(IndexMagazineUnit, CapacityBound) {
 }
 
 TEST(IndexMagazineUnit, ConfigCapacityClampsToMaxSlots) {
-  IndexMagazines mags(1000, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(1000);
   EXPECT_EQ(mags.capacity(), IndexMagazines::kMaxSlots);
 }
 
 TEST(IndexMagazineUnit, StealTakesFromPeerNotSelf) {
-  IndexMagazines mags(4, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(4);
   const unsigned self = ThreadRegistry::tid();
   std::atomic<u64>* mine = mags.block_for(self);
   // Our own cached indices are not steal targets (steal is the full-edge
@@ -104,7 +104,7 @@ TEST(IndexMagazineUnit, StealTakesFromPeerNotSelf) {
 }
 
 TEST(IndexMagazineUnit, DrainTidCollectsEverySlot) {
-  IndexMagazines mags(6, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(6);
   unsigned peer_tid = 0;
   std::thread peer([&] {
     peer_tid = ThreadRegistry::tid();
@@ -126,7 +126,7 @@ TEST(IndexMagazineUnit, DrainTidCollectsEverySlot) {
 // with a plain store would let two takers claim one index, or erase an
 // index the owner had just re-parked in the same slot.
 TEST(IndexMagazineRace, OwnerStealersAndDrainerSeeEachIndexExactlyOnce) {
-  IndexMagazines mags(16, ThreadRegistry::kMaxThreads);
+  IndexMagazines mags(16);
   constexpr u64 kIndices = 200000;
   std::atomic<unsigned> owner_tid{~0u};
   std::atomic<bool> done{false};

@@ -3,11 +3,13 @@
 // Every byte a queue owns is metered (common/alloc_meter.hpp), so the
 // construction delta of a queue is a closed-form sum of its parts: ring
 // entries, payload slots, the first chunk of every per-tid table (wCQ
-// thread records, magazine rows, span rows) with its directory, and the
-// objects themselves. Each term is spelled out below. A layer that
-// silently grows — a per-tid table allocated for every tid again, a row
-// that regains a count word and a third line — changes the sum and fails
-// here rather than surfacing as a peak_mib drift in a benchmark.
+// thread records, magazine rows, span rows) with its chunk directory, and
+// the objects themselves. Every table serves all registry tids, so every
+// directory is the same size. Each term is spelled out below. A layer that
+// silently grows — a per-tid table that allocates every row up front
+// again, a row that regains a count word and a third line — changes the
+// sum and fails here rather than surfacing as a peak_mib drift in a
+// benchmark.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,27 +54,22 @@ constexpr std::int64_t kWcqEntries = 2 * kCap * 16;
 constexpr std::int64_t kScqEntries = 2 * kCap * 8;
 // Payload slots: one u64 per element.
 constexpr std::int64_t kData = kCap * 8;
-// Per-tid tables hold rows for 16 tids per chunk. Construction allocates
-// chunk 0 and a directory of one 8-byte pointer per chunk the table's tid
-// limit needs: 128 tids (a wCQ ring's Options::max_threads) take 8
-// pointers, every registry tid (256, the SCQ family) 16.
+// Per-tid tables hold rows for 16 tids per chunk. Every table serves all
+// registry tids (the one thread limit, 256), so construction allocates
+// chunk 0 and a directory of 16 8-byte chunk pointers.
 constexpr std::int64_t kChunkTids = 16;
-constexpr std::int64_t kWcqDirectory = 128 / kChunkTids * 8;  // 64 B
-constexpr std::int64_t kScqDirectory = 256 / kChunkTids * 8;  // 128 B
+constexpr std::int64_t kDirectory =
+    ThreadRegistry::kMaxThreads / kChunkTids * 8;  // 128 B
 // wCQ thread records: 128 B each, one chunk per ring.
 constexpr std::int64_t kRecordChunk = kChunkTids * 128;  // 2 KiB
-constexpr std::int64_t kWcqRecords = kRecordChunk + kWcqDirectory;
-// Magazine rows: the default 16 slots in one 2-line (128 B) row, for every
-// tid the data ring accepts — 128 for a wCQ ring, every registry tid for
-// the SCQ family.
+constexpr std::int64_t kWcqRecords = kRecordChunk + kDirectory;
+// Magazine rows: the default 16 slots in one 2-line (128 B) row.
 constexpr std::int64_t kRowBytes = 128;
 constexpr std::int64_t kMagazineChunk = kChunkTids * kRowBytes;  // 2 KiB
-constexpr std::int64_t kWcqMagazines = kMagazineChunk + kWcqDirectory;
-constexpr std::int64_t kScqMagazines = kMagazineChunk + kScqDirectory;
-// UnboundedQueue span rows: 64 B per tid a wCQ segment ring accepts, once
-// per queue.
+constexpr std::int64_t kMagazines = kMagazineChunk + kDirectory;
+// UnboundedQueue span rows: 64 B per tid, once per queue.
 constexpr std::int64_t kSpanChunk = kChunkTids * 64;  // 1 KiB
-constexpr std::int64_t kWcqSpanRows = kSpanChunk + kWcqDirectory;
+constexpr std::int64_t kSpanRows = kSpanChunk + kDirectory;
 // Hazard slot rows: 64 B per registry tid, once per domain.
 constexpr std::int64_t kHazardSlotChunk = kChunkTids * 64;  // 1 KiB
 
@@ -97,15 +94,13 @@ std::int64_t construction_delta(Q*& out, typename Q::Options opt) {
 
 TEST(MemoryFootprint, MagazineRowIsTwoAlignedLines) {
   const std::int64_t before = alloc_meter::live_bytes();
-  IndexMagazines mags(16, 128);
-  EXPECT_EQ(alloc_meter::live_bytes() - before, kWcqMagazines);
-  EXPECT_EQ(mags.rows(), 128u);
+  IndexMagazines mags(16);
+  EXPECT_EQ(alloc_meter::live_bytes() - before, kMagazines);
   const auto row0 = reinterpret_cast<std::uintptr_t>(mags.block_for(0));
   const auto row1 = reinterpret_cast<std::uintptr_t>(mags.block_for(1));
   EXPECT_EQ(row0 % kDestructiveRange, 0u)
       << "rows must start on an adjacent-line prefetch pair";
   EXPECT_EQ(row1 - row0, static_cast<std::uintptr_t>(kRowBytes));
-  EXPECT_EQ(mags.block_for(128), nullptr) << "no row past the ring's tids";
 }
 
 TEST(MemoryFootprint, BoundedWcqIsItsPartsExactly) {
@@ -113,22 +108,20 @@ TEST(MemoryFootprint, BoundedWcqIsItsPartsExactly) {
   Q* q = nullptr;
   const std::int64_t delta = construction_delta(q, Q::Options{kOrder});
   EXPECT_EQ(q->magazine_capacity(), 16u);
-  EXPECT_EQ(q->magazine_rows(), 128u);
   const std::int64_t expected = 2 * kWcqEntries + 2 * kWcqRecords + kData +
-                                kWcqMagazines +
+                                kMagazines +
                                 static_cast<std::int64_t>(sizeof(Q));
   EXPECT_EQ(delta, expected);
   alloc_meter::destroy(q);
 }
 
 TEST(MemoryFootprint, BoundedMpscIsItsPartsExactly) {
-  // aq is the MPSC ring, fq the MPMC SCQ (DESIGN.md §13); neither limits
-  // tids, so the magazines keep a row per registry tid.
+  // aq is the MPSC ring, fq the MPMC SCQ (DESIGN.md §13); neither keeps
+  // thread records.
   using Q = BoundedQueue<u64, MpscRing>;
   Q* q = nullptr;
   const std::int64_t delta = construction_delta(q, Q::Options{kOrder});
-  EXPECT_EQ(q->magazine_rows(), ThreadRegistry::kMaxThreads);
-  const std::int64_t expected = 2 * kScqEntries + kData + kScqMagazines +
+  const std::int64_t expected = 2 * kScqEntries + kData + kMagazines +
                                 static_cast<std::int64_t>(sizeof(Q));
   EXPECT_EQ(delta, expected);
   alloc_meter::destroy(q);
@@ -150,14 +143,14 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
                                    alignof(WCQ)));
   const std::int64_t segment = kWcqEntries + kWcqRecords + kData + object;
   EXPECT_EQ(static_cast<std::int64_t>(q->segment_bytes()), segment);
-  EXPECT_EQ(delta, segment + kWcqSpanRows + segment_pool_bytes() +
+  EXPECT_EQ(delta, segment + kSpanRows + segment_pool_bytes() +
                        hazard_domain + static_cast<std::int64_t>(sizeof(Q)));
   alloc_meter::destroy(q);
 }
 
 // A pipeline-mode sharded queue is its shards' parts: each shard an MPSC
 // data ring, an MPMC SCQ free ring, payload slots and a magazine chunk
-// with its 256-tid directory. The shard objects and the shard table are
+// with its directory. The shard objects and the shard table are
 // std-allocated and so outside the meter; the equality covers every
 // metered byte.
 TEST(MemoryFootprint, ShardedMpscIsItsShardsExactly) {
@@ -169,7 +162,7 @@ TEST(MemoryFootprint, ShardedMpscIsItsShardsExactly) {
   Q* q = nullptr;
   const std::int64_t delta = construction_delta(q, opt);
   ASSERT_EQ(q->shard_count(), 4u);
-  const std::int64_t shard = 2 * kScqEntries + kData + kScqMagazines;
+  const std::int64_t shard = 2 * kScqEntries + kData + kMagazines;
   EXPECT_EQ(delta, 4 * shard + static_cast<std::int64_t>(sizeof(Q)));
   alloc_meter::destroy(q);
 }
@@ -181,7 +174,7 @@ TEST(MemoryFootprint, ChannelIsItsQueueExactly) {
   const std::int64_t before = alloc_meter::live_bytes();
   C* c = alloc_meter::create<C>(static_cast<unsigned>(kOrder));
   const std::int64_t expected = 2 * kWcqEntries + 2 * kWcqRecords + kData +
-                                kWcqMagazines +
+                                kMagazines +
                                 static_cast<std::int64_t>(sizeof(C));
   EXPECT_EQ(alloc_meter::live_bytes() - before, expected);
   alloc_meter::destroy(c);

@@ -67,7 +67,9 @@ TYPED_TEST(RingResetTest, TidPastResetHighWaterFillsExactly) {
   }
   q.reset();
   const unsigned hw = ThreadRegistry::high_water();
-  if (hw >= 64) GTEST_SKIP() << "registry high water too high to pass";
+  if (hw >= ThreadRegistry::kMaxThreads) {
+    GTEST_SKIP() << "no registry tid at or past the high water";
+  }
 
   // Park holder threads on every free tid below the high water, so the
   // next thread to register gets one at or past it.
