@@ -66,16 +66,17 @@ template <typename T, typename Ring = WCQ>
 class UnboundedQueue {
   static_assert(std::is_nothrow_move_constructible_v<T>,
                 "payloads move across threads; moves must not throw");
+  struct SpanRow;  // defined below; named here so Handle can hold one
 
  public:
   // Per-thread session (DESIGN.md §10): the dense tid plus this queue's
-  // hazard-slot row for it, resolved once. Segment-level ring state cannot
-  // be cached here — segments come and go — so the handle carries the tid
-  // and each segment rebuilds its ring session from it, and each enqueue
-  // finds the tid's span row, with zero registry lookups. Owned handles pin
-  // the queue like BoundedQueue's (core/session.hpp), and keep the segment
-  // they last touched published in hazard slot 0 between operations (pin),
-  // so they republish once per segment, not once per operation. Release
+  // hazard-slot row and span row for it, resolved once. Segment-level ring
+  // state cannot be cached here — segments come and go — so the handle
+  // carries the tid and each segment rebuilds its ring session from it,
+  // with zero registry lookups. Owned handles pin the queue like
+  // BoundedQueue's (core/session.hpp), and keep the segment they last
+  // touched published in hazard slot 0 between operations (pin), so they
+  // republish once per segment, not once per operation. Release
   // clears that slot when it runs on the tid's thread; there is nothing to
   // flush: a span row left behind is simply never matched again once its
   // segment finalizes or is reset.
@@ -88,10 +89,13 @@ class UnboundedQueue {
    private:
     friend class UnboundedQueue;
     Handle(UnboundedQueue* q, unsigned tid, bool owned)
-        : owner_(owned ? q : nullptr, tid), hp_row_(q->hp_.slots_for(tid)) {}
+        : owner_(owned ? q : nullptr, tid),
+          hp_row_(q->hp_.slots_for(tid)),
+          span_row_(q->rows_.row(tid)) {}
 
     SessionOwner<UnboundedQueue> owner_;
     HazardDomain::ThreadSlots* hp_row_ = nullptr;
+    SpanRow* span_row_ = nullptr;
   };
 
   struct Options {
@@ -107,8 +111,8 @@ class UnboundedQueue {
       : opt_(opt),
         pool_(kPoolSlots),
         hp_(kRetireScanThreshold),
-        // One span row per registry tid (DESIGN.md §4), in chunks of 16
-        // tids installed on a tid's first enqueue.
+        // One span row per registry tid (DESIGN.md §4), installed with the
+        // tids in use on a tid's first session.
         rows_(ThreadRegistry::kMaxThreads, 1) {
     Segment* first = create_segment();
     segment_bytes_ = first->bytes();
@@ -157,7 +161,7 @@ class UnboundedQueue {
   }
 
   bool enqueue(Handle& h, T value) {
-    SpanRow& row = *rows_.row(h.tid());
+    SpanRow& row = *h.span_row_;
     for (;;) {
       Segment* ltail = pin(h, tail_.value);
       if (ltail->enqueue(h.tid(), row, value)) {
@@ -176,7 +180,7 @@ class UnboundedQueue {
       // The ring is finalized: append a fresh ring seeded with the value
       // (Fig 13 lines 7-8, 21-23). The hazard keeps ltail alive for the
       // append CASes.
-      Segment* fresh = acquire_segment();
+      Segment* fresh = acquire_segment(h.tid());
       // Empty open ring: cannot fail.
       (void)fresh->enqueue(h.tid(), row, value);
       Segment* expected = nullptr;
@@ -285,9 +289,10 @@ class UnboundedQueue {
   std::size_t pooled_segments() const { return pool_.size(); }
   const Options& options() const { return opt_; }
   // Metered bytes a segment owns at creation: the object, its ring's
-  // entries and record chunk 0 (with the record directory), and its
-  // payload slots. A tid of 16 or more grows the segment it first uses by
-  // one record chunk, which stays with the segment across recycling.
+  // entries and record head chunk (tids 0-7), and its payload slots. A tid
+  // of 8 or more grows the segment it first uses by its record chunk (and
+  // the record directory, on the segment's first such tid), which stay
+  // with the segment across recycling.
   std::size_t segment_bytes() const { return segment_bytes_; }
   // Segments retired but not yet past their grace period, and the metered
   // bytes of the hazard domain's retire-list buffers (quiescent-only).
@@ -496,8 +501,13 @@ class UnboundedQueue {
   // Growth path: reuse a parked segment when one is available. A pooled
   // segment was reset by its recycler; the pool's release/acquire hand-off
   // publishes those writes to us, and the list-append CAS publishes them to
-  // everyone else (DESIGN.md §8).
-  Segment* acquire_segment() {
+  // everyone else (DESIGN.md §8). First the appender rescans its own retire
+  // list: a segment it unlinked while a peer's sticky slot 0 still held it
+  // stays there until the next scan, and by the append that peer has
+  // usually moved on, so the segment is reset into the pool and taken
+  // back here rather than idling while a fresh one is allocated.
+  Segment* acquire_segment(unsigned tid) {
+    hp_.rescan(tid);
     if (opt_.recycle) {
       if (Segment* s = pool_.try_get()) return s;
     }

@@ -145,8 +145,8 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   using Ring::finalize;
   using Ring::reset_threshold;
   using Ring::ring_size;
-  // Metered bytes the ring holds: its entries, the record directory and
-  // the record chunks installed so far.
+  // Metered bytes the ring holds: its entries and the record table (the
+  // head chunk, and the directory and chunks installed so far).
   std::size_t heap_bytes() const {
     return Ring::heap_bytes() + records_.bytes();
   }
@@ -157,9 +157,9 @@ class BasicWCQ : private BasicScq<kMulti, PairSlots> {
   // Build the session for a known dense tid: no registry or thread_local
   // access. Composed layers (BoundedQueue, UnboundedQueue segments) carry
   // the tid in their own handles and rebuild ring sessions through this.
-  // A tid's first session installs its record chunk (one allocation per 16
-  // tids, at most once per ring; DESIGN.md §10); every later one is
-  // pointer arithmetic.
+  // A tid of 8 or more installs its record chunk on its first session (at
+  // most once per ring; DESIGN.md §10); every later one is pointer
+  // arithmetic.
   Handle handle_for(unsigned tid) { return Handle(tid, records_.row(tid)); }
 
   // Inserts `index` (< capacity()). The caller guarantees at most

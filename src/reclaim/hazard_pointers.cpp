@@ -46,7 +46,7 @@ struct HazardDomain::Impl {
       : rows(kMaxThreads, 1), retired(kMaxThreads, 1),
         retire_threshold(threshold) {}
 
-  // Both tables grow 16 tids at a time (common/tid_table.hpp): the owner
+  // Both tables grow with the tids in use (common/tid_table.hpp): the owner
   // paths install (slots_for, protect_raw, retire), scans and drains read
   // present chunks only.
   TidTable<SlotRow> rows;
@@ -176,6 +176,11 @@ void HazardDomain::scan(unsigned tid) {
     }
   }
   list.swap(keep);
+}
+
+void HazardDomain::rescan(unsigned tid) {
+  const Impl::RetireRow* row = impl_->retired.find(tid);
+  if (row != nullptr && !row->list.empty()) scan(tid);
 }
 
 void HazardDomain::drain() {

@@ -4,9 +4,9 @@
 // of MSQueue, LCRQ and CRTurn (§6: "we use customized reclamation for YMC
 // and hazard pointers elsewhere"). This is a classic bounded implementation:
 // a table of per-thread hazard slots (indexed by the process-wide
-// ThreadRegistry tid, grown 16 tids at a time on a tid's first use;
-// common/tid_table.hpp) and per-thread retire lists scanned when they
-// exceed a threshold proportional to the number of registered threads.
+// ThreadRegistry tid, grown with the tids in use; common/tid_table.hpp) and
+// per-thread retire lists scanned when they exceed a threshold proportional
+// to the number of registered threads.
 //
 // Retired-but-unreclaimed memory stays visible to the Fig 10 alloc meter
 // because the owning queues allocate their nodes through alloc_meter and the
@@ -56,7 +56,7 @@ class HazardDomain {
 
   // The calling thread's (or an explicit tid's) row, stable for the
   // domain's lifetime. Handles cache this. A tid's first call may install
-  // its row chunk (one allocation per 16 tids); later calls are arithmetic.
+  // its row chunk (common/tid_table.hpp); later calls are arithmetic.
   ThreadSlots* slots_for(unsigned tid);
 
   // Publish `src`'s current value in the calling thread's hazard slot and
@@ -123,6 +123,13 @@ class HazardDomain {
   // every pending retirement that references it (a queue guarantees that by
   // owning a private domain and draining it in its destructor).
   void retire(unsigned tid, void* p, void (*deleter)(void*, void*), void* ctx);
+
+  // Scan `tid`'s retire list now if it holds anything, instead of at the
+  // next retirement that reaches the threshold. Only the thread holding
+  // `tid` may call it: the list is that thread's own. An owner about to
+  // take fresh memory calls it so that what it retired earlier, and peers
+  // have stopped protecting since, is reclaimed first.
+  void rescan(unsigned tid);
 
   // Drain every retire list that can be drained (called by queue dtors;
   // correct only when no other thread is inside the data structure).

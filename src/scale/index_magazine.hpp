@@ -23,8 +23,8 @@
 //    adjacent-line prefetch pair and dense neighboring tids never share a
 //    line or a pair.
 //  * The set serves every registry tid, the one thread limit. Rows are
-//    allocated 16 tids at a time (common/tid_table.hpp): chunk 0 at
-//    construction, any other on the first session of a tid in it.
+//    allocated with the tids in use (common/tid_table.hpp): tids 0-7 at
+//    construction, any other chunk on the first session of a tid in it.
 //    Cross-thread scans and the exit flush read present chunks only, so a
 //    thread that never used the queue never grows it.
 //  * Only the owning thread stores indices into its slots, so a slot the

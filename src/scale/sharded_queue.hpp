@@ -55,6 +55,7 @@
 #include <vector>
 
 #include "common/align.hpp"
+#include "common/alloc_meter.hpp"
 #include "core/bounded_queue.hpp"
 #include "core/session.hpp"
 #include "core/wcq.hpp"
@@ -133,8 +134,8 @@ class alignas(kCacheLine) ShardedQueue {
     const unsigned n = std::bit_ceil(opt.shards == 0 ? 1u : opt.shards);
     shards_.resize(n);
     for (auto& s : shards_) {
-      s = std::make_unique<Shard>(
-          typename Shard::Options{opt.shard_order, opt.magazine});
+      s.reset(alloc_meter::create<Shard>(
+          typename Shard::Options{opt.shard_order, opt.magazine}));
     }
   }
 
@@ -320,7 +321,13 @@ class alignas(kCacheLine) ShardedQueue {
     __builtin_trap();
   }
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  // The shard objects and this table are queue-owned bytes like the
+  // shards' rings, so both go through the meter (Fig 10).
+  struct DestroyShard {
+    void operator()(Shard* s) const { alloc_meter::destroy(s); }
+  };
+  using ShardPtr = std::unique_ptr<Shard, DestroyShard>;
+  std::vector<ShardPtr, alloc_meter::MeteredAllocator<ShardPtr>> shards_;
   Mode mode_ = Mode::kMpmc;
   LiveSessions sessions_;
 };

@@ -1,6 +1,8 @@
 // Registered threads that hold their registry tids and do nothing else, so
-// a test can push the next thread's tid past a per-tid table's first chunk
-// (common/tid_table.hpp) without touching any queue.
+// a test can push the next thread's tid past a per-tid table's first 16
+// tids (common/tid_table.hpp) or past the registry's high water without
+// touching any queue. They block on a future, not in a yield loop, so
+// hundreds of them cost no CPU time while they hold their tids.
 #pragma once
 
 #include <future>

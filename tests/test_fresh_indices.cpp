@@ -17,6 +17,7 @@
 #include "core/bounded_queue.hpp"
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
+#include "parked_threads.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -111,20 +112,7 @@ TYPED_TEST(FreshIndexTest, TidPastHighWaterFillsExactly) {
 
   // Park holder threads on every free tid below the high water, so the
   // next thread to register gets one at or past it.
-  std::atomic<bool> release{false};
-  std::vector<std::thread> holders;
-  while (ThreadRegistry::live_threads() < hw) {
-    std::atomic<bool> registered{false};
-    holders.emplace_back([&] {
-      (void)ThreadRegistry::tid();
-      registered.store(true, std::memory_order_release);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (!registered.load(std::memory_order_acquire)) {
-    }
-  }
+  testing::ParkedThreads holders(hw - ThreadRegistry::live_threads());
   std::thread newcomer([&] {
     EXPECT_GE(ThreadRegistry::tid(), hw);
     u64 filled = 0;
@@ -136,8 +124,6 @@ TYPED_TEST(FreshIndexTest, TidPastHighWaterFillsExactly) {
     EXPECT_FALSE(q.dequeue().has_value());
   });
   newcomer.join();
-  release.store(true, std::memory_order_release);
-  for (auto& t : holders) t.join();
 }
 
 // Four threads race for the last few fresh indices of a nearly full queue.

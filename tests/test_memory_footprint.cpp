@@ -2,9 +2,10 @@
 //
 // Every byte a queue owns is metered (common/alloc_meter.hpp), so the
 // construction delta of a queue is a closed-form sum of its parts: ring
-// entries, payload slots, the first chunk of every per-tid table (wCQ
-// thread records, magazine rows, span rows) with its chunk directory, and
-// the objects themselves. Every table serves all registry tids, so every
+// entries, payload slots, the head chunk of every per-tid table (wCQ
+// thread records, magazine rows, span rows), and the objects themselves.
+// A table's chunk directory appears only once a tid past the head chunk
+// opens a session; every table serves all registry tids, so every
 // directory is the same size. Each term is spelled out below. A layer that
 // silently grows — a per-tid table that allocates every row up front
 // again, a row that regains a count word and a third line — changes the
@@ -54,26 +55,29 @@ constexpr std::int64_t kWcqEntries = 2 * kCap * 16;
 constexpr std::int64_t kScqEntries = 2 * kCap * 8;
 // Payload slots: one u64 per element.
 constexpr std::int64_t kData = kCap * 8;
-// Per-tid tables hold rows for 16 tids per chunk. Every table serves all
-// registry tids (the one thread limit, 256), so construction allocates
-// chunk 0 and a directory of 16 8-byte chunk pointers.
+// Per-tid tables (common/tid_table.hpp) allocate the head chunk, rows for
+// tids 0-7, at construction and nothing else. A tid of 8 or more installs
+// the chunk directory (every table serves all registry tids, the one
+// thread limit of 256, so 16 8-byte chunk pointers) and its own chunk:
+// tids 8-15 share an 8-row chunk, each later 16 tids a 16-row one.
+constexpr std::int64_t kHeadTids = 8;
 constexpr std::int64_t kChunkTids = 16;
 constexpr std::int64_t kDirectory =
     ThreadRegistry::kMaxThreads / kChunkTids * 8;  // 128 B
-// wCQ thread records: 128 B each, one chunk per ring.
+// wCQ thread records: 128 B each, one table per ring.
+constexpr std::int64_t kWcqRecords = kHeadTids * 128;  // 1 KiB
 constexpr std::int64_t kRecordChunk = kChunkTids * 128;  // 2 KiB
-constexpr std::int64_t kWcqRecords = kRecordChunk + kDirectory;
 // Magazine rows: the default 16 slots in one 2-line (128 B) row.
 constexpr std::int64_t kRowBytes = 128;
+constexpr std::int64_t kMagazines = kHeadTids * kRowBytes;  // 1 KiB
 constexpr std::int64_t kMagazineChunk = kChunkTids * kRowBytes;  // 2 KiB
-constexpr std::int64_t kMagazines = kMagazineChunk + kDirectory;
 // UnboundedQueue span rows: 64 B per tid, once per queue.
+constexpr std::int64_t kSpanRows = kHeadTids * 64;  // 512 B
 constexpr std::int64_t kSpanChunk = kChunkTids * 64;  // 1 KiB
-constexpr std::int64_t kSpanRows = kSpanChunk + kDirectory;
 // Hazard slot rows: 64 B per registry tid, once per domain.
 constexpr std::int64_t kHazardSlotChunk = kChunkTids * 64;  // 1 KiB
 
-// The queue's private hazard domain (its object plus the first chunk of
+// The queue's private hazard domain (its object plus the head chunk of
 // its slot and retire tables) has a layout internal to the domain;
 // measure it standalone.
 std::int64_t hazard_domain_bytes() {
@@ -133,11 +137,11 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
   Q* q = nullptr;
   const std::int64_t delta =
       construction_delta(q, Q::Options{.segment_order = kOrder});
-  // A segment is one wCQ ring (entries and a record chunk) and its payload
-  // slots: no free-index ring, no magazines. Its object is the ring object
-  // plus three lines: the cold fields (payload pointer, generation, home
-  // node), the fresh-index counter, and the next link. Finalization is a
-  // bit in the ring's Tail word and costs no byte.
+  // A segment is one wCQ ring (entries and a record head chunk) and its
+  // payload slots: no free-index ring, no magazines. Its object is the ring
+  // object plus three lines: the cold fields (payload array, generation),
+  // the fresh-index counter, and the next link. Finalization is a bit in
+  // the ring's Tail word and costs no byte.
   const std::int64_t object = static_cast<std::int64_t>(
       AlignedArray<char>::round_up(sizeof(WCQ) + 3 * kCacheLine,
                                    alignof(WCQ)));
@@ -149,10 +153,9 @@ TEST(MemoryFootprint, UnboundedOneSegmentIsItsPartsExactly) {
 }
 
 // A pipeline-mode sharded queue is its shards' parts: each shard an MPSC
-// data ring, an MPMC SCQ free ring, payload slots and a magazine chunk
-// with its directory. The shard objects and the shard table are
-// std-allocated and so outside the meter; the equality covers every
-// metered byte.
+// data ring, an MPMC SCQ free ring, payload slots, a magazine head chunk
+// and the shard object itself, plus the shard table of one pointer per
+// shard.
 TEST(MemoryFootprint, ShardedMpscIsItsShardsExactly) {
   using Q = ShardedQueue<u64, MpscRing>;
   Q::Options opt;
@@ -162,8 +165,10 @@ TEST(MemoryFootprint, ShardedMpscIsItsShardsExactly) {
   Q* q = nullptr;
   const std::int64_t delta = construction_delta(q, opt);
   ASSERT_EQ(q->shard_count(), 4u);
-  const std::int64_t shard = 2 * kScqEntries + kData + kMagazines;
-  EXPECT_EQ(delta, 4 * shard + static_cast<std::int64_t>(sizeof(Q)));
+  const std::int64_t shard = 2 * kScqEntries + kData + kMagazines +
+                             static_cast<std::int64_t>(sizeof(Q::Shard));
+  const std::int64_t table = 4 * static_cast<std::int64_t>(sizeof(void*));
+  EXPECT_EQ(delta, 4 * shard + table + static_cast<std::int64_t>(sizeof(Q)));
   alloc_meter::destroy(q);
 }
 
@@ -181,10 +186,11 @@ TEST(MemoryFootprint, ChannelIsItsQueueExactly) {
   EXPECT_EQ(alloc_meter::live_bytes(), before);
 }
 
-// A thread whose tid lies past the first chunk grows each per-tid table it
-// opens a session on by exactly one chunk, and a thread that never used the
-// queue grows nothing, not even through its exit hook. 16 parked threads
-// (no more) plus this one push the next thread's tid to 16 or beyond.
+// A thread whose tid lies past the first 16 grows each per-tid table it
+// opens a session on by exactly the chunk directory and its own 16-tid
+// chunk, and a thread that never used the queue grows nothing, not even
+// through its exit hook. 16 parked threads (no more) plus this one push the
+// next thread's tid to 16 or beyond.
 TEST(MemoryFootprint, BoundedTidPastFirstChunkAddsOneChunkPerTable) {
   (void)ThreadRegistry::tid();
   const std::int64_t before = alloc_meter::live_bytes();
@@ -208,7 +214,7 @@ TEST(MemoryFootprint, BoundedTidPastFirstChunkAddsOneChunkPerTable) {
     ASSERT_GE(tid, 16u);
     // aq's records, fq's records, the magazine rows.
     EXPECT_EQ(alloc_meter::live_bytes() - built,
-              2 * kRecordChunk + kMagazineChunk);
+              2 * kRecordChunk + kMagazineChunk + 3 * kDirectory);
   }
   alloc_meter::destroy(q);
   EXPECT_EQ(alloc_meter::live_bytes(), before);
@@ -216,7 +222,7 @@ TEST(MemoryFootprint, BoundedTidPastFirstChunkAddsOneChunkPerTable) {
 
 // The unbounded counterpart: the span rows, the hazard slot rows and the
 // record table of the one segment the thread enqueues on (no segment is
-// retired, so the retire rows stay at chunk 0).
+// retired, so the retire rows stay at their head chunk).
 TEST(MemoryFootprint, UnboundedTidPastFirstChunkAddsOneChunkPerTable) {
   using Q = UnboundedQueue<u64>;
   (void)ThreadRegistry::tid();
@@ -235,7 +241,7 @@ TEST(MemoryFootprint, UnboundedTidPastFirstChunkAddsOneChunkPerTable) {
     ASSERT_GE(tid, 16u);
     EXPECT_EQ(q->live_segments(), 1u);
     EXPECT_EQ(alloc_meter::live_bytes() - built,
-              kSpanChunk + kHazardSlotChunk + kRecordChunk);
+              kSpanChunk + kHazardSlotChunk + kRecordChunk + 3 * kDirectory);
   }
   alloc_meter::destroy(q);
   EXPECT_EQ(alloc_meter::live_bytes(), before);

@@ -13,6 +13,7 @@
 #include "core/unbounded_queue.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
+#include "parked_threads.hpp"
 #include "runtime/thread_registry.hpp"
 
 namespace wcq {
@@ -73,20 +74,7 @@ TYPED_TEST(RingResetTest, TidPastResetHighWaterFillsExactly) {
 
   // Park holder threads on every free tid below the high water, so the
   // next thread to register gets one at or past it.
-  std::atomic<bool> release{false};
-  std::vector<std::thread> holders;
-  while (ThreadRegistry::live_threads() < hw) {
-    std::atomic<bool> registered{false};
-    holders.emplace_back([&] {
-      (void)ThreadRegistry::tid();
-      registered.store(true, std::memory_order_release);
-      while (!release.load(std::memory_order_acquire)) {
-        std::this_thread::yield();
-      }
-    });
-    while (!registered.load(std::memory_order_acquire)) {
-    }
-  }
+  testing::ParkedThreads holders(hw - ThreadRegistry::live_threads());
   std::thread newcomer([&] {
     EXPECT_GE(ThreadRegistry::tid(), hw);
     for (u64 i = 0; i < q.capacity(); ++i) q.enqueue(i);
@@ -98,8 +86,6 @@ TYPED_TEST(RingResetTest, TidPastResetHighWaterFillsExactly) {
     EXPECT_FALSE(q.dequeue().has_value());
   });
   newcomer.join();
-  release.store(true, std::memory_order_release);
-  for (auto& t : holders) t.join();
 }
 
 // ---- reclaim layer: SegmentPool free list ---------------------------------

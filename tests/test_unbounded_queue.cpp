@@ -13,6 +13,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/alloc_meter.hpp"
 #include "common/op_counters.hpp"
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
@@ -392,6 +393,88 @@ TEST(UnboundedHazardPin, CrossThreadReleaseKeepsPinUntilTidsNextOp) {
   t.retire_next();
   EXPECT_EQ(t.q_.retired_segments(), 0u) << "S stayed pinned";
   EXPECT_EQ(t.q_.pooled_segments(), 2u);
+}
+
+// A segment a peer still pins when its retirer unlinks it is reused by
+// that retirer's next append once the peer has moved on (DESIGN.md §8).
+// Owned sessions keep slot 0 set between operations, so at the unlink the
+// peer B still publishes the drained segment S; A's retire list holds S
+// below the scan threshold. A's first append after that rescans, finds S
+// pinned and allocates; once B's next enqueue moves its slot to the new
+// tail, A's next append rescans, resets S into the pool and links it again
+// without allocating. The byte equality is the steady-state bound's (ROADMAP
+// item 4): the queue's fixed parts, the retire-list buffers and one
+// segment_bytes() per linked, pooled or retired segment.
+TEST(UnboundedSegmentReuse, AppendReusesSegmentPeerPinnedAtUnlink) {
+  using Q = UnboundedQueue<u64>;
+  constexpr u64 kCap = 4;
+  const std::int64_t before = alloc_meter::live_bytes();
+  auto* q = alloc_meter::create<Q>(Q::Options{.segment_order = 2});
+  const std::int64_t segment = static_cast<std::int64_t>(q->segment_bytes());
+  const std::int64_t fixed = alloc_meter::live_bytes() - before - segment;
+  auto segments = [&] {
+    return q->live_segments() + q->pooled_segments() + q->retired_segments();
+  };
+  auto bytes_are_segments = [&] {
+    return alloc_meter::live_bytes() - before ==
+           fixed + static_cast<std::int64_t>(q->reclaim_buffer_bytes()) +
+               static_cast<std::int64_t>(segments()) * segment;
+  };
+  StepThread a, b;
+  std::optional<Q::Handle> ha, hb;
+  a.run([&] { ha.emplace(q->acquire()); });
+  b.run([&] { hb.emplace(q->acquire()); });
+  std::vector<u64> sent;
+  auto send = [&](std::optional<Q::Handle>& h, u64 v) {
+    ASSERT_TRUE(q->enqueue(*h, v));
+    sent.push_back(v);
+  };
+
+  b.run([&] { send(hb, 100); });  // B's slot 0 now holds S
+  a.run([&] {
+    for (u64 i = 0; i < 2 * kCap - 1; ++i) send(ha, i);  // fills S, links S2
+  });
+  ASSERT_EQ(q->live_segments(), 2u);
+  std::vector<u64> got;
+  a.run([&] {
+    // S's four elements, then the first of S2: A unlinks and retires S.
+    for (u64 i = 0; i <= kCap; ++i) got.push_back(q->dequeue(*ha).value());
+  });
+  EXPECT_EQ(q->live_segments(), 1u);
+  EXPECT_EQ(q->retired_segments(), 1u) << "S left A's retire list";
+  EXPECT_TRUE(bytes_are_segments());
+
+  // S2 is full: A's next enqueue appends while B still pins S.
+  a.run([&] { send(ha, 200); });
+  EXPECT_EQ(q->live_segments(), 2u);
+  EXPECT_EQ(q->retired_segments(), 1u) << "S was reset under B's slot";
+  EXPECT_EQ(q->pooled_segments(), 0u);
+  EXPECT_EQ(segments(), 3u);
+  EXPECT_TRUE(bytes_are_segments());
+
+  b.run([&] { send(hb, 300); });  // B moves its slot to the new tail
+  const std::int64_t live = alloc_meter::live_bytes();
+  const std::int64_t allocs = alloc_meter::total_allocations();
+  a.run([&] {
+    // Two fill the tail segment, the third appends.
+    for (u64 i = 0; i < 3; ++i) send(ha, 400 + i);
+  });
+  EXPECT_EQ(q->live_segments(), 3u);
+  EXPECT_EQ(q->retired_segments(), 0u) << "the append did not rescan";
+  EXPECT_EQ(q->pooled_segments(), 0u) << "S was pooled but not reused";
+  EXPECT_EQ(alloc_meter::total_allocations(), allocs)
+      << "the append allocated while S was reusable";
+  EXPECT_EQ(alloc_meter::live_bytes(), live);
+  EXPECT_TRUE(bytes_are_segments());
+
+  a.run([&] {
+    while (auto v = q->dequeue(*ha)) got.push_back(*v);
+  });
+  EXPECT_EQ(got, sent);
+  b.run([&] { hb.reset(); });
+  a.run([&] { ha.reset(); });
+  alloc_meter::destroy(q);
+  EXPECT_EQ(alloc_meter::live_bytes(), before);
 }
 
 }  // namespace

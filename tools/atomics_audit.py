@@ -22,7 +22,7 @@ occurrence ordinal — so pure line drift (code added above a site) does not
 invalidate the manifest; changing the operation, its operand expression or
 its ordering does, which is exactly when the justification must be re-read.
 
-Fence-diet bookkeeping (DESIGN.md §15): each manifest row carries a ninth
+Fence-diet bookkeeping (DESIGN.md §15): each manifest row carries a last
 `downgraded-from` column ("-" for sites that were never downgraded). A row
 with downgraded-from set is a ratchet tooth: its tag must name a §15
 argument, and any seq_cst site reappearing at the same (file, receiver, op)
@@ -281,6 +281,12 @@ def scan_tree():
     return sites
 
 
+# One manifest row. No line number: a site is named by its content key,
+# and a line column would drift with every edit above the site.
+Row = collections.namedtuple(
+    "Row", "key file kind op receiver order tag downgraded")
+
+
 def read_manifest(path=MANIFEST):
     tags, budget = {}, None
     downgrades = {}
@@ -297,14 +303,13 @@ def read_manifest(path=MANIFEST):
         if not line.strip():
             continue
         cols = line.split("\t")
-        if len(cols) < 8:
+        if len(cols) != len(Row._fields):
             continue
-        key, file, line_no, kind, op, receiver, order, tag = cols[:8]
-        tags[key] = tag
-        # 9th column (downgraded-from) is optional for pre-§15 manifests.
-        if len(cols) >= 9 and cols[8] and cols[8] != NO_DOWNGRADE:
-            downgrades[key] = cols[8]
-        rows.append(cols)
+        row = Row(*cols)
+        tags[row.key] = row.tag
+        if row.downgraded and row.downgraded != NO_DOWNGRADE:
+            downgrades[row.key] = row.downgraded
+        rows.append(row)
     return tags, budget, rows, downgrades
 
 
@@ -319,11 +324,11 @@ def write_manifest(sites, tags, budget, downgrades, path=MANIFEST):
         f.write("# records the order a §15 fence-diet site was argued down"
                 " from (re-strengthening it fails the check).\n")
         f.write("# seq_cst_budget: %d\n" % budget)
-        f.write("# key\tfile\tline\tkind\top\treceiver\torder\ttag"
+        f.write("# key\tfile\tkind\top\treceiver\torder\ttag"
                 "\tdowngraded-from\n")
         for s in sites:
             f.write("\t".join([
-                s.key, s.file, str(s.line), s.kind, s.op, s.receiver, s.order,
+                s.key, s.file, s.kind, s.op, s.receiver, s.order,
                 tags.get(s.key, UNTAGGED),
                 downgrades.get(s.key, NO_DOWNGRADE),
             ]) + "\n")
@@ -368,11 +373,10 @@ def do_check(args):
     # seq_cst site reappearing at one of these is a re-strengthening, not
     # just an ordinary unlisted site.
     dieted = {}
-    for cols in rows:
-        key = cols[0]
-        if key in downgrades:
-            dieted[(cols[1], cols[5], cols[4])] = (downgrades[key],
-                                                   cols[6], tags.get(key, ""))
+    for row in rows:
+        if row.key in downgrades:
+            dieted[(row.file, row.receiver, row.op)] = (
+                downgrades[row.key], row.order, tags.get(row.key, ""))
 
     current_keys = {s.key: s for s in sites}
     for s in sites:
@@ -496,21 +500,21 @@ def do_update(args):
     # the check then demands a fresh §15 argument for the weakened site.
     current_keys = {s.key for s in sites}
     stale_by_triple = {}
-    for cols in rows:
-        if cols[0] not in current_keys:
-            stale_by_triple.setdefault((cols[1], cols[5], cols[4]),
-                                       []).append(cols)
+    for row in rows:
+        if row.key not in current_keys:
+            stale_by_triple.setdefault((row.file, row.receiver, row.op),
+                                       []).append(row)
     inferred = 0
     for s in sites:
         if s.key in old_tags:
             continue
-        for cols in stale_by_triple.get((s.file, s.receiver, s.op), []):
-            old_order = cols[6]
+        for row in stale_by_triple.get((s.file, s.receiver, s.op), []):
+            old_order = row.order
             if order_strength(old_order) > order_strength(s.order):
                 # Preserve an existing downgraded-from chain's origin: a
                 # second weakening keeps the original strongest order.
-                origin = cols[8] if (len(cols) >= 9 and
-                                     cols[8] != NO_DOWNGRADE) else old_order
+                origin = (row.downgraded if row.downgraded != NO_DOWNGRADE
+                          else old_order)
                 downgrades[s.key] = origin
                 inferred += 1
                 break

@@ -1,12 +1,14 @@
 #!/usr/bin/env python3
-"""Unit tests for atomics_audit.py's tag carry-over (--update).
+"""Unit tests for atomics_audit.py's manifest rows and tag carry-over.
 
     python3 tools/test_atomics_audit.py
 
 Keys are sha1(file|receiver|op|orders)#ordinal, so deleting or adding a
 site renumbers the later sites that share its hash. These tests scan small
 source files and check that --update's carry-over hands no tag across such
-a renumbering, while sites whose hash group kept its size keep their tags.
+a renumbering, while sites whose hash group kept its size keep their tags,
+and that a manifest row holds no line number, so code moving down a file
+rewrites no row.
 """
 import os
 import sys
@@ -56,6 +58,18 @@ class CarryTagsTest(unittest.TestCase):
         carried, reset = atomics_audit.carry_tags(sites, tags)
         self.assertEqual(carried, tags)
         self.assertEqual(reset, [])
+
+    def test_line_drift_rewrites_no_manifest_row(self):
+        def manifest_text(text):
+            sites = self.scan(text)
+            path = os.path.join(self.tmp.name, "manifest.tsv")
+            atomics_audit.write_manifest(sites, self.tagged(self.scan(
+                THREE_LOADS)), 92, {}, path)
+            with open(path, encoding="utf-8") as f:
+                return f.read()
+
+        self.assertEqual(manifest_text(THREE_LOADS),
+                         manifest_text("\n\n// moved down\n" + THREE_LOADS))
 
     def test_deleted_site_resets_its_hash_group(self):
         before = self.scan(THREE_LOADS)
