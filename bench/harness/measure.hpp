@@ -45,7 +45,6 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "harness/workloads.hpp"
-#include "reclaim/hazard_pointers.hpp"
 
 namespace wcq::bench {
 
@@ -407,10 +406,6 @@ u64 worker_body(OpsCtx<Adapter>& ops, const BenchParams& p, u64 my_ops,
 
 template <typename Adapter>
 PointResult measure_point(const BenchParams& p, unsigned threads) {
-  // The global hazard domain's (metered) tables are built on first use;
-  // force that outside the measured window so the first hazard-using
-  // series does not absorb a one-time charge into its run-0 samples.
-  (void)HazardDomain::global();
   PointResult result;
   result.threads = threads;
   std::array<std::vector<double>, kMetricCount> samples;

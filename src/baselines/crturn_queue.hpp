@@ -19,7 +19,8 @@
 // CAS-per-operation queue with no F&A scaling, an order of magnitude below
 // the ring-based queues.
 //
-// Reclamation: hazard pointers; nodes allocated via the alloc meter.
+// Reclamation: hazard pointers in a domain the queue owns; nodes allocated
+// via the alloc meter.
 #pragma once
 
 #include <atomic>
@@ -57,8 +58,8 @@ class CRTurnQueue {
   CRTurnQueue& operator=(const CRTurnQueue&) = delete;
 
   bool enqueue(u64 value) {
-    HazardDomain& hp = HazardDomain::global();
     const unsigned tid = ThreadRegistry::tid();
+    auto& row = *hp_.slots_for(tid);
     Node* my = alloc_meter::create<Node>(value, tid);
     enqueuers_[tid].value.store(my, std::memory_order_seq_cst);
 
@@ -67,7 +68,7 @@ class CRTurnQueue {
       if (enqueuers_[tid].value.load(std::memory_order_seq_cst) == nullptr) {
         break;  // our node was appended (and its request cleared)
       }
-      help_append_one(hp);
+      help_append_one(row);
     }
     // The turn argument bounds the loop above; the guard below only spins if
     // that bound was computed against a stale thread high-water mark. Each
@@ -77,7 +78,7 @@ class CRTurnQueue {
     Backoff bo;
     Node* last_tail = tail_.value.load(std::memory_order_seq_cst);
     while (enqueuers_[tid].value.load(std::memory_order_seq_cst) != nullptr) {
-      help_append_one(hp);
+      help_append_one(row);
       Node* t = tail_.value.load(std::memory_order_seq_cst);
       if (t == last_tail) {
         bo.pause();
@@ -86,19 +87,21 @@ class CRTurnQueue {
         bo.reset();
       }
     }
-    hp.clear_all();
+    HazardDomain::clear(row, 0);
     return true;
   }
 
   std::optional<u64> dequeue() {
-    HazardDomain& hp = HazardDomain::global();
+    const unsigned tid = ThreadRegistry::tid();
+    auto& row = *hp_.slots_for(tid);
     for (;;) {
-      Node* lhead = hp.protect(0, head_.value);
+      Node* lhead = HazardDomain::protect(row, 0, head_.value);
       Node* ltail = tail_.value.load(std::memory_order_acquire);
-      Node* lnext = hp.protect(1, lhead->next);
+      Node* lnext = HazardDomain::protect(row, 1, lhead->next);
       if (lhead != head_.value.load(std::memory_order_acquire)) continue;
       if (lnext == nullptr) {
-        hp.clear_all();
+        HazardDomain::clear(row, 0);
+        HazardDomain::clear(row, 1);
         return std::nullopt;
       }
       if (lhead == ltail) {
@@ -110,10 +113,11 @@ class CRTurnQueue {
       const u64 value = lnext->value;
       if (head_.value.compare_exchange_strong(lhead, lnext,
                                               std::memory_order_seq_cst)) {
-        hp.clear_all();
-        hp.retire(lhead, [](void* p) {
+        HazardDomain::clear(row, 0);
+        HazardDomain::clear(row, 1);
+        hp_.retire(tid, lhead, [](void* p, void*) {
           alloc_meter::destroy(static_cast<Node*>(p));
-        });
+        }, nullptr);
         return value;
       }
     }
@@ -129,8 +133,8 @@ class CRTurnQueue {
 
   // One helping round (Fig 13 lines 14-27): clear the Tail node's satisfied
   // request, append the next pending request by turn order, swing Tail.
-  void help_append_one(HazardDomain& hp) {
-    Node* ltail = hp.protect(0, tail_.value);
+  void help_append_one(HazardDomain::ThreadSlots& row) {
+    Node* ltail = HazardDomain::protect(row, 0, tail_.value);
     if (ltail != tail_.value.load(std::memory_order_seq_cst)) return;
     // (a) The node at Tail is appended: drop its request so the turn scan
     //     cannot pick it again.
@@ -159,6 +163,8 @@ class CRTurnQueue {
     }
   }
 
+  // Retired nodes are off the list; the domain's destructor frees them.
+  HazardDomain hp_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Node*>> head_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Node*>> tail_;
   CacheAligned<std::atomic<Node*>> enqueuers_[ThreadRegistry::kMaxThreads];

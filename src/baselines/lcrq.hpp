@@ -13,8 +13,9 @@
 //   lo: [63] unsafe flag, [62:0] idx (the epoch: slot serves rank idx)
 //   hi: value, or kEmptyVal when vacant
 //
-// Reclamation: hazard pointers on the outer list (as in the paper's setup);
-// ring allocation goes through the alloc meter so Fig 10 sees it.
+// Reclamation: hazard pointers on the outer list (as in the paper's setup),
+// in a domain the queue owns; ring allocation goes through the alloc meter
+// so Fig 10 sees it, retire bookkeeping included.
 #pragma once
 
 #include <atomic>
@@ -24,6 +25,7 @@
 #include "common/alloc_meter.hpp"
 #include "common/dwcas.hpp"
 #include "reclaim/hazard_pointers.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
@@ -49,9 +51,9 @@ class LCRQ {
   LCRQ& operator=(const LCRQ&) = delete;
 
   bool enqueue(u64 value) {
-    HazardDomain& hp = HazardDomain::global();
+    auto& row = *hp_.slots_for(ThreadRegistry::tid());
     for (;;) {
-      CRQ* crq = hp.protect(0, tail_.value);
+      CRQ* crq = HazardDomain::protect(row, 0, tail_.value);
       if (crq->next.load(std::memory_order_acquire) != nullptr) {
         // Tail lags: help swing it.
         CRQ* expected = crq;
@@ -61,7 +63,7 @@ class LCRQ {
         continue;
       }
       if (crq->enqueue(value)) {
-        hp.clear(0);
+        HazardDomain::clear(row, 0);
         return true;
       }
       // CRQ closed: append a fresh ring seeded with our value.
@@ -72,7 +74,7 @@ class LCRQ {
                                             std::memory_order_seq_cst)) {
         tail_.value.compare_exchange_strong(crq, fresh,
                                             std::memory_order_seq_cst);
-        hp.clear(0);
+        HazardDomain::clear(row, 0);
         return true;
       }
       CRQ::destroy(fresh);  // somebody else appended first; retry there
@@ -80,18 +82,19 @@ class LCRQ {
   }
 
   std::optional<u64> dequeue() {
-    HazardDomain& hp = HazardDomain::global();
+    const unsigned tid = ThreadRegistry::tid();
+    auto& row = *hp_.slots_for(tid);
     for (;;) {
-      CRQ* crq = hp.protect(0, head_.value);
+      CRQ* crq = HazardDomain::protect(row, 0, head_.value);
       u64 value;
       if (crq->dequeue(value)) {
-        hp.clear(0);
+        HazardDomain::clear(row, 0);
         return value;
       }
       // This ring is drained. If no successor, the queue is empty.
       CRQ* next = crq->next.load(std::memory_order_acquire);
       if (next == nullptr) {
-        hp.clear(0);
+        HazardDomain::clear(row, 0);
         return std::nullopt;
       }
       // A successor exists, so the ring is closed, but an enqueue may have
@@ -99,14 +102,16 @@ class LCRQ {
       // LCRQ dequeue (PPoPP'13) tries the CRQ once more before swinging
       // head; unlinking it first would strand that element.
       if (crq->dequeue(value)) {
-        hp.clear(0);
+        HazardDomain::clear(row, 0);
         return value;
       }
       CRQ* expected = crq;
       if (head_.value.compare_exchange_strong(expected, next,
                                               std::memory_order_seq_cst)) {
-        hp.clear(0);
-        hp.retire(crq, [](void* p) { CRQ::destroy(static_cast<CRQ*>(p)); });
+        HazardDomain::clear(row, 0);
+        hp_.retire(tid, crq, [](void* p, void*) {
+          CRQ::destroy(static_cast<CRQ*>(p));
+        }, nullptr);
       }
     }
   }
@@ -242,6 +247,8 @@ class LCRQ {
   };
 
   unsigned ring_order_;
+  // Retired rings are off the list; the domain's destructor frees them.
+  HazardDomain hp_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<CRQ*>> head_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<CRQ*>> tail_;
 };

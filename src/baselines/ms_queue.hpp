@@ -6,9 +6,10 @@
 // CAS loops on two contended words, which is exactly the scaling behavior
 // the F&A-based queues in this repository improve on.
 //
-// Reclamation: hazard pointers (as in the paper's evaluation); nodes are
-// allocated through the alloc meter so MSQueue's footprint shows up in the
-// Fig 10 memory benchmark.
+// Reclamation: hazard pointers (as in the paper's evaluation) in a domain
+// the queue owns; nodes are allocated through the alloc meter so MSQueue's
+// footprint, retire bookkeeping included, shows up in the Fig 10 memory
+// benchmark.
 #pragma once
 
 #include <atomic>
@@ -17,12 +18,13 @@
 #include "common/align.hpp"
 #include "common/alloc_meter.hpp"
 #include "reclaim/hazard_pointers.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
 class MSQueue {
  public:
-  MSQueue() : hp_(HazardDomain::global()) {
+  MSQueue() {
     Node* dummy = alloc_meter::create<Node>(u64{0});
     head_.value.store(dummy, std::memory_order_relaxed);
     tail_.value.store(dummy, std::memory_order_relaxed);
@@ -42,8 +44,9 @@ class MSQueue {
 
   bool enqueue(u64 value) {
     Node* node = alloc_meter::create<Node>(value);
+    auto& row = *hp_.slots_for(ThreadRegistry::tid());
     for (;;) {
-      Node* tail = hp_.protect(0, tail_.value);
+      Node* tail = HazardDomain::protect(row, 0, tail_.value);
       Node* next = tail->next.load(std::memory_order_acquire);
       if (tail != tail_.value.load(std::memory_order_acquire)) continue;
       if (next != nullptr) {
@@ -57,21 +60,23 @@ class MSQueue {
                                              std::memory_order_seq_cst)) {
         tail_.value.compare_exchange_strong(tail, node,
                                             std::memory_order_seq_cst);
-        hp_.clear(0);
+        HazardDomain::clear(row, 0);
         return true;
       }
     }
   }
 
   std::optional<u64> dequeue() {
+    const unsigned tid = ThreadRegistry::tid();
+    auto& row = *hp_.slots_for(tid);
     for (;;) {
-      Node* head = hp_.protect(0, head_.value);
+      Node* head = HazardDomain::protect(row, 0, head_.value);
       Node* tail = tail_.value.load(std::memory_order_acquire);
-      Node* next = hp_.protect(1, head->next);
+      Node* next = HazardDomain::protect(row, 1, head->next);
       if (head != head_.value.load(std::memory_order_acquire)) continue;
       if (next == nullptr) {
-        hp_.clear(0);
-        hp_.clear(1);
+        HazardDomain::clear(row, 0);
+        HazardDomain::clear(row, 1);
         return std::nullopt;  // empty
       }
       if (head == tail) {
@@ -83,11 +88,11 @@ class MSQueue {
       const u64 value = next->value;  // read before CAS frees the slot
       if (head_.value.compare_exchange_strong(head, next,
                                               std::memory_order_seq_cst)) {
-        hp_.clear(0);
-        hp_.clear(1);
-        hp_.retire(head, [](void* p) {
+        HazardDomain::clear(row, 0);
+        HazardDomain::clear(row, 1);
+        hp_.retire(tid, head, [](void* p, void*) {
           alloc_meter::destroy(static_cast<Node*>(p));
-        });
+        }, nullptr);
         return value;
       }
     }
@@ -100,7 +105,8 @@ class MSQueue {
     std::atomic<Node*> next{nullptr};
   };
 
-  HazardDomain& hp_;
+  // Retired nodes are off the list; the domain's destructor frees them.
+  HazardDomain hp_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Node*>> head_;
   alignas(kDestructiveRange) CacheAligned<std::atomic<Node*>> tail_;
 };

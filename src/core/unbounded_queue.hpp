@@ -33,9 +33,9 @@
 // retired segment is reset and parked in a SegmentPool once its hazard
 // grace period has passed, and the growth path allocates from the pool
 // first — steady-state operation performs zero heap allocations. The queue
-// owns a *private* HazardDomain so (a) its contextful retirements (which
-// reference the queue's pool) can never outlive the queue, and (b) its
-// retire-scan threshold can be small: recycled segments reach the pool
+// owns its HazardDomain, as every hazard user does, so (a) its retirements
+// (which reference the queue's pool) can never outlive the queue, and (b)
+// its retire-scan threshold can be small: recycled segments reach the pool
 // promptly instead of idling in retire lists while fresh ones are malloc'd.
 #pragma once
 
@@ -242,43 +242,41 @@ class UnboundedQueue {
   // Diagnostic: number of linked segments, safe to call concurrently with
   // enqueue/dequeue on other threads.
   //
-  // The walk is hazard-protected hand-over-hand in slots 0, 1 and 2
-  // (operations use no other slot, and none runs on this thread meanwhile;
-  // an owned session whose slot 0 the walk overwrites and clears publishes
-  // again on its next operation). The liveness argument leans on the
-  // list's shape: segments are unlinked *only at the head*, so every node
-  // reachable from the current head is linked. The walker pins the head
-  // it started from in slot 0 for the whole walk; after publishing a
-  // hazard on each `next` it re-reads head_ — if head_ still equals the
-  // pinned start, no unlink (and hence no retirement) has happened since
-  // the walk began, so `next` is linked and now protected. If head_ moved,
-  // `next` may already be retired-and-freed (our hazard was published too
-  // late to be seen by that scan), so the walk restarts. head_ cannot ABA
-  // back to the pinned segment: re-linking requires recycling, which the
-  // slot-0 hazard blocks (DESIGN.md §8).
+  // The walk is hazard-protected hand-over-hand in slots 1, 2 and 3, which
+  // no operation uses, so the calling thread's slot 0 keeps what its
+  // sessions pinned. The liveness argument leans on the list's shape:
+  // segments are unlinked *only at the head*, so every node reachable from
+  // the current head is linked. The walker pins the head it started from
+  // in slot 1 for the whole walk; after publishing a hazard on each `next`
+  // it re-reads head_ — if head_ still equals the pinned start, no unlink
+  // (and hence no retirement) has happened since the walk began, so `next`
+  // is linked and now protected. If head_ moved, `next` may already be
+  // retired-and-freed (our hazard was published too late to be seen by
+  // that scan), so the walk restarts. head_ cannot ABA back to the pinned
+  // segment: re-linking requires recycling, which the slot-1 hazard blocks
+  // (DESIGN.md §8).
   u64 live_segments() const {
+    auto& row = *hp_.slots_for(ThreadRegistry::tid());
     Backoff bo;
     for (;;) {
-      Segment* h0 = hp_.protect(0, head_.value);
+      Segment* h0 = HazardDomain::protect(row, 1, head_.value);
       Segment* s = h0;
       u64 n = 1;
-      unsigned slot = 1;
+      unsigned slot = 2;
       bool restart = false;
       for (;;) {
         Segment* next = s->next.load(std::memory_order_acquire);
         if (next == nullptr) break;
-        hp_.set(slot, next);
+        HazardDomain::set(row, slot, next);
         if (head_.value.load(std::memory_order_seq_cst) != h0) {
           restart = true;
           break;
         }
         s = next;
         ++n;
-        slot = slot == 1 ? 2 : 1;  // keep the previous hop protected
+        slot = slot == 2 ? 3 : 2;  // keep the previous hop protected
       }
-      hp_.clear(0);
-      hp_.clear(1);
-      hp_.clear(2);
+      for (unsigned i = 1; i <= 3; ++i) HazardDomain::clear(row, i);
       if (!restart) return n;
       bo.pause();
     }

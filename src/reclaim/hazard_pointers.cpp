@@ -6,6 +6,7 @@
 #include "common/alloc_meter.hpp"
 #include "common/op_counters.hpp"
 #include "common/tid_table.hpp"
+#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
@@ -18,17 +19,10 @@ struct HazardDomain::Impl {
 
   struct Retired {
     void* p;
-    void (*deleter)(void*);         // exactly one of deleter/deleter2 is set
-    void (*deleter2)(void*, void*);
+    void (*deleter)(void*, void*);
     void* ctx;
 
-    void run() const {
-      if (deleter2 != nullptr) {
-        deleter2(p, ctx);
-      } else {
-        deleter(p);
-      }
-    }
+    void run() const { deleter(p, ctx); }
   };
 
   struct alignas(kCacheLine) RetireRow {
@@ -47,8 +41,8 @@ struct HazardDomain::Impl {
         retire_threshold(threshold) {}
 
   // Both tables grow with the tids in use (common/tid_table.hpp): the owner
-  // paths install (slots_for, protect_raw, retire), scans and drains read
-  // present chunks only.
+  // paths install (slots_for, retire), scans and drains read present chunks
+  // only.
   TidTable<SlotRow> rows;
   TidTable<RetireRow> retired;
   std::atomic<std::size_t> retired_total{0};
@@ -62,62 +56,15 @@ HazardDomain::~HazardDomain() {
   alloc_meter::destroy(impl_);
 }
 
-HazardDomain& HazardDomain::global() {
-  static HazardDomain d;
-  return d;
-}
-
 HazardDomain::ThreadSlots* HazardDomain::slots_for(unsigned tid) {
   return impl_->rows.row(tid);
 }
 
-void* HazardDomain::protect_raw(unsigned slot,
-                                const std::atomic<void*>& src) {
-  auto& cell = slots_for(ThreadRegistry::tid())->slots[slot];
-  void* p = src.load(std::memory_order_acquire);
-  for (;;) {
-    WCQ_SCHED_POINT(kHazardProtect);
-    opcount::count_hazard_publish();
-    cell.store(p, std::memory_order_seq_cst);
-    void* again = src.load(std::memory_order_acquire);
-    if (again == p) return p;
-    p = again;
-  }
-}
-
-void HazardDomain::set_raw(unsigned slot, void* p) {
-  WCQ_SCHED_POINT(kHazardProtect);
-  opcount::count_hazard_publish();
-  slots_for(ThreadRegistry::tid())->slots[slot].store(
-      p, std::memory_order_seq_cst);
-}
-
-void HazardDomain::clear(unsigned slot) {
-  WCQ_SCHED_POINT(kHazardClear);
-  slots_for(ThreadRegistry::tid())->slots[slot].store(
-      nullptr, std::memory_order_release);
-}
-
-void HazardDomain::clear_all() {
-  auto& row = *slots_for(ThreadRegistry::tid());
-  WCQ_SCHED_POINT(kHazardClear);
-  for (auto& s : row.slots) s.store(nullptr, std::memory_order_release);
-}
-
-void HazardDomain::retire(void* p, void (*deleter)(void*)) {
-  retire_common(ThreadRegistry::tid(), p, deleter, nullptr, nullptr);
-}
-
 void HazardDomain::retire(unsigned tid, void* p, void (*deleter)(void*, void*),
                           void* ctx) {
-  retire_common(tid, p, nullptr, deleter, ctx);
-}
-
-void HazardDomain::retire_common(unsigned tid, void* p, void (*deleter)(void*),
-                                 void (*deleter2)(void*, void*), void* ctx) {
   auto& list = impl_->retired.row(tid)->list;
   WCQ_SCHED_POINT(kHazardRetire);
-  list.push_back(Impl::Retired{p, deleter, deleter2, ctx});
+  list.push_back(Impl::Retired{p, deleter, ctx});
   impl_->retired_total.fetch_add(1, std::memory_order_relaxed);
   // Scan threshold: either the domain's fixed setting or 2x the maximum
   // number of simultaneously-protected pointers, the usual amortization

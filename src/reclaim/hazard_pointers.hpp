@@ -2,15 +2,23 @@
 //
 // The paper's evaluation uses hazard pointers for the node/ring reclamation
 // of MSQueue, LCRQ and CRTurn (§6: "we use customized reclamation for YMC
-// and hazard pointers elsewhere"). This is a classic bounded implementation:
-// a table of per-thread hazard slots (indexed by the process-wide
-// ThreadRegistry tid, grown with the tids in use; common/tid_table.hpp) and
-// per-thread retire lists scanned when they exceed a threshold proportional
-// to the number of registered threads.
+// and hazard pointers elsewhere"), and Appendix A's unbounded wCQ uses them
+// for its segments. This is a classic bounded implementation: a table of
+// per-thread hazard slots (indexed by the process-wide ThreadRegistry tid,
+// grown with the tids in use; common/tid_table.hpp) and per-thread retire
+// lists scanned when they exceed a threshold.
+//
+// Every domain is owned by one queue; there is no process-wide domain. An
+// operation resolves its thread's slot row once (`slots_for(tid)`),
+// publishes and clears through the static row calls, and retires with the
+// tid it already holds, so the hot path makes no registry lookup of its
+// own. Destroying the queue destroys its domain, which drains what is
+// still retired.
 //
 // Retired-but-unreclaimed memory stays visible to the Fig 10 alloc meter
 // because the owning queues allocate their nodes through alloc_meter and the
-// deleter only runs at reclamation time.
+// deleter only runs at reclamation time; the domain's own tables and retire
+// lists are metered too, so Fig 10 counts them for every queue.
 #pragma once
 
 #include <atomic>
@@ -19,7 +27,6 @@
 #include "analysis/sched_point.hpp"
 #include "common/align.hpp"
 #include "common/op_counters.hpp"
-#include "runtime/thread_registry.hpp"
 
 namespace wcq {
 
@@ -27,11 +34,11 @@ class HazardDomain {
  public:
   static constexpr unsigned kSlotsPerThread = 4;
 
-  // One thread's hazard slots, exposed as a first-class row so a per-thread
-  // session handle (DESIGN.md §10) can cache the pointer once and keep the
-  // hot-path publish/clear free of ThreadRegistry lookups. The row for a tid
-  // is stable for the domain's lifetime; only the owning thread stores into
-  // it (scans read cross-thread).
+  // One thread's hazard slots. An operation resolves its row once, with
+  // slots_for(tid), and passes it to every publish and clear; a per-thread
+  // session handle (DESIGN.md §10) caches it across operations. The row for
+  // a tid is stable for the domain's lifetime; only the thread holding the
+  // tid stores into it (scans read cross-thread).
   struct alignas(kCacheLine) ThreadSlots {
     std::atomic<void*> slots[kSlotsPerThread];
   };
@@ -51,26 +58,16 @@ class HazardDomain {
   HazardDomain(const HazardDomain&) = delete;
   HazardDomain& operator=(const HazardDomain&) = delete;
 
-  // Process-wide default domain (queues may also own private domains).
-  static HazardDomain& global();
-
-  // The calling thread's (or an explicit tid's) row, stable for the
-  // domain's lifetime. Handles cache this. A tid's first call may install
-  // its row chunk (common/tid_table.hpp); later calls are arithmetic.
+  // `tid`'s row, stable for the domain's lifetime. A tid's first call may
+  // install its row chunk (common/tid_table.hpp); later calls are
+  // arithmetic.
   ThreadSlots* slots_for(unsigned tid);
 
-  // Publish `src`'s current value in the calling thread's hazard slot and
-  // re-validate until stable. Returns the protected pointer. Every publish
-  // path counts each seq_cst slot store (opcount hazard_publish).
-  template <typename T>
-  T* protect(unsigned slot, const std::atomic<T*>& src) {
-    void* p = protect_raw(slot, reinterpret_cast<const std::atomic<void*>&>(src));
-    return static_cast<T*>(p);
-  }
-
-  // Row-based hot path (handle-cached row; no registry lookup). Inline on
-  // purpose: with the row in hand the publish loop is a handful of loads
-  // and one seq_cst store.
+  // Publish `src`'s current value in `row`'s `slot` and re-validate until
+  // stable; returns the protected pointer. Inline on purpose: with the row
+  // in hand the publish loop is a handful of loads and one seq_cst store.
+  // Both publish paths count each seq_cst slot store (opcount
+  // hazard_publish).
   template <typename T>
   static T* protect(ThreadSlots& row, unsigned slot,
                     const std::atomic<T*>& src) {
@@ -87,11 +84,6 @@ class HazardDomain {
 
   // Publish an already-loaded pointer (caller re-validates the source).
   template <typename T>
-  void set(unsigned slot, T* p) {
-    set_raw(slot, static_cast<void*>(p));
-  }
-
-  template <typename T>
   static void set(ThreadSlots& row, unsigned slot, T* p) {
     WCQ_SCHED_POINT(kHazardProtect);
     opcount::count_hazard_publish();
@@ -106,22 +98,18 @@ class HazardDomain {
     return row.slots[slot].load(std::memory_order_relaxed) == p;
   }
 
-  void clear(unsigned slot);
-  void clear_all();
   static void clear(ThreadSlots& row, unsigned slot) {
     WCQ_SCHED_POINT(kHazardClear);
     row.slots[slot].store(nullptr, std::memory_order_release);
   }
 
-  // Hand `p` to the domain; `deleter(p)` runs once no thread protects it.
-  void retire(void* p, void (*deleter)(void*));
-
-  // Contextful variant for a caller that holds its dense tid (the retire
-  // list is per-tid): `deleter(p, ctx)` runs after the grace period. The
-  // segment-recycling path uses this to route retired segments back into
-  // their owning queue's pool instead of freeing them; `ctx` must outlive
-  // every pending retirement that references it (a queue guarantees that by
-  // owning a private domain and draining it in its destructor).
+  // Hand `p` to the domain from the thread holding `tid` (the retire list
+  // is per-tid): `deleter(p, ctx)` runs once no thread protects it. A
+  // queue that frees its nodes ignores `ctx`; the segment-recycling path
+  // uses it to route retired segments back into their owning queue's pool
+  // instead of freeing them. `ctx` must outlive every pending retirement
+  // that references it, which the owning queue guarantees by draining its
+  // domain no later than its own destruction.
   void retire(unsigned tid, void* p, void (*deleter)(void*, void*), void* ctx);
 
   // Scan `tid`'s retire list now if it holds anything, instead of at the
@@ -141,10 +129,6 @@ class HazardDomain {
   std::size_t buffer_bytes() const;
 
  private:
-  void* protect_raw(unsigned slot, const std::atomic<void*>& src);
-  void set_raw(unsigned slot, void* p);
-  void retire_common(unsigned tid, void* p, void (*deleter)(void*),
-                     void (*deleter2)(void*, void*), void* ctx);
   void scan(unsigned tid);
 
   struct Impl;

@@ -18,10 +18,10 @@ std::atomic<std::uint64_t> g_bitmap[kWords];
 std::atomic<unsigned> g_high_water{0};
 std::atomic<unsigned> g_live{0};
 
-// Exit-hook table. The lock serializes registration, unregistration, hook
-// invocation and with_exit_hooks_blocked(); hook bodies are bounded queue
-// operations (magazine flushes), so holding the lock across them is cheap
-// and buys the teardown guarantee unregister_exit_hook() documents. Both
+// Exit-hook table. The lock serializes registration, unregistration and
+// hook invocation; hook bodies are bounded queue operations (magazine
+// flushes), so holding the lock across them is cheap and buys the
+// teardown guarantee unregister_exit_hook() documents. Both
 // objects are function-local statics: the main thread's SlotHolder runs its
 // hooks during thread_local destruction, which [basic.start.term] orders
 // before static-duration destruction, and the lazy construction dodges the

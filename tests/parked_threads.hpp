@@ -15,19 +15,24 @@ namespace wcq::testing {
 
 class ParkedThreads {
  public:
-  // Starts `n` threads; returns once each holds a registry tid.
+  // Starts all `n` threads, then returns once each holds a registry tid.
+  // Waiting only after the last start lets the threads register in
+  // parallel, so a host whose CPUs are all busy pays one scheduling delay,
+  // not `n` of them.
   explicit ParkedThreads(unsigned n) {
     std::shared_future<void> release = release_.get_future().share();
+    std::vector<std::future<void>> registered;
+    registered.reserve(n);
     for (unsigned i = 0; i < n; ++i) {
-      std::promise<void> registered;
-      std::future<void> done = registered.get_future();
-      threads_.emplace_back([release, p = std::move(registered)]() mutable {
+      std::promise<void> p;
+      registered.push_back(p.get_future());
+      threads_.emplace_back([release, p = std::move(p)]() mutable {
         (void)ThreadRegistry::tid();
         p.set_value();
         release.wait();
       });
-      done.wait();
     }
+    for (auto& r : registered) r.wait();
   }
 
   ~ParkedThreads() {

@@ -13,8 +13,8 @@
 #include "baselines/lcrq.hpp"
 #include "baselines/ms_queue.hpp"
 #include "baselines/ymc_queue.hpp"
+#include "common/op_counters.hpp"
 #include "mpmc_harness.hpp"
-#include "reclaim/hazard_pointers.hpp"
 
 namespace wcq {
 namespace {
@@ -149,6 +149,36 @@ TEST(Lcrq, FullRingClosesAndAppendsAFreshOne) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
+// Registry lookups (opcount registry) of `pairs` enqueue/dequeue pairs on
+// one thread, per operation. A hazard-pointer baseline resolves its tid and
+// its own domain's slot row once per operation and retires with that tid.
+template <typename Queue>
+double registry_per_op(Queue& q, u64 pairs) {
+  const auto before = opcount::snapshot();
+  for (u64 i = 0; i < pairs; ++i) {
+    EXPECT_TRUE(q.enqueue(i));
+    EXPECT_EQ(q.dequeue().value(), i);
+  }
+  const u64 lookups = (opcount::snapshot() - before).registry;
+  return static_cast<double>(lookups) / static_cast<double>(2 * pairs);
+}
+
+// One lookup per operation, plus the adaptive scan threshold's high-water
+// read in each dequeue's retire. 15 pairs retire 15 nodes, fewer than the
+// threshold's floor of 2 * kSlotsPerThread * 2 = 16, so no scan adds its
+// own high-water read to the count.
+TEST(MsQueue, OneRegistryLookupPerOpPlusRetire) {
+  MSQueue q;
+  EXPECT_LE(registry_per_op(q, 15), 1.5);
+}
+
+// One lookup per operation: the default 2^12-slot ring never closes under
+// 1000 alternating pairs, so no dequeue retires a ring.
+TEST(Lcrq, OneRegistryLookupPerOp) {
+  LCRQ q;
+  EXPECT_LE(registry_per_op(q, 1000), 1.0);
+}
+
 TEST(Ymc, SegmentsAreReclaimed) {
   YMCQueue q;
   // Push both indices through many segments; reclamation should keep the
@@ -158,7 +188,6 @@ TEST(Ymc, SegmentsAreReclaimed) {
     ASSERT_TRUE(q.enqueue(i));
     ASSERT_TRUE(q.dequeue().has_value());
   }
-  HazardDomain::global().drain();  // quiescent: flush retired segments
   EXPECT_LT(q.live_segments(), 10u) << "segment list grew without bound";
 }
 

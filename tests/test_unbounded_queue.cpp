@@ -322,6 +322,19 @@ TEST(UnboundedHazardPublish, ImplicitOpsPublishEveryOperation) {
   EXPECT_EQ(published, 2 * kPubItems + (kPubSegments - 1));
 }
 
+// live_segments() walks in hazard slots 1-3, so it leaves an owned
+// session's sticky slot 0 alone: the session's next operation on the same
+// segment publishes nothing.
+TEST(UnboundedHazardPublish, LiveSegmentsKeepsOwnedSessionSlot) {
+  UnboundedQueue<u64> q(kPubOrder);
+  auto h = q.acquire();
+  ASSERT_TRUE(q.enqueue(h, 1));
+  ASSERT_EQ(q.live_segments(), 1u);
+  const auto before = opcount::snapshot();
+  ASSERT_TRUE(q.enqueue(h, 2));
+  EXPECT_EQ((opcount::snapshot() - before).hazard_publish, 0u);
+}
+
 // An idle owned session pins the one segment it last touched (DESIGN.md
 // §8). B fills five 4-element segments; A takes one element from the first,
 // S, and goes idle; B drains S, unlinks it and retires it. Each later
