@@ -63,22 +63,23 @@ class CRTurnQueue {
     Node* my = alloc_meter::create<Node>(value, tid);
     enqueuers_[tid].value.store(my, std::memory_order_seq_cst);
 
-    const unsigned rounds = ThreadRegistry::high_water() + 2;
-    for (unsigned i = 0; i < rounds; ++i) {
+    // One high-water read bounds the help rounds and each round's turn scan.
+    const unsigned n = ThreadRegistry::high_water();
+    for (unsigned i = 0; i < n + 2; ++i) {
       if (enqueuers_[tid].value.load(std::memory_order_seq_cst) == nullptr) {
         break;  // our node was appended (and its request cleared)
       }
-      help_append_one(row);
+      help_append_one(row, n);
     }
     // The turn argument bounds the loop above; the guard below only spins if
-    // that bound was computed against a stale thread high-water mark. Each
-    // help round that swings Tail is progress this thread drives itself, so
-    // back off only when a round leaves Tail unchanged (the blocked-on-a-
-    // descheduled-peer case).
+    // that bound was computed against a stale thread high-water mark, so it
+    // reads a fresh one each round. Each help round that swings Tail is
+    // progress this thread drives itself, so back off only when a round
+    // leaves Tail unchanged (the blocked-on-a-descheduled-peer case).
     Backoff bo;
     Node* last_tail = tail_.value.load(std::memory_order_seq_cst);
     while (enqueuers_[tid].value.load(std::memory_order_seq_cst) != nullptr) {
-      help_append_one(row);
+      help_append_one(row, ThreadRegistry::high_water());
       Node* t = tail_.value.load(std::memory_order_seq_cst);
       if (t == last_tail) {
         bo.pause();
@@ -132,8 +133,9 @@ class CRTurnQueue {
   };
 
   // One helping round (Fig 13 lines 14-27): clear the Tail node's satisfied
-  // request, append the next pending request by turn order, swing Tail.
-  void help_append_one(HazardDomain::ThreadSlots& row) {
+  // request, append the next pending request by turn order among the first
+  // `n` (the caller's thread high-water mark) requests, swing Tail.
+  void help_append_one(HazardDomain::ThreadSlots& row, unsigned n) {
     Node* ltail = HazardDomain::protect(row, 0, tail_.value);
     if (ltail != tail_.value.load(std::memory_order_seq_cst)) return;
     // (a) The node at Tail is appended: drop its request so the turn scan
@@ -144,7 +146,6 @@ class CRTurnQueue {
           req, nullptr, std::memory_order_seq_cst);
     }
     // (b) Pick the next pending request, round-robin after the turn anchor.
-    const unsigned n = ThreadRegistry::high_water();
     for (unsigned j = 1; j <= n; ++j) {
       Node* cand =
           enqueuers_[(ltail->enq_tid + j) % n].value.load(

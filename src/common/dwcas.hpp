@@ -2,23 +2,24 @@
 //
 // wCQ needs 16-byte CAS in two places: ring entries ({Note, Value} pairs,
 // Fig 4) and the global Head/Tail references ({counter, phase2 pointer}
-// pairs, Fig 7). x86-64 provides cmpxchg16b; AArch64 provides CASP (LSE) or
-// an LDXP/STXP exclusive pair (see src/portability/llsc_native.hpp). On
-// toolchains where 16-byte __atomic operations are routed through libatomic
-// we use inline assembly to keep the hot path call-free.
+// pairs, Fig 7). Every caller needs the same thing from it, a sequentially
+// consistent CAS of the whole pair (SLOW-CAS's phase-2 publish requires
+// it), so `dwcas` takes no ordering argument. x86-64 provides cmpxchg16b;
+// AArch64 provides the LSE caspal. On toolchains where 16-byte __atomic
+// operations are routed through libatomic we use inline assembly to keep
+// the hot path call-free.
 //
 // Backend selection (DESIGN.md §15):
 //   x86-64            lock cmpxchg16b        (unless WCQ_NO_INLINE_CAS2)
-//   aarch64 + LSE     caspal/casp family     (__ARM_FEATURE_ATOMICS, i.e.
+//   aarch64 + LSE     caspal                 (__ARM_FEATURE_ATOMICS, i.e.
 //                     -march=armv8.1-a+, or forced with WCQ_FORCE_LSE_CAS2)
-//   anything else     __atomic_compare_exchange with the requested order
-//                     (no longer hardwired to seq_cst)
+//   anything else     __atomic_compare_exchange, seq_cst both ways
 //
 // Atomic 16-byte *loads* are deliberately NOT provided as a primitive.
 // Per the paper (§4): every consumer of a pair either re-validates it with a
 // CAS2 (so a torn two-word read only causes a benign retry) or bases its
 // decision on a single word of the pair. We therefore read pairs as two
-// individually-atomic 64-bit loads.
+// individually-atomic 64-bit acquire loads.
 #pragma once
 
 #include <atomic>
@@ -49,12 +50,12 @@ struct alignas(16) AtomicPair128 {
   std::atomic<std::uint64_t> lo;
   std::atomic<std::uint64_t> hi;
 
-  // Two individually-atomic loads; the combined value may be torn (see file
-  // header for why that is safe everywhere this is used).
-  Pair128 load_torn(std::memory_order order = std::memory_order_acquire) const {
+  // Two individually-atomic acquire loads; the combined value may be torn
+  // (see file header for why that is safe everywhere this is used).
+  Pair128 load_torn() const {
     Pair128 r;
-    r.lo = lo.load(order);
-    r.hi = hi.load(order);
+    r.lo = lo.load(std::memory_order_acquire);
+    r.hi = hi.load(std::memory_order_acquire);
     return r;
   }
 };
@@ -74,91 +75,12 @@ inline const char* dwcas_backend_name() {
 #endif
 }
 
-#if defined(WCQ_DWCAS_BACKEND_LSE)
-// LSE CASP requires the compare/swap operands in consecutive even/odd
-// register pairs; pin them with register-asm locals. The order parameter
-// selects the casp variant at compile time when constant-folded, falling
-// back to caspal (strongest) for dynamic orders.
-inline bool dwcas_lse(AtomicPair128& target, Pair128& expected,
-                      const Pair128& desired, std::memory_order order) {
-  register std::uint64_t x0 asm("x0") = expected.lo;
-  register std::uint64_t x1 asm("x1") = expected.hi;
-  register std::uint64_t x2 asm("x2") = desired.lo;
-  register std::uint64_t x3 asm("x3") = desired.hi;
-  switch (order) {
-    case std::memory_order_relaxed:
-      asm volatile("casp %0, %1, %3, %4, %2"
-                   : "+r"(x0), "+r"(x1), "+Q"(target)
-                   : "r"(x2), "r"(x3)
-                   : "memory");
-      break;
-    case std::memory_order_acquire:
-    case std::memory_order_consume:
-      asm volatile("caspa %0, %1, %3, %4, %2"
-                   : "+r"(x0), "+r"(x1), "+Q"(target)
-                   : "r"(x2), "r"(x3)
-                   : "memory");
-      break;
-    case std::memory_order_release:
-      asm volatile("caspl %0, %1, %3, %4, %2"
-                   : "+r"(x0), "+r"(x1), "+Q"(target)
-                   : "r"(x2), "r"(x3)
-                   : "memory");
-      break;
-    default:  // acq_rel, seq_cst
-      asm volatile("caspal %0, %1, %3, %4, %2"
-                   : "+r"(x0), "+r"(x1), "+Q"(target)
-                   : "r"(x2), "r"(x3)
-                   : "memory");
-      break;
-  }
-  bool ok = (x0 == expected.lo) && (x1 == expected.hi);
-  expected.lo = x0;
-  expected.hi = x1;
-  return ok;
-}
-#endif  // WCQ_DWCAS_BACKEND_LSE
-
-// Maps a std::memory_order to the (success, failure) __ATOMIC pair for the
-// generic fallback; failure order is the strongest load-only order implied.
-inline void dwcas_atomic_orders(std::memory_order order, int& success,
-                                int& failure) {
-  switch (order) {
-    case std::memory_order_relaxed:
-      success = __ATOMIC_RELAXED;
-      failure = __ATOMIC_RELAXED;
-      break;
-    case std::memory_order_consume:
-    case std::memory_order_acquire:
-      success = __ATOMIC_ACQUIRE;
-      failure = __ATOMIC_ACQUIRE;
-      break;
-    case std::memory_order_release:
-      success = __ATOMIC_RELEASE;
-      failure = __ATOMIC_RELAXED;
-      break;
-    case std::memory_order_acq_rel:
-      success = __ATOMIC_ACQ_REL;
-      failure = __ATOMIC_ACQUIRE;
-      break;
-    default:
-      success = __ATOMIC_SEQ_CST;
-      failure = __ATOMIC_SEQ_CST;
-      break;
-  }
-}
-
-// 16-byte strong CAS. On success returns true; on failure updates `expected`
-// with the observed value (like std::atomic::compare_exchange). The order
-// parameter is advisory on x86 (lock cmpxchg16b is a full barrier either
-// way) and selects the casp variant / __atomic order pair elsewhere. All
-// pre-existing callers keep the seq_cst default; DESIGN.md §15 records any
-// call site that passes something weaker.
+// 16-byte strong, sequentially consistent CAS. On success returns true; on
+// failure updates `expected` with the observed value (like
+// std::atomic::compare_exchange).
 inline bool dwcas(AtomicPair128& target, Pair128& expected,
-                  const Pair128& desired,
-                  std::memory_order order = std::memory_order_seq_cst) {
+                  const Pair128& desired) {
 #if defined(__x86_64__) && !defined(WCQ_NO_INLINE_CAS2)
-  (void)order;
   bool ok;
   asm volatile("lock cmpxchg16b %1"
                : "=@ccz"(ok), "+m"(target), "+a"(expected.lo),
@@ -167,23 +89,27 @@ inline bool dwcas(AtomicPair128& target, Pair128& expected,
                : "memory");
   return ok;
 #elif defined(WCQ_DWCAS_BACKEND_LSE)
-  return dwcas_lse(target, expected, desired, order);
+  // CASP requires the compare/swap operands in consecutive even/odd
+  // register pairs; pin them with register-asm locals. caspal (acquire +
+  // release) is the seq_cst form of the RMW.
+  register std::uint64_t x0 asm("x0") = expected.lo;
+  register std::uint64_t x1 asm("x1") = expected.hi;
+  register std::uint64_t x2 asm("x2") = desired.lo;
+  register std::uint64_t x3 asm("x3") = desired.hi;
+  asm volatile("caspal %0, %1, %3, %4, %2"
+               : "+r"(x0), "+r"(x1), "+Q"(target)
+               : "r"(x2), "r"(x3)
+               : "memory");
+  const bool ok = (x0 == expected.lo) && (x1 == expected.hi);
+  expected.lo = x0;
+  expected.hi = x1;
+  return ok;
 #else
-  int success, failure;
-  dwcas_atomic_orders(order, success, failure);
   return __atomic_compare_exchange(
       reinterpret_cast<Pair128*>(&target), &expected,
-      const_cast<Pair128*>(&desired), /*weak=*/false, success, failure);
+      const_cast<Pair128*>(&desired), /*weak=*/false, __ATOMIC_SEQ_CST,
+      __ATOMIC_SEQ_CST);
 #endif
-}
-
-// Truly-atomic 16-byte load built from CAS2 (writes the current value back to
-// itself). Only used by tests/assertions; algorithm code uses load_torn().
-inline Pair128 dwload_atomic(AtomicPair128& target) {
-  Pair128 expected = target.load_torn(std::memory_order_relaxed);
-  while (!dwcas(target, expected, expected)) {
-  }
-  return expected;
 }
 
 }  // namespace wcq

@@ -8,13 +8,12 @@
 // gives weak-CAS behavior: sporadic failures, single-word load atomicity on
 // failure — both of which wCQ's retry loops tolerate.
 //
-// Backends (DESIGN.md §15): the entry ops are templated over the LL/SC
-// provider. `LLSCSim` (portability/llsc.hpp) models the reservation granule
-// on top of CAS2 with injected sporadic failures; `LLSCNative`
-// (portability/llsc_native.hpp) is real AArch64 LDXP/STXP. A backend that
-// exposes fused `update_lo/update_hi` (one asm block, robust against
-// exclusive-monitor clearing between function calls) is preferred over the
-// split load_linked/store_conditional shape automatically.
+// Backends (DESIGN.md §15): each LL/SC backend is itself BasicWCQ's entry
+// ops, a fused `update_value`/`update_note` pair. `LLSCSim`
+// (portability/llsc.hpp) models the reservation granule on top of CAS2
+// with injected sporadic failures; `LLSCNative`
+// (portability/llsc_native.hpp) is real AArch64 LDAXP/STLXP in one asm
+// block per update.
 //
 // The global Head/Tail pairs keep CAS2 in this build; the paper replaces
 // those with a single-word CAS over a (thread-index, 48-bit counter)
@@ -28,42 +27,13 @@
 
 namespace wcq {
 
-// Fig 9: CAS2_Value / CAS2_Note replacements via LL/SC, generic over the
-// backend. Entry pairs are {lo = value, hi = note}.
-template <typename Backend>
-struct BasicLlscEntryOps {
-  static bool update_value(AtomicPair128& e, const Pair128& expected,
-                           u64 new_value) {
-    if constexpr (requires { Backend::update_lo(e, expected, new_value); }) {
-      return Backend::update_lo(e, expected, new_value);
-    } else {
-      const Pair128 prev = Backend::load_linked(e);
-      if (!(prev == expected)) return false;
-      return Backend::store_conditional_lo(e, new_value);
-    }
-  }
-  static bool update_note(AtomicPair128& e, const Pair128& expected,
-                          u64 new_note) {
-    if constexpr (requires { Backend::update_hi(e, expected, new_note); }) {
-      return Backend::update_hi(e, expected, new_note);
-    } else {
-      const Pair128 prev = Backend::load_linked(e);
-      if (!(prev == expected)) return false;
-      return Backend::store_conditional_hi(e, new_note);
-    }
-  }
-};
-
-using LlscEntryOps = BasicLlscEntryOps<LLSCSim>;
-
 // The portable wCQ variant (paper §4). Same algorithm, same guarantees;
 // entry-pair updates go through the LL/SC reservation-granule model.
-using WCQLLSC = BasicWCQ<LlscEntryOps>;
+using WCQLLSC = BasicWCQ<LLSCSim>;
 
 #if defined(WCQ_HAS_NATIVE_LLSC)
 // Same algorithm over the hardware exclusive monitor (AArch64 only).
-using LlscNativeEntryOps = BasicLlscEntryOps<LLSCNative>;
-using WCQLLSCNative = BasicWCQ<LlscNativeEntryOps>;
+using WCQLLSCNative = BasicWCQ<LLSCNative>;
 #endif
 
 }  // namespace wcq

@@ -49,45 +49,4 @@ std::uint64_t attempts() { return g_attempts.load(std::memory_order_relaxed); }
 
 }  // namespace llsc_inject
 
-namespace {
-
-struct Reservation {
-  AtomicPair128* granule = nullptr;
-  Pair128 snapshot{0, 0};
-};
-
-thread_local Reservation t_reservation;
-
-}  // namespace
-
-Pair128 LLSCSim::load_linked(AtomicPair128& granule) {
-  // The snapshot itself may be torn; a torn snapshot can never match the
-  // granule at SC time as a pair, so the SC simply fails — the same behavior
-  // as losing the reservation, which callers must handle anyway.
-  const Pair128 snap = granule.load_torn(std::memory_order_seq_cst);
-  t_reservation = Reservation{&granule, snap};
-  return snap;
-}
-
-bool LLSCSim::store_conditional(AtomicPair128& granule, Pair128 desired) {
-  Reservation r = t_reservation;
-  t_reservation = Reservation{};  // reservations are single-shot
-  if (r.granule != &granule) return false;
-  if (llsc_inject::should_fail()) return false;
-  Pair128 expected = r.snapshot;
-  return dwcas(granule, expected, desired);
-}
-
-bool LLSCSim::store_conditional_lo(AtomicPair128& granule, u64 new_lo) {
-  const Reservation& r = t_reservation;
-  if (r.granule != &granule) return false;
-  return store_conditional(granule, Pair128{new_lo, r.snapshot.hi});
-}
-
-bool LLSCSim::store_conditional_hi(AtomicPair128& granule, u64 new_hi) {
-  const Reservation& r = t_reservation;
-  if (r.granule != &granule) return false;
-  return store_conditional(granule, Pair128{r.snapshot.lo, new_hi});
-}
-
 }  // namespace wcq

@@ -4,25 +4,25 @@
 // whose reservation granule spans both words of an entry pair, loading the
 // second word with a plain (dependency-ordered) load between LL and SC. We
 // cannot run PowerPC hardware here (see DESIGN.md §4), so this module
-// provides a behavioral model of weak LL/SC on x86:
+// provides a behavioral model of weak LL/SC on x86. wCQ's slow path reads
+// both words of a pair but updates one word at a time (Fig 9), so the model
+// is exactly that fused step and nothing more:
 //
-//  * LL(granule) records a snapshot of the whole 16-byte granule for the
-//    calling thread.
-//  * SC(granule, word, value) succeeds iff the *entire* granule is unchanged
-//    since LL (reservation-granule semantics: an intervening write to the
-//    other word kills the reservation too, exactly the false-sharing
-//    behavior §4 describes) — implemented with one CAS2.
+//  * update_value / update_note(granule, expected, word) succeed iff the
+//    *entire* 16-byte granule still equals `expected` (reservation-granule
+//    semantics: an intervening write to the other word kills the
+//    reservation too, exactly the false-sharing behavior §4 describes) —
+//    implemented with one CAS2 that re-stores the untouched word.
 //  * Optional sporadic failure injection models weak LL/SC's spurious SC
 //    failures (OS events, cache evictions). Tests run the full wCQ suite
-//    with failure rates up to 50%.
+//    with failure rates up to 70%.
 //
-// On AArch64 the same interface is implemented with real LDXP/STXP exclusive
-// pairs in llsc_native.hpp; both backends share the injection machinery in
-// llsc_inject so the spurious-SC storm suites exercise real stxp failure
-// paths with the same counters (DESIGN.md §15).
-//
-// Fig 9's CAS2_Value / CAS2_Note replacements are built on this model in
-// core/wcq_llsc.hpp.
+// Each backend is itself the entry-ops policy of BasicWCQ
+// (core/wcq_llsc.hpp). On AArch64 the same two calls are real LDAXP/STLXP
+// exclusive pairs in llsc_native.hpp; both backends share the injection
+// machinery in llsc_inject, consulted before the update, so the
+// spurious-SC storm suites exercise either backend with the same counters
+// (DESIGN.md §15).
 #pragma once
 
 #include <cstdint>
@@ -47,42 +47,31 @@ bool should_fail();
 // Number of SCs that failed due to injection.
 std::uint64_t injected();
 
-// Number of SCs that held a valid reservation while injection was armed (the
-// population eligible for injection).
+// Number of SCs attempted while injection was armed (the population eligible
+// for injection). Tests asserting "the injector fired" gate on this — on a
+// 1-core host the wCQ slow path may see so little genuine contention that
+// almost no LL/SC updates run at all.
 std::uint64_t attempts();
 
 }  // namespace llsc_inject
 
-class LLSCSim {
- public:
-  // Load-linked: snapshot the granule and open a reservation for this thread.
-  static Pair128 load_linked(AtomicPair128& granule);
-
-  // Store-conditional to one word of the reserved granule. Returns false if
-  // the granule changed since load_linked, if there is no reservation, or on
-  // an injected sporadic failure.
-  static bool store_conditional_lo(AtomicPair128& granule, u64 new_lo);
-  static bool store_conditional_hi(AtomicPair128& granule, u64 new_hi);
-
-  // Probability in [0,1] that an otherwise-successful SC spuriously fails.
-  // Global, test-only. Default 0. (Forwards to llsc_inject, which the native
-  // backend shares — one knob arms every backend.)
-  static void set_spurious_failure_rate(double p) { llsc_inject::set_rate(p); }
-  static double spurious_failure_rate() { return llsc_inject::rate(); }
-
-  // Test hook: number of SCs that failed due to injection.
-  static std::uint64_t injected_failures() { return llsc_inject::injected(); }
-
-  // Test hook: number of SCs that held a valid reservation while injection
-  // was armed (the population eligible for injection; not counted when the
-  // rate is 0, to keep the counter off the benchmarked SC path). Tests
-  // asserting "the injector fired" gate on this — on a 1-core host the wCQ
-  // slow path may see so little genuine contention that almost no LL/SC
-  // updates run at all.
-  static std::uint64_t sc_attempts() { return llsc_inject::attempts(); }
-
- private:
-  static bool store_conditional(AtomicPair128& granule, Pair128 desired);
+// Fig 9's CAS2_Value / CAS2_Note over the simulated granule. Entry pairs
+// are {lo = value, hi = note}. Returns false if the granule differs from
+// `expected` or on an injected sporadic failure; the granule is then
+// untouched.
+struct LLSCSim {
+  static bool update_value(AtomicPair128& granule, const Pair128& expected,
+                           u64 new_value) {
+    if (llsc_inject::should_fail()) return false;
+    Pair128 exp = expected;
+    return dwcas(granule, exp, Pair128{new_value, expected.hi});
+  }
+  static bool update_note(AtomicPair128& granule, const Pair128& expected,
+                          u64 new_note) {
+    if (llsc_inject::should_fail()) return false;
+    Pair128 exp = expected;
+    return dwcas(granule, exp, Pair128{expected.lo, new_note});
+  }
 };
 
 }  // namespace wcq

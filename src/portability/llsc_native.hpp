@@ -8,23 +8,16 @@
 // clearing), so the existing ≤50%-injection suites become the correctness
 // envelope rather than the only source of weak behavior.
 //
-// Two API shapes (DESIGN.md §15):
+// The backend is the fused update_value/update_note pair that wCQ's entry
+// ops need (DESIGN.md §15): one asm block each — LDAXP both words, compare
+// against the expected pair, STLXP the updated pair, CLREX on mismatch. The
+// architecture allows *any* memory access (even a thread_local spill)
+// between a split LL and SC to clear the exclusive monitor, so an LL/SC
+// pair separated by a function return can livelock. Keeping the whole
+// sequence in one block with no intervening loads/stores is the standard
+// -moutline-atomics-era idiom.
 //
-//  * Fused update_lo/update_hi — one asm block: LDAXP, compare against the
-//    expected pair, STLXP the updated pair, CLREX on mismatch. This is the
-//    primary path on real hardware: the architecture allows *any* memory
-//    access (even a thread_local spill) between a split LL and SC to clear
-//    the exclusive monitor, so an LL/SC pair separated by a function return
-//    can livelock. Keeping the whole sequence in one block with no
-//    intervening loads/stores is the standard -moutline-atomics-era idiom.
-//
-//  * Split load_linked / store_conditional_* — LLSCSim-shaped, for interface
-//    parity and the storm tests. Works reliably under qemu-user (which
-//    implements STXP as a value comparison, immune to monitor clearing) and
-//    opportunistically on hardware; callers must tolerate persistent failure
-//    exactly as they tolerate spurious SC failure.
-//
-// Both paths share llsc_inject with the simulator: one knob and one set of
+// It shares llsc_inject with the simulator: one knob and one set of
 // counters arm spurious failures against every backend.
 #pragma once
 
@@ -52,8 +45,8 @@ class LLSCNative {
   // and the exclusive store lands; the non-updated word is re-stored from
   // the value observed under the reservation (== expected's, by the
   // compare). Returns false on mismatch, monitor loss, or injection.
-  static bool update_lo(AtomicPair128& granule, const Pair128& expected,
-                        u64 new_lo) {
+  static bool update_value(AtomicPair128& granule, const Pair128& expected,
+                           u64 new_lo) {
     // Injection happens before the exclusive opens: a function call between
     // LDAXP and STLXP could itself clear the monitor and bias the measured
     // failure population.
@@ -79,8 +72,8 @@ class LLSCNative {
     return fail == 0;
   }
 
-  static bool update_hi(AtomicPair128& granule, const Pair128& expected,
-                        u64 new_hi) {
+  static bool update_note(AtomicPair128& granule, const Pair128& expected,
+                          u64 new_hi) {
     if (llsc_inject::should_fail()) return false;
     u64 lo, hi;
     std::uint32_t fail;
@@ -100,73 +93,6 @@ class LLSCNative {
         : [exp_lo] "r"(expected.lo), [exp_hi] "r"(expected.hi),
           [new_hi] "r"(new_hi)
         : "cc", "memory");
-    return fail == 0;
-  }
-
-  // ---- Split LLSCSim-shaped API (qemu-reliable; see file header) ----
-
-  static Pair128 load_linked(AtomicPair128& granule) {
-    Pair128 snap;
-    asm volatile("ldaxp %[lo], %[hi], %[mem]"
-                 : [lo] "=&r"(snap.lo), [hi] "=&r"(snap.hi)
-                 : [mem] "Q"(granule)
-                 : "memory");
-    reservation() = Reservation{&granule, snap};
-    return snap;
-  }
-
-  static bool store_conditional_lo(AtomicPair128& granule, u64 new_lo) {
-    Reservation r = take_reservation(granule);
-    if (r.granule == nullptr) return false;
-    return store_exclusive(granule, Pair128{new_lo, r.snapshot.hi});
-  }
-
-  static bool store_conditional_hi(AtomicPair128& granule, u64 new_hi) {
-    Reservation r = take_reservation(granule);
-    if (r.granule == nullptr) return false;
-    return store_exclusive(granule, Pair128{r.snapshot.lo, new_hi});
-  }
-
-  // Injection control shares the simulator's knob; keep the familiar names.
-  static void set_spurious_failure_rate(double p) { llsc_inject::set_rate(p); }
-  static double spurious_failure_rate() { return llsc_inject::rate(); }
-  static std::uint64_t injected_failures() { return llsc_inject::injected(); }
-  static std::uint64_t sc_attempts() { return llsc_inject::attempts(); }
-
- private:
-  struct Reservation {
-    AtomicPair128* granule = nullptr;
-    Pair128 snapshot{0, 0};
-  };
-
-  static Reservation& reservation() {
-    static thread_local Reservation t_res;
-    return t_res;
-  }
-
-  // Single-shot, like the simulator: consume and clear. An injected failure
-  // releases the hardware monitor too so a later unrelated STXP cannot pair
-  // with this reservation.
-  static Reservation take_reservation(AtomicPair128& granule) {
-    Reservation r = reservation();
-    reservation() = Reservation{};
-    if (r.granule != &granule) {
-      asm volatile("clrex" ::: "memory");
-      return Reservation{};
-    }
-    if (llsc_inject::should_fail()) {
-      asm volatile("clrex" ::: "memory");
-      return Reservation{};
-    }
-    return r;
-  }
-
-  static bool store_exclusive(AtomicPair128& granule, Pair128 desired) {
-    std::uint32_t fail;
-    asm volatile("stlxp %w[fail], %[lo], %[hi], %[mem]"
-                 : [fail] "=&r"(fail), [mem] "+Q"(granule)
-                 : [lo] "r"(desired.lo), [hi] "r"(desired.hi)
-                 : "memory");
     return fail == 0;
   }
 };

@@ -34,6 +34,11 @@ struct HazardDomain::Impl {
     std::vector<Retired, alloc_meter::MeteredAllocator<Retired>> list;
     std::vector<Retired, alloc_meter::MeteredAllocator<Retired>> keep_scratch;
     std::vector<void*, alloc_meter::MeteredAllocator<void*>> hazard_scratch;
+    // Adaptive threshold, 2 * kSlotsPerThread * (high water + 1) as of this
+    // row's last scan. It starts at the rule's smallest value: a retiring
+    // thread holds a tid, so the high water is at least 1. The high water
+    // only grows, so a stale value can only make a scan come earlier.
+    std::size_t scan_at = 2 * kSlotsPerThread * 2;
   };
 
   explicit Impl(std::size_t threshold)
@@ -62,18 +67,17 @@ HazardDomain::ThreadSlots* HazardDomain::slots_for(unsigned tid) {
 
 void HazardDomain::retire(unsigned tid, void* p, void (*deleter)(void*, void*),
                           void* ctx) {
-  auto& list = impl_->retired.row(tid)->list;
+  auto& row = *impl_->retired.row(tid);
   WCQ_SCHED_POINT(kHazardRetire);
-  list.push_back(Impl::Retired{p, deleter, ctx});
+  row.list.push_back(Impl::Retired{p, deleter, ctx});
   impl_->retired_total.fetch_add(1, std::memory_order_relaxed);
   // Scan threshold: either the domain's fixed setting or 2x the maximum
   // number of simultaneously-protected pointers, the usual amortization
-  // that bounds retired garbage.
-  const std::size_t threshold =
-      impl_->retire_threshold != 0
-          ? impl_->retire_threshold
-          : 2 * kSlotsPerThread * (ThreadRegistry::high_water() + 1);
-  if (list.size() >= threshold) scan(tid);
+  // that bounds retired garbage, refreshed by each scan.
+  const std::size_t threshold = impl_->retire_threshold != 0
+                                    ? impl_->retire_threshold
+                                    : row.scan_at;
+  if (row.list.size() >= threshold) scan(tid);
 }
 
 void HazardDomain::scan(unsigned tid) {
@@ -83,6 +87,7 @@ void HazardDomain::scan(unsigned tid) {
   hazards.clear();
   const unsigned hw = ThreadRegistry::high_water();
   hazards.reserve(static_cast<std::size_t>(hw) * kSlotsPerThread);
+  row.scan_at = 2 * kSlotsPerThread * (static_cast<std::size_t>(hw) + 1);
   // One seq_cst fence, then relaxed slot loads (DESIGN.md §15 HP-SCAN-FENCE).
   // The Dekker pattern needs the *scan* ordered after this thread's retire
   // bookkeeping and against each protector's seq_cst slot publish (HP-PROT);

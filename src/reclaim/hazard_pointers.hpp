@@ -46,11 +46,13 @@ class HazardDomain {
   // `retire_threshold`: per-thread retire-list length that triggers a scan.
   // 0 (default) selects the classic adaptive bound, 2 * kSlotsPerThread *
   // (registered threads + 1), which amortizes scan cost but lets up to that
-  // many retired nodes sit unreclaimed per thread. Owners whose nodes are
-  // *recycled* rather than freed (UnboundedQueue's segment pool) pass a
-  // small fixed threshold instead: nodes then reach the pool promptly
-  // instead of idling in retire lists while the queue allocates fresh ones,
-  // which is what makes the steady state allocation-free (DESIGN.md §8).
+  // many retired nodes sit unreclaimed per thread. Each scan refreshes the
+  // bound from the high water it reads anyway, so a retirement makes no
+  // registry lookup of its own. Owners whose nodes are *recycled* rather
+  // than freed (UnboundedQueue's segment pool) pass a small fixed threshold
+  // instead: nodes then reach the pool promptly instead of idling in retire
+  // lists while the queue allocates fresh ones, which is what makes the
+  // steady state allocation-free (DESIGN.md §8).
   // Scans are O(threads) and segment retirement is once per 2^order
   // operations, so eager scanning costs nothing measurable there.
   explicit HazardDomain(std::size_t retire_threshold = 0);

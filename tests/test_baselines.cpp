@@ -163,13 +163,13 @@ double registry_per_op(Queue& q, u64 pairs) {
   return static_cast<double>(lookups) / static_cast<double>(2 * pairs);
 }
 
-// One lookup per operation, plus the adaptive scan threshold's high-water
-// read in each dequeue's retire. 15 pairs retire 15 nodes, fewer than the
-// threshold's floor of 2 * kSlotsPerThread * 2 = 16, so no scan adds its
-// own high-water read to the count.
-TEST(MsQueue, OneRegistryLookupPerOpPlusRetire) {
+// One lookup per operation: a retirement compares against the threshold
+// its row's last scan computed, with no high-water read of its own. 15
+// pairs retire 15 nodes, fewer than the threshold's starting value of
+// 2 * kSlotsPerThread * 2 = 16, so no scan adds its high-water read.
+TEST(MsQueue, OneRegistryLookupPerOp) {
   MSQueue q;
-  EXPECT_LE(registry_per_op(q, 15), 1.5);
+  EXPECT_LE(registry_per_op(q, 15), 1.0);
 }
 
 // One lookup per operation: the default 2^12-slot ring never closes under
@@ -177,6 +177,14 @@ TEST(MsQueue, OneRegistryLookupPerOpPlusRetire) {
 TEST(Lcrq, OneRegistryLookupPerOp) {
   LCRQ q;
   EXPECT_LE(registry_per_op(q, 1000), 1.0);
+}
+
+// An enqueue reads the thread high water once for its help rounds and
+// their turn scans; with the dequeue's one lookup, 1.5 per operation. The
+// 15 retirements stay under the first scan threshold, as above.
+TEST(CrTurn, OneHighWaterReadPerEnqueue) {
+  CRTurnQueue q;
+  EXPECT_LE(registry_per_op(q, 15), 1.5);
 }
 
 TEST(Ymc, SegmentsAreReclaimed) {

@@ -37,15 +37,6 @@ TEST(Dwcas, FailsWhenOnlyOneWordDiffers) {
   EXPECT_TRUE(dwcas(p, right, Pair128{0, 0}));
 }
 
-TEST(Dwcas, AtomicLoadMatches) {
-  AtomicPair128 p;
-  p.lo.store(123);
-  p.hi.store(456);
-  const Pair128 v = dwload_atomic(p);
-  EXPECT_EQ(v.lo, 123u);
-  EXPECT_EQ(v.hi, 456u);
-}
-
 // Both words must move together under contention: each thread increments
 // the pair {n, 2n}; any observed pair must preserve hi == 2*lo.
 TEST(Dwcas, PairInvariantUnderContention) {
@@ -73,83 +64,6 @@ TEST(Dwcas, PairInvariantUnderContention) {
   EXPECT_EQ(p.lo.load(), static_cast<u64>(kThreads) * kIters);
   EXPECT_EQ(p.hi.load(), 2 * static_cast<u64>(kThreads) * kIters);
 }
-
-// PR 10 (DESIGN.md §15, DWCAS-ORDER): dwcas takes a memory_order so argued
-// call sites can pay less than seq_cst. Success/failure semantics and the
-// observed-value writeback must be identical at every order, on every
-// backend (x86 ignores the hint — cmpxchg16b is a full barrier; LSE picks
-// casp/caspa/caspl/caspal; the __atomic fallback maps to a success/failure
-// pair).
-class DwcasOrderSweep : public ::testing::TestWithParam<std::memory_order> {};
-
-TEST_P(DwcasOrderSweep, SuccessFailureAndWritebackAtEveryOrder) {
-  const std::memory_order mo = GetParam();
-  AtomicPair128 p;
-  p.lo.store(1);
-  p.hi.store(2);
-  Pair128 expected{1, 2};
-  EXPECT_TRUE(dwcas(p, expected, Pair128{3, 4}, mo));
-  EXPECT_EQ(p.lo.load(), 3u);
-  EXPECT_EQ(p.hi.load(), 4u);
-
-  Pair128 wrong{1, 2};
-  EXPECT_FALSE(dwcas(p, wrong, Pair128{5, 6}, mo));
-  EXPECT_EQ(wrong.lo, 3u);  // failure reports the observed value
-  EXPECT_EQ(wrong.hi, 4u);
-  EXPECT_EQ(p.lo.load(), 3u);
-  EXPECT_EQ(p.hi.load(), 4u);
-
-  Pair128 lo_wrong{9, 4};
-  EXPECT_FALSE(dwcas(p, lo_wrong, Pair128{0, 0}, mo));
-  Pair128 hi_wrong{3, 9};
-  EXPECT_FALSE(dwcas(p, hi_wrong, Pair128{0, 0}, mo));
-  Pair128 right{3, 4};
-  EXPECT_TRUE(dwcas(p, right, Pair128{0, 0}, mo));
-  EXPECT_EQ(p.lo.load(), 0u);
-  EXPECT_EQ(p.hi.load(), 0u);
-}
-
-TEST_P(DwcasOrderSweep, PairInvariantUnderContentionAtEveryOrder) {
-  // Atomicity (both words move together) must not depend on the ordering
-  // argument — even relaxed CAS2 is still one indivisible 16-byte update.
-  const std::memory_order mo = GetParam();
-  AtomicPair128 p;
-  p.lo.store(0);
-  p.hi.store(0);
-  constexpr int kThreads = 4;
-  constexpr int kIters = 10000;
-  std::vector<std::thread> ts;
-  for (int t = 0; t < kThreads; ++t) {
-    ts.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        Pair128 cur = p.load_torn();
-        for (;;) {
-          const Pair128 next{cur.lo + 1, (cur.lo + 1) * 2};
-          if (dwcas(p, cur, next, mo)) break;
-          ASSERT_EQ(cur.hi, cur.lo * 2);
-        }
-      }
-    });
-  }
-  for (auto& t : ts) t.join();
-  EXPECT_EQ(p.lo.load(), static_cast<u64>(kThreads) * kIters);
-  EXPECT_EQ(p.hi.load(), 2 * static_cast<u64>(kThreads) * kIters);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Orders, DwcasOrderSweep,
-    ::testing::Values(std::memory_order_relaxed, std::memory_order_acquire,
-                      std::memory_order_release, std::memory_order_acq_rel,
-                      std::memory_order_seq_cst),
-    [](const ::testing::TestParamInfo<std::memory_order>& info) {
-      switch (info.param) {
-        case std::memory_order_relaxed: return std::string("relaxed");
-        case std::memory_order_acquire: return std::string("acquire");
-        case std::memory_order_release: return std::string("release");
-        case std::memory_order_acq_rel: return std::string("acq_rel");
-        default: return std::string("seq_cst");
-      }
-    });
 
 TEST(Dwcas, SingleWordFetchAddCoexistsWithCas2) {
   // wCQ's fast path F&As the counter word while slow paths CAS2 the pair;

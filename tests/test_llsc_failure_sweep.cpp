@@ -18,14 +18,14 @@ namespace {
 
 class LlscFailureSweep : public ::testing::TestWithParam<double> {
  protected:
-  void TearDown() override { LLSCSim::set_spurious_failure_rate(0.0); }
+  void TearDown() override { llsc_inject::set_rate(0.0); }
 };
 
 TEST_P(LlscFailureSweep, ExactCountsUnderInjectedFailures) {
   const double rate = GetParam();
-  LLSCSim::set_spurious_failure_rate(rate);
-  const u64 before = LLSCSim::injected_failures();
-  const u64 attempts_before = LLSCSim::sc_attempts();
+  llsc_inject::set_rate(rate);
+  const u64 before = llsc_inject::injected();
+  const u64 attempts_before = llsc_inject::attempts();
 
   WCQLLSC::Options o;
   o.order = 4;
@@ -40,10 +40,11 @@ TEST_P(LlscFailureSweep, ExactCountsUnderInjectedFailures) {
   // (the single fast-path attempt usually succeeds because nothing truly
   // runs in parallel). Only with a statistically sufficient SC population
   // is a silent injector a wiring bug. (The deterministic injector check
-  // lives in test_llsc.cpp: InjectedFailuresOccurAtConfiguredRate.)
-  const u64 attempts = LLSCSim::sc_attempts() - attempts_before;
+  // lives in test_llsc_native.cpp:
+  // LlscBackendTyped.SpuriousScInjectionFiresAndIsCounted.)
+  const u64 attempts = llsc_inject::attempts() - attempts_before;
   if (rate >= 0.05 && attempts >= 1000) {
-    EXPECT_GT(LLSCSim::injected_failures(), before)
+    EXPECT_GT(llsc_inject::injected(), before)
         << "injector configured but never fired across " << attempts
         << " eligible SCs";
   }

@@ -3,11 +3,9 @@
 // Compiles on every ISA: the typed entry-ops suite always runs against the
 // simulator, and additionally against LLSCNative (real LDAXP/STLXP) when the
 // build is aarch64. The aarch64-qemu CI job is where the native rows
-// actually execute; qemu-user implements STXP as a value comparison, so the
-// split-API tests are deterministic there, while on real hardware the same
-// assertions hold because every success check is written as a bounded retry
-// (spurious monitor loss is legal; *persistent* success never arriving is
-// the bug).
+// actually execute; on real hardware the same assertions hold because every
+// success check is written as a bounded retry (spurious monitor loss is
+// legal; *persistent* success never arriving is the bug).
 //
 // Storm tests arm llsc_inject — the shared injection knob — so the same
 // spurious-failure population exercises the simulator's CAS2 path and the
@@ -79,7 +77,7 @@ template <typename Backend>
 bool eventually_update_value(AtomicPair128& g, const Pair128& expected,
                              u64 new_value) {
   for (int i = 0; i < 1000; ++i) {
-    if (BasicLlscEntryOps<Backend>::update_value(g, expected, new_value)) {
+    if (Backend::update_value(g, expected, new_value)) {
       return true;
     }
     // A failed attempt must not have mutated the granule.
@@ -92,7 +90,7 @@ template <typename Backend>
 bool eventually_update_note(AtomicPair128& g, const Pair128& expected,
                             u64 new_note) {
   for (int i = 0; i < 1000; ++i) {
-    if (BasicLlscEntryOps<Backend>::update_note(g, expected, new_note)) {
+    if (Backend::update_note(g, expected, new_note)) {
       return true;
     }
     if (g.lo.load() != expected.lo || g.hi.load() != expected.hi) return false;
@@ -124,12 +122,9 @@ TYPED_TEST(LlscBackendTyped, MismatchFailsWithoutMutating) {
   g.hi.store(6);
   // Either word differing must fail — deterministically, on every backend:
   // the compare happens under the reservation before any store issues.
-  EXPECT_FALSE(
-      BasicLlscEntryOps<TypeParam>::update_value(g, Pair128{50, 6}, 1));
-  EXPECT_FALSE(
-      BasicLlscEntryOps<TypeParam>::update_value(g, Pair128{5, 60}, 1));
-  EXPECT_FALSE(
-      BasicLlscEntryOps<TypeParam>::update_note(g, Pair128{50, 60}, 1));
+  EXPECT_FALSE(TypeParam::update_value(g, Pair128{50, 6}, 1));
+  EXPECT_FALSE(TypeParam::update_value(g, Pair128{5, 60}, 1));
+  EXPECT_FALSE(TypeParam::update_note(g, Pair128{50, 60}, 1));
   EXPECT_EQ(g.lo.load(), 5u);
   EXPECT_EQ(g.hi.load(), 6u);
 }
@@ -144,8 +139,7 @@ TYPED_TEST(LlscBackendTyped, SpuriousScInjectionFiresAndIsCounted) {
   constexpr int kTries = 4000;
   u64 next = 0;
   for (int i = 0; i < kTries; ++i) {
-    if (BasicLlscEntryOps<TypeParam>::update_value(g, Pair128{next, 0},
-                                                   next + 1)) {
+    if (TypeParam::update_value(g, Pair128{next, 0}, next + 1)) {
       ++next;
     }
   }
@@ -175,13 +169,12 @@ TYPED_TEST(LlscBackendTyped, SpuriousScStormCountersStayExact) {
     ts.emplace_back([&, t] {
       for (int i = 0; i < kIncrements; ++i) {
         for (;;) {
-          const Pair128 snap = dwload_atomic(g);
-          const bool ok =
-              (t % 2 == 0)
-                  ? BasicLlscEntryOps<TypeParam>::update_value(g, snap,
-                                                               snap.lo + 1)
-                  : BasicLlscEntryOps<TypeParam>::update_note(g, snap,
-                                                              snap.hi + 1);
+          // The update compares the whole granule, so a torn snapshot can
+          // only fail it.
+          const Pair128 snap = g.load_torn();
+          const bool ok = (t % 2 == 0)
+                              ? TypeParam::update_value(g, snap, snap.lo + 1)
+                              : TypeParam::update_note(g, snap, snap.hi + 1);
           if (ok) break;
         }
       }
@@ -194,79 +187,6 @@ TYPED_TEST(LlscBackendTyped, SpuriousScStormCountersStayExact) {
 }
 
 #if defined(WCQ_HAS_NATIVE_LLSC)
-
-// ---- split-API semantics, native only -------------------------------------
-// Deterministic under qemu (value-comparison STXP); retry-wrapped where a
-// real monitor could spuriously clear.
-
-class LlscNativeSplit : public ::testing::Test {
- protected:
-  void TearDown() override { llsc_inject::set_rate(0.0); }
-};
-
-TEST_F(LlscNativeSplit, LoadLinkedSnapshotsBothWords) {
-  AtomicPair128 g;
-  g.lo.store(11);
-  g.hi.store(22);
-  const Pair128 snap = LLSCNative::load_linked(g);
-  EXPECT_EQ(snap.lo, 11u);
-  EXPECT_EQ(snap.hi, 22u);
-}
-
-TEST_F(LlscNativeSplit, StoreConditionalEventuallySucceedsUntouched) {
-  AtomicPair128 g;
-  g.lo.store(1);
-  g.hi.store(2);
-  bool ok = false;
-  for (int i = 0; i < 1000 && !ok; ++i) {
-    LLSCNative::load_linked(g);
-    ok = LLSCNative::store_conditional_lo(g, 100);
-  }
-  ASSERT_TRUE(ok);
-  EXPECT_EQ(g.lo.load(), 100u);
-  EXPECT_EQ(g.hi.load(), 2u);
-}
-
-TEST_F(LlscNativeSplit, ReservationIsSingleShot) {
-  AtomicPair128 g;
-  g.lo.store(1);
-  g.hi.store(2);
-  bool ok = false;
-  for (int i = 0; i < 1000 && !ok; ++i) {
-    LLSCNative::load_linked(g);
-    ok = LLSCNative::store_conditional_lo(g, 10);
-  }
-  ASSERT_TRUE(ok);
-  // Second SC without a fresh LL must fail — the software reservation is
-  // consumed, and take_reservation issued no new LDAXP.
-  EXPECT_FALSE(LLSCNative::store_conditional_lo(g, 20));
-  EXPECT_EQ(g.lo.load(), 10u);
-}
-
-TEST_F(LlscNativeSplit, ScFailsOnWrongGranule) {
-  AtomicPair128 a, b;
-  a.lo.store(1);
-  a.hi.store(1);
-  b.lo.store(2);
-  b.hi.store(2);
-  LLSCNative::load_linked(a);
-  EXPECT_FALSE(LLSCNative::store_conditional_lo(b, 9)) << "wrong granule";
-  EXPECT_EQ(b.lo.load(), 2u);
-}
-
-TEST_F(LlscNativeSplit, InjectedFailureConsumesReservation) {
-  AtomicPair128 g;
-  g.lo.store(0);
-  g.hi.store(0);
-  llsc_inject::set_rate(1.0);
-  LLSCNative::load_linked(g);
-  EXPECT_FALSE(LLSCNative::store_conditional_lo(g, 1));
-  llsc_inject::set_rate(0.0);
-  // The injected failure cleared both the software reservation and (via
-  // clrex) the hardware monitor: a retry without a fresh LL must also fail.
-  EXPECT_FALSE(LLSCNative::store_conditional_lo(g, 1));
-  EXPECT_EQ(g.lo.load(), 0u);
-}
 
 // ---- whole-ring exercise over the native backend ---------------------------
 

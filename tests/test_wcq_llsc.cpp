@@ -18,7 +18,7 @@ namespace {
 
 class WcqLlscTest : public ::testing::Test {
  protected:
-  void TearDown() override { LLSCSim::set_spurious_failure_rate(0.0); }
+  void TearDown() override { llsc_inject::set_rate(0.0); }
 };
 
 WCQLLSC::Options slow_only(unsigned order) {
@@ -55,7 +55,7 @@ TEST_F(WcqLlscTest, SlowPathWithSpuriousFailures) {
   // Weak LL/SC: every slow-path entry update can fail sporadically. The
   // paper requires only that wCQ tolerates weak-CAS semantics; exactness of
   // the delivered values is the check.
-  LLSCSim::set_spurious_failure_rate(0.3);
+  llsc_inject::set_rate(0.3);
   WCQLLSC q(slow_only(4));
   for (u64 i = 0; i < 2000; ++i) {
     q.enqueue(i % q.capacity());
@@ -76,20 +76,20 @@ TEST_F(WcqLlscTest, MpmcAllSlowPathTinyRing) {
 }
 
 TEST_F(WcqLlscTest, MpmcWithInjectedScFailures) {
-  LLSCSim::set_spurious_failure_rate(0.2);
-  const u64 injected_before = LLSCSim::injected_failures();
-  const u64 attempts_before = LLSCSim::sc_attempts();
+  llsc_inject::set_rate(0.2);
+  const u64 injected_before = llsc_inject::injected();
+  const u64 attempts_before = llsc_inject::attempts();
   WCQLLSC q(slow_only(3));
   testing::run_mpmc_count_exact(q, 3, 3, 4000);
   // See test_llsc_failure_sweep.cpp: on a 1-core host the slow path may
   // issue too few LL/SC updates for injection to be statistically certain.
-  if (LLSCSim::sc_attempts() - attempts_before >= 1000) {
-    EXPECT_GT(LLSCSim::injected_failures(), injected_before);
+  if (llsc_inject::attempts() - attempts_before >= 1000) {
+    EXPECT_GT(llsc_inject::injected(), injected_before);
   }
 }
 
 TEST_F(WcqLlscTest, MpmcHeavyFailureRate) {
-  LLSCSim::set_spurious_failure_rate(0.5);
+  llsc_inject::set_rate(0.5);
   WCQLLSC q(slow_only(4));
   testing::run_mpmc_count_exact(q, 2, 2, 3000);
 }
