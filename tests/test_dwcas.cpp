@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -37,6 +38,20 @@ TEST(Dwcas, FailsWhenOnlyOneWordDiffers) {
   EXPECT_TRUE(dwcas(p, right, Pair128{0, 0}));
 }
 
+TEST(Dwcas, LoadTornMatchesQuiescentPair) {
+  // With no concurrent writer, the two acquire loads read one pair.
+  AtomicPair128 p;
+  p.lo.store(123);
+  p.hi.store(456);
+  Pair128 v = p.load_torn();
+  EXPECT_EQ(v.lo, 123u);
+  EXPECT_EQ(v.hi, 456u);
+  EXPECT_TRUE(dwcas(p, v, Pair128{789, 1011}));
+  v = p.load_torn();
+  EXPECT_EQ(v.lo, 789u);
+  EXPECT_EQ(v.hi, 1011u);
+}
+
 // Both words must move together under contention: each thread increments
 // the pair {n, 2n}; any observed pair must preserve hi == 2*lo.
 TEST(Dwcas, PairInvariantUnderContention) {
@@ -64,6 +79,69 @@ TEST(Dwcas, PairInvariantUnderContention) {
   EXPECT_EQ(p.lo.load(), static_cast<u64>(kThreads) * kIters);
   EXPECT_EQ(p.hi.load(), 2 * static_cast<u64>(kThreads) * kIters);
 }
+
+// Every backend must compare, store and write back all 128 bits: each
+// pattern is swept with a full update and with every single-bit mismatch,
+// so a truncated, sign-extended or half-compared word fails here.
+class DwcasPatternSweep : public ::testing::TestWithParam<Pair128> {};
+
+TEST_P(DwcasPatternSweep, SuccessFailureAndWriteback) {
+  const Pair128 a = GetParam();
+  const Pair128 b{~a.lo, ~a.hi};
+  AtomicPair128 p;
+  p.lo.store(a.lo);
+  p.hi.store(a.hi);
+  Pair128 expected = a;
+  EXPECT_TRUE(dwcas(p, expected, b));
+  EXPECT_EQ(p.lo.load(), b.lo);
+  EXPECT_EQ(p.hi.load(), b.hi);
+
+  Pair128 stale = a;
+  EXPECT_FALSE(dwcas(p, stale, a));
+  EXPECT_EQ(stale, b);  // failure reports the observed value
+  EXPECT_EQ(p.lo.load(), b.lo);
+  EXPECT_EQ(p.hi.load(), b.hi);
+
+  EXPECT_TRUE(dwcas(p, stale, a));
+  EXPECT_EQ(p.lo.load(), a.lo);
+  EXPECT_EQ(p.hi.load(), a.hi);
+}
+
+TEST_P(DwcasPatternSweep, EverySingleBitMismatchFails) {
+  const Pair128 a = GetParam();
+  AtomicPair128 p;
+  p.lo.store(a.lo);
+  p.hi.store(a.hi);
+  for (int bit = 0; bit < 128; ++bit) {
+    const u64 mask = u64{1} << (bit % 64);
+    Pair128 expected = a;
+    if (bit < 64) {
+      expected.lo ^= mask;
+    } else {
+      expected.hi ^= mask;
+    }
+    ASSERT_FALSE(dwcas(p, expected, Pair128{0, 0})) << "bit " << bit;
+    ASSERT_EQ(expected, a) << "bit " << bit;
+    ASSERT_EQ(p.lo.load(), a.lo) << "bit " << bit;
+    ASSERT_EQ(p.hi.load(), a.hi) << "bit " << bit;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Patterns, DwcasPatternSweep,
+    ::testing::Values(Pair128{0, 0}, Pair128{~u64{0}, ~u64{0}},
+                      Pair128{u64{1} << 63, 1},
+                      Pair128{0xAAAAAAAAAAAAAAAAULL, 0x5555555555555555ULL},
+                      Pair128{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL}),
+    [](const ::testing::TestParamInfo<Pair128>& info) {
+      switch (info.index) {
+        case 0: return std::string("zero");
+        case 1: return std::string("ones");
+        case 2: return std::string("sign_bits");
+        case 3: return std::string("alternating");
+        default: return std::string("mixed");
+      }
+    });
 
 TEST(Dwcas, SingleWordFetchAddCoexistsWithCas2) {
   // wCQ's fast path F&As the counter word while slow paths CAS2 the pair;
