@@ -71,19 +71,65 @@ struct RingAdapter {
     return detail::take(q.dequeue(), out);
   }
   static std::size_t enqueue_bulk(Queue& q, const u64* v, std::size_t n) {
+    return masked_bulk(q, v, n, [&q](const u64* m, std::size_t k) {
+      q.enqueue_bulk(m, k);
+    });
+  }
+  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
+    return q.dequeue_bulk(out, n);
+  }
+
+ protected:
+  // Feeds `v` masked to the ring's indices through `put(chunk, len)`.
+  template <typename Put>
+  static std::size_t masked_bulk(Queue& q, const u64* v, std::size_t n,
+                                 Put put) {
     constexpr std::size_t kChunk = 64;
     u64 masked[kChunk];
     const u64 mask = q.capacity() - 1;
     for (std::size_t done = 0; done < n;) {
       const std::size_t span = n - done < kChunk ? n - done : kChunk;
       for (std::size_t i = 0; i < span; ++i) masked[i] = v[done + i] & mask;
-      q.enqueue_bulk(masked, span);
+      put(masked, span);
       done += span;
     }
     return n;  // ring bulk enqueue inserts everything
   }
-  static std::size_t dequeue_bulk(Queue& q, u64* out, std::size_t n) {
-    return q.dequeue_bulk(out, n);
+};
+
+// The wCQ rings with the per-thread session the paper's benchmark gives
+// each thread (DESIGN.md §10): every worker takes one Handle at attach and
+// every operation passes it, so the registry is read only by the help
+// check's high-water refresh, once per HELP_DELAY operations. Without it
+// each operation resolved the tid again (~1.06 lookups per op); the
+// `wcq_handle` gate holds these series at <= 0.07. The implicit
+// operations stay for callers without sessions (bench_micro).
+template <typename Ring, const char* Name>
+struct WcqRingAdapter : RingAdapter<Ring, Name> {
+  using Base = RingAdapter<Ring, Name>;
+  using Queue = Ring;
+  using Handle = typename Ring::Handle;
+  using Base::dequeue;
+  using Base::dequeue_bulk;
+  using Base::enqueue;
+  using Base::enqueue_bulk;
+  static Handle attach(Queue& q) { return q.handle(); }
+  static bool enqueue(Queue& q, Handle& h, u64 v) {
+    q.enqueue(h, v & (q.capacity() - 1));
+    return true;
+  }
+  static bool dequeue(Queue& q, Handle& h, u64& out) {
+    return detail::take(q.dequeue(h), out);
+  }
+  static std::size_t enqueue_bulk(Queue& q, Handle& h, const u64* v,
+                                  std::size_t n) {
+    return Base::masked_bulk(q, v, n, [&q, &h](const u64* m, std::size_t k) {
+      q.enqueue_bulk(h, m, k);
+    });
+  }
+  static std::size_t dequeue_bulk(Queue& q, Handle& h, u64* out,
+                                  std::size_t n) {
+    return q.dequeue_bulk(h, out, n);
   }
 };
 
@@ -92,8 +138,8 @@ inline constexpr char kWcqLlscName[] = "wCQ-LLSC";
 inline constexpr char kScqName[] = "SCQ";
 inline constexpr char kMpscName[] = "Mpsc";
 
-using WcqAdapter = RingAdapter<WCQ, kWcqName>;
-using WcqLlscAdapter = RingAdapter<WCQLLSC, kWcqLlscName>;
+using WcqAdapter = WcqRingAdapter<WCQ, kWcqName>;
+using WcqLlscAdapter = WcqRingAdapter<WCQLLSC, kWcqLlscName>;
 using ScqAdapter = RingAdapter<SCQ, kScqName>;
 // Degree-specialized ring (DESIGN.md §13). Valid only under workloads that
 // respect the degree restriction — the pipeline panel runs Mpsc on p8to1
@@ -107,7 +153,8 @@ using MpscAdapter = RingAdapter<MpscRing, kMpscName>;
 // reservation table. Only exists on aarch64 builds; the harness picks it
 // up automatically there and the panel gains a fourth backend column.
 inline constexpr char kWcqLlscNativeName[] = "wCQ-LLSC-native";
-using WcqLlscNativeAdapter = RingAdapter<WCQLLSCNative, kWcqLlscNativeName>;
+using WcqLlscNativeAdapter =
+    WcqRingAdapter<WCQLLSCNative, kWcqLlscNativeName>;
 #endif  // WCQ_HAS_NATIVE_LLSC
 
 // Value queues: no index masking, and full is real backpressure, so
@@ -233,6 +280,21 @@ struct BoundedHandleAdapter : BoundedQueueAdapter<true, kBoundedHandleName> {
   static std::size_t dequeue_bulk(Bounded& q, Handle& h, u64* out,
                                   std::size_t n) {
     return q.dequeue_bulk(h, out, n);
+  }
+};
+
+// One pipeline shard on its own (DESIGN.md §13): a standalone
+// BoundedQueue<u64, MpscRing> of 2^WCQ_BENCH_SHARD_ORDER with magazines on,
+// as ShardedQueue builds its shards. Its data ring is flat, which serves a
+// pipeline consumer sweeping several shards; here the one consumer polls
+// only this ring, the line its producers are still writing, and this
+// series measures what the flat layout costs in that shape.
+inline constexpr char kBoundedMpscName[] = "Bounded-Mpsc";
+
+struct BoundedMpscAdapter
+    : ValueAdapter<BoundedQueue<u64, MpscRing>, kBoundedMpscName> {
+  static BoundedQueue<u64, MpscRing>* create() {
+    return new BoundedQueue<u64, MpscRing>(sharded_shard_order());
   }
 };
 

@@ -26,7 +26,10 @@
 // attempted (a full/empty attempt counts, exactly as in the paper's
 // methodology; an operation the loop never issued does not), each worker
 // returns its count, and the reported throughput divides the summed executed
-// ops — never the requested `p.ops` — by the wall time. Memory counters are
+// ops — never the requested `p.ops` — by the wall time. The item rate
+// divides the items the dequeues returned by the same wall time; on the
+// skewed workload, where empty and full attempts are cheap and counted,
+// it is the figure that follows the hand-off. Memory counters are
 // sampled per run and summarized across runs like the throughput samples.
 #pragma once
 
@@ -55,6 +58,8 @@ using u64 = std::uint64_t;
 // report and the printed tables iterate this table.
 enum class Metric {
   kMops,       // millions of executed operations per second, per run
+  kItems,      // millions of delivered items (successful dequeues) per
+               // second, per run: the item rate attempt-counting hides
   kLiveBytes,  // allocator-live delta after each run
   kOverhead,   // (live bytes - payload bytes) / capacity, bounded queues only
   kPeakBytes,  // allocator peak during each run
@@ -97,6 +102,7 @@ struct MetricInfo {
 
 inline constexpr MetricInfo kMetrics[kMetricCount] = {
     {"mops_mean", "%.6f", "Mops/sec", "%.2f"},
+    {"items_mps_mean", "%.6f", "delivered Mitems/sec", "%.2f"},
     {"live_bytes_mean", "%.1f"},
     {"overhead_bytes_per_elem_mean", "%.3f"},
     {"peak_bytes_mean", "%.1f", "peak MB allocated during run", "%.2f", 1e-6},
@@ -159,18 +165,26 @@ concept HasHandleBulk =
 // One worker's operation surface: the queue plus, for handle adapters, the
 // session attached for this worker's lifetime. The workload loops are
 // written against this so the same code measures both calling conventions.
+// `delivered` counts the items the worker's dequeues returned.
 template <typename Adapter>
 struct OpsCtx {
   typename Adapter::Queue& q;
+  u64 delivered = 0;
   static constexpr bool kBulk = HasBulk<Adapter>;
   explicit OpsCtx(typename Adapter::Queue& queue) : q(queue) {}
   bool enqueue(u64 v) { return Adapter::enqueue(q, v); }
-  bool dequeue(u64& out) { return Adapter::dequeue(q, out); }
+  bool dequeue(u64& out) {
+    const bool ok = Adapter::dequeue(q, out);
+    delivered += ok ? 1 : 0;
+    return ok;
+  }
   std::size_t enqueue_bulk(const u64* v, std::size_t n) {
     return Adapter::enqueue_bulk(q, v, n);
   }
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
-    return Adapter::dequeue_bulk(q, out, n);
+    const std::size_t got = Adapter::dequeue_bulk(q, out, n);
+    delivered += got;
+    return got;
   }
 };
 
@@ -178,16 +192,23 @@ template <HasHandle Adapter>
 struct OpsCtx<Adapter> {
   typename Adapter::Queue& q;
   decltype(Adapter::attach(std::declval<typename Adapter::Queue&>())) h;
+  u64 delivered = 0;
   static constexpr bool kBulk = HasHandleBulk<Adapter>;
   explicit OpsCtx(typename Adapter::Queue& queue)
       : q(queue), h(Adapter::attach(queue)) {}
   bool enqueue(u64 v) { return Adapter::enqueue(q, h, v); }
-  bool dequeue(u64& out) { return Adapter::dequeue(q, h, out); }
+  bool dequeue(u64& out) {
+    const bool ok = Adapter::dequeue(q, h, out);
+    delivered += ok ? 1 : 0;
+    return ok;
+  }
   std::size_t enqueue_bulk(const u64* v, std::size_t n) {
     return Adapter::enqueue_bulk(q, h, v, n);
   }
   std::size_t dequeue_bulk(u64* out, std::size_t n) {
-    return Adapter::dequeue_bulk(q, h, out, n);
+    const std::size_t got = Adapter::dequeue_bulk(q, h, out, n);
+    delivered += got;
+    return got;
   }
 };
 
@@ -431,6 +452,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
     const u64 per_thread = p.ops / threads;
     const u64 remainder = p.ops % threads;
     std::vector<u64> executed(threads, 0);
+    std::vector<u64> delivered(threads, 0);
     std::vector<opcount::Counters> delta(threads);
     std::vector<std::thread> ts;
     ts.reserve(threads);
@@ -448,6 +470,7 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
         executed[t] =
             detail::worker_body<Adapter>(ops, p, my_ops, t, threads, run);
         delta[t] = opcount::snapshot() - before;
+        delivered[t] = ops.delivered;
       });
     }
     while (ready.load(std::memory_order_acquire) < threads) cpu_relax();
@@ -472,13 +495,16 @@ PointResult measure_point(const BenchParams& p, unsigned threads) {
                (ops > 0 ? static_cast<double>(ops) : 1.0);
       }
     } all, cons, prod;
+    u64 items = 0;
     for (unsigned t = 0; t < threads; ++t) {
+      items += delivered[t];
       all.add(executed[t], delta[t]);
       if (!workload_skewed(p.workload)) continue;
       (skewed_consumer(p.workload, t, threads) ? cons : prod)
           .add(executed[t], delta[t]);
     }
     sample(Metric::kMops, static_cast<double>(all.ops) / secs / 1e6);
+    sample(Metric::kItems, static_cast<double>(items) / secs / 1e6);
 #define WCQ_EVENT_SAMPLE(f, key, desc) \
   sample(Metric::f##_per_op, all.per_op(all.c.f));
     WCQ_EVENTS(WCQ_EVENT_SAMPLE)

@@ -23,6 +23,7 @@ FIXTURES = {
     "pipeline": "bench_smoke_bench_pipeline.json",
     "pipeline_speedup": "BENCH_PR8.json",
     "latency": "bench_smoke_bench_latency.json",
+    "wcq_handle": "bench_smoke_bench_fig12_portable.json",
 }
 
 
@@ -79,6 +80,9 @@ DEFECTS = [
     ("pipeline_speedup", "speedup of 1.19x", speedup_119),
     ("pipeline_speedup", "deleted Sharded-wCQ series",
      lambda r: drop(r, "p8to1", "Sharded-wCQ")),
+    ("wcq_handle", "wCQ-LLSC registry/op of 0.08", lambda r: set_key(
+        point(r, "p5050", "wCQ-LLSC"), "registry_per_op_mean", 0.08)),
+    ("wcq_handle", "deleted wCQ series", lambda r: drop(r, "p5050", "wCQ")),
     ("latency", "lost=1", lambda r: set_key(latency(r, "spin"), "lost", 1)),
     ("latency", "p99 < p90", p99_below_p90),
     ("latency", "stranded=1", lambda r: set_key(

@@ -305,7 +305,10 @@ void magazine(const BenchParams& base, JsonReport& report) {
 // sharded pair is committed as BENCH_PR8.json and gated at >= 1.2x.
 // The roles table / JSON carry the per-role counter split: the MPSC
 // consumer column must read exactly 0 F&As and 0 threshold RMWs per op —
-// the deterministic, 1-core-safe pipeline gate.
+// the deterministic, 1-core-safe pipeline gate. Bounded-Mpsc is one
+// pipeline shard on its own, a value queue whose one consumer polls only
+// that ring: the shape where the shard's flat data ring costs throughput
+// (DESIGN.md §13), kept so the trade can be rerun.
 // WCQ_BENCH_ORDER / WCQ_BENCH_SHARDS / WCQ_BENCH_SHARD_ORDER size the rings.
 // p8to1 hands its minority role to one consumer first, so every series
 // skips points below kPipelineMinThreads: a lone worker is only the
@@ -350,13 +353,19 @@ void pipeline(const BenchParams& base, JsonReport& report) {
            " exceeds ring capacity " + std::to_string(capacity) +
            "; a raw ring cannot report full";
   };
-  // Mpsc also needs the consumer role to be exactly one worker: a wider
-  // minority is a second consumer session, which the ring traps by design.
-  const SkipFn single_minority = [&](unsigned t) -> std::string {
+  // Mpsc and Bounded-Mpsc also need the consumer role to be exactly one
+  // worker: a wider minority is a second consumer session, which the ring
+  // traps by design.
+  const SkipFn one_consumer = [&](unsigned t) -> std::string {
+    if (std::string why = no_producer(t); !why.empty()) return why;
     const unsigned minority = skewed_minority(t);
-    if (minority == 1) return over_capacity(t);
+    if (minority == 1) return "";
     return "minority role is " + std::to_string(minority) +
            " wide; the ring admits exactly one";
+  };
+  const SkipFn single_minority = [&](unsigned t) -> std::string {
+    if (std::string why = one_consumer(t); !why.empty()) return why;
+    return over_capacity(t);
   };
   print_preamble("Pipeline P1", caption, q);
   std::printf("# order=%u shards=%u shard_order=%u\n", ring_order(),
@@ -364,9 +373,12 @@ void pipeline(const BenchParams& base, JsonReport& report) {
   std::vector<Series> series;
   run_series<MpscAdapter>(q, series, MpscAdapter::kName, single_minority);
   run_series<ScqAdapter>(q, series, ScqAdapter::kName, over_capacity);
+  run_series<BoundedMpscAdapter>(q, series, BoundedMpscAdapter::kName,
+                                 one_consumer);
   AdapterList<ShardedPipelineAdapter, ShardedAdapter<>>::run(q, series,
                                                              no_producer);
   print_metric_table(Metric::kMops, series, q.thread_counts);
+  print_metric_table(Metric::kItems, series, q.thread_counts);
   print_metric_table(Metric::faa_per_op, series, q.thread_counts);
   print_roles_table(series, q.thread_counts);
   panel_end(caption, q, series, report);

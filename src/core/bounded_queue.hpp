@@ -45,10 +45,13 @@
 // and every magazine↔ring interaction uses the existing wait-free paths, so
 // the composition's progress class is unchanged.
 //
-// Free-ring layout (DESIGN.md §9): with magazines on, fq is built without
-// Cache_Remap, because its steady-state traffic is then spans of
-// consecutive ranks from one thread, and such a span wants its ranks to
-// share lines. aq, and fq without magazines, keep the paper's remap.
+// Ring layout (DESIGN.md §9): a ring is built without Cache_Remap when
+// its ranks are read in order by one thread. fq is flat with magazines on,
+// because its steady-state traffic is then spans of consecutive ranks from
+// one thread. aq is flat when it has one consumer (MpscRing), because that
+// consumer reads every rank in order, so a line of delivered ranks serves
+// it whole. The WCQ and SCQ aq, and fq without magazines, keep the paper's
+// remap.
 //
 // Degree-specialized ring (DESIGN.md §13): `BoundedQueue<T, MpscRing>`
 // restricts the *data* ring only. The free ring is derived from aq's by
@@ -78,6 +81,12 @@ namespace wcq {
 
 namespace detail {
 
+// Whether `Ring` admits exactly one consumer. It picks the free ring below
+// and the data ring's layout in the BoundedQueue constructor.
+template <typename Ring>
+inline constexpr bool kSingleConsumer =
+    std::is_base_of_v<BasicScq<kSingle>, Ring>;
+
 // The fq ring for a given aq ring (DESIGN.md §13). fq's degree profile is
 // NOT aq's: every dequeuer of the data queue enqueues its freed index into
 // fq, cross-thread magazine exit flushes and owned-handle destruction do so
@@ -91,7 +100,7 @@ struct DefaultFreeRing {
   using type = Ring;
 };
 template <typename Ring>
-  requires std::is_base_of_v<BasicScq<kSingle>, Ring>
+  requires kSingleConsumer<Ring>
 struct DefaultFreeRing<Ring> {
   using type = SCQ;
 };
@@ -142,9 +151,11 @@ class BoundedQueue {
   };
 
   explicit BoundedQueue(Options opt)
-      : aq_(opt.order),
-        // Flat under magazines (DESIGN.md §9). A magazine clamped to 0
-        // leaves single operations on fq, so that fq keeps the remap.
+      // Ring layout (DESIGN.md §9): a single-consumer aq is flat, because
+      // its one consumer reads the ranks in order; fq is flat under
+      // magazines, and a magazine clamped to 0 leaves single operations on
+      // fq, so that fq keeps the remap.
+      : aq_(opt.order, /*cache_remap=*/!detail::kSingleConsumer<Ring>),
         fq_(opt.order, /*cache_remap=*/effective_magazine_capacity(
                            opt.magazine, aq_.capacity()) == 0),
         data_(aq_.capacity(), kCacheLine),

@@ -32,7 +32,10 @@
 // Pipeline mode (DESIGN.md §13): `Options::mode = Mode::kPipeline` declares
 // the sharded-ingest shape — every shard drained by exactly one owning
 // consumer — and is meant to be instantiated as `ShardedQueue<T, MpscRing>`
-// so each shard's data ring drops to the single-consumer fast path.
+// so each shard's data ring drops to the single-consumer fast path. That
+// ring is also laid out flat, without Cache_Remap (core/bounded_queue.hpp,
+// "Ring layout"): its one consumer reads the shard's ranks in order, so a
+// line of ranks a producer span delivered serves it whole.
 // Consumers enter through acquire_consumer(shard), which returns a session
 // whose sweep is just {shard}: the owning consumer never steals, so the
 // steal sweep is producer-side only, exactly the restriction that keeps one

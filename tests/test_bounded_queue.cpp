@@ -5,6 +5,7 @@
 
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "core/wcq_llsc.hpp"
 #include "mpmc_harness.hpp"
@@ -259,14 +260,18 @@ TYPED_TEST(BoundedQueueTest, MpmcBulkTinyQueueBackpressure) {
   testing::run_mpmc_bulk_exactly_once(q, cfg, /*max_batch=*/16);
 }
 
-// Free-ring layout (DESIGN.md §9): with magazines on, fq only sees spans of
-// consecutive ranks, so it is built flat; without them, or with a magazine
-// clamped to 0, fq sees single operations and keeps Cache_Remap. aq keeps
-// it in every case. MpscRing's fq is the MPMC SCQ (DefaultFreeRing).
+// Ring layout (DESIGN.md §9): a ring is flat when one thread reads its
+// ranks in order. With magazines on, fq only sees spans of consecutive
+// ranks, so it is built flat; without them, or with a magazine clamped to
+// 0, fq sees single operations and keeps Cache_Remap. aq is remapped iff
+// its ring has more than one consumer: the MpscRing aq is flat, the WCQ
+// and SCQ aq keep the remap, whatever the magazine. MpscRing's fq is the
+// MPMC SCQ (DefaultFreeRing).
 template <typename Ring>
 class BoundedQueueLayoutTest : public ::testing::Test {
  protected:
   using Q = BoundedQueue<u64, Ring>;
+  static constexpr bool kAqRemapped = !std::is_same_v<Ring, MpscRing>;
 };
 
 using LayoutRingTypes = ::testing::Types<WCQ, SCQ, MpscRing>;
@@ -277,7 +282,7 @@ TYPED_TEST(BoundedQueueLayoutTest, MagazinesOnLayFreeRingFlat) {
   Q q(typename Q::Options{8, {.enabled = true}});
   ASSERT_GT(q.magazine_capacity(), 0u);
   EXPECT_FALSE(q.fq().cache_remap());
-  EXPECT_TRUE(q.aq().cache_remap());
+  EXPECT_EQ(q.aq().cache_remap(), TestFixture::kAqRemapped);
 }
 
 TYPED_TEST(BoundedQueueLayoutTest, MagazinesOffKeepFreeRingRemapped) {
@@ -285,24 +290,24 @@ TYPED_TEST(BoundedQueueLayoutTest, MagazinesOffKeepFreeRingRemapped) {
   Q q(typename Q::Options{8, {.enabled = false}});
   ASSERT_EQ(q.magazine_capacity(), 0u);
   EXPECT_TRUE(q.fq().cache_remap());
-  EXPECT_TRUE(q.aq().cache_remap());
+  EXPECT_EQ(q.aq().cache_remap(), TestFixture::kAqRemapped);
 }
 
-// The rule follows the magazine's effective capacity, not the flag: order 3
-// clamps the magazine to capacity/4 = 2, still on, so fq is flat; a
-// configured capacity of 0 clamps it to 0, fq sees single operations and
-// keeps the remap.
+// The fq rule follows the magazine's effective capacity, not the flag:
+// order 3 clamps the magazine to capacity/4 = 2, still on, so fq is flat;
+// a configured capacity of 0 clamps it to 0, fq sees single operations and
+// keeps the remap. The aq rule ignores the magazine.
 TYPED_TEST(BoundedQueueLayoutTest, ClampedMagazineFollowsEffectiveCapacity) {
   using Q = typename TestFixture::Q;
   Q small(typename Q::Options{3, {.enabled = true}});
   ASSERT_EQ(small.magazine_capacity(), 2u);
   EXPECT_FALSE(small.fq().cache_remap());
-  EXPECT_TRUE(small.aq().cache_remap());
+  EXPECT_EQ(small.aq().cache_remap(), TestFixture::kAqRemapped);
 
   Q empty(typename Q::Options{8, {.enabled = true, .capacity = 0}});
   ASSERT_EQ(empty.magazine_capacity(), 0u);
   EXPECT_TRUE(empty.fq().cache_remap());
-  EXPECT_TRUE(empty.aq().cache_remap());
+  EXPECT_EQ(empty.aq().cache_remap(), TestFixture::kAqRemapped);
 }
 
 }  // namespace

@@ -13,7 +13,9 @@
 #include <pthread.h>
 #include <sched.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -21,6 +23,7 @@
 #include <vector>
 
 #include "common/op_counters.hpp"
+#include "common/rng.hpp"
 #include "mpmc_harness.hpp"
 #include "runtime/thread_registry.hpp"
 
@@ -470,6 +473,32 @@ TEST(ShardedQueueMpmc, PerShardFifoFourProducers) {
   EXPECT_FALSE(q.dequeue().has_value());
 }
 
+// Ring layout (DESIGN.md §9, §13): a pipeline shard's data ring has one
+// consumer, so it is flat, and its fq follows the magazine rule; shards over
+// the MPMC wCQ keep the paper's remap on aq.
+TEST(ShardedQueue, MpscShardsHaveFlatDataRing) {
+  for (const bool magazines : {true, false}) {
+    SCOPED_TRACE(magazines ? "magazines on" : "magazines off");
+    ShardedQueue<u64, MpscRing>::Options o;
+    o.shards = 2;
+    o.shard_order = 8;
+    o.magazine.enabled = magazines;
+    o.mode = ShardedQueue<u64, MpscRing>::Mode::kPipeline;
+    ShardedQueue<u64, MpscRing> q(o);
+    for (unsigned s = 0; s < q.shard_count(); ++s) {
+      EXPECT_FALSE(q.shard(s).aq().cache_remap()) << "shard " << s;
+      EXPECT_EQ(q.shard(s).fq().cache_remap(), !magazines) << "shard " << s;
+    }
+  }
+}
+
+TEST(ShardedQueue, WcqShardsKeepRemappedDataRing) {
+  ShardedQueue<u64, WCQ> q(2, 8);
+  for (unsigned s = 0; s < q.shard_count(); ++s) {
+    EXPECT_TRUE(q.shard(s).aq().cache_remap()) << "shard " << s;
+  }
+}
+
 // ---- Mode::kPipeline (DESIGN.md §13): MPSC shards, owning consumers ----
 
 using PipelineQueue = ShardedQueue<u64, MpscRing>;
@@ -564,6 +593,143 @@ TEST(ShardedQueue, PipelineConcurrentProducersExactlyOnce) {
   for (auto& t : ts) t.join();
   for (unsigned p = 0; p < kProducers; ++p) {
     EXPECT_EQ(counts[p].load(), per_producer) << "producer " << p;
+  }
+}
+
+TEST(ShardedQueue, PipelineBulkProducersExactlyOnceAndPerShardFifo) {
+  // The ingest traffic the flat MPSC data ring is laid out for (DESIGN.md
+  // §13): producers enqueue seeded spans of 16-48 consecutive items through
+  // enqueue_bulk into shards of 16-64, so spans meet backpressure and spill
+  // across the sweep, and each owning consumer alternates dequeue_bulk(32)
+  // with dequeue(), so bulk spans stop at undelivered ranks (MPSC-STOP) and
+  // empty-handed single dequeues mark them (MPSC-DEADRANK). Every item is
+  // delivered exactly once, and within a shard each producer's items
+  // arrive in strictly increasing order.
+  struct Shape {
+    unsigned shard_order;
+    unsigned producers;
+  };
+  for (const Shape shape : {Shape{4, 3}, Shape{5, 2}, Shape{6, 3}}) {
+    SCOPED_TRACE(::testing::Message() << "shard order " << shape.shard_order
+                                      << ", " << shape.producers
+                                      << " producers");
+    PipelineQueue q(pipeline_options(4, shape.shard_order));
+    constexpr unsigned kConsumers = 2;
+    constexpr std::size_t kDeqSpan = 32;
+    const u64 per_producer = testing::scale_items(16000);
+    const u64 total = shape.producers * per_producer;
+    std::atomic<unsigned> producers_done{0};
+    std::atomic<bool> stalled{false};
+    std::atomic<u64> fifo_violations{0};
+    std::vector<std::vector<u64>> logs(kConsumers);
+    std::vector<std::thread> ts;
+    for (unsigned c = 0; c < kConsumers; ++c) {
+      ts.emplace_back([&, c] {
+        // Consumer c owns shards c and c + kConsumers; each owned shard
+        // keeps its own last sequence per producer.
+        std::vector<PipelineQueue::Handle> own;
+        std::vector<std::map<unsigned, u64>> last;
+        for (unsigned s = c; s < q.shard_count(); s += kConsumers) {
+          own.push_back(q.acquire_consumer(s));
+          last.emplace_back();
+        }
+        auto take = [&](std::size_t i, u64 v) {
+          const unsigned p = static_cast<unsigned>(v >> 32);
+          const u64 seq = v & 0xFFFFFFFFu;
+          const auto it = last[i].find(p);
+          if (it != last[i].end() && seq <= it->second) {
+            fifo_violations.fetch_add(1, std::memory_order_relaxed);
+          }
+          last[i][p] = seq;
+          logs[c].push_back(v);
+        };
+        u64 buf[kDeqSpan];
+        bool bulk = false;
+        Backoff bo;
+        for (;;) {
+          // Once every producer has returned, every enqueue has completed,
+          // so a pass of single dequeues that finds nothing proves the
+          // owned shards empty: a lost item fails the count check below
+          // instead of hanging the run.
+          const bool finished = producers_done.load(
+                                    std::memory_order_acquire) ==
+                                shape.producers;
+          bulk = !bulk && !finished;
+          u64 got = 0;
+          for (std::size_t i = 0; i < own.size(); ++i) {
+            if (bulk) {
+              const std::size_t n = q.dequeue_bulk(own[i], buf, kDeqSpan);
+              for (std::size_t k = 0; k < n; ++k) take(i, buf[k]);
+              got += n;
+            } else if (auto v = q.dequeue(own[i])) {
+              take(i, *v);
+              ++got;
+            }
+          }
+          if (got > 0) {
+            bo.reset();
+          } else if (finished) {
+            break;
+          } else {
+            bo.pause();
+          }
+        }
+      });
+    }
+    for (unsigned p = 0; p < shape.producers; ++p) {
+      ts.emplace_back([&, p] {
+        // A lost item keeps its index, so lost items shrink the shards
+        // until every span is refused: a producer that places nothing for
+        // kStallLimit reports the stall instead of spinning forever.
+        constexpr auto kStallLimit = std::chrono::seconds(30);
+        Xoshiro256 rng{0x5eed0000u + shape.shard_order * 8 + p};
+        u64 span[48];
+        Backoff bo;
+        auto progress = std::chrono::steady_clock::now();
+        for (u64 sent = 0; sent < per_producer && !stalled.load();) {
+          const u64 want = std::min<u64>(16 + rng.bounded(33),
+                                         per_producer - sent);
+          for (u64 k = 0; k < want; ++k) span[k] = testing::tag(p, sent + k);
+          for (std::size_t placed = 0; placed < want && !stalled.load();) {
+            const std::size_t n = q.enqueue_bulk(span + placed, want - placed);
+            placed += n;
+            if (n > 0) {
+              bo.reset();
+              progress = std::chrono::steady_clock::now();
+            } else if (std::chrono::steady_clock::now() - progress >
+                       kStallLimit) {
+              stalled.store(true);
+            } else {
+              bo.pause();  // every shard full: wait for the consumers
+            }
+          }
+          sent += want;
+        }
+        producers_done.fetch_add(1, std::memory_order_release);
+      });
+    }
+    for (auto& t : ts) t.join();
+    ASSERT_FALSE(stalled.load()) << "every shard refused spans for 30 s";
+    EXPECT_EQ(fifo_violations.load(), 0u) << "per-shard FIFO violated";
+    std::vector<std::vector<unsigned>> seen(
+        shape.producers, std::vector<unsigned>(per_producer, 0));
+    u64 delivered = 0;
+    for (const auto& log : logs) {
+      for (const u64 v : log) {
+        const unsigned p = static_cast<unsigned>(v >> 32);
+        const u64 seq = v & 0xFFFFFFFFu;
+        ASSERT_LT(p, shape.producers);
+        ASSERT_LT(seq, per_producer);
+        ++seen[p][seq];
+        ++delivered;
+      }
+    }
+    EXPECT_EQ(delivered, total);
+    for (unsigned p = 0; p < shape.producers; ++p) {
+      for (u64 i = 0; i < per_producer; ++i) {
+        ASSERT_EQ(seen[p][i], 1u) << "producer " << p << " item " << i;
+      }
+    }
   }
 }
 
