@@ -9,14 +9,18 @@
 // Two consumer series over the same schedule:
 //
 //   spin  try_recv + Backoff::pause() — burns CPU while idle, never parks;
-//   park  blocking recv() — spins briefly (the channel's spin-then-park
-//         policy), then parks on the eventcount futex.
+//   park  blocking recv() — watches the eventcount as the direction's one
+//         spinner for up to EventCount::kSpinBudget (a send hands it the
+//         wake with a CAS), then parks on the eventcount futex.
 //
 // Per series the JSON reports p50/p90/p99/p999/mean/max latency plus the
 // full accounting the `latency` CI gate (bench/gates.json) verifies: sent ==
 // received, lost == 0, percentiles monotone, and the channel's degraded-
-// mode counters (parks, notifies, timeouts, closed rejects,
-// accepted_after_close, stranded).
+// mode counters (parks, notifies, hand-offs, timeouts, closed rejects,
+// accepted_after_close, stranded). It also reports the receiver's shared
+// ring F&As and threshold RMWs per item received, from the opcount
+// counters of the consumer thread: what its polling of an empty ring costs
+// the lines the generator needs next.
 //
 // This driver is intentionally NOT built on the throughput harness's
 // measure_point/Series machinery — open-loop latency has its own schema
@@ -37,6 +41,7 @@
 #include <vector>
 
 #include "common/backoff.hpp"
+#include "common/op_counters.hpp"
 #include "harness/workloads.hpp"
 #include "runtime/channel.hpp"
 
@@ -88,6 +93,12 @@ struct SeriesResult {
   std::uint64_t received = 0;
   std::vector<std::uint64_t> lat_ns;  // pooled over runs
   Channel<std::uint64_t>::Stats stats{};
+  opcount::Counters recv_ops{};       // consumer-thread counters, summed
+
+  double per_item(std::uint64_t n) const {
+    return received ? static_cast<double>(n) / static_cast<double>(received)
+                    : 0.0;
+  }
 };
 
 struct Percentiles {
@@ -126,8 +137,10 @@ void one_run(bool park_consumer, std::uint64_t ops,
   std::vector<std::uint64_t> lat;
   lat.reserve(ops);
 
+  opcount::Counters recv_ops{};
   std::thread consumer([&] {
     auto h = ch.acquire();
+    const opcount::Counters before = opcount::snapshot();
     std::uint64_t sched = 0;
     if (park_consumer) {
       while (ch.recv(h, sched) == ChanStatus::kOk) {
@@ -147,6 +160,7 @@ void one_run(bool park_consumer, std::uint64_t ops,
         }
       }
     }
+    recv_ops = opcount::snapshot() - before;
   });
 
   {
@@ -172,6 +186,9 @@ void one_run(bool park_consumer, std::uint64_t ops,
   out.stats.recv_parks += st.recv_parks;
   out.stats.send_notifies += st.send_notifies;
   out.stats.recv_notifies += st.recv_notifies;
+  out.stats.send_handoffs += st.send_handoffs;
+  out.stats.recv_handoffs += st.recv_handoffs;
+  out.recv_ops += recv_ops;
   out.stats.send_timeouts += st.send_timeouts;
   out.stats.recv_timeouts += st.recv_timeouts;
   out.stats.closed_send_rejects += st.closed_send_rejects;
@@ -189,9 +206,12 @@ void write_series_json(std::FILE* f, const SeriesResult& s,
       "\"p999\": %.1f, \"mean\": %.1f, \"max\": %.1f, \"samples\": %zu},\n"
       "     \"channel\": {\"send_parks\": %llu, \"recv_parks\": %llu, "
       "\"send_notifies\": %llu, \"recv_notifies\": %llu, "
+      "\"send_handoffs\": %llu, \"recv_handoffs\": %llu, "
       "\"send_timeouts\": %llu, \"recv_timeouts\": %llu, "
       "\"closed_send_rejects\": %llu, \"accepted_after_close\": %llu, "
-      "\"stranded\": %llu}}%s\n",
+      "\"stranded\": %llu},\n"
+      "     \"receiver\": {\"ring_faa_per_item\": %.4f, "
+      "\"ring_thld_per_item\": %.4f}}%s\n",
       s.name.c_str(), static_cast<unsigned long long>(s.sent),
       static_cast<unsigned long long>(s.received),
       static_cast<long long>(s.sent) - static_cast<long long>(s.received),
@@ -200,11 +220,15 @@ void write_series_json(std::FILE* f, const SeriesResult& s,
       static_cast<unsigned long long>(s.stats.recv_parks),
       static_cast<unsigned long long>(s.stats.send_notifies),
       static_cast<unsigned long long>(s.stats.recv_notifies),
+      static_cast<unsigned long long>(s.stats.send_handoffs),
+      static_cast<unsigned long long>(s.stats.recv_handoffs),
       static_cast<unsigned long long>(s.stats.send_timeouts),
       static_cast<unsigned long long>(s.stats.recv_timeouts),
       static_cast<unsigned long long>(s.stats.closed_send_rejects),
       static_cast<unsigned long long>(s.stats.accepted_after_close),
-      static_cast<unsigned long long>(s.stats.stranded), last ? "" : ",");
+      static_cast<unsigned long long>(s.stats.stranded),
+      s.per_item(s.recv_ops.faa), s.per_item(s.recv_ops.threshold),
+      last ? "" : ",");
 }
 
 int run(int argc, char** argv) {
@@ -241,14 +265,16 @@ int run(int argc, char** argv) {
   std::printf("# bench_latency: enqueue->dequeue latency from scheduled "
               "arrival (open loop, %.0f ops/s)\n",
               rate_hz);
-  std::printf("%-6s %10s %10s %6s %12s %12s %12s %12s %10s %10s\n", "series",
-              "sent", "received", "lost", "p50(ns)", "p99(ns)", "p999(ns)",
-              "max(ns)", "parks", "stranded");
+  std::printf("%-6s %10s %10s %6s %12s %12s %12s %12s %10s %10s %10s %9s "
+              "%9s\n",
+              "series", "sent", "received", "lost", "p50(ns)", "p99(ns)",
+              "p999(ns)", "max(ns)", "parks", "handoffs", "stranded",
+              "faa/item", "thld/item");
   std::vector<Percentiles> pcts;
   for (auto& s : results) {
     const auto pct = percentiles(s.lat_ns);
     std::printf("%-6s %10llu %10llu %6lld %12.0f %12.0f %12.0f %12.0f "
-                "%10llu %10llu\n",
+                "%10llu %10llu %10llu %9.3f %9.3f\n",
                 s.name.c_str(), static_cast<unsigned long long>(s.sent),
                 static_cast<unsigned long long>(s.received),
                 static_cast<long long>(s.sent) -
@@ -256,7 +282,10 @@ int run(int argc, char** argv) {
                 pct.p50, pct.p99, pct.p999, pct.max,
                 static_cast<unsigned long long>(s.stats.send_parks +
                                                 s.stats.recv_parks),
-                static_cast<unsigned long long>(s.stats.stranded));
+                static_cast<unsigned long long>(s.stats.send_handoffs +
+                                                s.stats.recv_handoffs),
+                static_cast<unsigned long long>(s.stats.stranded),
+                s.per_item(s.recv_ops.faa), s.per_item(s.recv_ops.threshold));
     pcts.push_back(pct);
   }
 

@@ -89,6 +89,8 @@ DEFECTS = [
         latency(r, "park")["channel"], "stranded", 1)),
     ("latency", "spin recv_parks=1", lambda r: set_key(
         latency(r, "spin")["channel"], "recv_parks", 1)),
+    ("latency", "park ring F&As of 4.01 per item", lambda r: set_key(
+        latency(r, "park")["receiver"], "ring_faa_per_item", 4.01)),
     ("latency", "deleted park series", lambda r: r.update(
         series=[s for s in r["series"] if s["name"] != "park"])),
 ]

@@ -62,6 +62,10 @@ enum class Site : std::uint8_t {
   kParkWake,       // eventcount notify: epoch bump / futex wake edge
   kChanClose,      // channel close: closed-flag publish before the wake storm
   kSegmentClaim,   // unbounded segment's fresh-index span F&A
+  kSpinRegister,   // eventcount spinner registration CAS
+  kSpinClaim,      // notify_one's claim of a registered spinner (and each
+                   //   step of a spinner's watch under the scheduler)
+  kSpinDeregister, // eventcount spinner deregistration CAS
   kSiteCount,
 };
 

@@ -27,7 +27,6 @@
 // waits on a peer; it does not use Backoff (see DESIGN.md §5).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <thread>
 
@@ -37,10 +36,11 @@ namespace wcq {
 
 class Backoff {
  public:
-  // pause() calls spent spinning before escalating to yield(). 2^0..2^6
-  // cpu_relax()es per round: ~127 relaxes (~a few microseconds) total before
-  // the first syscall — long enough to absorb cache-miss-length waits,
-  // short enough that a descheduled peer costs one quantum, not many.
+  // pause() calls spent spinning before escalating to yield(). Round r
+  // spins 2^min(r, 6) cpu_relax()es, so the 8 rounds are 1+2+...+64+64 = 191
+  // relaxes before the first syscall (~2.7 us at a 14 ns x86 PAUSE) — long
+  // enough to absorb cache-miss-length waits, short enough that a
+  // descheduled peer costs one quantum, not many.
   static constexpr std::uint32_t kSpinRounds = 8;
   static constexpr std::uint32_t kMaxRelaxShift = 6;
 
@@ -62,21 +62,6 @@ class Backoff {
     }
   }
 
-  // Deadline-aware pause() for spin-then-park loops (runtime/channel.hpp):
-  // identical ladder, but returns false once `deadline` has passed so the
-  // caller can stop retrying. The clock is read only after the spin rounds
-  // are exhausted — the pure-spin phase stays syscall- and clock-free, at
-  // the cost of overshooting a deadline by at most the ladder's few
-  // microseconds of spinning.
-  bool until(std::chrono::steady_clock::time_point deadline) {
-    if (round_ >= spin_rounds_ &&
-        std::chrono::steady_clock::now() >= deadline) {
-      return false;
-    }
-    pause();
-    return true;
-  }
-
   // Restart the ladder after the guarded condition made progress.
   void reset() { round_ = 0; }
 
@@ -84,7 +69,6 @@ class Backoff {
   std::uint32_t spin_rounds() const { return spin_rounds_; }
   std::uint32_t round() const { return round_; }
   std::uint64_t yields() const { return yields_; }
-  bool yielding() const { return round_ >= spin_rounds_; }
 
  private:
   std::uint32_t spin_rounds_ = kSpinRounds;

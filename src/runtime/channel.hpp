@@ -7,8 +7,9 @@
 // must apply backpressure, and shutdown must terminate every waiter exactly
 // once. Channel packages those policies without touching the queue itself:
 //
-//   * send/recv       — block (spin-then-park via EventCount) until the op
-//                       completes or the channel closes.
+//   * send/recv       — block (one spinner per direction, the rest park on
+//                       an EventCount) until the op completes or the
+//                       channel closes.
 //   * try_send/try_recv, *_for/*_until — non-blocking and deadline variants.
 //   * close()         — idempotent; senders fail fast (kClosed), receivers
 //                       drain the residual elements then get kClosed, every
@@ -21,17 +22,24 @@
 // counters: N channel ops cost exactly the same ring F&As as N raw queue
 // ops.
 //
-// Parking protocol (per direction — receivers park on not_empty_, senders on
-// not_full_): the op spins through its session handle's Backoff ladder, then
+// Parking protocol (per direction — receivers wait on not_empty_, senders on
+// not_full_; one loop, block(), serves both). A blocked op registers as its
+// direction's one spinner if nobody spins, re-tries the op, and watches the
+// eventcount's spinner word for EventCount::kSpinBudget: a notify_one hands
+// it the wake with a CAS, no epoch bump and no syscall, and it re-tries the
+// op. A thread that finds a spinner registered, or whose budget ran out,
 // enters the eventcount's prepare / re-check / commit sequence. The re-check
 // between prepare_wait and commit_wait retries the queue op itself (not a
 // size hint), so the element a racing peer published is taken rather than
-// slept through; EventCount's seq_cst fence pair closes the remaining
-// store-buffer window (the PARK-DEKKER argument in eventcount.hpp). The
-// analysis tier's mutation self-tests break exactly these two edges — a
-// dropped post-send wake (WCQ_ANALYSIS_MUTATE_DROPWAKE) and a skipped
-// pre-park re-check (WCQ_ANALYSIS_MUTATE_SKIP_RECHECK) — and the PCT
-// explorer must catch both via EventCount::stranded().
+// slept through; EventCount's seq_cst fence pairs close the remaining
+// store-buffer windows (PARK-DEKKER and PARK-SPIN in eventcount.hpp). A
+// spinner whose re-check succeeded but who finds a claim on deregistering
+// passes the wake on with one notify_one (the baton rule). The analysis
+// tier's mutation self-tests break exactly these three edges — a dropped
+// post-send wake (WCQ_ANALYSIS_MUTATE_DROPWAKE), a skipped pre-park
+// re-check (WCQ_ANALYSIS_MUTATE_SKIP_RECHECK) and a dropped baton
+// (WCQ_ANALYSIS_MUTATE_SPIN_BATON) — and the PCT explorer must catch each
+// via EventCount::stranded().
 //
 // Close semantics. close() linearizes at the closed_ CAS (CHAN-CLOSE):
 //   * Sends that returned kOk happened-before close() are all drained —
@@ -56,7 +64,6 @@
 #include <utility>
 
 #include "analysis/sched_point.hpp"
-#include "common/backoff.hpp"
 #include "core/bounded_queue.hpp"
 #include "runtime/eventcount.hpp"
 
@@ -78,16 +85,15 @@ class Channel {
  public:
   using Queue = Q;
 
-  // Session handle: wraps the queue's own session handle and carries the
-  // per-thread parking state, the spin-then-park Backoff ladder. One per
-  // thread, reused across operations (DESIGN.md §10 session discipline
-  // applies unchanged). Park counts are per channel direction, in stats().
+  // Session handle: wraps the queue's own session handle, whose tid names
+  // the thread when it registers as a spinner. One per thread, reused
+  // across operations (DESIGN.md §10 session discipline applies
+  // unchanged). Park counts are per channel direction, in stats().
   class Handle {
     friend class Channel;
     explicit Handle(typename Q::Handle qh) : qh_(std::move(qh)) {}
 
     typename Q::Handle qh_;
-    Backoff backoff_;
   };
 
   // Degraded-mode accounting snapshot (surfaced in bench JSON).
@@ -96,6 +102,8 @@ class Channel {
     std::uint64_t recv_parks;           // receiver commit_waits (not_empty_)
     std::uint64_t send_notifies;        // wakes delivered to parked senders
     std::uint64_t recv_notifies;        // wakes delivered to parked receivers
+    std::uint64_t send_handoffs;        // wakes handed to a spinning sender
+    std::uint64_t recv_handoffs;        // wakes handed to a spinning receiver
     std::uint64_t send_timeouts;        // kTimeout returns from send_*for/until
     std::uint64_t recv_timeouts;        // kTimeout returns from recv_*for/until
     std::uint64_t closed_send_rejects;  // kClosed returns from send paths
@@ -209,6 +217,8 @@ class Channel {
     s.recv_parks = not_empty_.parks();
     s.send_notifies = not_full_.notifies();
     s.recv_notifies = not_empty_.notifies();
+    s.send_handoffs = not_full_.handoffs();
+    s.recv_handoffs = not_empty_.handoffs();
     s.send_timeouts = send_timeouts_.load(std::memory_order_relaxed);
     s.recv_timeouts = recv_timeouts_.load(std::memory_order_relaxed);
     s.closed_send_rejects =
@@ -262,88 +272,81 @@ class Channel {
 
   ChanStatus send_impl(Handle& h, T& value,
                        std::chrono::steady_clock::time_point deadline) {
-    if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
-      closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return ChanStatus::kClosed;
-    }
-    h.backoff_.reset();
-    for (;;) {
-      if (put(h, value)) return ChanStatus::kOk;
-      if (!h.backoff_.yielding()) {
-        // Spin phase: burn the ladder before announcing a waiter.
-        if (!h.backoff_.until(deadline)) {
-          send_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return ChanStatus::kTimeout;
-        }
-        continue;
-      }
-      // Park phase: prepare, re-check (the op itself, then the flag), commit.
-      const EventCount::Ticket t = not_full_.prepare_wait();
-      if (q_.enqueue_movable(h.qh_, value)) {
-        not_full_.cancel_wait();
-        after_send();
-        return ChanStatus::kOk;
-      }
-      if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
-        not_full_.cancel_wait();
-        closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return ChanStatus::kClosed;
-      }
-      if (!not_full_.commit_wait(t, deadline) ||
-          std::chrono::steady_clock::now() >= deadline) {
-        // One last immediate attempt so a wake racing the deadline is not
-        // reported as a timeout when the slot is already there.
-        if (put(h, value)) return ChanStatus::kOk;
-        send_timeouts_.fetch_add(1, std::memory_order_relaxed);
-        return ChanStatus::kTimeout;
-      }
-      if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
-        closed_send_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return ChanStatus::kClosed;
-      }
-    }
+    return block(h, not_full_, send_timeouts_, deadline,
+                 [&] { return try_send(h, value); });
   }
 
   ChanStatus recv_impl(Handle& h, T& out,
                        std::chrono::steady_clock::time_point deadline) {
-    h.backoff_.reset();
+    return block(h, not_empty_, recv_timeouts_, deadline,
+                 [&] { return try_recv(h, out); });
+  }
+
+  // kFull / kEmpty: the try-op would block; every other status ends a call.
+  static bool blocked(ChanStatus s) {
+    return s == ChanStatus::kFull || s == ChanStatus::kEmpty;
+  }
+
+  // The one blocking loop, shared by both directions: `attempt` is try_send
+  // or try_recv, and `ec` is the eventcount that direction waits on. A
+  // blocked op spins only if no peer of its direction already does, and it
+  // watches the eventcount's spinner word for a notify's claim, not the
+  // ring. Otherwise, or once the spin budget passes unclaimed, it parks
+  // through prepare / re-check / commit, where the re-check is the try-op
+  // itself.
+  template <typename Attempt>
+  ChanStatus block(Handle& h, EventCount& ec,
+                   std::atomic<std::uint64_t>& timeouts,
+                   std::chrono::steady_clock::time_point deadline,
+                   Attempt attempt) {
+    const std::uint32_t token = h.qh_.tid() + 1;
     for (;;) {
-      if (take(h, out)) return ChanStatus::kOk;
-      if (closed_.load(std::memory_order_acquire)) {  // CHAN-CLOSE
-        // Drain-to-empty: one authoritative attempt after observing the
-        // flag (see try_recv); only then report the channel closed.
-        return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
-      }
-      if (!h.backoff_.yielding()) {
-        if (!h.backoff_.until(deadline)) {
-          recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
-          return ChanStatus::kTimeout;
+      ChanStatus s = attempt();
+      if (!blocked(s)) return s;
+      if (ec.register_spinner(token)) {
+        s = attempt();  // the registration's re-check
+        if (!blocked(s)) {
+#if defined(WCQ_ANALYSIS_MUTATE_SPIN_BATON)
+          // Mutation self-test: keep a claim that landed after the re-check
+          // succeeded. Its element waits for a peer nobody woke
+          // (tests/analysis/test_mutation_baton.cpp).
+          (void)ec.deregister_spinner(token);
+#else
+          // Baton rule: a claim that landed after the re-check succeeded is
+          // a wake no parked peer got, and this caller may never come back
+          // for its element, so pass the wake on.
+          if (ec.deregister_spinner(token)) ec.notify_one();
+#endif
+          return s;
         }
-        continue;
+        if (ec.await_claim(token)) {
+          s = attempt();
+          if (!blocked(s)) return s;
+          // A claimed spinner whose op fails owes nothing: a peer took
+          // what the claim was for.
+        }
       }
-      const EventCount::Ticket t = not_empty_.prepare_wait();
+      const EventCount::Ticket t = ec.prepare_wait();
 #if defined(WCQ_ANALYSIS_MUTATE_SKIP_RECHECK)
-      // Mutation self-test: park without re-running the dequeue. An element
+      // Mutation self-test: park without re-running the op. An element
       // published (and notified) before our prepare_wait is slept through —
       // the classic check-then-park race the prepare/re-check/commit shape
       // exists to close (tests/analysis/test_mutation_parkcheck.cpp).
       (void)0;
 #else
-      if (auto v = q_.dequeue(h.qh_)) {
-        not_empty_.cancel_wait();
-        out = std::move(*v);
-        not_full_.notify_one();
-        return ChanStatus::kOk;
-      }
-      if (closed_.load(std::memory_order_seq_cst)) {  // CHAN-CLOSE
-        not_empty_.cancel_wait();
-        return take(h, out) ? ChanStatus::kOk : ChanStatus::kClosed;
+      s = attempt();
+      if (!blocked(s)) {
+        ec.cancel_wait();
+        return s;
       }
 #endif
-      if (!not_empty_.commit_wait(t, deadline) ||
+      if (!ec.commit_wait(t, deadline) ||
           std::chrono::steady_clock::now() >= deadline) {
-        if (take(h, out)) return ChanStatus::kOk;
-        recv_timeouts_.fetch_add(1, std::memory_order_relaxed);
+        // One last immediate attempt so a wake racing the deadline is not
+        // reported as a timeout when the op would now go through.
+        s = attempt();
+        if (!blocked(s)) return s;
+        timeouts.fetch_add(1, std::memory_order_relaxed);
         return ChanStatus::kTimeout;
       }
     }
@@ -354,8 +357,9 @@ class Channel {
   EventCount not_full_;   // senders park here; receivers notify
   // Close flag; the CAS in close() is the linearization point. Loads pair
   // with the eventcount fence machinery (see file comment), so acquire
-  // suffices everywhere except the in-park re-check, which participates in
-  // the Dekker case analysis directly and stays seq_cst.
+  // suffices everywhere, the in-park re-check included: close()'s CAS is
+  // sequenced before notify_all's seq_cst fence and the re-check after
+  // prepare_wait's, so whichever fence is later in S decides the race.
   std::atomic<bool> closed_{false};
   std::atomic<std::uint64_t> send_timeouts_{0};        // STAT-RELAXED
   std::atomic<std::uint64_t> recv_timeouts_{0};        // STAT-RELAXED

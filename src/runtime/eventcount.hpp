@@ -25,16 +25,29 @@
 // the analysis tier's dropped-wake / skipped-re-check mutations invalidate
 // (tests/analysis/test_mutation_{dropwake,parkcheck}.cpp).
 //
-// The fast path is wait-free and touches no mutex: prepare/cancel are one
-// relaxed RMW each plus a fence, notify with no waiters is a fence + one
-// relaxed load, and only commit_wait enters the kernel. On Linux the park is
-// FUTEX_WAIT_PRIVATE on the 32-bit epoch word (the kernel re-validates the
-// ticket under its own lock, closing the check-then-sleep window); elsewhere
-// a mutex+condvar fallback provides the same interface (the notifier taking
-// the mutex empty-handed before notifying closes the same window).
+// Spinner hand-off (PARK-SPIN). One thread at a time may register as the
+// direction's spinner: a CAS of its nonzero token into spinner_ from 0, then
+// a seq_cst fence — the mirror of PARK-DEKKER's, so either the spinner's
+// post-registration re-check sees the notifier's state or the notifier's
+// fence makes the registration visible. notify_one() first claims a
+// registered spinner (CAS token -> 0): no epoch bump, no syscall. The
+// spinner watches spinner_ for kSpinBudget and acts on its claim; a spinner
+// that leaves holding a claim it will not act on passes it on with one
+// notify_one() (the Channel's baton rule). notify_all() never claims.
 //
-// Analysis builds (WCQ_ANALYSIS=1): every protocol edge is a WCQ_SCHED_POINT,
-// and when a cooperative scheduler is installed commit_wait parks *virtually*
+// The fast path is wait-free and touches no mutex: prepare/cancel are one
+// relaxed RMW each plus a fence, notify with no waiter and no spinner is a
+// fence + two relaxed loads, and only commit_wait enters the kernel. On
+// Linux the park is FUTEX_WAIT_PRIVATE on the 32-bit epoch word (the kernel
+// re-validates the ticket under its own lock, closing the check-then-sleep
+// window); elsewhere a mutex+condvar fallback provides the same interface
+// (the notifier taking the mutex empty-handed before notifying closes the
+// same window).
+//
+// Analysis builds (WCQ_ANALYSIS=1): every protocol edge is a WCQ_SCHED_POINT
+// (spinner register, claim and deregister included), and when a cooperative
+// scheduler is installed a spinner's watch is bounded by scheduler steps
+// rather than time, and commit_wait parks *virtually*
 // — it spins at kParkCommit scheduling points re-reading the epoch instead of
 // entering the kernel, so the PCT explorer can interleave park/wake edges
 // deterministically. A virtual park that exhausts its step budget without
@@ -50,6 +63,7 @@
 #include <cstdint>
 
 #include "analysis/sched_point.hpp"
+#include "common/cpu.hpp"
 
 #if defined(__linux__)
 #include <linux/futex.h>
@@ -74,6 +88,10 @@ class EventCount {
   // The one "no deadline" value: commit_wait(t) parks until woken.
   static constexpr std::chrono::steady_clock::time_point kNoDeadline =
       std::chrono::steady_clock::time_point::max();
+  // How long a registered spinner watches for a claim before it parks:
+  // about one futex wake, the latency a claim saves (a median of 6.0 us on
+  // a 4-vCPU x86-64 host, DESIGN.md §14).
+  static constexpr std::chrono::nanoseconds kSpinBudget{6000};
 
   EventCount() = default;
   EventCount(const EventCount&) = delete;
@@ -122,11 +140,61 @@ class EventCount {
   }
 
   // Notifier side: called *after* publishing the state change the waiters
-  // re-check. With no waiter announced this is fence + relaxed load — no RMW,
-  // no syscall — which is what keeps the non-contended queue fast path free
-  // of parking overhead (the bench gate in tests/test_channel.cpp).
+  // re-check. notify_one hands the wake to a registered spinner if there is
+  // one. With no spinner and no waiter this is a fence + two relaxed loads —
+  // no RMW, no syscall — which is what keeps the non-contended queue fast
+  // path free of parking overhead (the bench gate in tests/test_channel.cpp).
   void notify_one() { notify(false); }
   void notify_all() { notify(true); }
+
+  // --- the spinner (PARK-SPIN) ----------------------------------------------
+
+  // Registers the caller as this direction's one spinner under `token`
+  // (nonzero, unique among live threads). False if another thread spins.
+  // On success the caller MUST re-try its op (the registration's re-check)
+  // and then end with exactly one await_claim or deregister_spinner.
+  bool register_spinner(std::uint32_t token) {
+    WCQ_SCHED_POINT(kSpinRegister);
+    std::uint32_t idle = 0;
+    if (!spinner_.compare_exchange_strong(idle, token,
+                                          std::memory_order_relaxed)) {
+      return false;  // PARK-SPIN
+    }
+    // PARK-SPIN: PARK-DEKKER's mirror. Orders the registration before the
+    // caller's re-check, against notify()'s fence before its spinner read.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    return true;
+  }
+
+  // Watches for a claim for up to kSpinBudget (a step budget under an
+  // analysis scheduler). True iff claimed, either during the watch or by a
+  // claim the closing deregistration finds; false leaves the caller
+  // deregistered and unclaimed.
+  bool await_claim(std::uint32_t token) {
+#if defined(WCQ_ANALYSIS) && WCQ_ANALYSIS
+    if (analysis::hooks_installed()) {
+      for (std::uint32_t i = 0; i < kAnalysisSpinBudget; ++i) {
+        WCQ_SCHED_POINT(kSpinClaim);
+        if (claimed(token)) return true;
+      }
+      return !unregister(token);
+    }
+#endif
+    const auto end = std::chrono::steady_clock::now() + kSpinBudget;
+    do {
+      if (claimed(token)) return true;
+      cpu_relax();
+    } while (std::chrono::steady_clock::now() < end);
+    return !unregister(token);
+  }
+
+  // Ends the registration after a re-check that succeeded. True iff a notify
+  // claimed the spinner first: the caller then owns that wake and, as it
+  // will not act on it, passes it on.
+  bool deregister_spinner(std::uint32_t token) {
+    WCQ_SCHED_POINT(kSpinDeregister);
+    return !unregister(token);
+  }
 
   // --- introspection (tests, bench JSON) ------------------------------------
 
@@ -141,6 +209,11 @@ class EventCount {
   // notify calls that found waiters and bumped the epoch.
   std::uint64_t notifies() const {
     return notifies_.load(std::memory_order_relaxed);  // STAT-RELAXED
+  }
+  // notify_one calls handed to a registered spinner instead of a parked
+  // thread.
+  std::uint64_t handoffs() const {
+    return handoffs_.load(std::memory_order_relaxed);  // STAT-RELAXED
   }
   // Analysis-mode virtual parks that exhausted their step budget without an
   // epoch bump: the lost-wakeup detector (0 over every schedule of a
@@ -157,6 +230,12 @@ class EventCount {
   // budget), small enough that a genuinely stranded waiter terminates the
   // schedule promptly instead of wedging the explorer.
   static constexpr std::uint32_t kAnalysisParkBudget = 4096;
+  // A spinner's watch under an installed scheduler, in steps. It must stay
+  // below the scheduler's 64-step quota, so whether a notifier's claim
+  // lands inside the watch is PCT's choice: a watch past the quota lets the
+  // peer run on every schedule, receivers always find the ring refilled,
+  // and no schedule parks.
+  static constexpr std::uint32_t kAnalysisSpinBudget = 32;
 
   // Cooperative park: spin at scheduling points until the epoch moves.
   // Returns true if a bump was observed, false on budget exhaustion (tallied
@@ -177,6 +256,16 @@ class EventCount {
     // PARK-DEKKER: orders the caller's state publication before the waiter
     // read, against prepare_wait's mirror fence.
     std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (!all) {
+      WCQ_SCHED_POINT(kSpinClaim);
+      std::uint32_t s = spinner_.load(std::memory_order_relaxed);  // PARK-SPIN
+      if (s != 0 &&
+          spinner_.compare_exchange_strong(s, 0, std::memory_order_release,
+                                           std::memory_order_relaxed)) {
+        handoffs_.fetch_add(1, std::memory_order_relaxed);  // STAT-RELAXED
+        return;  // PARK-SPIN
+      }
+    }
     WCQ_SCHED_POINT(kParkWake);
     if (waiters_.load(std::memory_order_relaxed) == 0) {  // PARK-COUNT
       return;
@@ -246,6 +335,20 @@ class EventCount {
   }
 #endif
 
+  // A registered spinner's acquire re-read of its claim (PARK-SPIN).
+  bool claimed(std::uint32_t token) const {
+    return spinner_.load(std::memory_order_acquire) != token;  // PARK-SPIN
+  }
+
+  // The deregistration CAS; false iff a claim got there first. An expired
+  // watch calls it straight after its last kSpinClaim step, so only the
+  // baton window (deregister_spinner) carries a kSpinDeregister point.
+  bool unregister(std::uint32_t token) {
+    return spinner_.compare_exchange_strong(token, 0,
+                                            std::memory_order_acquire,
+                                            std::memory_order_acquire);  // PARK-SPIN
+  }
+
   // The futex word: bumped on every delivered notify; waiters sleep on its
   // value. 32-bit by futex contract; wraparound is harmless (a waiter only
   // compares for inequality against a snapshot taken within one park).
@@ -254,8 +357,14 @@ class EventCount {
   // bump + wake; a stale-low read is impossible past the fence pair (the
   // PARK-DEKKER argument above), so relaxed RMWs suffice.
   std::atomic<std::uint32_t> waiters_{0};
+  // 0, or the token of the one registered spinner. A claim is the CAS back
+  // to 0, so a spinner reads any other value as "claimed": tokens are
+  // unique among live threads, and a successor's registration can land
+  // only after the claim emptied the word.
+  std::atomic<std::uint32_t> spinner_{0};
   std::atomic<std::uint64_t> parks_{0};
   std::atomic<std::uint64_t> notifies_{0};
+  std::atomic<std::uint64_t> handoffs_{0};
   std::atomic<std::uint64_t> stranded_{0};
 #if !WCQ_HAS_FUTEX
   std::mutex mu_;

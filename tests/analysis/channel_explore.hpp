@@ -99,6 +99,73 @@ inline ChanRunResult run_prodcon_channel(std::uint64_t seed, unsigned count,
   return res;
 }
 
+// The baton shape: w0 sends 0..count-1 (blocking, no close); w1 receives
+// exactly one element and leaves; w2 receives the other count-1. A claim
+// that lands on w1 as its spinner re-check succeeds is a wake w1 never
+// acts on, so w2 strands unless w1 passes the wake on (the baton rule).
+// The change points fall in the first 16 steps, where w1's first
+// registration races the first sends. With `stall_spinner`, w1 is suspended
+// at its first kSpinDeregister point (the baton window: its re-check has
+// succeeded) for 2000 peer steps: long enough for w2 to park and w0 to
+// claim the suspended spinner, short of the 4096-step virtual park, so a
+// passed-on wake still reaches w2 in time.
+inline ChanRunResult run_baton_channel(std::uint64_t seed, unsigned count,
+                                       bool stall_spinner) {
+  Channel<std::uint64_t> ch(1u);
+  PctScheduler::Config cfg;
+  cfg.seed = seed;
+  cfg.workers = 3;
+  cfg.horizon = 16;
+  cfg.change_points = 1 + static_cast<unsigned>(seed % 4);
+  if (stall_spinner) {
+    cfg.stall_victim = 1;
+    cfg.stall_site = analysis::Site::kSpinDeregister;
+    cfg.stall_duration = 2000;
+  }
+  ChanRunResult res;
+  {
+    PctScheduler sched(cfg);
+    std::uint64_t got[2] = {0, 0};
+    std::uint64_t sum[2] = {0, 0};
+    std::thread sender([&] {
+      sched.attach(0);
+      {
+        auto h = ch.acquire();
+        for (unsigned i = 0; i < count; ++i) ch.send(h, i);
+      }
+      sched.finish();
+    });
+    std::vector<std::thread> receivers;
+    for (unsigned r = 0; r < 2; ++r) {
+      receivers.emplace_back([&, r] {
+        sched.attach(1 + r);
+        {
+          auto h = ch.acquire();
+          std::uint64_t out = 0;
+          const unsigned want = r == 0 ? 1 : count - 1;
+          for (unsigned i = 0; i < want; ++i) {
+            if (ch.recv(h, out) == ChanStatus::kOk) {
+              ++got[r];
+              sum[r] += out;
+            }
+          }
+        }
+        sched.finish();
+      });
+    }
+    sender.join();
+    for (auto& t : receivers) t.join();
+    res.received = got[0] + got[1];
+    res.checksum = sum[0] + sum[1];
+    res.watchdog = sched.watchdog_fired();
+  }
+  const auto st = ch.stats();
+  res.stranded = st.stranded;
+  res.recv_parks = st.recv_parks;
+  res.send_parks = st.send_parks;
+  return res;
+}
+
 // senders x receivers MPMC: each sender sends `per_sender` distinct values,
 // the last one to finish closes; receivers drain until kClosed.
 inline ChanRunResult run_mpmc_channel(std::uint64_t seed, unsigned senders,

@@ -2,7 +2,9 @@
 // proof for the eventcount protocol under the blocking Channel facade, run
 // the same way PR 6/8 proved ring properties — PCT exploration over the
 // WCQ_SCHED_POINT annotations, here including the kParkPrepare / kParkCancel
-// / kParkCommit / kParkWake / kChanClose edges compiled into this binary.
+// / kParkCommit / kParkWake / kChanClose edges and the spinner's
+// kSpinRegister / kSpinClaim / kSpinDeregister edges compiled into this
+// binary.
 //
 // The assertion per schedule is threefold:
 //   * completeness — every element sent is received exactly once (count and
@@ -12,9 +14,9 @@
 //     pending wake always lands well inside the budget);
 //   * no watchdog — the blocking loops kept passing scheduling points.
 // The companion mutation binaries (test_mutation_dropwake,
-// test_mutation_parkcheck) break one protocol edge each and demand the
-// OPPOSITE verdict from the same driver, which is what makes a pass here
-// evidence rather than vacuity.
+// test_mutation_parkcheck, test_mutation_baton) break one protocol edge
+// each and demand the OPPOSITE verdict from the same driver, which is what
+// makes a pass here evidence rather than vacuity.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -73,6 +75,25 @@ TEST(ChannelPark, MpmcCloseEverySeed) {
     ASSERT_EQ(r.checksum, kN * (kN - 1) / 2)
         << "corrupted delivery, seed " << seed;
     ASSERT_EQ(r.stranded, 0u) << "lost wakeup, seed " << seed;
+  }
+}
+
+// Two receivers, one of which leaves after its first element: a claim
+// handed to that receiver's spinner after its re-check already succeeded
+// must be passed on, or the other receiver sleeps through the last element.
+// Plain PCT, then with the spinner suspended inside the baton window.
+TEST(ChannelPark, BatonShapeEverySeed) {
+  constexpr unsigned kCount = 3;
+  for (const bool stall : {false, true}) {
+    for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
+      const auto r = analysis_test::run_baton_channel(seed, kCount, stall);
+      ASSERT_FALSE(r.watchdog) << "scheduler wedged, seed " << seed;
+      ASSERT_EQ(r.received, kCount) << "lost element, seed " << seed;
+      ASSERT_EQ(r.checksum, std::uint64_t{kCount} * (kCount - 1) / 2)
+          << "corrupted delivery, seed " << seed;
+      ASSERT_EQ(r.stranded, 0u)
+          << "claimed wake not passed on, seed " << seed << " stall " << stall;
+    }
   }
 }
 

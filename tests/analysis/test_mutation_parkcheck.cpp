@@ -1,14 +1,15 @@
 // Mutation self-test (DESIGN.md §14): skip the re-check between prepare and
 // park. This binary compiles runtime/channel.hpp with
-// WCQ_ANALYSIS_MUTATE_SKIP_RECHECK, which removes the receiver's dequeue
-// re-check (and closed re-check) between prepare_wait and commit_wait — the
-// check-then-park race every condition-wait protocol must close. The window:
-// the sender's final send+notify lands after the receiver's last failed
-// main-loop dequeue but before its prepare_wait; the notify sees zero
-// announced waiters and stays silent, the receiver then parks on an epoch
-// that will never move.
+// WCQ_ANALYSIS_MUTATE_SKIP_RECHECK, which removes the re-check between
+// prepare_wait and commit_wait (the try-op, with its closed re-check, in
+// either direction's blocking loop) — the check-then-park race every
+// condition-wait protocol must close. The window: the sender's final
+// send+notify lands after the receiver's last failed attempt (or after its
+// spin budget passed unclaimed) but before its prepare_wait; the notify
+// finds no spinner and zero announced waiters and stays silent, the
+// receiver then parks on an epoch that will never move.
 //
-// The window is a handful of scheduling points wide (failed dequeue ->
+// The window is a handful of scheduling points wide (failed attempt ->
 // prepare), so unlike the dropped-wake mutation it needs a demotion to land
 // inside it; PCT's change points and the spin-quota demotions hit it within
 // the seed budget. Detection is the same currency: EventCount's budget-

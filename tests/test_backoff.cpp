@@ -14,17 +14,15 @@ TEST(Backoff, StartsInSpinPhase) {
   Backoff bo;
   EXPECT_EQ(bo.round(), 0u);
   EXPECT_EQ(bo.yields(), 0u);
-  EXPECT_FALSE(bo.yielding());
 }
 
 TEST(Backoff, EscalatesToYieldAfterSpinRounds) {
   Backoff bo;
   for (std::uint32_t i = 0; i < Backoff::kSpinRounds; ++i) {
-    EXPECT_FALSE(bo.yielding()) << "escalated early at round " << i;
     bo.pause();
+    EXPECT_EQ(bo.yields(), 0u) << "escalated early at round " << i;
   }
-  EXPECT_TRUE(bo.yielding());
-  EXPECT_EQ(bo.yields(), 0u) << "spin rounds must not yield";
+  EXPECT_EQ(bo.round(), Backoff::kSpinRounds);
   bo.pause();
   EXPECT_EQ(bo.yields(), 1u);
   bo.pause();
@@ -34,9 +32,8 @@ TEST(Backoff, EscalatesToYieldAfterSpinRounds) {
 TEST(Backoff, ResetRestartsTheLadder) {
   Backoff bo;
   for (std::uint32_t i = 0; i < Backoff::kSpinRounds + 3; ++i) bo.pause();
-  EXPECT_TRUE(bo.yielding());
+  EXPECT_EQ(bo.yields(), 3u);
   bo.reset();
-  EXPECT_FALSE(bo.yielding());
   EXPECT_EQ(bo.round(), 0u);
   bo.pause();
   EXPECT_EQ(bo.yields(), 3u) << "reset must not erase the yield count";
@@ -48,46 +45,12 @@ TEST(Backoff, CustomSpinRounds) {
   EXPECT_EQ(bo.spin_rounds(), 2u);
   bo.pause();
   bo.pause();
-  EXPECT_TRUE(bo.yielding());
+  EXPECT_EQ(bo.yields(), 0u);
+  bo.pause();
+  EXPECT_EQ(bo.yields(), 1u);
   Backoff eager(0);  // yield immediately: pure-yield waiter
-  EXPECT_TRUE(eager.yielding());
   eager.pause();
   EXPECT_EQ(eager.yields(), 1u);
-}
-
-TEST(Backoff, UntilHonorsDeadlineOnlyAfterSpinPhase) {
-  // The deadline check is deferred to the yield phase: an already-expired
-  // deadline still lets the cheap spin rounds run (they cost microseconds
-  // and no clock read), and only the first would-be yield reports expiry.
-  Backoff bo;
-  const auto past = std::chrono::steady_clock::now() - std::chrono::hours(1);
-  for (std::uint32_t i = 0; i < Backoff::kSpinRounds; ++i) {
-    EXPECT_TRUE(bo.until(past)) << "spin round " << i << " checked the clock";
-  }
-  EXPECT_TRUE(bo.yielding());
-  EXPECT_FALSE(bo.until(past));
-  EXPECT_EQ(bo.yields(), 0u) << "expired deadline must not yield";
-}
-
-TEST(Backoff, UntilKeepsPausingBeforeDeadline) {
-  Backoff bo(0);  // pure-yield ladder: every until() reads the clock
-  const auto far = std::chrono::steady_clock::now() + std::chrono::hours(1);
-  for (int i = 0; i < 3; ++i) EXPECT_TRUE(bo.until(far));
-  EXPECT_EQ(bo.yields(), 3u);
-}
-
-TEST(Backoff, UntilExpiresWithinTolerance) {
-  // A waiter looping on until() stops within a bounded overshoot of the
-  // deadline (the ladder's spin phase, microseconds — 1s is a generous CI
-  // bound).
-  Backoff bo;
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(20);
-  while (bo.until(deadline)) {
-  }
-  const auto overshoot = std::chrono::steady_clock::now() - deadline;
-  EXPECT_GE(overshoot.count(), 0);
-  EXPECT_LT(overshoot, std::chrono::seconds(1));
 }
 
 TEST(Backoff, CpuRelaxExecutesOnThisIsa) {
@@ -105,7 +68,7 @@ TEST(Backoff, LadderStillEscalatesPastTheSpinHint) {
   // pause() calls the ladder donates the quantum via
   // std::this_thread::yield(), which the 1-core livelock fix relies on.
   Backoff bo;
-  while (!bo.yielding()) bo.pause();
+  while (bo.round() < bo.spin_rounds()) bo.pause();
   EXPECT_EQ(bo.round(), Backoff::kSpinRounds);
   EXPECT_EQ(bo.yields(), 0u);
   bo.pause();

@@ -345,6 +345,53 @@ TEST(Channel, FastPathAddsZeroRingFaas) {
       << "nothing should park in a single-threaded ping-pong";
 }
 
+TEST(Channel, BatonPassesClaimToParkedReceiver) {
+  // The baton rule under real threads, repeated. Two receivers each take
+  // one element and leave: one parks first, then the other is released and
+  // two quick sends follow it at an offset that sweeps 0-2 us across
+  // rounds, so they meet it at every step from its first attempt through
+  // its spinner registration and re-check. When that re-check takes the
+  // first element and the second send's claim lands before it
+  // deregisters, the wake is the parked receiver's: unless the spinner
+  // passes it on, the parked receiver sleeps through the second element
+  // and its recv_for times out.
+  constexpr int kRounds = 400;
+  for (int round = 0; round < kRounds; ++round) {
+    Channel<std::uint64_t> ch(4u);
+    ChanStatus st[2] = {ChanStatus::kTimeout, ChanStatus::kTimeout};
+    std::atomic<bool> ready{false};
+    std::atomic<bool> go{false};
+    std::vector<std::thread> rx;
+    for (int r = 0; r < 2; ++r) {
+      rx.emplace_back([&, r] {
+        auto h = ch.acquire();
+        std::uint64_t out = 0;
+        if (r == 1) {
+          ready.store(true, std::memory_order_release);
+          while (!go.load(std::memory_order_acquire)) {
+          }
+        }
+        st[r] = ch.recv_for(h, out, 5s);
+      });
+    }
+    auto h = ch.acquire();
+    while (ch.stats().recv_parks == 0 ||
+           !ready.load(std::memory_order_acquire)) {
+      std::this_thread::yield();
+    }
+    const auto offset = std::chrono::nanoseconds(50 * (round % 40));
+    go.store(true, std::memory_order_release);
+    const auto at = std::chrono::steady_clock::now() + offset;
+    while (std::chrono::steady_clock::now() < at) {
+    }
+    ASSERT_EQ(ch.send(h, 1), ChanStatus::kOk);
+    ASSERT_EQ(ch.send(h, 2), ChanStatus::kOk);
+    for (auto& t : rx) t.join();
+    ASSERT_EQ(st[0], ChanStatus::kOk) << "round " << round;
+    ASSERT_EQ(st[1], ChanStatus::kOk) << "round " << round;
+  }
+}
+
 TEST(Channel, StatsSurfaceDegradedModes) {
   Channel<std::uint64_t> ch(2u);
   auto h = ch.acquire();

@@ -1,9 +1,10 @@
 // EventCount: the prepare/cancel/commit parking protocol underneath the
 // blocking Channel facade (DESIGN.md §14). These tests pin the single-
 // threaded protocol invariants (waiter accounting, no-waiter notify staying
-// epoch-silent) and the cross-thread guarantees the Dekker fence pair buys:
-// a wake racing the park is never lost, deadline parks terminate, and a
-// notify storm wakes every parked thread exactly once per park.
+// epoch-silent, the one-spinner registration and its claims) and the
+// cross-thread guarantees the Dekker fence pair buys: a wake racing the
+// park is never lost, deadline parks terminate, and a notify storm wakes
+// every parked thread exactly once per park.
 #include "runtime/eventcount.hpp"
 
 #include <gtest/gtest.h>
@@ -44,6 +45,60 @@ TEST(EventCount, NotifyWithoutWaitersIsSilent) {
   const auto t2 = ec.prepare_wait();
   ec.cancel_wait();
   EXPECT_EQ(t1, t2) << "silent notifies must not advance the epoch";
+}
+
+TEST(EventCount, SecondSpinnerRegistrationIsRefused) {
+  EventCount ec;
+  EXPECT_TRUE(ec.register_spinner(1));
+  EXPECT_FALSE(ec.register_spinner(2)) << "one spinner per eventcount";
+  EXPECT_FALSE(ec.deregister_spinner(1)) << "nothing claimed the spinner";
+  EXPECT_TRUE(ec.register_spinner(2)) << "deregistration frees the word";
+  EXPECT_FALSE(ec.deregister_spinner(2));
+}
+
+TEST(EventCount, NotifyOneClaimsSpinnerWithoutEpochBump) {
+  // A claim replaces the wake: no epoch bump, no futex call, and it is
+  // counted as a hand-off, not a notify — even with a waiter announced.
+  EventCount ec;
+  const auto t1 = ec.prepare_wait();
+  ASSERT_TRUE(ec.register_spinner(5));
+  ec.notify_one();
+  EXPECT_EQ(ec.handoffs(), 1u);
+  EXPECT_EQ(ec.notifies(), 0u);
+  ec.cancel_wait();
+  const auto t2 = ec.prepare_wait();
+  ec.cancel_wait();
+  EXPECT_EQ(t1, t2) << "a hand-off must not advance the epoch";
+  EXPECT_TRUE(ec.deregister_spinner(5)) << "deregistration reports the claim";
+  // The next notify_one finds no spinner and reaches the waiter instead.
+  (void)ec.prepare_wait();
+  ec.notify_one();
+  ec.cancel_wait();
+  EXPECT_EQ(ec.handoffs(), 1u);
+  EXPECT_EQ(ec.notifies(), 1u);
+}
+
+TEST(EventCount, NotifyAllNeverClaims) {
+  // close() broadcasts with notify_all: a spinner keeps its registration and
+  // finds the closed state in its own re-check after the watch.
+  EventCount ec;
+  ASSERT_TRUE(ec.register_spinner(9));
+  ec.notify_all();
+  EXPECT_EQ(ec.handoffs(), 0u);
+  EXPECT_FALSE(ec.deregister_spinner(9));
+}
+
+TEST(EventCount, AwaitClaimSeesClaimOrDeregisters) {
+  EventCount ec;
+  ASSERT_TRUE(ec.register_spinner(3));
+  ec.notify_one();
+  EXPECT_TRUE(ec.await_claim(3)) << "an earlier claim is seen at once";
+  EXPECT_TRUE(ec.register_spinner(3)) << "a claim empties the word";
+  const auto before = std::chrono::steady_clock::now();
+  EXPECT_FALSE(ec.await_claim(3)) << "no notify, so no claim";
+  EXPECT_GE(std::chrono::steady_clock::now() - before, EventCount::kSpinBudget);
+  EXPECT_TRUE(ec.register_spinner(4)) << "an expired watch deregisters";
+  EXPECT_FALSE(ec.deregister_spinner(4));
 }
 
 TEST(EventCount, CommitReturnsOnNotify) {

@@ -560,37 +560,56 @@ TEST(ShardedQueue, PipelineConcurrentProducersExactlyOnce) {
   PipelineQueue q(pipeline_options(4, 6));
   constexpr unsigned kProducers = 4;
   const u64 per_producer = testing::scale_items(20000);
-  const u64 total = kProducers * per_producer;
-  std::atomic<u64> consumed{0};
+  std::atomic<unsigned> producers_done{0};
+  std::atomic<bool> stalled{false};
   std::vector<std::atomic<u64>> counts(kProducers);
   std::vector<std::thread> ts;
   for (unsigned s = 0; s < q.shard_count(); ++s) {
     ts.emplace_back([&, s] {
       auto h = q.acquire_consumer(s);
       Backoff bo;
-      while (consumed.load(std::memory_order_relaxed) < total) {
+      for (;;) {
+        // Once every producer has returned, every enqueue has completed,
+        // so an empty dequeue proves the owned shard empty: a lost item
+        // fails the count check below instead of hanging the run.
+        const bool finished =
+            producers_done.load(std::memory_order_acquire) == kProducers;
         if (auto v = q.dequeue(h)) {
           counts[static_cast<unsigned>(*v >> 32)].fetch_add(
               1, std::memory_order_relaxed);
-          consumed.fetch_add(1, std::memory_order_relaxed);
           bo.reset();
+        } else if (finished) {
+          break;
         } else {
           bo.pause();
         }
       }
-      EXPECT_FALSE(q.dequeue(h).has_value());
     });
   }
   for (unsigned p = 0; p < kProducers; ++p) {
     ts.emplace_back([&, p] {
+      // A lost item keeps its index, so lost items shrink the shards until
+      // every enqueue is refused: a producer that places nothing for
+      // kStallLimit reports the stall instead of spinning forever.
+      constexpr auto kStallLimit = std::chrono::seconds(30);
       Backoff bo;
-      for (u64 i = 0; i < per_producer; ++i) {
+      auto progress = std::chrono::steady_clock::now();
+      for (u64 i = 0; i < per_producer && !stalled.load(); ++i) {
         bo.reset();
-        while (!q.enqueue(testing::tag(p, i))) bo.pause();
+        while (!q.enqueue(testing::tag(p, i)) && !stalled.load()) {
+          if (std::chrono::steady_clock::now() - progress > kStallLimit) {
+            stalled.store(true);
+          } else {
+            bo.pause();
+          }
+        }
+        progress = std::chrono::steady_clock::now();
       }
+      producers_done.fetch_add(1, std::memory_order_release);
     });
   }
   for (auto& t : ts) t.join();
+  ASSERT_FALSE(stalled.load()) << "every shard refused items for 30 s";
   for (unsigned p = 0; p < kProducers; ++p) {
     EXPECT_EQ(counts[p].load(), per_producer) << "producer " << p;
   }
